@@ -43,7 +43,6 @@ from .triangle import (
     extract_model,
     normalize_stairs,
     prune_redundant_columns,
-    select_candidates,
     should_stop,
     start,
 )
@@ -86,7 +85,7 @@ __all__ = [
     "parse_dimacs", "parse_tptp_cnf", "parse_trace_document", "pos",
     "preprocess", "propositional_shadow", "prove", "prune_redundant_columns",
     "redundancy_guard", "rename_apart", "rename_clause", "render_dimacs",
-    "render_tptp", "render_trace", "select_candidates",
+    "render_tptp", "render_trace",
     "shadow_contradiction_check", "should_stop", "standard_contradiction_counterexample",
     "start", "start_fol", "verify_model", "verify_trace",
 ]

@@ -2,7 +2,9 @@
 
 Verdicts print as SZS status lines (Unsatisfiable, Satisfiable, GaveUp) with
 the trace document between SZS output markers. Exit codes: 0 a verdict was
-reached, 1 gave up, 2 input error; check exits 3 on verification failure.
+reached, 1 gave up, 2 input error, 3 a trace failed verification (check: the
+given trace; prove: its own trace, reported as SZS status Error instead of
+the verdict).
 The ETM_SEED environment variable overrides --seed when set.
 """
 
@@ -43,13 +45,17 @@ def _engine_config(args) -> EngineConfig:
 def _cmd_prove(args) -> int:
     problem, _ = _load_problem(args.problem, args.format)
     outcome, trace = prove(problem, _engine_config(args))
-    verified = bool(verify_trace(problem, trace))
+    result = verify_trace(problem, trace)
+    if not result:
+        print(f"% SZS status Error for {args.problem}")
+        print(f"% verification failed: {result.diagnostic}")
+        return 3
     status = SZS_BY_VERDICT[outcome.verdict]
     print(f"% SZS status {status} for {args.problem}")
     note = (f"mode={args.mode} nt={args.nt} max-rounds={args.max_rounds} "
             f"fallback={args.fallback} seed={args.seed} timeout={args.timeout}")
     document = render_trace(trace, problem=args.problem, config_note=note,
-                            verified=verified)
+                            verified=True)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(document)

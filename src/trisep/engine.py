@@ -9,6 +9,14 @@ round with perturbed tie-breaking; when restarts run out, a two-column
 saturation (binary resolution as the k=2 special case, with subsumption)
 settles propositional inputs and makes a bounded best effort on first-order
 ones.
+
+Both logics take the same path. A propositional atom is a 0-ary predicate,
+so a propositional round is the first-order one in which every unifier is
+empty: preprocessing, renaming, fall-in and variant keys all reduce to the
+identity or to plain literal sets on ground input. The logic is consulted
+only where a propositional shortcut measurably pays (placing a clause,
+scoring closings, generating resolvents) and where only one logic has the
+notion (model extraction and the Davis-Putnam model).
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from .fol import (
     positional_variant,
     preprocess,
     redundancy_guard,
-    start_fol,
     variant_key,
 )
 from .unify import EMPTY, apply_literals, compose, mgu, rename_clause
@@ -130,17 +137,22 @@ class _RoundBuilder:
     leftovers; then literals already left above the boundary; then the
     mode-specific occurrence counts; clause id and literal position settle
     ties, optionally shuffled within tie groups on restarts.
+
+    One path serves both logics: a propositional round is the case in which
+    every unifier is empty. Two steps take a shortcut on propositional input,
+    because the general form costs measurably more there: placing a clause
+    skips the unifier search, and closing candidates are scored on literal
+    sets without building their states.
     """
 
-    def __init__(self, working: Sequence[Clause], config: BuildConfig, prop: bool,
-                 rng: Optional[random.Random], deadline: float, goal: str):
+    def __init__(self, working: Sequence[Clause], config: BuildConfig,
+                 rng: Optional[random.Random], deadline: float):
         self.working = list(working)
         self.working_set = ClauseSet(self.working)
         self.config = config
-        self.prop = prop
+        self.prop = self.working_set.is_propositional
         self.rng = rng
         self.deadline = deadline
-        self.goal = goal  # "unsat" | "sat"
         self._counts: Dict[Literal, int] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -149,25 +161,20 @@ class _RoundBuilder:
         cached = self._counts.get(literal)
         if cached is not None:
             return cached
-        if self.prop:
-            n = sum(1 for c in self.working if literal in c.literals)
-        else:
+        if literal.args:
             n = sum(1 for c in self.working
                     if any(mgu(literal, other) is not None for other in c.literals))
+        else:  # a 0-ary literal unifies only with itself
+            n = sum(1 for c in self.working if literal in c.literal_set)
         self._counts[literal] = n
         return n
 
-    def _place(self, state: Optional[Triangle], clause: Clause, literal_index: int,
+    def _place(self, state: Optional[Triangle], placed: Clause, lit: Literal,
                ) -> Optional[Triangle]:
-        pos = 1 if state is None else len(state.columns) + 1
-        if self.prop:
-            placed, lit = clause, clause.literals[literal_index]
-        else:
-            placed, _ = rename_clause(clause, pos)
-            lit = placed.literals[literal_index]
+        """Add a clause, already renamed for its column, with lit on the boundary."""
         try:
             if state is None:
-                return start_fol(placed, lit) if not self.prop else start(placed, lit)
+                return start(placed, lit)
             if self.prop:
                 return extend(state, placed, lit)
             result = extend_fol(state, placed, lit)
@@ -183,15 +190,10 @@ class _RoundBuilder:
             return None
 
     def _close_states(self, state: Triangle, clause: Clause):
-        """Closed states for one clause: the greedy close plus, first-order,
-        one per seeded (clause literal, boundary complement) unifier, since
-        the greedy pull order can miss the useful instantiation."""
-        if self.prop:
-            try:
-                yield close(state, clause)
-            except ConstructionError:
-                return
-            return
+        """Closed states for one clause: the greedy close plus one per seeded
+        (clause literal, boundary complement) unifier, since the greedy pull
+        order can miss the useful instantiation. On ground input every seed
+        is empty, so only the greedy close remains."""
         placed, _ = rename_clause(clause, len(state.columns) + 1)
         seen_parts = set()
         greedy = close_fol(state, placed)
@@ -217,47 +219,37 @@ class _RoundBuilder:
                 seen_parts.add(key)
                 yield closed
 
-    def _best_closure(self, state: Triangle) -> Optional[Triangle]:
+    def _closures(self, state: Triangle):
+        """Every way to close state, as (leftover count, inside count, clause,
+        closed state). Propositional closings are scored on literal sets and
+        their state is left None, to be built only for the chosen one."""
         if self.prop:
             complements = frozenset(state.boundary_complements)
-            best_key = None
-            best_clause = None
             for clause in self.working:
                 inside = len(clause.literal_set & complements)
-                if not inside:
-                    continue
-                outside = len(clause.literal_set) - inside
-                if self.goal == "sat":
-                    key = (0 if outside else 1, -inside, clause.id)
-                else:
-                    key = (outside, -inside, clause.id)
-                if best_key is None or key < best_key:
-                    best_key, best_clause = key, clause
-            return close(state, best_clause) if best_clause is not None else None
-        best_key = None
-        best = None
+                if inside:
+                    yield len(clause) - inside, inside, clause, None
+            return
         for clause in self.working:
             for closed in self._close_states(state, clause):
                 k = closed.closing_index
-                d_plus = closed.d_plus(k)
-                if self.goal == "sat":
-                    key = (0 if d_plus else 1, -len(closed.d_minus(k)), clause.id)
-                else:
-                    key = (len(d_plus), -len(closed.d_minus(k)), clause.id)
-                if best_key is None or key < best_key:
-                    best_key, best = key, closed
-        return best
+                yield len(closed.d_plus(k)), len(closed.d_minus(k)), clause, closed
+
+    def _best_closure(self, state: Triangle) -> Optional[Triangle]:
+        sat = self.config.mode == "sat"
+        best_key = None
+        best = None
+        for outside, inside, clause, closed in self._closures(state):
+            key = ((0 if outside else 1) if sat else outside, -inside, clause.id)
+            if best_key is None or key < best_key:
+                best_key, best = key, (clause, closed)
+        if best is None:
+            return None
+        clause, closed = best
+        return close(state, clause) if closed is None else closed
 
     def _full_close_available(self, state: Triangle) -> bool:
-        if self.prop:
-            complements = frozenset(state.boundary_complements)
-            return any(clause.literals and clause.literal_set <= complements
-                       for clause in self.working)
-        for clause in self.working:
-            for closed in self._close_states(state, clause):
-                if not closed.d_plus(closed.closing_index):
-                    return True
-        return False
+        return any(not outside for outside, _, _, _ in self._closures(state))
 
     def _apply_ties(self, scored: list) -> list:
         scored.sort(key=lambda item: item[0])
@@ -280,9 +272,7 @@ class _RoundBuilder:
         boundary_idx = None
         if col.boundary_source is not None:
             boundary_idx = col.source_literals.index(col.boundary_source)
-        lits = state.instantiated(index)
-        body = frozenset(lits) if self.prop else variant_key(lits)
-        return (col.clause_id, boundary_idx, body)
+        return (col.clause_id, boundary_idx, variant_key(state.instantiated(index)))
 
     def _extensions(self, state: Optional[Triangle]) -> List[Tuple[tuple, Triangle]]:
         boundary = set(state.boundary) if state is not None else set()
@@ -293,16 +283,19 @@ class _RoundBuilder:
             placed_ids = set(state.clause_ids())
             existing_signatures = {self._column_signature(state, i)
                                    for i in range(len(state.columns))}
+        repeats = self.config.allow_boundary_repeats
+        column = 1 if state is None else len(state.columns) + 1
         scored = []
         for clause in self.working:
-            for idx, lit in enumerate(clause.literals):
-                if self.prop and not self.config.allow_boundary_repeats and lit in boundary:
+            placed, _ = rename_clause(clause, column)
+            for idx, (lit, placed_lit) in enumerate(zip(clause.literals, placed.literals)):
+                # renaming makes a non-ground literal fresh, so only a ground one
+                # can repeat a boundary literal here; a repeat that the column's
+                # unifier would create is not caught
+                if not repeats and placed_lit in boundary:
                     continue
-                candidate = self._place(state, clause, idx)
+                candidate = self._place(state, placed, placed_lit)
                 if candidate is None:
-                    continue
-                if not self.config.allow_boundary_repeats and not self.prop \
-                        and candidate.boundary[-1] in boundary:
                     continue
                 if state is not None and self._column_signature(
                         candidate, len(candidate.columns) - 1) in existing_signatures:
@@ -313,7 +306,7 @@ class _RoundBuilder:
                 pref = 0 if lit in leftovers else 1
                 own = self._count_clauses_with(lit)
                 comp = self._count_clauses_with(lit.complement())
-                if self.goal == "sat":
+                if self.config.mode == "sat":
                     unplaced = 0 if clause.id not in placed_ids else 1
                     key = (unit, unplaced, -own, comp, clause.id, idx)
                 else:
@@ -334,7 +327,7 @@ class _RoundBuilder:
             if state is not None:
                 best = self._best_closure(state)
                 if best is not None:
-                    if self.goal == "sat":
+                    if self.config.mode == "sat":
                         placed = {c.clause_id for i, c in enumerate(best.columns)
                                   if not best.is_stair(i)}
                         covered = all(c.id in placed for c in self.working
@@ -365,23 +358,13 @@ class _RoundBuilder:
 _SATURATION_CLAUSE_CAP = 20000
 
 
-def _two_column_rounds(a: Clause, b: Clause, prop: bool) -> List[Triangle]:
+def _two_column_rounds(a: Clause, b: Clause) -> List[Triangle]:
     """All k=2 closed states with a's literal on the boundary, closed by b."""
     out = []
-    if prop:
-        b_lits = set(b.literals)
-        for lit in a.literals:
-            if lit.complement() not in b_lits:
-                continue
-            try:
-                out.append(close(start(a, lit), b))
-            except ConstructionError:
-                continue
-        return out
     a1, _ = rename_clause(a, 1)
     b2, _ = rename_clause(b, 2)
     for lit in a1.literals:
-        opened = start_fol(a1, lit)
+        opened = start(a1, lit)
         for other in b2.literals:
             seed = mgu(other, lit.complement())
             if seed is None:
@@ -391,6 +374,39 @@ def _two_column_rounds(a: Clause, b: Clause, prop: bool) -> List[Triangle]:
             if closed is not None:
                 out.append(closed)
     return out
+
+
+def _resolvents(given: Clause, partners: Sequence[Clause], prop: bool, seen: set):
+    """Two-column resolvents of given with the partners (and, first-order,
+    with itself) that are neither tautologies nor variants of a clause in
+    seen, as (literals, variant key, a function that builds the round).
+
+    Propositional resolvents are computed on literal sets, which are their
+    own variant keys, so only the clauses the caller keeps pay for a round
+    state.
+    """
+    if prop:
+        given_set = given.literal_set
+        partner_sets = [(other, other.literal_set) for other in partners]
+        for lit in given.literals:
+            comp = lit.complement()
+            for other, other_set in partner_sets:
+                if comp not in other_set:
+                    continue
+                resolvent = (given_set - {lit}) | (other_set - {comp})
+                if resolvent not in seen and not is_tautology(resolvent):
+                    yield (resolvent, resolvent,
+                           lambda lit=lit, other=other: close(start(given, lit), other))
+        return
+    for other in [*partners, given]:
+        for a, b in ((given, other), (other, given)):
+            for closed in _two_column_rounds(a, b):
+                lits = closed.csc
+                if is_tautology(lits):
+                    continue
+                key = variant_key(lits)
+                if key not in seen:
+                    yield lits, key, lambda closed=closed: closed
 
 
 def _dp_model(clauses: Sequence[Clause], predicates: Sequence[str]) -> Assignment:
@@ -427,22 +443,20 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
               existing_rounds: Sequence[RoundRecord], round_base: int):
     """Exhaustive two-column rounds with subsumption, smallest clauses first.
 
-    Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with the
-    derivation chain, SATISFIABLE with a model (propositional saturation only),
-    or UNKNOWN on budget or cap exhaustion. Propositional resolvents are
-    computed at the literal-set level; the replayable round state is built
-    only for clauses that are actually kept.
+    One given-clause loop serves both logics; only the resolvent generator
+    and the closing model depend on the logic. Returns (verdict, rounds,
+    model, reason): verdict is UNSATISFIABLE with the derivation chain,
+    SATISFIABLE with a Davis-Putnam model (propositional saturation only), or
+    UNKNOWN on budget or cap exhaustion, or when first-order saturation ends
+    without the empty clause.
     """
-    def dedup_key(clause):
-        return clause.literal_set if prop else variant_key(clause.literals)
-
     seen = set()
     heap: List[tuple] = []
     tick = 0
     for clause in working:
         if is_tautology(clause):
             continue
-        key = dedup_key(clause)
+        key = variant_key(clause.literals)
         if key in seen:
             continue
         seen.add(key)
@@ -496,48 +510,17 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
         processed[:] = [p for p in processed if not given_set < p.literal_set]
         partners = list(processed)
         processed.append(given)
-        if prop:
-            partner_sets = [(p, p.literal_set) for p in partners]
-            for lit in given.literals:
-                comp = lit.complement()
-                for other, other_set in partner_sets:
-                    if comp not in other_set:
-                        continue
-                    resolvent = (given_set - {lit}) | (other_set - {comp})
-                    if any(l.complement() in resolvent for l in resolvent):
-                        continue  # tautology
-                    key = frozenset(resolvent)
-                    if key in seen:
-                        continue
-                    if not resolvent:
-                        state = close(start(given, lit), other)
-                        return finish_unsat(record_round(state, ()))
-                    if any(p.literal_set <= resolvent for p in processed):
-                        continue
-                    seen.add(key)
-                    state = close(start(given, lit), other)
-                    record = record_round(state, tuple(state.csc))
-                    heapq.heappush(heap, (len(resolvent), tick, record.csc))
-                    tick += 1
-        else:
-            for other in partners + [given]:
-                for pair in ((given, other), (other, given)):
-                    for closed in _two_column_rounds(pair[0], pair[1], prop):
-                        lits = closed.csc
-                        if is_tautology(lits):
-                            continue
-                        key = variant_key(lits)
-                        if key in seen:
-                            continue
-                        if not lits:
-                            return finish_unsat(record_round(closed, ()))
-                        lit_set = frozenset(lits)
-                        if any(p.literal_set <= lit_set for p in processed):
-                            continue
-                        seen.add(key)
-                        record = record_round(closed, lits)
-                        heapq.heappush(heap, (len(lits), tick, record.csc))
-                        tick += 1
+        for lits, key, build in _resolvents(given, partners, prop, seen):
+            if not lits:
+                return finish_unsat(record_round(build(), ()))
+            lit_set = frozenset(lits)
+            if any(p.literal_set <= lit_set for p in processed):
+                continue
+            seen.add(key)
+            state = build()
+            record = record_round(state, state.csc)
+            heapq.heappush(heap, (len(lits), tick, record.csc))
+            tick += 1
     if prop:
         predicates = sorted({lit.predicate for c in processed for lit in c.literals}
                             | {lit.predicate for c in working for lit in c.literals})
@@ -589,19 +572,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         trace = ProofTrace((), UNSATISFIABLE)
         return Outcome(UNSATISFIABLE), trace
 
-    if prop:
-        working: List[Clause] = []
-        seen_inputs = set()
-        for clause in clause_set.clauses:
-            if is_tautology(clause):
-                continue
-            key = frozenset(clause.literals)
-            if key in seen_inputs:
-                continue
-            seen_inputs.add(key)
-            working.append(clause)
-    else:
-        working = list(preprocess(clause_set).clauses)
+    working = list(preprocess(clause_set).clauses)
 
     if not working:
         # every input clause was a tautology
@@ -616,8 +587,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     goal = "sat" if config.mode == "sat" and prop else "unsat"
     build_cfg = _resolved_build_config(clause_set, config, goal)
     next_id = max(c.id for c in clause_set.clauses) + 1
-    known = {(frozenset(c.literals) if prop else variant_key(c.literals)): c.id
-             for c in working}
+    known = {variant_key(c.literals): c.id for c in working}
     rounds: List[RoundRecord] = []
     round_no = 1
     restart_streak = 0
@@ -625,15 +595,13 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     while round_no <= config.max_rounds and time.monotonic() < main_deadline:
         rng = (random.Random(config.seed * 1000003 + restart_streak)
                if restart_streak else None)
-        builder = _RoundBuilder(working, build_cfg, prop, rng, main_deadline, goal)
-        state = builder.build()
+        state = _RoundBuilder(working, build_cfg, rng, main_deadline).build()
         if state is None:
             restart_streak += 1
             if restart_streak > config.max_restarts:
                 break
             continue
-        if not prop:
-            state = fall_in(state)
+        state = fall_in(state)
         raw_state = state
         if goal == "unsat":
             state = prune_redundant_columns(state)
@@ -649,7 +617,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
                 if verify_model(clause_set, model):
                     trace = ProofTrace(tuple(rounds), SATISFIABLE, model=model)
                     return Outcome(SATISFIABLE, model=model), trace
-        key = frozenset(csc_lits) if prop else variant_key(csc_lits)
+        key = variant_key(csc_lits)
         stalled = (key in known or is_tautology(csc_lits)
                    or any(set(c.literals) <= set(csc_lits) for c in working))
         if stalled:

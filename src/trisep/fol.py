@@ -10,7 +10,7 @@ backward-propagating substitutions are realized.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .logic import (
     Clause,
@@ -19,6 +19,7 @@ from .logic import (
     Function,
     Literal,
     Variable,
+    is_ground,
     is_tautology,
     literal_variables,
     variables_of,
@@ -43,9 +44,12 @@ def _blind_literal_key(lit):
     return (lit.predicate, not lit.positive, tuple(_blind_term_key(a) for a in lit.args))
 
 
-def variant_key(literals: Iterable[Literal]) -> frozenset:
+def variant_key(literals: Collection[Literal]) -> frozenset:
     """A canonical form equal for alphabetic variants (conservative for
-    symmetric clauses, which only means a missed dedup, never a wrong one)."""
+    symmetric clauses, which only means a missed dedup, never a wrong one).
+    A ground clause is its own canonical form."""
+    if is_ground(literals):
+        return frozenset(literals)
     ordered = sorted(literals, key=_blind_literal_key)
     renaming = {}
 

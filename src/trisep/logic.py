@@ -116,7 +116,8 @@ def variables_of(literals: Iterable[Literal]) -> tuple:
 
 
 def is_ground(literals: Iterable[Literal]) -> bool:
-    return not variables_of(literals)
+    return not any(lit.args and any(True for _ in literal_variables(lit))
+                   for lit in literals)
 
 
 class Clause:
@@ -181,8 +182,7 @@ class Clause:
 
 def is_tautology(clause) -> bool:
     """True iff the clause holds a literal and its complement (syntactic check only)."""
-    literals = clause.literals if isinstance(clause, Clause) else tuple(clause)
-    lits = set(literals)
+    lits = clause.literal_set if isinstance(clause, Clause) else frozenset(clause)
     return any(lit.complement() in lits for lit in lits)
 
 

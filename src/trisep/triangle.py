@@ -304,64 +304,3 @@ def extract_model(state: Triangle, clause_set: ClauseSet) -> Optional[Assignment
     assignment: Assignment = {name: False for name in clause_set.predicates()}
     assignment.update(required)
     return assignment
-
-
-# -- clause and literal selection ---------------------------------------------
-
-
-def _occurrence_counts(clause_set: ClauseSet, prop: bool):
-    """clause-count of each literal and of its complement across the set."""
-    literal_sets = [set(clause.literals) for clause in clause_set.clauses]
-
-    def clauses_containing(target: Literal) -> int:
-        if prop:
-            return sum(1 for lits in literal_sets if target in lits)
-        return sum(1 for lits in literal_sets
-                   if any(mgu(target, other) is not None for other in lits))
-
-    return clauses_containing
-
-
-def select_candidates(state: Optional[Triangle], clause_set: ClauseSet,
-                      config: BuildConfig) -> List[Tuple[Clause, Literal]]:
-    """Rank (clause, boundary literal) extension candidates.
-
-    Order: unit clauses first; then literals already left above the boundary;
-    then, in unsat mode, literals whose complement occurs in more clauses
-    (in sat mode, literals occurring more themselves, complement occurring
-    less); ties fall back to clause id, then literal position.
-    """
-    prop = clause_set.is_propositional
-    clauses_containing = _occurrence_counts(clause_set, prop)
-    boundary = set(state.boundary) if state is not None else set()
-    complements = state.boundary_complements if state is not None else set()
-    leftovers = set(state.leftovers) if state is not None else set()
-    placed = set()
-    if state is not None:
-        for i, col in enumerate(state.columns):
-            if col.boundary_source is not None:
-                placed.add((col.clause_id, apply_literal(state.sigma, col.boundary_source)))
-
-    scored = []
-    for clause in clause_set.clauses:
-        for idx, lit in enumerate(clause.literals):
-            if lit in complements:
-                continue  # would put a complementary pair on the boundary
-            if not config.allow_boundary_repeats and lit in boundary:
-                continue
-            if (clause.id, lit) in placed:
-                continue  # identical column already present
-            own = clauses_containing(lit)
-            comp = clauses_containing(lit.complement())
-            if config.mode == "sat":
-                count_key = (-own, comp)
-            else:
-                count_key = (-comp,)
-            key = (0 if len(clause) == 1 else 1,
-                   0 if lit in leftovers else 1,
-                   count_key,
-                   clause.id,
-                   idx)
-            scored.append((key, clause, lit))
-    scored.sort(key=lambda item: item[0])
-    return [(clause, lit) for _, clause, lit in scored]

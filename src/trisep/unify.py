@@ -186,6 +186,8 @@ def mgu(a: Literal, b: Literal) -> Optional[Substitution]:
     """
     if a.positive != b.positive or a.predicate != b.predicate or len(a.args) != len(b.args):
         return None
+    if not a.args:
+        return EMPTY
     bindings = {}
     for x, y in zip(a.args, b.args):
         if not _unify_terms(x, y, bindings):
@@ -193,20 +195,16 @@ def mgu(a: Literal, b: Literal) -> Optional[Substitution]:
     return _ground_out(bindings)
 
 
-def mgu_terms(a, b) -> Optional[Substitution]:
-    bindings = {}
-    if not _unify_terms(a, b, bindings):
-        return None
-    return _ground_out(bindings)
-
-
 def rename_clause(clause: Clause, tag) -> Tuple[Clause, Substitution]:
-    """Suffix every variable with '#tag'; injective, so the result is a variant."""
+    """Suffix every variable with '#tag'; injective, so the result is a variant.
+    A variable-free clause comes back as itself."""
     renaming = {}
     for lit in clause.literals:
         for var in literal_variables(lit):
             if var.name not in renaming:
                 renaming[var.name] = Variable(f"{var.name}#{tag}")
+    if not renaming:
+        return clause, EMPTY
     sub = Substitution(renaming)
     return apply(sub, clause), sub
 

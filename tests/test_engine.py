@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -25,8 +26,8 @@ from trisep import (
     verify_trace,
 )
 from trisep.errors import ConstructionError
-from trisep.render import RawState
-from conftest import fn
+from trisep.render import RawState, render_trace
+from conftest import fn, random_instance
 
 FAST = EngineConfig(time_budget=30.0)
 
@@ -267,6 +268,32 @@ def test_oracle_unsat_instances_all_refuted():
         assert outcome.unsatisfiable
         refuted += 1
     assert refuted == 40
+
+
+def _three_sat(rng, n_vars, n_clauses):
+    names = [f"x{i}" for i in range(1, n_vars + 1)]
+    return clause_set([[(pos if rng.random() < 0.5 else neg)(name)
+                        for name in rng.sample(names, 3)] for _ in range(n_clauses)])
+
+
+# sha256 of the rendered traces below; any change to round construction,
+# candidate ranking or the saturation fallback shows up here
+GOLDEN_TRACE_DIGEST = "d08fb84d6b8793873af88851a7d5dc136e9446158188e745a76c655ad62c711c"
+
+
+def test_golden_traces_are_unchanged(ex51, ex52, ex53):
+    rng = random.Random(4711)
+    runs = [(random_instance(rng, max_vars=7, max_clauses=10),
+             EngineConfig(mode=("auto", "unsat", "sat")[i % 3], time_budget=30.0))
+            for i in range(30)]
+    runs += [(s, FAST) for s in (ex51, ex52, ex53)]
+    runs.append((_three_sat(random.Random(5), 8, 40),
+                 EngineConfig(max_rounds=0, time_budget=30.0)))
+    digest = hashlib.sha256()
+    for s, config in runs:
+        _, trace = prove(s, config)
+        digest.update(render_trace(trace).encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_TRACE_DIGEST
 
 
 def test_restart_seed_changes_tie_breaking(ex42):

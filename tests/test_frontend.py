@@ -11,6 +11,7 @@ from trisep import (
     EngineConfig,
     Function,
     Variable,
+    VerificationResult,
     clause_set,
     neg,
     parse_dimacs,
@@ -256,6 +257,22 @@ def test_cli_prove_gave_up_exit_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "SZS status GaveUp" in out
+
+
+def test_cli_prove_never_prints_a_verdict_its_own_check_rejected(tmp_path, capsys,
+                                                                 monkeypatch):
+    problem = tmp_path / "ex41.cnf"
+    problem.write_text(EX41_DIMACS)
+    trace_path = tmp_path / "out.trace"
+    monkeypatch.setattr("trisep.cli.verify_trace",
+                        lambda *_: VerificationResult(False, "round 1: forced failure"))
+    code = cli_main(["prove", str(problem), "--trace", str(trace_path)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert f"% SZS status Error for {problem}" in out
+    assert "forced failure" in out
+    assert "Unsatisfiable" not in out and "SZS output" not in out
+    assert not trace_path.exists()
 
 
 def test_cli_check_verifies_written_trace(tmp_path, capsys):

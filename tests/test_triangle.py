@@ -16,11 +16,11 @@ from trisep import (
     normalize_stairs,
     pos,
     prune_redundant_columns,
-    select_candidates,
     should_stop,
     start,
     verify_model,
 )
+from trisep.engine import _RoundBuilder
 from trisep.errors import ConstructionError
 from conftest import random_closed_state, random_instance
 
@@ -293,49 +293,55 @@ def test_extract_model_ignores_stair_coverage():
     assert extract_model(state, s_covered) is None
 
 
-# -- candidate ranking ---------------------------------------------------------------
+# -- candidate ranking (the engine's, shared by both logics) ---------------------------
+
+
+def ranked(state, s, config):
+    """(clause id, boundary literal) of each extension, best first."""
+    builder = _RoundBuilder(s.clauses, config, None, float("inf"))
+    return [(c.columns[-1].clause_id, c.columns[-1].boundary_source)
+            for _, c in builder._extensions(state)]
 
 
 def test_select_candidates_unit_first(ex41):
-    ranked = select_candidates(None, ex41, BuildConfig(mode="unsat"))
-    clause, literal = ranked[0]
-    assert clause.id == 1 and literal == pos("p1")
+    order = ranked(None, ex41, BuildConfig(mode="unsat"))
+    assert order[0] == (1, pos("p1"))
 
 
 def test_select_candidates_prefers_leftover_literals():
     s = clause_set([[pos("p"), pos("y")], [pos("y"), pos("w"), pos("k")],
                     [neg("y"), neg("w"), neg("k")]])
     state = start(s.clauses[0], pos("p"))  # leaves y above the boundary
-    ranked = select_candidates(state, s, BuildConfig(mode="unsat"))
-    _, literal = ranked[0]
+    order = ranked(state, s, BuildConfig(mode="unsat"))
+    _, literal = order[0]
     assert literal == pos("y")
     # and the clause-2 copy of y outranks every non-leftover literal
-    order = [(c.id, l) for c, l in ranked]
     assert order.index((2, pos("y"))) < order.index((2, pos("w")))
 
 
-def test_select_candidates_tie_breaks_by_clause_id_then_position():
+def test_select_candidates_tie_breaks_by_clause_id_then_complement_count():
     s = clause_set([[pos("a"), pos("c")], [pos("a"), pos("d")], [neg("a")]])
-    ranked = select_candidates(None, s, BuildConfig(mode="unsat"))
-    order = [(c.id, l) for c, l in ranked]
+    order = ranked(None, s, BuildConfig(mode="unsat"))
     assert order[0] == (3, neg("a"))  # the unit leads
     assert order.index((1, pos("a"))) < order.index((2, pos("a")))  # id tie-break
-    assert order.index((1, pos("a"))) < order.index((1, pos("c")))  # position tie-break
+    # ~a occurs in a clause and ~c in none: the complement count, not the
+    # literal position, puts a ahead of c
+    assert order.index((1, pos("a"))) < order.index((1, pos("c")))
 
 
 def test_select_candidates_filters_boundary_violations():
     s = clause_set([[pos("p")], [neg("p"), pos("q")]])
     state = start(s.clauses[0], pos("p"))
-    ranked = select_candidates(state, s, BuildConfig(mode="unsat"))
-    assert all(lit != neg("p") for _, lit in ranked)
-    assert all(lit != pos("p") for _, lit in ranked)  # no repeats in unsat mode
+    order = ranked(state, s, BuildConfig(mode="unsat"))
+    assert all(lit != neg("p") for _, lit in order)
+    assert all(lit != pos("p") for _, lit in order)  # no repeats in unsat mode
 
 
 def test_select_candidates_sat_mode_allows_repeats():
     s = clause_set([[pos("p")], [pos("p"), pos("q")]])
     state = start(s.clauses[0], pos("p"))
-    ranked = select_candidates(state, s, BuildConfig(mode="sat", allow_boundary_repeats=True))
-    assert (2, pos("p")) in [(c.id, l) for c, l in ranked]
+    order = ranked(state, s, BuildConfig(mode="sat", allow_boundary_repeats=True))
+    assert (2, pos("p")) in order
 
 
 def test_select_candidates_unsat_prefers_frequent_complement():
@@ -345,9 +351,8 @@ def test_select_candidates_unsat_prefers_frequent_complement():
         [neg("a"), pos("c")],
         [neg("b"), pos("d")],
     ])
-    cfg = BuildConfig(mode="unsat")
-    ranked = select_candidates(None, s, cfg)
-    non_unit = [(c.id, l) for c, l in ranked if len(c) > 1]
+    order = ranked(None, s, BuildConfig(mode="unsat"))
+    non_unit = [(cid, lit) for cid, lit in order if len(s.by_id(cid)) > 1]
     # ~a occurs in two clauses, ~b in one: a outranks b within clause 1
     assert non_unit.index((1, pos("a"))) < non_unit.index((1, pos("b")))
 
