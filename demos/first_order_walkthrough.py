@@ -13,14 +13,15 @@ from trisep import (
     Constant,
     Function,
     Variable,
-    close_fol,
-    extend_fol,
+    close,
+    extend,
+    greedy_pull,
     neg,
     pos,
     prove,
     render_trace,
     shadow_contradiction_check,
-    start_fol,
+    start,
     verify_trace,
 )
 
@@ -49,14 +50,19 @@ print()
 
 # -- scripted construction -----------------------------------------------------
 # the four units anchor the boundary; clause 6 joins with a searched unifier;
-# clause 7 closes with every literal pulled inside, two of them merging
+# clause 7 closes with every literal pulled inside, two of them merging.
+# greedy_pull searches each column's unifier; extend and close compose it
+# into the state's substitution
 
-state = start_fol(s.by_id(1), pos("P1", a))
-state = extend_fol(state, s.by_id(2), neg("P2", a, b))
-state = extend_fol(state, s.by_id(3), pos("P3", a, f(c), f(b)))
-state = extend_fol(state, s.by_id(4), pos("P3", x[1], x[1], f(x[1])))
-state = extend_fol(state, s.by_id(6), pos("P2", x[5], x[7]))
-state = close_fol(state, s.by_id(7))
+state = start(s.by_id(1), pos("P1", a))
+for clause_id, boundary in [(2, neg("P2", a, b)), (3, pos("P3", a, f(c), f(b))),
+                            (4, pos("P3", x[1], x[1], f(x[1]))),
+                            (6, pos("P2", x[5], x[7]))]:
+    clause = s.by_id(clause_id)
+    state = extend(state, clause, boundary,
+                   greedy_pull(state, clause.literals, boundary))
+last = s.by_id(7)
+state = close(state, last, greedy_pull(state, last.literals))
 
 for i in range(len(state.columns)):
     sigma = state.column_sigma(i)

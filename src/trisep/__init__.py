@@ -47,13 +47,10 @@ from .triangle import (
     start,
 )
 from .fol import (
-    close_fol,
-    extend_fol,
-    extend_stair,
     fall_in,
+    greedy_pull,
     preprocess,
     redundancy_guard,
-    start_fol,
 )
 from .engine import (
     EngineConfig,
@@ -76,9 +73,9 @@ __all__ = [
     "BuildConfig", "Clause", "ClauseSet", "Column", "Constant", "EngineConfig",
     "FIRST_ORDER", "Function", "LinearDeduction", "Literal", "Outcome",
     "PROPOSITIONAL", "ProofTrace", "RoundRecord", "Substitution", "Triangle",
-    "VerificationResult", "Variable", "apply", "clause_set", "close", "close_fol",
-    "complement", "compose", "extend", "extend_fol", "extend_stair",
-    "extract_model", "fall_in", "is_standard_contradiction", "is_tautology",
+    "VerificationResult", "Variable", "apply", "clause_set", "close",
+    "complement", "compose", "extend", "extract_model", "fall_in", "greedy_pull",
+    "is_standard_contradiction", "is_tautology",
     "is_unsatisfiable_bruteforce", "linear_resolvent", "linear_to_etc",
     "merge_duplicate_literals", "mgu", "neg", "normalize_stairs",
     "ProblemSource", "load_problem", "load_problem_file",
@@ -87,5 +84,5 @@ __all__ = [
     "redundancy_guard", "rename_apart", "rename_clause", "render_dimacs",
     "render_tptp", "render_trace",
     "shadow_contradiction_check", "should_stop", "standard_contradiction_counterexample",
-    "start", "start_fol", "verify_model", "verify_trace",
+    "start", "verify_model", "verify_trace",
 ]

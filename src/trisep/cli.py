@@ -44,7 +44,8 @@ def _engine_config(args) -> EngineConfig:
 
 def _cmd_prove(args) -> int:
     problem, _ = _load_problem(args.problem, args.format)
-    outcome, trace = prove(problem, _engine_config(args))
+    config = _engine_config(args)
+    outcome, trace = prove(problem, config)
     result = verify_trace(problem, trace)
     if not result:
         print(f"% SZS status Error for {args.problem}")
@@ -53,7 +54,7 @@ def _cmd_prove(args) -> int:
     status = SZS_BY_VERDICT[outcome.verdict]
     print(f"% SZS status {status} for {args.problem}")
     note = (f"mode={args.mode} nt={args.nt} max-rounds={args.max_rounds} "
-            f"fallback={args.fallback} seed={args.seed} timeout={args.timeout}")
+            f"fallback={args.fallback} seed={config.seed} timeout={args.timeout}")
     document = render_trace(trace, problem=args.problem, config_note=note,
                             verified=True)
     if args.trace:

@@ -25,6 +25,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
@@ -53,15 +54,13 @@ from .triangle import (
 )
 from .fol import (
     greedy_pull,
-    close_fol,
-    extend_fol,
     fall_in,
     positional_variant,
     preprocess,
     redundancy_guard,
     variant_key,
 )
-from .unify import EMPTY, apply_literals, compose, mgu, rename_clause
+from .unify import EMPTY, apply, apply_literal, apply_literals, compose, mgu, rename_clause
 
 UNSATISFIABLE = "unsatisfiable"
 SATISFIABLE = "satisfiable"
@@ -106,10 +105,7 @@ class ProofTrace:
 class EngineConfig:
     mode: str = "auto"                        # "unsat" | "sat" | "auto"
     literal_threshold: Optional[int] = None   # None: 2 x widest input clause
-    allow_boundary_repeats: Optional[bool] = None  # None: by mode (sat: yes)
-    max_columns: Optional[int] = None         # None: 4 x |S|, floor 8
     max_rounds: int = 40
-    max_restarts: int = 6
     fallback_enabled: bool = True
     time_budget: float = 10.0
     seed: int = 0
@@ -171,21 +167,24 @@ class _RoundBuilder:
 
     def _place(self, state: Optional[Triangle], placed: Clause, lit: Literal,
                ) -> Optional[Triangle]:
-        """Add a clause, already renamed for its column, with lit on the boundary."""
+        """Add a clause, already renamed for its column, with lit on the boundary
+        under the greedy unifier. When that unifier breaks an invariant or
+        makes a redundant instance, the clause is placed uninstantiated."""
         try:
             if state is None:
                 return start(placed, lit)
             if self.prop:
                 return extend(state, placed, lit)
-            result = extend_fol(state, placed, lit)
-            if result is not None:
-                applied = result.column_sigma(len(result.columns) - 1)
-                if not applied.is_empty() and not redundancy_guard(
-                        applied, placed, self.working_set):
-                    # the eager unifier makes a redundant instance: fall back
-                    # to placing the clause uninstantiated
-                    result = extend_fol(state, placed, lit, sigma=EMPTY)
-            return result
+            searched = greedy_pull(state, placed.literals, lit)
+            if searched:
+                try:
+                    result = extend(state, placed, lit, searched)
+                    applied = result.column_sigma(len(result.columns) - 1)
+                    if not applied or redundancy_guard(applied, placed, self.working_set):
+                        return result
+                except ConstructionError:
+                    pass
+            return extend(state, placed, lit)
         except ConstructionError:
             return None
 
@@ -195,29 +194,20 @@ class _RoundBuilder:
         order can miss the useful instantiation. On ground input every seed
         is empty, so only the greedy close remains."""
         placed, _ = rename_clause(clause, len(state.columns) + 1)
+        targets = [lit.complement() for lit in state.boundary]
+        seeds = (mgu(apply_literal(state.sigma, lit), target)
+                 for lit in placed.literals for target in targets)
         seen_parts = set()
-        greedy = close_fol(state, placed)
-        if greedy is not None:
-            k = greedy.closing_index
-            seen_parts.add((frozenset(greedy.d_minus(k)), frozenset(greedy.d_plus(k))))
-            yield greedy
-        total = state.sigma
-        boundary_targets = [lit.complement() for lit in state.boundary]
-        for lit in placed.literals:
-            for target in boundary_targets:
-                seed = mgu(apply_literals(total, (lit,))[0], target)
-                if seed is None or seed.is_empty():
-                    continue
-                full = greedy_pull(state, placed.literals, None, seed)
-                closed = close_fol(state, placed, sigma=full)
-                if closed is None:
-                    continue
-                k = closed.closing_index
-                key = (frozenset(closed.d_minus(k)), frozenset(closed.d_plus(k)))
-                if key in seen_parts:
-                    continue
-                seen_parts.add(key)
-                yield closed
+        for seed in chain((EMPTY,), filter(None, seeds)):  # skips None and empty seeds
+            closed = _pulled_close(state, placed, seed)
+            if closed is None:
+                continue
+            k = closed.closing_index
+            key = (frozenset(closed.d_minus(k)), frozenset(closed.d_plus(k)))
+            if key in seen_parts:
+                continue
+            seen_parts.add(key)
+            yield closed
 
     def _closures(self, state: Triangle):
         """Every way to close state, as (leftover count, inside count, clause,
@@ -283,7 +273,7 @@ class _RoundBuilder:
             placed_ids = set(state.clause_ids())
             existing_signatures = {self._column_signature(state, i)
                                    for i in range(len(state.columns))}
-        repeats = self.config.allow_boundary_repeats
+        repeats = self.config.mode == "sat"
         column = 1 if state is None else len(state.columns) + 1
         scored = []
         for clause in self.working:
@@ -358,6 +348,15 @@ class _RoundBuilder:
 _SATURATION_CLAUSE_CAP = 20000
 
 
+def _pulled_close(state: Triangle, placed: Clause, seed) -> Optional[Triangle]:
+    """Close state with placed under the greedy unifier grown from seed, or
+    None when no legal closed state results."""
+    try:
+        return close(state, placed, greedy_pull(state, placed.literals, None, seed))
+    except ConstructionError:
+        return None
+
+
 def _two_column_rounds(a: Clause, b: Clause) -> List[Triangle]:
     """All k=2 closed states with a's literal on the boundary, closed by b."""
     out = []
@@ -369,8 +368,7 @@ def _two_column_rounds(a: Clause, b: Clause) -> List[Triangle]:
             seed = mgu(other, lit.complement())
             if seed is None:
                 continue
-            full = greedy_pull(opened, b2.literals, None, seed)
-            closed = close_fol(opened, b2, sigma=full)
+            closed = _pulled_close(opened, b2, seed)
             if closed is not None:
                 out.append(closed)
     return out
@@ -533,6 +531,8 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
 # prove
 # ---------------------------------------------------------------------------
 
+_MAX_RESTARTS = 6  # stalled rounds in a row before the main loop gives up
+
 
 def _resolved_build_config(clause_set: ClauseSet, config: EngineConfig,
                            goal: str) -> BuildConfig:
@@ -540,14 +540,8 @@ def _resolved_build_config(clause_set: ClauseSet, config: EngineConfig,
     threshold = config.literal_threshold
     if threshold is None:
         threshold = 2 * widest
-    repeats = config.allow_boundary_repeats
-    if repeats is None:
-        repeats = goal == "sat"
-    max_columns = config.max_columns
-    if max_columns is None:
-        max_columns = max(8, 4 * len(clause_set.clauses))
     return BuildConfig(mode=goal, literal_threshold=threshold,
-                       allow_boundary_repeats=repeats, max_columns=max_columns)
+                       max_columns=max(8, 4 * len(clause_set.clauses)))
 
 
 def _complete_model(model: Assignment, clause_set: ClauseSet) -> Assignment:
@@ -598,7 +592,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         state = _RoundBuilder(working, build_cfg, rng, main_deadline).build()
         if state is None:
             restart_streak += 1
-            if restart_streak > config.max_restarts:
+            if restart_streak > _MAX_RESTARTS:
                 break
             continue
         state = fall_in(state)
@@ -622,7 +616,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
                    or any(set(c.literals) <= set(csc_lits) for c in working))
         if stalled:
             restart_streak += 1
-            if restart_streak > config.max_restarts:
+            if restart_streak > _MAX_RESTARTS:
                 break
             continue
         rounds.append(RoundRecord(round_no, state, csc))
@@ -747,7 +741,6 @@ class LinearDeduction:
 def _instantiate_linear(ld: LinearDeduction):
     if not ld.unifiers:
         return ld.top_clause, list(ld.side_clauses), list(ld.pivots)
-    from .unify import apply, apply_literal
     total = EMPTY
     for sub in ld.unifiers:
         total = compose(sub, total)

@@ -1,11 +1,10 @@
-"""First-order construction: the propositional state machine lifted with
-unification.
+"""First-order machinery around the shared construction steps: variants,
+preprocessing, unifier search, fall-in and the redundancy guard.
 
 Columns keep their renamed, pre-instantiation literals; the state's single
 global substitution is the composition of every unifier applied during the
-round. When a new unifier instantiates variables of earlier columns, composing
-it into the global substitution re-instantiates the whole state, which is how
-backward-propagating substitutions are realized.
+round (see trisep.triangle). greedy_pull searches the unifier that a column
+is placed under; fall_in instantiates a built state further.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .logic import (
     variables_of,
 )
 from .errors import ConstructionError
-from .triangle import Column, Triangle
+from .triangle import Triangle
 from .unify import EMPTY, Substitution, apply_literal, compose, mgu, rename_apart
 
 
@@ -130,12 +129,17 @@ def _source_var_names(columns) -> set:
     return names
 
 
-def greedy_pull(state: Triangle, literals, exclude: Optional[Literal],
-                 seed: Substitution) -> Substitution:
+def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
+                seed: Substitution = EMPTY) -> Substitution:
     """Grow seed so that as many of the clause's literals as possible become
     syntactic complements of boundary literals. Boundary positions are tried
     in order, passes repeat to a fixpoint, and bindings may instantiate
-    earlier columns (backward propagation is the caller's concern)."""
+    earlier columns (backward propagation is the caller's concern). The
+    literals must be renamed apart from the state's columns; raises
+    ConstructionError when they share a variable."""
+    overlap = {v.name for v in variables_of(literals)} & _source_var_names(state.columns)
+    if overlap:
+        raise ConstructionError(f"clause shares variables with the state: {sorted(overlap)}")
     increment = seed
     total = compose(seed, state.sigma)
     boundary_sources = [col.boundary_source for col in state.columns
@@ -158,85 +162,6 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal],
                 total = compose(unifier, total)
                 changed = True
     return increment
-
-
-def _with_column(state: Triangle, column: Column, increment: Substitution,
-                 closed: bool) -> Optional[Triangle]:
-    try:
-        return Triangle(state.columns + (column,), compose(increment, state.sigma),
-                        closed=closed)
-    except ConstructionError:
-        return None
-
-
-def _check_renamed_apart(state: Triangle, clause: Clause) -> None:
-    overlap = {v.name for v in variables_of(clause.literals)} & _source_var_names(state.columns)
-    if overlap:
-        raise ConstructionError(
-            f"clause {clause.id} shares variables with the state: {sorted(overlap)}")
-
-
-# -- construction steps ---------------------------------------------------------
-
-
-def start_fol(first_clause: Clause, boundary_literal: Literal,
-              sigma: Substitution = EMPTY) -> Triangle:
-    if boundary_literal not in first_clause.literals:
-        raise ConstructionError(
-            f"literal {boundary_literal} is not in clause {first_clause.id}")
-    col = Column(first_clause.id, first_clause.literals, boundary_literal)
-    return Triangle((col,), sigma)
-
-
-def extend_fol(state: Triangle, clause: Clause, boundary_literal: Literal,
-               sigma: Optional[Substitution] = None) -> Optional[Triangle]:
-    """Add a clause with a chosen boundary literal.
-
-    With sigma=None the unifier is searched greedily (most literals pulled
-    into the contradiction; earliest boundary positions first). An explicit
-    sigma is composed in as given. Returns None when no legal state results.
-    """
-    if state.closed:
-        raise ConstructionError("cannot extend a closed state")
-    if boundary_literal not in clause.literals:
-        raise ConstructionError(f"literal {boundary_literal} is not in clause {clause.id}")
-    _check_renamed_apart(state, clause)
-    column = Column(clause.id, clause.literals, boundary_literal)
-    if sigma is not None:
-        return _with_column(state, column, sigma, closed=False)
-    searched = greedy_pull(state, clause.literals, boundary_literal, EMPTY)
-    result = _with_column(state, column, searched, closed=False)
-    if result is None and not searched.is_empty():
-        result = _with_column(state, column, EMPTY, closed=False)
-    return result
-
-
-def extend_stair(state: Triangle, clause: Clause,
-                 sigma: Optional[Substitution] = None) -> Optional[Triangle]:
-    """Place a clause whose every literal complements an earlier boundary
-    literal; it contributes nothing above the boundary and no boundary literal."""
-    if state.closed:
-        raise ConstructionError("cannot extend a closed state")
-    _check_renamed_apart(state, clause)
-    column = Column(clause.id, clause.literals, None)
-    if sigma is not None:
-        return _with_column(state, column, sigma, closed=False)
-    searched = greedy_pull(state, clause.literals, None, EMPTY)
-    return _with_column(state, column, searched, closed=False)
-
-
-def close_fol(state: Triangle, clause: Clause,
-              sigma: Optional[Substitution] = None) -> Optional[Triangle]:
-    """Close the round: some nonempty subset of the clause's literals must
-    unify into boundary complements. Greedy search when sigma is None."""
-    if state.closed:
-        raise ConstructionError("state is already closed")
-    _check_renamed_apart(state, clause)
-    column = Column(clause.id, clause.literals, None, closing=True)
-    if sigma is not None:
-        return _with_column(state, column, sigma, closed=True)
-    searched = greedy_pull(state, clause.literals, None, EMPTY)
-    return _with_column(state, column, searched, closed=True)
 
 
 # -- in-place substitution strategies -------------------------------------------

@@ -43,6 +43,11 @@ class Function:
 
 Term = Union[Variable, Constant, Function]
 
+# Deepest term nesting the parsers accept (a constant or variable has depth 1,
+# f(t) one more than t). Term walks are recursive, so deeper input would end
+# in RecursionError instead of a ParseError.
+MAX_TERM_DEPTH = 128
+
 
 @dataclass(frozen=True)
 class Literal:

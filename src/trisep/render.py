@@ -16,8 +16,8 @@ import re
 from typing import Dict, List, Optional
 
 from .errors import ParseError
-from .logic import (Clause, Constant, Function, Literal, Variable,
-                    literal_variables, merge_duplicate_literals)
+from .logic import (MAX_TERM_DEPTH, Clause, Constant, Function, Literal, Variable,
+                    merge_duplicate_literals)
 from .triangle import Column
 from .unify import Substitution, apply_literal
 from .engine import ProofTrace, RoundRecord
@@ -71,14 +71,16 @@ class _TermScanner:
         self.pos = match.end()
         return match.group()
 
-    def term(self):
+    def term(self, depth: int = 1):
+        if depth > MAX_TERM_DEPTH:
+            self.error(f"term nested deeper than {MAX_TERM_DEPTH}")
         if self.eat("?"):
             return Variable(self.name())
         name = self.name()
         if self.eat("("):
-            args = [self.term()]
+            args = [self.term(depth + 1)]
             while self.eat(","):
-                args.append(self.term())
+                args.append(self.term(depth + 1))
             if not self.eat(")"):
                 self.error("expected ')'")
             return Function(name, tuple(args))
@@ -181,13 +183,7 @@ def render_round_table(state) -> str:
     sigma_row = None
     if not state.sigma.is_empty() or any(
             a for i in columns for l in state.columns[i].source_literals for a in l.args):
-        sigma_row = []
-        for i in render_order:
-            names = set()
-            for lit in state.columns[i].source_literals:
-                names.update(v.name for v in literal_variables(lit))
-            sigma = state.sigma.restrict(names) if hasattr(state.sigma, "restrict") else state.sigma
-            sigma_row.append("s=" + ("{}" if sigma.is_empty() else str(sigma)))
+        sigma_row = [f"s={state.column_sigma(i)}" for i in render_order]
     table_rows = [headers] + ([sigma_row] if sigma_row else []) + grid
     widths = [max(len(row[c]) for row in table_rows) for c in range(len(render_order))]
     lines = []
@@ -240,15 +236,11 @@ def render_trace(trace: ProofTrace, problem: str = "", config_note: str = "",
         state = record.state
         lines.append(f"ROUND\t{record.round_index}")
         for pos, col in enumerate(state.columns):
-            names = set()
-            for lit in col.source_literals:
-                names.update(v.name for v in literal_variables(lit))
-            sigma = state.sigma.restrict(names)
             boundary = (format_literal(col.boundary_source)
                         if col.boundary_source is not None else "-")
             lines.append("\t".join([
                 "COL", str(pos + 1), str(col.clause_id), _column_kind(col), boundary,
-                _format_sigma(sigma),
+                _format_sigma(state.column_sigma(pos)),
                 _format_literals(col.source_literals),
                 _format_literals(state.d_minus(pos)),
                 _format_literals(state.d_plus(pos)),
@@ -288,6 +280,9 @@ class RawState:
             merged.update(dict(sub.items()))
         return Substitution(merged)
 
+    def column_sigma(self, index) -> Substitution:
+        return self._column_sigmas[index]
+
     def d_minus(self, index):
         return self._d_minus[index]
 
@@ -303,14 +298,17 @@ class RawState:
 
 
 def parse_trace_document(text: str) -> ProofTrace:
-    in_section = False
+    """Read the machine section back. Raises ParseError when the document
+    makes no claim: no complete TRACE BEGIN/END section, no VERDICT record,
+    or a verdict or MODEL value outside the rendered vocabulary."""
+    in_section = ended = False
     rounds: List[RoundRecord] = []
     current_round = None
     columns: List[Column] = []
     sigmas: List[Substitution] = []
     d_minus_parts: List[tuple] = []
     d_plus_parts: List[tuple] = []
-    verdict = "unknown"
+    verdict = None
     model = None
 
     def flush_round(csc_id: int, csc_literals: tuple):
@@ -324,10 +322,10 @@ def parse_trace_document(text: str) -> ProofTrace:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("TRACE\tBEGIN"):
-            in_section = True
+            in_section, ended = True, False
             continue
         if raw.startswith("TRACE\tEND"):
-            in_section = False
+            in_section, ended = False, in_section
             continue
         if not in_section or not raw.strip():
             continue
@@ -350,16 +348,25 @@ def parse_trace_document(text: str) -> ProofTrace:
                 flush_round(int(fields[1]), _parse_literals(fields[2]))
             elif tag == "VERDICT":
                 verdict = fields[1]
+                if verdict not in SZS_BY_VERDICT:
+                    raise ParseError(f"unknown verdict {verdict!r}", line=line_no)
             elif tag == "MODEL":
                 model = {}
                 if fields[1] != "-":
                     for part in fields[1].split(";"):
                         name, value = part.split("=")
+                        if value not in ("true", "false"):
+                            raise ParseError(f"model value {value!r} for {name!r} is "
+                                             "neither true nor false", line=line_no)
                         model[name] = value == "true"
             else:
                 raise ParseError(f"unknown record tag {tag!r}", line=line_no)
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed {tag} record: {exc}", line=line_no) from None
+    if not ended:
+        raise ParseError("no TRACE BEGIN/TRACE END section")
+    if verdict is None:
+        raise ParseError("no VERDICT record")
     if columns:
         raise ParseError("trailing COL records without a CSC record")
     return ProofTrace(tuple(rounds), verdict, model=model)

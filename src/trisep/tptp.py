@@ -11,7 +11,7 @@ import re
 from typing import List, Tuple
 
 from .errors import ParseError
-from .logic import Clause, ClauseSet, Constant, Function, Literal, Variable
+from .logic import MAX_TERM_DEPTH, Clause, ClauseSet, Constant, Function, Literal, Variable
 
 _TOKEN = re.compile(r"""
     (?P<comment>%[^\n]*)
@@ -62,19 +62,22 @@ class _Parser:
         if got != value:
             raise ParseError(f"expected {value!r}, found {got!r}", line=line, column=col)
 
-    def parse_term(self):
+    def parse_term(self, depth: int = 1):
         kind, name, line, col = self.next()
         if kind != "name":
             raise ParseError(f"expected a term, found {name!r}", line=line, column=col)
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH}",
+                             line=line, column=col)
         if name[0].isupper() or name[0] == "_":
             return Variable(name)
         token = self.peek()
         if token is not None and token[1] == "(":
             self.expect("(")
-            args = [self.parse_term()]
+            args = [self.parse_term(depth + 1)]
             while self.peek() is not None and self.peek()[1] == ",":
                 self.expect(",")
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth + 1))
             self.expect(")")
             return Function(name, tuple(args))
         return Constant(name)
@@ -105,20 +108,23 @@ class _Parser:
             args = tuple(parsed)
         return Literal(positive, name, args)
 
-    def parse_disjunct(self) -> List[Literal]:
+    def parse_disjunct(self, depth: int) -> List[Literal]:
         if self.peek() is not None and self.peek()[1] == "(":
-            self.expect("(")
-            inner = self.parse_clause_body()
+            _, _, line, col = self.next()
+            if depth > MAX_TERM_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_TERM_DEPTH}",
+                                 line=line, column=col)
+            inner = self.parse_clause_body(depth + 1)
             self.expect(")")
             return inner
         lit = self.parse_literal()
         return [] if lit is None else [lit]
 
-    def parse_clause_body(self) -> List[Literal]:
-        literals = self.parse_disjunct()
+    def parse_clause_body(self, depth: int = 1) -> List[Literal]:
+        literals = self.parse_disjunct(depth)
         while self.peek() is not None and self.peek()[1] == "|":
             self.expect("|")
-            literals.extend(self.parse_disjunct())
+            literals.extend(self.parse_disjunct(depth))
         return literals
 
     def parse_annotated(self):

@@ -9,9 +9,14 @@ and the leftovers above it (d_plus). Closing pulls a nonempty set of boundary
 complements from the last clause; the union of all d_plus parts is the
 separated clause the round derives.
 
-The same state serves the first-order engine: columns keep their pre-
-instantiation literals and the state carries one global substitution, so
-partitions are always re-derived from scratch after any unification.
+One set of steps serves both logics. Columns keep their pre-instantiation
+literals and the state carries one global substitution; start, extend and
+close each take the column's unifier and compose it into that substitution,
+so partitions are always re-derived from scratch after any unification. A
+unifier that binds variables of earlier columns re-instantiates them, which
+is how backward-propagating substitutions are realized. Propositional input
+is the case in which every unifier is empty. Finding a unifier is the
+caller's concern (trisep.fol.greedy_pull).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, List, Optional, Tuple
 from .errors import ConstructionError
 from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals
 from .oracle import Assignment
-from .unify import EMPTY, Substitution, apply_literal, apply_literals, mgu
+from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose, mgu
 
 
 @dataclass(frozen=True)
@@ -37,9 +42,8 @@ class Column:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    mode: str = "unsat"                      # "unsat" | "sat"
+    mode: str = "unsat"                      # "unsat" | "sat" (sat allows boundary repeats)
     literal_threshold: Optional[int] = None  # cap on the separated clause's width
-    allow_boundary_repeats: bool = False
     max_columns: int = 64
 
 
@@ -165,36 +169,39 @@ class Triangle:
         return f"Triangle({state}; " + " ".join(bits) + ")"
 
 
-# -- propositional construction steps ---------------------------------------
+# -- construction steps --------------------------------------------------------
 
 
-def start(first_clause: Clause, boundary_literal: Literal) -> Triangle:
+def start(first_clause: Clause, boundary_literal: Literal,
+          sigma: Substitution = EMPTY) -> Triangle:
     """Open a construction with one clause and its boundary literal."""
     if boundary_literal not in first_clause.literals:
         raise ConstructionError(
             f"literal {boundary_literal} is not in clause {first_clause.id}")
     col = Column(first_clause.id, first_clause.literals, boundary_literal)
-    return Triangle((col,))
+    return Triangle((col,), sigma)
 
 
-def extend(state: Triangle, clause: Clause, boundary_literal: Optional[Literal]) -> Triangle:
-    """Add a clause. boundary_literal None adds a stair column, which is only
-    legal when every literal of the clause complements an earlier boundary
-    literal."""
+def extend(state: Triangle, clause: Clause, boundary_literal: Optional[Literal],
+           sigma: Substitution = EMPTY) -> Triangle:
+    """Add a clause under the unifier sigma. boundary_literal None adds a stair
+    column, which is only legal when every literal of the instantiated clause
+    complements an earlier boundary literal."""
     if state.closed:
         raise ConstructionError("cannot extend a closed state")
     if boundary_literal is not None and boundary_literal not in clause.literals:
         raise ConstructionError(f"literal {boundary_literal} is not in clause {clause.id}")
     col = Column(clause.id, clause.literals, boundary_literal)
-    return Triangle(state.columns + (col,), state.sigma)
+    return Triangle(state.columns + (col,), compose(sigma, state.sigma))
 
 
-def close(state: Triangle, last_clause: Clause) -> Triangle:
-    """Close the construction; the clause must hold a boundary complement."""
+def close(state: Triangle, last_clause: Clause, sigma: Substitution = EMPTY) -> Triangle:
+    """Close the construction under the unifier sigma; the instantiated clause
+    must hold a boundary complement."""
     if state.closed:
         raise ConstructionError("state is already closed")
     col = Column(last_clause.id, last_clause.literals, None, closing=True)
-    return Triangle(state.columns + (col,), state.sigma, closed=True)
+    return Triangle(state.columns + (col,), compose(sigma, state.sigma), closed=True)
 
 
 # -- stop conditions ---------------------------------------------------------

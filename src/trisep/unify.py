@@ -119,6 +119,10 @@ def apply(sub: Substitution, target):
 
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
     """The substitution equivalent to applying inner first, then outer."""
+    if outer.is_empty():
+        return inner
+    if inner.is_empty():
+        return outer
     merged = {name: apply_term(outer, term) for name, term in inner.items()}
     for name, term in outer.items():
         if name not in merged:

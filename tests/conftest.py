@@ -12,6 +12,7 @@ from trisep import (
     clause_set,
     close,
     extend,
+    greedy_pull,
     neg,
     pos,
     start,
@@ -21,6 +22,17 @@ from trisep.errors import ConstructionError
 
 def fn(name, *args):
     return Function(name, tuple(args))
+
+
+def pulled_extend(state, clause, boundary_literal=None):
+    """extend under the greedy unifier, as the engine places a clause."""
+    return extend(state, clause, boundary_literal,
+                  greedy_pull(state, clause.literals, boundary_literal))
+
+
+def pulled_close(state, clause):
+    """close under the greedy unifier."""
+    return close(state, clause, greedy_pull(state, clause.literals))
 
 
 def random_clause_list(rng, max_vars=10, max_clauses=6):

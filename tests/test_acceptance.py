@@ -20,9 +20,7 @@ from trisep import (
     Variable,
     clause_set,
     close,
-    close_fol,
     extend,
-    extend_fol,
     is_standard_contradiction,
     is_unsatisfiable_bruteforce,
     linear_resolvent,
@@ -33,12 +31,12 @@ from trisep import (
     prove,
     shadow_contradiction_check,
     start,
-    start_fol,
     verify_model,
     verify_trace,
 )
 from trisep.errors import ConstructionError
-from conftest import fn, random_clause_list, random_closed_state, random_instance
+from conftest import (fn, pulled_close, pulled_extend, random_clause_list,
+                      random_closed_state, random_instance)
 
 
 def _report(number, description):
@@ -125,10 +123,9 @@ def test_criterion_03(ex43):
 def test_criterion_04(ex51):
     _, _, c3, c4, _, c6, _ = ex51.clauses
     x31, x41, x61 = Variable("x31"), Variable("x41"), Variable("x61")
-    state = start_fol(c6, neg("P5", x61))
-    state = extend_fol(state, c3, pos("P4", x31), sigma=Substitution({"x61": x31}))
-    state = close_fol(state, c4, sigma=Substitution({"x41": x31}))
-    assert state is not None
+    state = start(c6, neg("P5", x61))
+    state = extend(state, c3, pos("P4", x31), sigma=Substitution({"x61": x31}))
+    state = close(state, c4, sigma=Substitution({"x41": x31}))
     assert set(state.csc) == {pos("P3", fn("f", x31)), neg("P3", x31)}
     assert state.column_sigma(0) == Substitution({"x61": x31})
     assert state.column_sigma(2) == Substitution({"x41": x31})
@@ -148,13 +145,13 @@ def test_criterion_05(ex52):
     c1, c2, c3, c4, _, c6, c7 = ex52.clauses
     a, b, c = Constant("a"), Constant("b"), Constant("c")
     x = {i: Variable(f"x{i}") for i in range(1, 12)}
-    state = start_fol(c1, pos("P1", a))
-    state = extend_fol(state, c2, neg("P2", a, b))
-    state = extend_fol(state, c3, pos("P3", a, fn("f", c), fn("f", b)))
-    state = extend_fol(state, c4, pos("P3", x[1], x[1], fn("f", x[1])))
-    state = extend_fol(state, c6, pos("P2", x[5], x[7]))
-    state = close_fol(state, c7)
-    assert state is not None and state.csc == ()
+    state = start(c1, pos("P1", a))
+    state = pulled_extend(state, c2, neg("P2", a, b))
+    state = pulled_extend(state, c3, pos("P3", a, fn("f", c), fn("f", b)))
+    state = pulled_extend(state, c4, pos("P3", x[1], x[1], fn("f", x[1])))
+    state = pulled_extend(state, c6, pos("P2", x[5], x[7]))
+    state = pulled_close(state, c7)
+    assert state.csc == ()
     assert state.column_sigma(0).is_empty()
     assert state.column_sigma(1).is_empty()
     assert state.column_sigma(2).is_empty()
@@ -170,36 +167,35 @@ def test_criterion_06(ex53):
     c1, c2, c3, c4, c5, c6, c7 = ex53.clauses
     a1, a3 = Constant("a1"), Constant("a3")
 
-    first = start_fol(c6, pos("P3", a1))
-    first = extend_fol(first, c7, pos("P2", a1, a3))
-    first = extend_fol(first, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
-    first = extend_fol(first, c4, pos("P1", Variable("x41"), Variable("x41"),
-                                      fn("f1", Variable("x41"))))
-    first = extend_fol(first, c2, pos("P1", Variable("x22"), Variable("x21"),
-                                      Variable("x23")))
-    first = extend_fol(first, c1, neg("P1", Variable("x11"), Variable("x12"),
-                                      Variable("x13")))
-    first = close_fol(first, c3)
-    assert first is not None
+    first = start(c6, pos("P3", a1))
+    first = pulled_extend(first, c7, pos("P2", a1, a3))
+    first = pulled_extend(first, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
+    first = pulled_extend(first, c4, pos("P1", Variable("x41"), Variable("x41"),
+                                         fn("f1", Variable("x41"))))
+    first = pulled_extend(first, c2, pos("P1", Variable("x22"), Variable("x21"),
+                                         Variable("x23")))
+    first = pulled_extend(first, c1, neg("P1", Variable("x11"), Variable("x12"),
+                                         Variable("x13")))
+    first = pulled_close(first, c3)
     assert set(first.csc) == {pos("P2", a1, fn("f1", a3))}
     assert shadow_contradiction_check(d_columns(first))
 
     separated = Clause(8, first.csc, derived_in=1)
-    second = start_fol(separated, pos("P2", a1, fn("f1", a3)))
-    second = extend_fol(second, c1, neg("P1", Variable("x11"), Variable("x12"),
-                                        Variable("x13")))
-    second = close_fol(second, c5)
-    assert second is not None and second.csc == ()
+    second = start(separated, pos("P2", a1, fn("f1", a3)))
+    second = pulled_extend(second, c1, neg("P1", Variable("x11"), Variable("x12"),
+                                           Variable("x13")))
+    second = pulled_close(second, c5)
+    assert second.csc == ()
     assert shadow_contradiction_check(d_columns(second))
 
-    direct = start_fol(c6, pos("P3", a1))
-    direct = extend_fol(direct, c7, pos("P2", a1, a3))
-    direct = extend_fol(direct, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
-    direct = extend_fol(direct, c4, pos("P1", Variable("x41"), Variable("x41"),
-                                        fn("f1", Variable("x41"))))
-    direct = extend_fol(direct, c1, neg("P2", Variable("x11"), Variable("x13")))
-    direct = close_fol(direct, c3)
-    assert direct is not None and direct.csc == ()
+    direct = start(c6, pos("P3", a1))
+    direct = pulled_extend(direct, c7, pos("P2", a1, a3))
+    direct = pulled_extend(direct, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
+    direct = pulled_extend(direct, c4, pos("P1", Variable("x41"), Variable("x41"),
+                                           fn("f1", Variable("x41"))))
+    direct = pulled_extend(direct, c1, neg("P2", Variable("x11"), Variable("x13")))
+    direct = pulled_close(direct, c3)
+    assert direct.csc == ()
     assert shadow_contradiction_check(d_columns(direct))
 
 

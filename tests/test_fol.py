@@ -7,20 +7,20 @@ from trisep import (
     Substitution,
     Variable,
     clause_set,
-    close_fol,
-    extend_fol,
-    extend_stair,
+    close,
+    extend,
     fall_in,
+    greedy_pull,
     neg,
     pos,
     preprocess,
     redundancy_guard,
     shadow_contradiction_check,
-    start_fol,
+    start,
 )
 from trisep.errors import ConstructionError
 from trisep.fol import positional_variant, variant_key
-from conftest import fn
+from conftest import fn, pulled_close, pulled_extend
 
 
 def d_columns(state):
@@ -75,11 +75,9 @@ def test_preprocess_renames_shared_variables_apart():
 def test_scripted_three_column_table(ex51):
     _, _, c3, c4, _, c6, _ = ex51.clauses
     x31, x41, x61 = Variable("x31"), Variable("x41"), Variable("x61")
-    state = start_fol(c6, neg("P5", x61))
-    state = extend_fol(state, c3, pos("P4", x31), sigma=Substitution({"x61": x31}))
-    assert state is not None
-    state = close_fol(state, c4, sigma=Substitution({"x41": x31}))
-    assert state is not None
+    state = start(c6, neg("P5", x61))
+    state = extend(state, c3, pos("P4", x31), sigma=Substitution({"x61": x31}))
+    state = close(state, c4, sigma=Substitution({"x41": x31}))
     assert set(state.csc) == {pos("P3", fn("f", x31)), neg("P3", x31)}
     # per-column substitutions match the recorded ones
     assert state.column_sigma(0) == Substitution({"x61": x31})
@@ -91,9 +89,9 @@ def test_scripted_three_column_table(ex51):
 def test_searched_three_column_table_is_a_variant(ex51):
     _, _, c3, c4, _, c6, _ = ex51.clauses
     x31, x61 = Variable("x31"), Variable("x61")
-    state = start_fol(c6, neg("P5", x61))
-    state = extend_fol(state, c3, pos("P4", x31))
-    state = close_fol(state, c4)
+    state = start(c6, neg("P5", x61))
+    state = pulled_extend(state, c3, pos("P4", x31))
+    state = pulled_close(state, c4)
     got = sorted(str(l) for l in state.csc)
     assert got in (
         sorted(["P3(f(x31))", "~P3(x31)"]),
@@ -102,33 +100,39 @@ def test_searched_three_column_table_is_a_variant(ex51):
     assert shadow_contradiction_check(d_columns(state))
 
 
-def test_extend_fol_with_no_unifiable_complement_uses_empty_sigma():
+def test_pulled_extend_with_no_unifiable_complement_uses_empty_sigma():
     a = Constant("a")
-    state = start_fol(Clause(1, [pos("P", a)]), pos("P", a))
+    state = start(Clause(1, [pos("P", a)]), pos("P", a))
     other = Clause(2, [pos("Q", Variable("y")), pos("R", Variable("y"))])
-    state = extend_fol(state, other, pos("Q", Variable("y")))
-    assert state is not None
+    assert greedy_pull(state, other.literals, pos("Q", Variable("y"))).is_empty()
+    state = pulled_extend(state, other, pos("Q", Variable("y")))
     assert state.column_sigma(1).is_empty()
     assert state.d_minus(1) == (pos("Q", Variable("y")),)
 
 
-def test_extend_fol_returns_none_on_boundary_conflict():
+def test_first_order_extend_raises_on_boundary_conflict():
     a = Constant("a")
-    state = start_fol(Clause(1, [pos("P", a)]), pos("P", a))
-    assert extend_fol(state, Clause(2, [neg("P", a), pos("Q", a)]), neg("P", a)) is None
-
-
-def test_extend_fol_rejects_shared_variables():
-    x = Variable("x")
-    state = start_fol(Clause(1, [pos("P", x)]), pos("P", x))
+    state = start(Clause(1, [pos("P", a)]), pos("P", a))
     with pytest.raises(ConstructionError):
-        extend_fol(state, Clause(2, [pos("Q", x)]), pos("Q", x))
+        pulled_extend(state, Clause(2, [neg("P", a), pos("Q", a)]), neg("P", a))
 
 
-def test_close_fol_none_without_unifiable_complement():
+def test_greedy_pull_rejects_shared_variables():
+    x = Variable("x")
+    state = start(Clause(1, [pos("P", x)]), pos("P", x))
+    with pytest.raises(ConstructionError):
+        greedy_pull(state, (pos("Q", x),), pos("Q", x))
+    # the step itself does not check: placing instantiated clauses that share
+    # variables is how linear chains become rounds
+    assert extend(state, Clause(2, [pos("Q", x)]), pos("Q", x)).boundary == (
+        pos("P", x), pos("Q", x))
+
+
+def test_close_raises_without_unifiable_complement():
     a = Constant("a")
-    state = start_fol(Clause(1, [pos("P", a)]), pos("P", a))
-    assert close_fol(state, Clause(2, [pos("Q", Constant("b"))])) is None
+    state = start(Clause(1, [pos("P", a)]), pos("P", a))
+    with pytest.raises(ConstructionError):
+        pulled_close(state, Clause(2, [pos("Q", Constant("b"))]))
 
 
 # -- scripted construction: the five-column merge case (Table 5.2 shape) -----------
@@ -138,13 +142,13 @@ def test_scripted_five_column_merge_case(ex52):
     c1, c2, c3, c4, _, c6, c7 = ex52.clauses
     a, b, c = Constant("a"), Constant("b"), Constant("c")
     x = {i: Variable(f"x{i}") for i in range(1, 12)}
-    state = start_fol(c1, pos("P1", a))
-    state = extend_fol(state, c2, neg("P2", a, b))
-    state = extend_fol(state, c3, pos("P3", a, fn("f", c), fn("f", b)))
-    state = extend_fol(state, c4, pos("P3", x[1], x[1], fn("f", x[1])))
-    state = extend_fol(state, c6, pos("P2", x[5], x[7]))
-    state = close_fol(state, c7)
-    assert state is not None and state.closed
+    state = start(c1, pos("P1", a))
+    state = pulled_extend(state, c2, neg("P2", a, b))
+    state = pulled_extend(state, c3, pos("P3", a, fn("f", c), fn("f", b)))
+    state = pulled_extend(state, c4, pos("P3", x[1], x[1], fn("f", x[1])))
+    state = pulled_extend(state, c6, pos("P2", x[5], x[7]))
+    state = pulled_close(state, c7)
+    assert state.closed
     assert state.csc == ()
     # the searched substitutions reproduce the recorded ground bindings
     assert state.column_sigma(3) == Substitution({"x1": b})
@@ -164,22 +168,21 @@ def test_scripted_five_column_merge_case(ex52):
 def _script_first_round(ex53):
     c1, c2, c3, c4, c5, c6, c7 = ex53.clauses
     a1, a3 = Constant("a1"), Constant("a3")
-    state = start_fol(c6, pos("P3", a1))
-    state = extend_fol(state, c7, pos("P2", a1, a3))
-    state = extend_fol(state, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
-    state = extend_fol(state, c4, pos("P1", Variable("x41"), Variable("x41"),
-                                      fn("f1", Variable("x41"))))
-    state = extend_fol(state, c2, pos("P1", Variable("x22"), Variable("x21"),
-                                      Variable("x23")))
-    state = extend_fol(state, c1, neg("P1", Variable("x11"), Variable("x12"),
-                                      Variable("x13")))
-    return close_fol(state, c3)
+    state = start(c6, pos("P3", a1))
+    state = pulled_extend(state, c7, pos("P2", a1, a3))
+    state = pulled_extend(state, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
+    state = pulled_extend(state, c4, pos("P1", Variable("x41"), Variable("x41"),
+                                         fn("f1", Variable("x41"))))
+    state = pulled_extend(state, c2, pos("P1", Variable("x22"), Variable("x21"),
+                                         Variable("x23")))
+    state = pulled_extend(state, c1, neg("P1", Variable("x11"), Variable("x12"),
+                                         Variable("x13")))
+    return pulled_close(state, c3)
 
 
 def test_scripted_two_round_derivation(ex53):
     a1, a3 = Constant("a1"), Constant("a3")
     first = _script_first_round(ex53)
-    assert first is not None
     assert set(first.csc) == {pos("P2", a1, fn("f1", a3))}
     # recorded substitutions for the instantiated columns
     assert first.column_sigma(3) == Substitution({"x41": a3})
@@ -191,11 +194,10 @@ def test_scripted_two_round_derivation(ex53):
 
     c1, _, _, _, c5, _, _ = ex53.clauses
     separated = Clause(8, first.csc)
-    second = start_fol(separated, pos("P2", a1, fn("f1", a3)))
-    second = extend_fol(second, c1, neg("P1", Variable("x11"), Variable("x12"),
-                                        Variable("x13")))
-    second = close_fol(second, c5)
-    assert second is not None
+    second = start(separated, pos("P2", a1, fn("f1", a3)))
+    second = pulled_extend(second, c1, neg("P1", Variable("x11"), Variable("x12"),
+                                           Variable("x13")))
+    second = pulled_close(second, c5)
     assert second.csc == ()
     assert second.column_sigma(1) == Substitution(
         {"x11": a1, "x12": fn("f1", a1), "x13": fn("f1", a3)})
@@ -205,14 +207,13 @@ def test_scripted_two_round_derivation(ex53):
 def test_scripted_single_round_derivation(ex53):
     c1, _, c3, c4, c5, c6, c7 = ex53.clauses
     a1, a3 = Constant("a1"), Constant("a3")
-    state = start_fol(c6, pos("P3", a1))
-    state = extend_fol(state, c7, pos("P2", a1, a3))
-    state = extend_fol(state, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
-    state = extend_fol(state, c4, pos("P1", Variable("x41"), Variable("x41"),
-                                      fn("f1", Variable("x41"))))
-    state = extend_fol(state, c1, neg("P2", Variable("x11"), Variable("x13")))
-    state = close_fol(state, c3)
-    assert state is not None
+    state = start(c6, pos("P3", a1))
+    state = pulled_extend(state, c7, pos("P2", a1, a3))
+    state = pulled_extend(state, c5, pos("P1", a1, fn("f1", a1), fn("f1", a3)))
+    state = pulled_extend(state, c4, pos("P1", Variable("x41"), Variable("x41"),
+                                         fn("f1", Variable("x41"))))
+    state = pulled_extend(state, c1, neg("P2", Variable("x11"), Variable("x13")))
+    state = pulled_close(state, c3)
     assert state.csc == ()
     assert state.column_sigma(4) == Substitution(
         {"x11": a1, "x12": fn("f1", a1), "x13": fn("f1", a3)})
@@ -226,9 +227,9 @@ def test_scripted_single_round_derivation(ex53):
 def test_fall_in_moves_leftover_into_contradiction():
     a = Constant("a")
     y = Variable("y")
-    state = start_fol(Clause(1, [pos("P", a)]), pos("P", a))
-    state = extend_fol(state, Clause(2, [pos("Q", Constant("b")), neg("P", y)]),
-                       pos("Q", Constant("b")), sigma=Substitution())
+    state = start(Clause(1, [pos("P", a)]), pos("P", a))
+    state = extend(state, Clause(2, [pos("Q", Constant("b")), neg("P", y)]),
+                   pos("Q", Constant("b")), sigma=Substitution())
     assert neg("P", y) in state.d_plus(1)
     fallen = fall_in(state)
     assert neg("P", a) in fallen.d_minus(1)
@@ -237,7 +238,7 @@ def test_fall_in_moves_leftover_into_contradiction():
 
 def test_fall_in_fixpoint_without_candidates(ex51):
     _, _, c3, _, _, c6, _ = ex51.clauses
-    state = start_fol(c6, neg("P5", Variable("x61")))
+    state = start(c6, neg("P5", Variable("x61")))
     assert fall_in(state) is state
 
 
@@ -247,14 +248,14 @@ def test_fall_in_respects_inverse_substitution_width():
     # other columns: allowed at the default width, rejected when narrowed
     x, y, z, w = (Variable(n) for n in "xyzw")
     a = Constant("a")
-    state = start_fol(Clause(1, [pos("P", x, y, z)]), pos("P", x, y, z))
-    state = extend_fol(state, Clause(2, [pos("Q", Variable("u")), pos("R", Variable("u"))]),
-                       pos("Q", Variable("u")), sigma=Substitution({"u": x}))
-    state = extend_fol(state, Clause(3, [pos("S", Variable("v")), pos("T", Variable("v"))]),
-                       pos("S", Variable("v")), sigma=Substitution({"v": x}))
-    state = extend_fol(state, Clause(4, [pos("W", w),
-                                         neg("P", a, Variable("k2"), Variable("k3"))]),
-                       pos("W", w), sigma=Substitution())
+    state = start(Clause(1, [pos("P", x, y, z)]), pos("P", x, y, z))
+    state = extend(state, Clause(2, [pos("Q", Variable("u")), pos("R", Variable("u"))]),
+                   pos("Q", Variable("u")), sigma=Substitution({"u": x}))
+    state = extend(state, Clause(3, [pos("S", Variable("v")), pos("T", Variable("v"))]),
+                   pos("S", Variable("v")), sigma=Substitution({"v": x}))
+    state = extend(state, Clause(4, [pos("W", w),
+                                     neg("P", a, Variable("k2"), Variable("k3"))]),
+                   pos("W", w), sigma=Substitution())
     assert neg("P", a, Variable("k2"), Variable("k3")) in state.d_plus(3)
     fallen = fall_in(state, max_affected=3)
     assert fallen.d_plus(3) == ()
@@ -264,10 +265,10 @@ def test_fall_in_respects_inverse_substitution_width():
 
 def test_fall_in_never_grows_the_leftovers():
     a = Constant("a")
-    state = start_fol(Clause(1, [pos("P", a)]), pos("P", a))
-    state = extend_fol(state, Clause(2, [pos("Q", a), neg("P", Variable("y")),
-                                         pos("R", Variable("y"))]),
-                       pos("Q", a), sigma=Substitution())
+    state = start(Clause(1, [pos("P", a)]), pos("P", a))
+    state = extend(state, Clause(2, [pos("Q", a), neg("P", Variable("y")),
+                                     pos("R", Variable("y"))]),
+                   pos("Q", a), sigma=Substitution())
     before = len(state.leftovers)
     after = fall_in(state)
     assert len(after.leftovers) <= before
@@ -304,12 +305,10 @@ def test_redundancy_guard_accepts_fresh_instances():
 
 def test_extend_stair_first_order():
     a = Constant("a")
-    state = start_fol(Clause(1, [pos("P", a)]), pos("P", a))
-    state = extend_fol(state, Clause(2, [pos("Q", a)]), pos("Q", a),
-                       sigma=Substitution())
-    stair = extend_stair(state, Clause(3, [neg("P", Variable("s1")),
-                                           neg("Q", Variable("s2"))]))
-    assert stair is not None
+    state = start(Clause(1, [pos("P", a)]), pos("P", a))
+    state = extend(state, Clause(2, [pos("Q", a)]), pos("Q", a))
+    stair = pulled_extend(state, Clause(3, [neg("P", Variable("s1")),
+                                            neg("Q", Variable("s2"))]))
     assert stair.is_stair(2)
     assert stair.d_plus(2) == ()
 

@@ -1,6 +1,8 @@
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from trisep import (
 )
 from trisep.cli import main as cli_main
 from trisep.errors import ArityError, ParseError
+from trisep.logic import MAX_TERM_DEPTH
 
 
 # -- DIMACS -----------------------------------------------------------------------
@@ -190,6 +193,16 @@ def test_trace_document_tampering_is_caught(ex41):
     assert target is not None
     tampered = parse_trace_document("\n".join(lines))
     assert not verify_trace(ex41, tampered)
+    # documents that make no claim do not parse at all
+    for claimless in ("",
+                      document.split("TRACE\tBEGIN")[0],
+                      document.replace("TRACE\tEND\n", ""),
+                      document.replace("VERDICT\tunsatisfiable\n", ""),
+                      document.replace("VERDICT\tunsatisfiable", "VERDICT\tbogus"),
+                      document.replace("VERDICT\tunsatisfiable",
+                                       "VERDICT\tunsatisfiable\nMODEL\tp1=yes")):
+        with pytest.raises(ParseError):
+            parse_trace_document(claimless)
 
 
 def test_trace_table_renders_empty_separation_marker(ex41):
@@ -219,6 +232,11 @@ cnf(c5, axiom, p1(X51)).
 cnf(c6, axiom, ~p5(X61)).
 cnf(c7, axiom, ~p3(f(X71))).
 """
+
+
+def _nested(depth):
+    """A term of the given nesting depth: f(f(...f(a)...))."""
+    return "f(" * (depth - 1) + "a" + ")" * (depth - 1)
 
 
 def test_cli_prove_unsat(tmp_path, capsys):
@@ -296,6 +314,11 @@ def test_cli_check_fails_on_tampered_trace(tmp_path, capsys):
     trace_path.write_text(text)
     capsys.readouterr()
     assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 3
+    # a bogus verdict or an empty file is an input error, never "verified"
+    for claimless in (text.replace("VERDICT\tsatisfiable", "VERDICT\tbogus"), ""):
+        trace_path.write_text(claimless)
+        assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
+        assert "verified" not in capsys.readouterr().out
 
 
 def test_cli_oracle(tmp_path, capsys):
@@ -314,6 +337,15 @@ def test_cli_input_error_exit_two(tmp_path, capsys):
     bad.write_text("p cnf x y\n")
     assert cli_main(["prove", str(bad)]) == 2
     assert cli_main(["prove", str(tmp_path / "missing.cnf")]) == 2
+    # nesting one level past the bound, in a term or in parentheses
+    deeper = tmp_path / "deeper.p"
+    deeper.write_text(f"cnf(c1, axiom, p({_nested(MAX_TERM_DEPTH + 1)})).\n"
+                      "cnf(c2, axiom, ~p(X)).\n")
+    assert cli_main(["prove", str(deeper)]) == 2
+    deeper.write_text("cnf(c1, axiom, " + "(" * (MAX_TERM_DEPTH + 1) + "p"
+                      + ")" * (MAX_TERM_DEPTH + 1) + ").\n")
+    assert cli_main(["prove", str(deeper)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
 
 
 def test_cli_format_autodetection(tmp_path, capsys):
@@ -327,8 +359,28 @@ def test_cli_env_seed_override(tmp_path, capsys, monkeypatch):
     problem = tmp_path / "ex41.cnf"
     problem.write_text(EX41_DIMACS)
     monkeypatch.setenv("ETM_SEED", "7")
-    assert cli_main(["prove", str(problem), "--quiet"]) == 0
+    trace_path = tmp_path / "out.trace"
+    assert cli_main(["prove", str(problem), "--trace", str(trace_path), "--quiet"]) == 0
+    assert " seed=7 " in trace_path.read_text()
     assert "Unsatisfiable" in capsys.readouterr().out
+
+
+def test_cli_term_at_the_depth_bound_proves_and_rechecks(tmp_path, capsys):
+    problem = tmp_path / "deep.p"
+    deep = _nested(MAX_TERM_DEPTH)
+    problem.write_text(f"cnf(c1, axiom, p({deep})).\n"
+                       "cnf(c2, axiom, ~p(X) | q(X)).\n"
+                       f"cnf(c3, axiom, ~q({deep})).\n")
+    trace_path = tmp_path / "deep.trace"
+    assert cli_main(["prove", str(problem), "--trace", str(trace_path), "--quiet"]) == 0
+    assert "SZS status Unsatisfiable" in capsys.readouterr().out
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
+    assert "verified" in capsys.readouterr().out
+    # one level deeper in the trace document is an input error
+    text = trace_path.read_text()
+    assert f":={deep}\t" in text  # the closing column's binding
+    trace_path.write_text(text.replace(f":={deep}\t", f":=f({deep})\t"))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
 
 
 def test_console_entry_point_installed():
@@ -357,16 +409,15 @@ def test_problem_source_carries_symbols(tmp_path):
 def test_scripted_round_on_parsed_tptp_clauses():
     # transcribe the seven-clause chain, then reproduce the recorded round on
     # the parsed clauses: the separation comes out as p3(f(X)) | ~p3(X)
-    from trisep import Substitution, close_fol, extend_fol, start_fol
+    from trisep import Substitution, close, extend, start
     from trisep.tptp import render_literal_tptp
     s = parse_tptp_cnf(EX51_TPTP)
     by_id = {c.id: c for c in s.clauses}
     x31 = Variable("X31")
-    state = start_fol(by_id[6], by_id[6].literals[0])
-    state = extend_fol(state, by_id[3], by_id[3].literals[1],
-                       sigma=Substitution({"X61": x31}))
-    state = close_fol(state, by_id[7 - 3], sigma=Substitution({"X41": x31}))
-    assert state is not None
+    state = start(by_id[6], by_id[6].literals[0])
+    state = extend(state, by_id[3], by_id[3].literals[1],
+                   sigma=Substitution({"X61": x31}))
+    state = close(state, by_id[7 - 3], sigma=Substitution({"X41": x31}))
     rendered = sorted(render_literal_tptp(l) for l in state.csc)
     assert rendered == ["p3(f(X31))", "~p3(X31)"]
 
@@ -384,3 +435,19 @@ def test_rendered_table_rows_match_the_recorded_layout(ex41):
     assert {"p3", "~p3"} in cells
     assert {"p4", "~p4"} in cells
     assert {"p1", "~p1"} in cells
+
+
+# -- demos -------------------------------------------------------------------------------
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    src = str(demo.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr

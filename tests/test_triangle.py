@@ -340,7 +340,7 @@ def test_select_candidates_filters_boundary_violations():
 def test_select_candidates_sat_mode_allows_repeats():
     s = clause_set([[pos("p")], [pos("p"), pos("q")]])
     state = start(s.clauses[0], pos("p"))
-    order = ranked(state, s, BuildConfig(mode="sat", allow_boundary_repeats=True))
+    order = ranked(state, s, BuildConfig(mode="sat"))
     assert (2, pos("p")) in order
 
 
