@@ -51,15 +51,14 @@ def _cmd_prove(args) -> int:
         print(f"% SZS status Error for {args.problem}")
         print(f"% verification failed: {result.diagnostic}")
         return 3
-    status = SZS_BY_VERDICT[outcome.verdict]
-    print(f"% SZS status {status} for {args.problem}")
     note = (f"mode={args.mode} nt={args.nt} max-rounds={args.max_rounds} "
             f"fallback={args.fallback} seed={config.seed} timeout={args.timeout}")
     document = render_trace(trace, problem=args.problem, config_note=note,
                             verified=True)
-    if args.trace:
+    if args.trace:  # written before the verdict, so an unwritable path prints none
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(document)
+    print(f"% SZS status {SZS_BY_VERDICT[outcome.verdict]} for {args.problem}")
     if not args.quiet:
         print(f"% SZS output start for {args.problem}")
         sys.stdout.write(document)
@@ -132,10 +131,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OracleError, TrisepError, ValueError) as exc:
+    except (OSError, ParseError, OracleError, TrisepError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

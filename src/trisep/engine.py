@@ -214,7 +214,7 @@ class _RoundBuilder:
         closed state). Propositional closings are scored on literal sets and
         their state is left None, to be built only for the chosen one."""
         if self.prop:
-            complements = frozenset(state.boundary_complements)
+            complements = state.boundary_complements
             for clause in self.working:
                 inside = len(clause.literal_set & complements)
                 if inside:

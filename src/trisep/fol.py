@@ -181,6 +181,8 @@ def fall_in(state: Triangle, max_affected: int = 2) -> Triangle:
         progress = False
         for i in range(len(current.columns)):
             for lit in current.d_plus(i):
+                if not lit.args:  # a 0-ary leftover unifies under the empty unifier only
+                    continue
                 for b in current.boundary:
                     unifier = mgu(lit, b.complement())
                     if unifier is None or unifier.is_empty():

@@ -8,7 +8,7 @@ of the first-order one. All values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import ArityError
 
@@ -49,9 +49,14 @@ Term = Union[Variable, Constant, Function]
 MAX_TERM_DEPTH = 128
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A possibly negated atom. ``args`` is empty in propositional problems."""
+class Literal(NamedTuple):
+    """A possibly negated atom. ``args`` is empty in propositional problems.
+
+    A named tuple, so that hashing and equality, which the construction does
+    millions of times, run without a Python-level call; the hash is that of
+    (positive, predicate, args), which fixes the iteration order of literal
+    sets and hence the traces.
+    """
 
     positive: bool
     predicate: str

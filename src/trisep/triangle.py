@@ -11,21 +11,26 @@ separated clause the round derives.
 
 One set of steps serves both logics. Columns keep their pre-instantiation
 literals and the state carries one global substitution; start, extend and
-close each take the column's unifier and compose it into that substitution,
-so partitions are always re-derived from scratch after any unification. A
-unifier that binds variables of earlier columns re-instantiates them, which
-is how backward-propagating substitutions are realized. Propositional input
-is the case in which every unifier is empty. Finding a unifier is the
-caller's concern (trisep.fol.greedy_pull).
+close each take the column's unifier and compose it into that substitution.
+One function derives a column (its instantiation, boundary literal and
+partition) from the boundary before it. A step appends: it derives only the
+new column, on top of the boundary complements and leftovers the open state
+carries, unless the unifier binds a variable of the earlier columns'
+instantiated literals. Such a unifier re-instantiates them, which is how
+backward-propagating substitutions are realized, and the whole state is
+re-derived, as the constructor does for every state it is given. Propositional
+input is the case in which every unifier is empty, so its steps always
+append. Finding a unifier is the caller's concern (trisep.fol.greedy_pull).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import ConstructionError
-from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals
+from .logic import Clause, ClauseSet, Literal, literal_variables, merge_duplicate_literals
 from .oracle import Assignment
 from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose, mgu
 
@@ -47,56 +52,74 @@ class BuildConfig:
     max_columns: int = 64
 
 
+def _derive_column(pos: int, col: Column, sigma: Substitution, complements,
+                   problems: List[str], closing_seen: bool = False):
+    """Derive column pos (1-based) under sigma, given the complements of the
+    boundary literals before it: (instantiated literals, boundary literal or
+    None, d_minus, d_plus). Every broken invariant is appended to problems."""
+    lits = apply_literals(sigma, col.source_literals)
+    blit = None
+    if col.boundary_source is not None:
+        if col.closing:
+            problems.append(f"column {pos}: closing column carries a boundary literal")
+        blit = apply_literal(sigma, col.boundary_source)
+        if blit not in lits:
+            problems.append(f"column {pos}: boundary literal {blit} not in the clause")
+        if blit in complements:
+            problems.append(
+                f"column {pos}: boundary literal {blit} completes a complementary pair")
+        d_minus = (blit,) + tuple(l for l in lits if l in complements and l != blit)
+    else:
+        if closing_seen and col.closing:
+            problems.append(f"column {pos}: second closing column")
+        d_minus = tuple(l for l in lits if l in complements)
+        if not d_minus:
+            kind = "closing" if col.closing else "stair"
+            problems.append(
+                f"column {pos}: {kind} column holds no complement of a boundary literal")
+    inside = set(d_minus)
+    d_plus = tuple(l for l in lits if l not in inside)
+    if col.boundary_source is None and not col.closing and d_plus:
+        problems.append(f"column {pos}: stair column leaves literals outside the contradiction")
+    return lits, blit, d_minus, d_plus
+
+
+def _variable_names(literals) -> frozenset:
+    return frozenset(v.name for lit in literals if lit.args for v in literal_variables(lit))
+
+
 class Triangle:
     """Immutable construction state; every operation returns a new one.
 
     Derived data (instantiated literals, partitions, boundary, csc) is
-    computed eagerly from the columns and the global substitution.
+    computed eagerly from the columns and the global substitution. An open
+    state also carries its boundary complements, its leftovers and the
+    variables of its instantiated literals, so that a step can append a
+    column without re-deriving the ones before it; closed states, which the
+    saturation fallback keeps by the thousand, do not.
     """
 
-    __slots__ = ("columns", "sigma", "closed", "boundary", "parts", "_instantiated")
+    __slots__ = ("columns", "sigma", "closed", "boundary", "parts", "_instantiated",
+                 "_complements", "_leftovers", "_free")
 
     def __init__(self, columns: Iterable[Column], sigma: Substitution = EMPTY,
                  closed: bool = False):
         columns = tuple(columns)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "closed", closed)
         boundary: List[Literal] = []
         parts: List[Tuple[tuple, tuple]] = []
         instantiated: List[tuple] = []
         problems: List[str] = []
+        complements: set = set()
         closing_seen = 0
         for pos, col in enumerate(columns, start=1):
-            lits = apply_literals(sigma, col.source_literals)
-            instantiated.append(lits)
-            complements = {b.complement() for b in boundary}
-            if col.boundary_source is not None:
-                if col.closing:
-                    problems.append(f"column {pos}: closing column carries a boundary literal")
-                blit = apply_literal(sigma, col.boundary_source)
-                if blit not in lits:
-                    problems.append(f"column {pos}: boundary literal {blit} not in the clause")
-                if blit in complements:
-                    problems.append(
-                        f"column {pos}: boundary literal {blit} completes a complementary pair")
-                d_minus = (blit,) + tuple(
-                    l for l in lits if l in complements and l != blit)
+            lits, blit, d_minus, d_plus = _derive_column(
+                pos, col, sigma, complements, problems, closing_seen > 0)
+            if blit is not None:
                 boundary.append(blit)
-            else:
-                if closing_seen and col.closing:
-                    problems.append(f"column {pos}: second closing column")
-                d_minus = tuple(l for l in lits if l in complements)
-                if not d_minus:
-                    kind = "closing" if col.closing else "stair"
-                    problems.append(
-                        f"column {pos}: {kind} column holds no complement of a boundary literal")
-            d_plus = tuple(l for l in lits if l not in set(d_minus))
-            if col.boundary_source is None and not col.closing and d_plus:
-                problems.append(
-                    f"column {pos}: stair column leaves literals outside the contradiction")
+                complements.add(blit.complement())
             if col.closing:
                 closing_seen += 1
+            instantiated.append(lits)
             parts.append((d_minus, d_plus))
         if closed and closing_seen != 1:
             problems.append("closed state must hold exactly one closing column")
@@ -104,9 +127,51 @@ class Triangle:
             problems.append("open state holds a closing column")
         if problems:
             raise ConstructionError("; ".join(problems))
-        object.__setattr__(self, "boundary", tuple(boundary))
-        object.__setattr__(self, "parts", tuple(parts))
-        object.__setattr__(self, "_instantiated", tuple(instantiated))
+        self._set(columns, sigma, closed, tuple(boundary), tuple(parts), tuple(instantiated))
+        if not closed:
+            self._carry(frozenset(complements),
+                        merge_duplicate_literals(l for _, d_plus in parts for l in d_plus),
+                        _variable_names(chain.from_iterable(instantiated)))
+
+    def _set(self, columns, sigma, closed, boundary, parts, instantiated):
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_instantiated", instantiated)
+
+    def _carry(self, complements: frozenset, leftovers: tuple, free: frozenset):
+        object.__setattr__(self, "_complements", complements)
+        object.__setattr__(self, "_leftovers", leftovers)
+        object.__setattr__(self, "_free", free)
+
+    def _append(self, col: Column, unifier: Substitution) -> "Triangle":
+        """This open state plus col, under unifier composed into sigma.
+
+        When the unifier binds no variable of the instantiated columns, those
+        columns and their partitions are unchanged, so only col is derived.
+        Otherwise (backward propagation) the whole state is re-derived.
+        """
+        sigma = compose(unifier, self.sigma)
+        if not self._free.isdisjoint(unifier.domain):
+            return Triangle(self.columns + (col,), sigma, closed=col.closing)
+        problems: List[str] = []
+        lits, blit, d_minus, d_plus = _derive_column(
+            len(self.columns) + 1, col, sigma, self._complements, problems)
+        if problems:
+            raise ConstructionError("; ".join(problems))
+        state = object.__new__(Triangle)
+        state._set(self.columns + (col,), sigma, col.closing,
+                   self.boundary if blit is None else self.boundary + (blit,),
+                   self.parts + ((d_minus, d_plus),), self._instantiated + (lits,))
+        if not col.closing:
+            leftovers = self._leftovers
+            state._carry(self._complements if blit is None
+                         else self._complements | {blit.complement()},
+                         leftovers + tuple(l for l in d_plus if l not in leftovers),
+                         self._free | _variable_names(lits))
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("Triangle is immutable")
@@ -123,12 +188,16 @@ class Triangle:
         return self.parts[index][1]
 
     @property
-    def boundary_complements(self) -> set:
-        return {b.complement() for b in self.boundary}
+    def boundary_complements(self) -> frozenset:
+        if not self.closed:
+            return self._complements
+        return frozenset(b.complement() for b in self.boundary)
 
     @property
     def leftovers(self) -> tuple:
         """Current union of the d_plus parts, duplicate-free, column order."""
+        if not self.closed:
+            return self._leftovers
         return merge_duplicate_literals(
             lit for _, d_plus in self.parts for lit in d_plus)
 
@@ -171,6 +240,8 @@ class Triangle:
 
 # -- construction steps --------------------------------------------------------
 
+_EMPTY_STATE = Triangle(())
+
 
 def start(first_clause: Clause, boundary_literal: Literal,
           sigma: Substitution = EMPTY) -> Triangle:
@@ -178,8 +249,8 @@ def start(first_clause: Clause, boundary_literal: Literal,
     if boundary_literal not in first_clause.literals:
         raise ConstructionError(
             f"literal {boundary_literal} is not in clause {first_clause.id}")
-    col = Column(first_clause.id, first_clause.literals, boundary_literal)
-    return Triangle((col,), sigma)
+    return _EMPTY_STATE._append(
+        Column(first_clause.id, first_clause.literals, boundary_literal), sigma)
 
 
 def extend(state: Triangle, clause: Clause, boundary_literal: Optional[Literal],
@@ -191,8 +262,7 @@ def extend(state: Triangle, clause: Clause, boundary_literal: Optional[Literal],
         raise ConstructionError("cannot extend a closed state")
     if boundary_literal is not None and boundary_literal not in clause.literals:
         raise ConstructionError(f"literal {boundary_literal} is not in clause {clause.id}")
-    col = Column(clause.id, clause.literals, boundary_literal)
-    return Triangle(state.columns + (col,), compose(sigma, state.sigma))
+    return state._append(Column(clause.id, clause.literals, boundary_literal), sigma)
 
 
 def close(state: Triangle, last_clause: Clause, sigma: Substitution = EMPTY) -> Triangle:
@@ -200,8 +270,8 @@ def close(state: Triangle, last_clause: Clause, sigma: Substitution = EMPTY) -> 
     must hold a boundary complement."""
     if state.closed:
         raise ConstructionError("state is already closed")
-    col = Column(last_clause.id, last_clause.literals, None, closing=True)
-    return Triangle(state.columns + (col,), compose(sigma, state.sigma), closed=True)
+    return state._append(Column(last_clause.id, last_clause.literals, None, closing=True),
+                         sigma)
 
 
 # -- stop conditions ---------------------------------------------------------

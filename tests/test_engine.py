@@ -6,6 +6,7 @@ import pytest
 from trisep import (
     Clause,
     ClauseSet,
+    Constant,
     EngineConfig,
     LinearDeduction,
     ProofTrace,
@@ -276,9 +277,19 @@ def _three_sat(rng, n_vars, n_clauses):
                         for name in rng.sample(names, 3)] for _ in range(n_clauses)])
 
 
+def _chain(k, reverse=False):
+    """P(a), ~P(X) | P(f(X)), ~P(f^k(a)), in that clause order or reversed."""
+    goal = Constant("a")
+    for _ in range(k):
+        goal = fn("f", goal)
+    x = Variable("X")
+    bodies = [[pos("P", Constant("a"))], [neg("P", x), pos("P", fn("f", x))], [neg("P", goal)]]
+    return clause_set(bodies[::-1] if reverse else bodies)
+
+
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "d08fb84d6b8793873af88851a7d5dc136e9446158188e745a76c655ad62c711c"
+GOLDEN_TRACE_DIGEST = "a4561e03ff7629a942ef71e3386a5e6f559cfd7228b0cbf030a7fdfdb3a50bcd"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
@@ -287,6 +298,7 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
              EngineConfig(mode=("auto", "unsat", "sat")[i % 3], time_budget=30.0))
             for i in range(30)]
     runs += [(s, FAST) for s in (ex51, ex52, ex53)]
+    runs += [(_chain(k, reverse), FAST) for k in range(3, 7) for reverse in (False, True)]
     runs.append((_three_sat(random.Random(5), 8, 40),
                  EngineConfig(max_rounds=0, time_budget=30.0)))
     digest = hashlib.sha256()

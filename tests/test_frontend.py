@@ -348,6 +348,27 @@ def test_cli_input_error_exit_two(tmp_path, capsys):
     assert "nested deeper" in capsys.readouterr().err
 
 
+def test_cli_prove_on_a_directory_is_an_input_error(tmp_path, capsys):
+    assert cli_main(["prove", str(tmp_path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_check_with_a_directory_as_trace_is_an_input_error(tmp_path, capsys):
+    problem = tmp_path / "ex41.cnf"
+    problem.write_text(EX41_DIMACS)
+    assert cli_main(["check", str(problem), "--trace", str(tmp_path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_prove_writing_its_trace_to_a_directory_is_an_input_error(tmp_path, capsys):
+    problem = tmp_path / "ex41.cnf"
+    problem.write_text(EX41_DIMACS)
+    assert cli_main(["prove", str(problem), "--trace", f"{tmp_path}/", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert "SZS status" not in captured.out
+
+
 def test_cli_format_autodetection(tmp_path, capsys):
     tptp = tmp_path / "auto.p"
     tptp.write_text("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p).\n")

@@ -1,0 +1,164 @@
+"""Property tests: construction steps against a full rebuild, and the parsers
+on arbitrary text. Example counts stay low so the suite stays fast."""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from trisep import (
+    Clause,
+    ClauseSet,
+    Column,
+    Constant,
+    Function,
+    Literal,
+    Triangle,
+    Variable,
+    clause_set,
+    close,
+    compose,
+    extend,
+    greedy_pull,
+    load_problem,
+    neg,
+    parse_dimacs,
+    parse_tptp_cnf,
+    parse_trace_document,
+    pos,
+    prove,
+    rename_clause,
+    render_dimacs,
+    render_trace,
+    start,
+)
+from trisep.errors import ConstructionError, ParseError
+from trisep.unify import EMPTY
+
+FEW = settings(max_examples=50, deadline=None,
+               suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- construction steps --------------------------------------------------------
+
+_leaves = st.sampled_from([Constant("a"), Constant("b"), Variable("X"), Variable("Y")])
+_terms = st.recursive(_leaves, lambda inner: inner.map(lambda t: Function("f", (t,))),
+                      max_leaves=3)
+_first_order_literals = st.builds(Literal, st.booleans(), st.sampled_from("pq"),
+                                  st.tuples(_terms))
+_propositional_literals = st.builds(Literal, st.booleans(), st.sampled_from("pqrs"))
+
+
+def _assert_same_state(state: Triangle, rebuilt: Triangle):
+    assert state.columns == rebuilt.columns
+    assert state.sigma == rebuilt.sigma
+    assert state.closed == rebuilt.closed
+    assert state.boundary == rebuilt.boundary
+    assert state.parts == rebuilt.parts
+    for i in range(len(state.columns)):
+        assert state.instantiated(i) == rebuilt.instantiated(i)
+    assert state.leftovers == rebuilt.leftovers
+    assert state.boundary_complements == rebuilt.boundary_complements
+    assert state.csc == rebuilt.csc
+
+
+@FEW
+@given(st.data(), st.booleans())
+def test_steps_agree_with_a_full_rebuild(data, first_order):
+    """Every start/extend/close, under the empty unifier or greedy_pull's,
+    gives the state that Triangle derives from scratch, and raises exactly
+    when that derivation does."""
+    literals = _first_order_literals if first_order else _propositional_literals
+    bodies = data.draw(st.lists(st.lists(literals, min_size=1, max_size=3),
+                                min_size=1, max_size=5))
+    clauses = [Clause(i, body) for i, body in enumerate(bodies, start=1)]
+    state = None
+    for column in range(1, data.draw(st.integers(1, 7)) + 1):
+        clause, _ = rename_clause(data.draw(st.sampled_from(clauses)), column)
+        kind = "start" if state is None else data.draw(
+            st.sampled_from(["extend", "stair", "close"]))
+        lit = (data.draw(st.sampled_from(clause.literals))
+               if kind in ("start", "extend") else None)
+        sigma = EMPTY
+        if state is not None and data.draw(st.booleans()):
+            sigma = greedy_pull(state, clause.literals, lit)
+        previous = state.columns if state is not None else ()
+        column_entry = Column(clause.id, clause.literals, lit, closing=kind == "close")
+        try:
+            rebuilt = Triangle(previous + (column_entry,),
+                               compose(sigma, state.sigma if state is not None else EMPTY),
+                               closed=kind == "close")
+        except ConstructionError:
+            rebuilt = None
+        try:
+            if kind == "start":
+                stepped = start(clause, lit)
+            elif kind == "close":
+                stepped = close(state, clause, sigma)
+            else:
+                stepped = extend(state, clause, lit, sigma)
+        except ConstructionError:
+            stepped = None
+        assert (stepped is None) == (rebuilt is None)
+        if stepped is None:
+            continue
+        _assert_same_state(stepped, rebuilt)
+        if stepped.closed:
+            return
+        state = stepped
+
+
+# -- parsers on arbitrary text -------------------------------------------------
+
+def _document_lines():
+    x = Variable("X")
+    problems = [
+        clause_set([[pos("p")], [neg("p"), pos("q")], [neg("q")]]),
+        clause_set([[pos("P", Constant("a"))], [neg("P", x), pos("P", Function("f", (x,)))],
+                    [neg("P", Function("f", (Function("f", (Constant("a"),)),)))]]),
+    ]
+    lines = set()
+    for problem in problems:
+        lines.update(render_trace(prove(problem)[1]).splitlines())
+    return sorted(lines)
+
+
+_FRAGMENTS = _document_lines() + [
+    "p cnf 3 2", "p cnf", "1 -2 0", "-3 0", "0", "c comment", "%",
+    "cnf(c1, axiom, p(X) | ~q(f(a))).", "cnf(c2, axiom, (~p(a))).", "cnf(", "fof(",
+    "TRACE\tBEGIN", "TRACE\tEND", "VERDICT\tsatisfiable", "MODEL\tp\ttrue",
+]
+_texts = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=12)),
+             max_size=25).map("\n".join),
+)
+
+
+@FEW
+@given(_texts)
+def test_problem_parsers_raise_only_parse_error(text):
+    for parse in (parse_dimacs, parse_tptp_cnf, load_problem):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+@FEW
+@given(_texts)
+def test_trace_parser_raises_only_parse_error(text):
+    try:
+        parse_trace_document(text)
+    except ParseError:
+        pass
+
+
+_dimacs_literals = st.builds(Literal, st.booleans(), st.integers(1, 9).map(lambda i: f"x{i}"))
+
+
+@FEW
+@given(st.lists(st.lists(_dimacs_literals, max_size=4), max_size=8))
+def test_dimacs_round_trip(bodies):
+    clauses = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
+    parsed = parse_dimacs(render_dimacs(clauses))
+    assert parsed.mode == clauses.mode
+    assert ([(c.id, c.literals) for c in parsed.clauses]
+            == [(c.id, c.literals) for c in clauses.clauses])
