@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
 from .logic import (
@@ -91,6 +91,20 @@ class RoundRecord:
     @property
     def clause_ids_used(self) -> tuple:
         return self.state.clause_ids()
+
+
+class _LazyRound(NamedTuple):
+    """A saturation round not built yet: its closed state is built only when
+    the round joins the proof chain."""
+
+    round_index: int
+    clause_ids_used: tuple
+    csc: Clause
+    build: Callable[[], Triangle]
+
+    @property
+    def state(self) -> Triangle:
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -374,29 +388,93 @@ def _two_column_rounds(a: Clause, b: Clause) -> List[Triangle]:
     return out
 
 
-def _resolvents(given: Clause, partners: Sequence[Clause], prop: bool, seen: set):
-    """Two-column resolvents of given with the partners (and, first-order,
-    with itself) that are neither tautologies nor variants of a clause in
-    seen, as (literals, variant key, a function that builds the round).
+class _ProcessedClauses:
+    """The saturation's processed clauses in processing order, indexed by
+    literal. Subsumption is syntactic literal-set inclusion in both logics.
 
-    Propositional resolvents are computed on literal sets, which are their
-    own variant keys, so only the clauses the caller keeps pay for a round
-    state.
+    Each literal maps to the clauses that hold it. Each clause is also
+    watched under its first literal (a processed clause is never empty): a
+    clause whose literals are a subset of C's holds its watched literal,
+    which is in C, so scanning the watches of C's literals tests every
+    candidate subsumer once. Dicts keyed by clause id keep processing order
+    and delete in O(1).
+    """
+
+    def __init__(self):
+        self.clauses: Dict[int, Clause] = {}
+        self._occurrences: Dict[Literal, Dict[int, Clause]] = {}
+        self._watches: Dict[Literal, Dict[int, frozenset]] = {}
+
+    def add(self, clause: Clause) -> None:
+        cid = clause.id
+        self.clauses[cid] = clause
+        for lit in clause.literals:
+            self._occurrences.setdefault(lit, {})[cid] = clause
+        self._watches.setdefault(clause.literals[0], {})[cid] = clause.literal_set
+
+    def holding(self, literal: Literal):
+        """The clauses that hold literal, in processing order."""
+        return self._occurrences.get(literal, {}).values()
+
+    def subsumes(self, literal_set: frozenset) -> bool:
+        """Whether some clause's literals are a subset of literal_set."""
+        watches = self._watches
+        for lit in literal_set:
+            watched = watches.get(lit)
+            if watched:
+                for subset in watched.values():
+                    if subset <= literal_set:
+                        return True
+        return False
+
+    def remove_subsumed_by(self, clause: Clause) -> None:
+        """Drop every clause whose literals strictly contain clause's."""
+        literal_set = clause.literal_set
+        fewest = min((self._occurrences.get(lit, {}) for lit in clause.literals), key=len)
+        for other in [p for p in fewest.values() if literal_set < p.literal_set]:
+            cid = other.id
+            del self.clauses[cid]
+            for lit in other.literals:
+                del self._occurrences[lit][cid]
+            del self._watches[other.literals[0]][cid]
+
+
+def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: set):
+    """Two-column resolvents of given, which is already processed, that are
+    neither tautologies nor variants of a clause in seen, as (literals in
+    csc order, variant key, ids of the two clauses, a function that builds
+    the closed state).
+
+    A propositional resolvent on the pivot lit is given's literals without
+    lit, then the partner's without lit's complement, duplicates merged:
+    exactly the csc of close(start(given, lit), other), so no state is built
+    unless the round joins a proof. Its partners are the processed clauses
+    that hold the complement, in processing order. A first-order csc depends
+    on the unifier, so each first-order round is built here, with every
+    processed clause in processing order (given itself last), and its
+    function returns it.
     """
     if prop:
         given_set = given.literal_set
-        partner_sets = [(other, other.literal_set) for other in partners]
         for lit in given.literals:
             comp = lit.complement()
-            for other, other_set in partner_sets:
-                if comp not in other_set:
+            rest = given_set - {lit}
+            head = tuple(l for l in given.literals if l != lit)
+            # neither clause is a tautology, so the resolvent is one exactly
+            # when the partner complements a literal of rest
+            clashes = frozenset(l.complement() for l in rest)
+            for other in processed.holding(comp):
+                other_set = other.literal_set
+                if not clashes.isdisjoint(other_set):
                     continue
-                resolvent = (given_set - {lit}) | (other_set - {comp})
-                if resolvent not in seen and not is_tautology(resolvent):
-                    yield (resolvent, resolvent,
+                resolvent = rest | (other_set - {comp})
+                if resolvent not in seen:
+                    lits = head + tuple(l for l in other.literals
+                                        if l != comp and l not in rest)
+                    yield (lits, resolvent, (given.id, other.id),
                            lambda lit=lit, other=other: close(start(given, lit), other))
         return
-    for other in [*partners, given]:
+    for other in processed.clauses.values():
         for a, b in ((given, other), (other, given)):
             for closed in _two_column_rounds(a, b):
                 lits = closed.csc
@@ -404,7 +482,7 @@ def _resolvents(given: Clause, partners: Sequence[Clause], prop: bool, seen: set
                     continue
                 key = variant_key(lits)
                 if key not in seen:
-                    yield lits, key, lambda closed=closed: closed
+                    yield lits, key, closed.clause_ids(), lambda closed=closed: closed
 
 
 def _dp_model(clauses: Sequence[Clause], predicates: Sequence[str]) -> Assignment:
@@ -442,11 +520,14 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
     """Exhaustive two-column rounds with subsumption, smallest clauses first.
 
     One given-clause loop serves both logics; only the resolvent generator
-    and the closing model depend on the logic. Returns (verdict, rounds,
-    model, reason): verdict is UNSATISFIABLE with the derivation chain,
-    SATISFIABLE with a Davis-Putnam model (propositional saturation only), or
-    UNKNOWN on budget or cap exhaustion, or when first-order saturation ends
-    without the empty clause.
+    and the closing model depend on the logic. Partners, forward and
+    backward subsumption are found through the literal index of the
+    processed clauses. A kept resolvent records its round lazily, and only
+    the ancestor rounds of the empty clause are built. Returns (verdict,
+    rounds, model, reason): verdict is UNSATISFIABLE with the derivation
+    chain, SATISFIABLE with a Davis-Putnam model (propositional saturation
+    only), or UNKNOWN on budget or cap exhaustion, or when first-order
+    saturation ends without the empty clause.
     """
     seen = set()
     heap: List[tuple] = []
@@ -460,20 +541,20 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
         seen.add(key)
         heapq.heappush(heap, (len(clause), tick, clause))
         tick += 1
-    processed: List[Clause] = []
-    records: Dict[int, RoundRecord] = {}
+    processed = _ProcessedClauses()
+    lazy: Dict[int, _LazyRound] = {}
     round_no = round_base
 
-    def finish_unsat(empty_record: RoundRecord):
-        # keep only the ancestor rounds of the empty clause, then renumber
-        pool = {rec.csc.id: rec for rec in list(existing_rounds) + list(records.values())}
-        needed = set(empty_record.clause_ids_used)
-        chain = [empty_record]
+    def finish_unsat(empty: _LazyRound):
+        # build only the ancestor rounds of the empty clause, then renumber
+        pool = {rec.csc.id: rec for rec in existing_rounds}
+        pool.update(lazy)
+        needed = set(empty.clause_ids_used)
+        chain = [empty]
         frontier = list(needed)
         while frontier:
-            cid = frontier.pop()
-            rec = pool.get(cid)
-            if rec is None or rec in chain:
+            rec = pool.get(frontier.pop())
+            if rec is None:
                 continue
             chain.append(rec)
             for used in rec.clause_ids_used:
@@ -487,11 +568,10 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
             renumbered.append(RoundRecord(i, rec.state, csc))
         return UNSATISFIABLE, renumbered, None, None
 
-    def record_round(state: Triangle, lits) -> Optional[RoundRecord]:
+    def record_round(ids: tuple, lits, build) -> _LazyRound:
         nonlocal next_id, round_no
-        csc = Clause(next_id, lits, derived_in=round_no)
-        record = RoundRecord(round_no, state, csc)
-        records[csc.id] = record
+        record = _LazyRound(round_no, ids, Clause(next_id, lits, derived_in=round_no), build)
+        lazy[next_id] = record
         next_id += 1
         round_no += 1
         return record
@@ -499,31 +579,27 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
     while heap:
         if time.monotonic() > deadline:
             return UNKNOWN, [], None, "time budget exhausted during saturation"
-        if len(processed) > _SATURATION_CLAUSE_CAP:
+        if len(processed.clauses) > _SATURATION_CLAUSE_CAP:
             return UNKNOWN, [], None, "saturation clause cap exceeded"
         _, _, given = heapq.heappop(heap)
-        given_set = given.literal_set
-        if any(p.literal_set <= given_set for p in processed):
+        if processed.subsumes(given.literal_set):
             continue
-        processed[:] = [p for p in processed if not given_set < p.literal_set]
-        partners = list(processed)
-        processed.append(given)
-        for lits, key, build in _resolvents(given, partners, prop, seen):
+        processed.remove_subsumed_by(given)
+        processed.add(given)
+        for lits, key, ids, build in _resolvents(given, processed, prop, seen):
             if not lits:
-                return finish_unsat(record_round(build(), ()))
-            lit_set = frozenset(lits)
-            if any(p.literal_set <= lit_set for p in processed):
+                return finish_unsat(record_round(ids, (), build))
+            if processed.subsumes(frozenset(lits)):
                 continue
             seen.add(key)
-            state = build()
-            record = record_round(state, state.csc)
+            record = record_round(ids, lits, build)
             heapq.heappush(heap, (len(lits), tick, record.csc))
             tick += 1
     if prop:
-        predicates = sorted({lit.predicate for c in processed for lit in c.literals}
+        clauses = list(processed.clauses.values())
+        predicates = sorted({lit.predicate for c in clauses for lit in c.literals}
                             | {lit.predicate for c in working for lit in c.literals})
-        model = _dp_model(processed, predicates)
-        return SATISFIABLE, [], model, None
+        return SATISFIABLE, [], _dp_model(clauses, predicates), None
     return UNKNOWN, [], None, "first-order saturation completed without the empty clause"
 
 

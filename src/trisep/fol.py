@@ -144,15 +144,19 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
     total = compose(seed, state.sigma)
     boundary_sources = [col.boundary_source for col in state.columns
                         if col.boundary_source is not None]
+    pulled = [lit for lit in literals if exclude is None or lit != exclude]
+
+    def instantiate():  # only a new unifier changes total
+        return ([apply_literal(total, b).complement() for b in boundary_sources],
+                [apply_literal(total, lit) for lit in pulled])
+
+    targets, insts = instantiate()
     changed = True
     while changed:
         changed = False
-        for b_src in boundary_sources:
-            for lit in literals:
-                if exclude is not None and lit == exclude:
-                    continue
-                target = apply_literal(total, b_src).complement()
-                inst = apply_literal(total, lit)
+        for i in range(len(boundary_sources)):
+            for j in range(len(pulled)):
+                inst, target = insts[j], targets[i]
                 if inst == target:
                     continue
                 unifier = mgu(inst, target)
@@ -160,6 +164,7 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
                     continue
                 increment = compose(unifier, increment)
                 total = compose(unifier, total)
+                targets, insts = instantiate()
                 changed = True
     return increment
 

@@ -289,7 +289,7 @@ def _chain(k, reverse=False):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "a4561e03ff7629a942ef71e3386a5e6f559cfd7228b0cbf030a7fdfdb3a50bcd"
+GOLDEN_TRACE_DIGEST = "4214326cbf95d41b3f4309ba737658d67db010d0e31563c11e3dd5d6599d0aa8"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
@@ -299,8 +299,11 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
             for i in range(30)]
     runs += [(s, FAST) for s in (ex51, ex52, ex53)]
     runs += [(_chain(k, reverse), FAST) for k in range(3, 7) for reverse in (False, True)]
-    runs.append((_three_sat(random.Random(5), 8, 40),
-                 EngineConfig(max_rounds=0, time_budget=30.0)))
+    fallback_only = EngineConfig(max_rounds=0, time_budget=30.0)
+    runs.append((_three_sat(random.Random(5), 8, 40), fallback_only))
+    three_sat_rng = random.Random(6)
+    runs += [(_three_sat(three_sat_rng, 10, 43), fallback_only) for _ in range(8)]
+    runs += [(_chain(k, reverse), fallback_only) for k in range(3, 7) for reverse in (False, True)]
     digest = hashlib.sha256()
     for s, config in runs:
         _, trace = prove(s, config)

@@ -1,5 +1,7 @@
-"""Property tests: construction steps against a full rebuild, and the parsers
-on arbitrary text. Example counts stay low so the suite stays fast."""
+"""Property tests: construction steps against a full rebuild, the saturation
+fallback's resolvents against the rounds they stand for, prove against the
+brute-force oracle, and the parsers on arbitrary text. Example counts stay
+low so the suite stays fast."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from trisep import (
     ClauseSet,
     Column,
     Constant,
+    EngineConfig,
     Function,
     Literal,
     Triangle,
@@ -17,6 +20,8 @@ from trisep import (
     compose,
     extend,
     greedy_pull,
+    is_tautology,
+    is_unsatisfiable_bruteforce,
     load_problem,
     neg,
     parse_dimacs,
@@ -28,7 +33,10 @@ from trisep import (
     render_dimacs,
     render_trace,
     start,
+    verify_model,
+    verify_trace,
 )
+from trisep.engine import _ProcessedClauses, _resolvents
 from trisep.errors import ConstructionError, ParseError
 from trisep.unify import EMPTY
 
@@ -103,6 +111,60 @@ def test_steps_agree_with_a_full_rebuild(data, first_order):
         if stepped.closed:
             return
         state = stepped
+
+
+# -- the saturation fallback ---------------------------------------------------
+
+_propositional_clauses = st.lists(_propositional_literals, min_size=1, max_size=4).filter(
+    lambda body: not is_tautology(Clause(0, body)))
+
+
+@FEW
+@given(_propositional_clauses, st.lists(_propositional_clauses, min_size=1, max_size=3))
+def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, partner_bodies):
+    """Each resolvent is yielded without building its round, yet its literals,
+    clause ids and deferred state are those of close(start(given, lit), other),
+    partners taken in processing order."""
+    partners = [Clause(i, body) for i, body in enumerate(partner_bodies, start=1)]
+    given_clause = Clause(len(partners) + 1, given_body)
+    processed = _ProcessedClauses()
+    for clause in partners + [given_clause]:
+        processed.add(clause)
+    expected = []
+    for lit in given_clause.literals:
+        for other in partners:
+            if lit.complement() in other.literal_set:
+                state = close(start(given_clause, lit), other)
+                if not is_tautology(state.csc):
+                    expected.append(state)
+    yielded = list(_resolvents(given_clause, processed, True, set()))
+    assert len(yielded) == len(expected)
+    for (lits, key, ids, build), state in zip(yielded, expected):
+        assert lits == state.csc
+        assert key == frozenset(state.csc)
+        assert ids == state.clause_ids()
+        built = build()
+        assert built.columns == state.columns
+        assert built.parts == state.parts
+        assert built.csc == state.csc
+
+
+@FEW
+@given(st.lists(st.lists(_propositional_literals, min_size=1, max_size=3),
+                min_size=1, max_size=8),
+       st.sampled_from([EngineConfig(max_rounds=0), EngineConfig()]))
+def test_prove_agrees_with_the_oracle_and_its_traces_verify(bodies, config):
+    """Under the fallback alone and under the default config: the verdict is
+    the oracle's, a model satisfies the input, and the trace verifies both as
+    produced and after a render/parse round trip."""
+    problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
+    outcome, trace = prove(problem, config)
+    assert outcome.verdict in ("satisfiable", "unsatisfiable"), outcome.reason
+    assert outcome.unsatisfiable == is_unsatisfiable_bruteforce(problem)
+    if outcome.satisfiable:
+        assert verify_model(problem, outcome.model)
+    assert verify_trace(problem, trace)
+    assert verify_trace(problem, parse_trace_document(render_trace(trace)))
 
 
 # -- parsers on arbitrary text -------------------------------------------------
