@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
 from .logic import (
@@ -211,17 +211,10 @@ class _RoundBuilder:
         targets = [lit.complement() for lit in state.boundary]
         seeds = (mgu(apply_literal(state.sigma, lit), target)
                  for lit in placed.literals for target in targets)
-        seen_parts = set()
         for seed in chain((EMPTY,), filter(None, seeds)):  # skips None and empty seeds
             closed = _pulled_close(state, placed, seed)
-            if closed is None:
-                continue
-            k = closed.closing_index
-            key = (frozenset(closed.d_minus(k)), frozenset(closed.d_plus(k)))
-            if key in seen_parts:
-                continue
-            seen_parts.add(key)
-            yield closed
+            if closed is not None:
+                yield closed
 
     def _closures(self, state: Triangle):
         """Every way to close state, as (leftover count, inside count, clause,
@@ -326,6 +319,7 @@ class _RoundBuilder:
 
     def build(self) -> Optional[Triangle]:
         state: Optional[Triangle] = None
+        best: Optional[Triangle] = None
         max_columns = self.config.max_columns
         while time.monotonic() < self.deadline:
             if state is not None:
@@ -348,9 +342,7 @@ class _RoundBuilder:
                     return best
             extensions = self._extensions(state)
             if not extensions:
-                if state is None:
-                    return None
-                return self._best_closure(state)
+                return best  # state's best closure, None before the first column
             state = extensions[0][1]
         return None
 
@@ -451,8 +443,8 @@ def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: s
     unless the round joins a proof. Its partners are the processed clauses
     that hold the complement, in processing order. A first-order csc depends
     on the unifier, so each first-order round is built here, with every
-    processed clause in processing order (given itself last), and its
-    function returns it.
+    processed clause in processing order (given itself last, paired with
+    itself once), and its function returns it.
     """
     if prop:
         given_set = given.literal_set
@@ -475,7 +467,8 @@ def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: s
                            lambda lit=lit, other=other: close(start(given, lit), other))
         return
     for other in processed.clauses.values():
-        for a, b in ((given, other), (other, given)):
+        pairs = ((given, other),) if other is given else ((given, other), (other, given))
+        for a, b in pairs:
             for closed in _two_column_rounds(a, b):
                 lits = closed.csc
                 if is_tautology(lits):
@@ -485,7 +478,7 @@ def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: s
                     yield lits, key, closed.clause_ids(), lambda closed=closed: closed
 
 
-def _dp_model(clauses: Sequence[Clause], predicates: Sequence[str]) -> Assignment:
+def _dp_model(clauses: Sequence[Clause], predicates: Iterable[str]) -> Assignment:
     """Model of a resolution-closed, empty-clause-free propositional set.
 
     Backward pass of Davis-Putnam elimination: variables are eliminated in
@@ -515,35 +508,30 @@ def _dp_model(clauses: Sequence[Clause], predicates: Sequence[str]) -> Assignmen
     return assign
 
 
-def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: float,
-              existing_rounds: Sequence[RoundRecord], round_base: int):
+def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
+              deadline: float, existing_rounds: Sequence[RoundRecord]):
     """Exhaustive two-column rounds with subsumption, smallest clauses first.
 
-    One given-clause loop serves both logics; only the resolvent generator
-    and the closing model depend on the logic. Partners, forward and
-    backward subsumption are found through the literal index of the
-    processed clauses. A kept resolvent records its round lazily, and only
-    the ancestor rounds of the empty clause are built. Returns (verdict,
-    rounds, model, reason): verdict is UNSATISFIABLE with the derivation
-    chain, SATISFIABLE with a Davis-Putnam model (propositional saturation
-    only), or UNKNOWN on budget or cap exhaustion, or when first-order
-    saturation ends without the empty clause.
+    Continues from the clauses prove admitted: working holds no tautology
+    and no two variants, seen holds their variant keys (and grows with every
+    kept resolvent), and existing_rounds are the main loop's rounds, which
+    the fallback's rounds follow. One given-clause loop serves both logics;
+    only the resolvent generator and the closing model depend on the logic,
+    which is the input's (preprocessing can leave first-order input 0-ary).
+    Partners, forward and backward subsumption are found through the literal
+    index of the processed clauses. A kept resolvent records its round
+    lazily, and only the ancestor rounds of the empty clause are built.
+    Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with
+    the derivation chain, SATISFIABLE with a Davis-Putnam model
+    (propositional saturation only), or UNKNOWN on budget or cap
+    exhaustion, or when first-order saturation ends without the empty clause.
     """
-    seen = set()
-    heap: List[tuple] = []
-    tick = 0
-    for clause in working:
-        if is_tautology(clause):
-            continue
-        key = variant_key(clause.literals)
-        if key in seen:
-            continue
-        seen.add(key)
-        heapq.heappush(heap, (len(clause), tick, clause))
-        tick += 1
+    heap = [(len(clause), tick, clause) for tick, clause in enumerate(working)]
+    heapq.heapify(heap)
+    tick = len(heap)
     processed = _ProcessedClauses()
     lazy: Dict[int, _LazyRound] = {}
-    round_no = round_base
+    round_no = len(existing_rounds) + 1
 
     def finish_unsat(empty: _LazyRound):
         # build only the ancestor rounds of the empty clause, then renumber
@@ -596,10 +584,8 @@ def _saturate(working: Sequence[Clause], next_id: int, prop: bool, deadline: flo
             heapq.heappush(heap, (len(lits), tick, record.csc))
             tick += 1
     if prop:
-        clauses = list(processed.clauses.values())
-        predicates = sorted({lit.predicate for c in clauses for lit in c.literals}
-                            | {lit.predicate for c in working for lit in c.literals})
-        return SATISFIABLE, [], _dp_model(clauses, predicates), None
+        predicates = {lit.predicate for c in working for lit in c.literals}
+        return SATISFIABLE, [], _dp_model(list(processed.clauses.values()), predicates), None
     return UNKNOWN, [], None, "first-order saturation completed without the empty clause"
 
 
@@ -626,6 +612,11 @@ def _complete_model(model: Assignment, clause_set: ClauseSet) -> Assignment:
     return full
 
 
+def _finish(rounds: Sequence[RoundRecord], verdict: str, model: Optional[Assignment] = None,
+            reason: Optional[str] = None) -> Tuple[Outcome, ProofTrace]:
+    return Outcome(verdict, model, reason), ProofTrace(tuple(rounds), verdict, model, reason)
+
+
 def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
           ) -> Tuple[Outcome, ProofTrace]:
     if not clause_set.clauses:
@@ -639,30 +630,26 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     prop = clause_set.is_propositional
 
     if any(c.is_empty() for c in clause_set.clauses):
-        trace = ProofTrace((), UNSATISFIABLE)
-        return Outcome(UNSATISFIABLE), trace
+        return _finish((), UNSATISFIABLE)
 
-    working = list(preprocess(clause_set).clauses)
+    inputs = preprocess(clause_set)
+    working = list(inputs.clauses)
 
     if not working:
         # every input clause was a tautology
         if prop:
-            model = {name: False for name in clause_set.predicates()}
-            return (Outcome(SATISFIABLE, model=model),
-                    ProofTrace((), SATISFIABLE, model=model))
-        reason = "all clauses deleted in preprocessing"
-        return Outcome(UNKNOWN, reason=reason), ProofTrace((), UNKNOWN, reason=reason)
+            return _finish((), SATISFIABLE, {name: False for name in clause_set.predicates()})
+        return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
 
-    inputs_for_coverage = ClauseSet(working, mode=clause_set.mode)
     goal = "sat" if config.mode == "sat" and prop else "unsat"
     build_cfg = _resolved_build_config(clause_set, config, goal)
+    # a clause that preprocessing deleted may hold the highest input id
     next_id = max(c.id for c in clause_set.clauses) + 1
-    known = {variant_key(c.literals): c.id for c in working}
+    known = {variant_key(c.literals) for c in working}
     rounds: List[RoundRecord] = []
-    round_no = 1
     restart_streak = 0
 
-    while round_no <= config.max_rounds and time.monotonic() < main_deadline:
+    while len(rounds) < config.max_rounds and time.monotonic() < main_deadline:
         rng = (random.Random(config.seed * 1000003 + restart_streak)
                if restart_streak else None)
         state = _RoundBuilder(working, build_cfg, rng, main_deadline).build()
@@ -675,48 +662,38 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         raw_state = state
         if goal == "unsat":
             state = prune_redundant_columns(state)
-        csc_lits = state.csc
-        csc = Clause(next_id, csc_lits, derived_in=round_no)
-        if not csc_lits:
-            rounds.append(RoundRecord(round_no, state, csc))
-            return Outcome(UNSATISFIABLE), ProofTrace(tuple(rounds), UNSATISFIABLE)
+        csc = Clause(next_id, state.csc, derived_in=len(rounds) + 1)
+        if csc.is_empty():
+            return _finish(rounds + [RoundRecord(csc.derived_in, state, csc)], UNSATISFIABLE)
         if prop and config.mode in ("sat", "auto"):
-            model = extract_model(raw_state, inputs_for_coverage)
+            model = extract_model(raw_state, inputs)
             if model is not None:
                 model = _complete_model(model, clause_set)
                 if verify_model(clause_set, model):
-                    trace = ProofTrace(tuple(rounds), SATISFIABLE, model=model)
-                    return Outcome(SATISFIABLE, model=model), trace
-        key = variant_key(csc_lits)
-        stalled = (key in known or is_tautology(csc_lits)
-                   or any(set(c.literals) <= set(csc_lits) for c in working))
+                    return _finish(rounds, SATISFIABLE, model)
+        key = variant_key(csc.literals)
+        stalled = (key in known or is_tautology(csc)
+                   or any(c.literal_set <= csc.literal_set for c in working))
         if stalled:
             restart_streak += 1
             if restart_streak > _MAX_RESTARTS:
                 break
             continue
-        rounds.append(RoundRecord(round_no, state, csc))
-        known[key] = csc.id
+        rounds.append(RoundRecord(csc.derived_in, state, csc))
+        known.add(key)
         working.append(csc)
         next_id += 1
-        round_no += 1
         restart_streak = 0
 
     if config.fallback_enabled and time.monotonic() < deadline:
         verdict, fb_rounds, model, reason = _saturate(
-            working, next_id, prop, deadline, rounds, round_no)
-        if verdict == UNSATISFIABLE:
-            return Outcome(UNSATISFIABLE), ProofTrace(tuple(fb_rounds), UNSATISFIABLE)
+            working, known, next_id, prop, deadline, rounds)
         if verdict == SATISFIABLE:
             model = _complete_model(model, clause_set)
-            trace = ProofTrace(tuple(rounds), SATISFIABLE, model=model)
-            return Outcome(SATISFIABLE, model=model), trace
-        reason = reason or "gave up"
-    else:
-        reason = ("time budget exhausted" if time.monotonic() >= deadline
-                  else "round or restart budget exhausted, fallback disabled")
-    trace = ProofTrace(tuple(rounds), UNKNOWN, reason=reason)
-    return Outcome(UNKNOWN, reason=reason), trace
+        return _finish(fb_rounds if verdict == UNSATISFIABLE else rounds, verdict, model, reason)
+    reason = ("time budget exhausted" if time.monotonic() >= deadline
+              else "round or restart budget exhausted, fallback disabled")
+    return _finish(rounds, UNKNOWN, reason=reason)
 
 
 # ---------------------------------------------------------------------------

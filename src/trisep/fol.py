@@ -103,7 +103,9 @@ def positional_variant(src: Iterable[Literal], orig: Iterable[Literal]) -> bool:
 
 def preprocess(clause_set: ClauseSet) -> ClauseSet:
     """Deletion strategy plus renaming: drop tautologies and alphabetic
-    duplicates, then rename the survivors apart. Ids are preserved."""
+    duplicates, then rename the survivors apart. Ids are preserved. The
+    result's mode follows the survivors, which on first-order input may be
+    all 0-ary (or none at all)."""
     kept = []
     seen = set()
     for clause in clause_set.clauses:
@@ -115,7 +117,7 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
         seen.add(key)
         kept.append(clause)
     renamed, _ = rename_apart(kept)
-    return ClauseSet(renamed, mode=clause_set.mode)
+    return ClauseSet(renamed)
 
 
 # -- unifier search -------------------------------------------------------------
@@ -228,10 +230,10 @@ def redundancy_guard(candidate_sigma: Substitution, clause: Clause,
     instance = apply(candidate_sigma, clause)
     if is_tautology(instance):
         return False
-    instance_lits = set(instance.literals)
+    instance_lits = instance.literal_set
     for other in clause_set.clauses:
         if other.id == clause.id:
             continue
-        if set(other.literals) <= instance_lits:
+        if other.literal_set <= instance_lits:
             return False
     return True

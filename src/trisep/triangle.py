@@ -14,8 +14,8 @@ literals and the state carries one global substitution; start, extend and
 close each take the column's unifier and compose it into that substitution.
 One function derives a column (its instantiation, boundary literal and
 partition) from the boundary before it. A step appends: it derives only the
-new column, on top of the boundary complements and leftovers the open state
-carries, unless the unifier binds a variable of the earlier columns'
+new column, on top of the boundary complements and leftovers that every
+state carries, unless the unifier binds a variable of the earlier columns'
 instantiated literals. Such a unifier re-instantiates them, which is how
 backward-propagating substitutions are realized, and the whole state is
 re-derived, as the constructor does for every state it is given. Propositional
@@ -92,15 +92,15 @@ class Triangle:
     """Immutable construction state; every operation returns a new one.
 
     Derived data (instantiated literals, partitions, boundary, csc) is
-    computed eagerly from the columns and the global substitution. An open
-    state also carries its boundary complements, its leftovers and the
-    variables of its instantiated literals, so that a step can append a
-    column without re-deriving the ones before it; closed states, which the
-    saturation fallback keeps by the thousand, do not.
+    computed eagerly from the columns and the global substitution. A state,
+    open or closed, also carries its boundary complements, its leftovers
+    (the union of the d_plus parts, duplicate-free, in column order: the csc
+    once closed) and the variables of its instantiated literals, so that a
+    step can append a column without re-deriving the ones before it.
     """
 
     __slots__ = ("columns", "sigma", "closed", "boundary", "parts", "_instantiated",
-                 "_complements", "_leftovers", "_free")
+                 "boundary_complements", "leftovers", "_free")
 
     def __init__(self, columns: Iterable[Column], sigma: Substitution = EMPTY,
                  closed: bool = False):
@@ -127,23 +127,21 @@ class Triangle:
             problems.append("open state holds a closing column")
         if problems:
             raise ConstructionError("; ".join(problems))
-        self._set(columns, sigma, closed, tuple(boundary), tuple(parts), tuple(instantiated))
-        if not closed:
-            self._carry(frozenset(complements),
-                        merge_duplicate_literals(l for _, d_plus in parts for l in d_plus),
-                        _variable_names(chain.from_iterable(instantiated)))
+        self._set(columns, sigma, closed, tuple(boundary), tuple(parts), tuple(instantiated),
+                  frozenset(complements),
+                  merge_duplicate_literals(l for _, d_plus in parts for l in d_plus),
+                  _variable_names(chain.from_iterable(instantiated)))
 
-    def _set(self, columns, sigma, closed, boundary, parts, instantiated):
+    def _set(self, columns, sigma, closed, boundary, parts, instantiated,
+             complements: frozenset, leftovers: tuple, free: frozenset):
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_instantiated", instantiated)
-
-    def _carry(self, complements: frozenset, leftovers: tuple, free: frozenset):
-        object.__setattr__(self, "_complements", complements)
-        object.__setattr__(self, "_leftovers", leftovers)
+        object.__setattr__(self, "boundary_complements", complements)
+        object.__setattr__(self, "leftovers", leftovers)
         object.__setattr__(self, "_free", free)
 
     def _append(self, col: Column, unifier: Substitution) -> "Triangle":
@@ -158,19 +156,17 @@ class Triangle:
             return Triangle(self.columns + (col,), sigma, closed=col.closing)
         problems: List[str] = []
         lits, blit, d_minus, d_plus = _derive_column(
-            len(self.columns) + 1, col, sigma, self._complements, problems)
+            len(self.columns) + 1, col, sigma, self.boundary_complements, problems)
         if problems:
             raise ConstructionError("; ".join(problems))
         state = object.__new__(Triangle)
+        complements, leftovers = self.boundary_complements, self.leftovers
         state._set(self.columns + (col,), sigma, col.closing,
                    self.boundary if blit is None else self.boundary + (blit,),
-                   self.parts + ((d_minus, d_plus),), self._instantiated + (lits,))
-        if not col.closing:
-            leftovers = self._leftovers
-            state._carry(self._complements if blit is None
-                         else self._complements | {blit.complement()},
-                         leftovers + tuple(l for l in d_plus if l not in leftovers),
-                         self._free | _variable_names(lits))
+                   self.parts + ((d_minus, d_plus),), self._instantiated + (lits,),
+                   complements if blit is None else complements | {blit.complement()},
+                   leftovers + tuple(l for l in d_plus if l not in leftovers),
+                   self._free | _variable_names(lits))
         return state
 
     def __setattr__(self, name, value):
@@ -186,20 +182,6 @@ class Triangle:
 
     def d_plus(self, index: int) -> tuple:
         return self.parts[index][1]
-
-    @property
-    def boundary_complements(self) -> frozenset:
-        if not self.closed:
-            return self._complements
-        return frozenset(b.complement() for b in self.boundary)
-
-    @property
-    def leftovers(self) -> tuple:
-        """Current union of the d_plus parts, duplicate-free, column order."""
-        if not self.closed:
-            return self._leftovers
-        return merge_duplicate_literals(
-            lit for _, d_plus in self.parts for lit in d_plus)
 
     @property
     def csc(self) -> Optional[tuple]:
@@ -291,14 +273,13 @@ def should_stop(state: Triangle, config: BuildConfig,
     k = state.closing_index
     if not state.d_plus(k):
         return True, "empty_dplus"
-    all_literals = {lit for clause in clause_set.clauses for lit in clause.literals}
-    prop = clause_set.is_propositional
     for lit in state.d_plus(k):
         comp = lit.complement()
-        if prop:
-            present = comp in all_literals
-        else:
-            present = any(mgu(comp, other) is not None for other in all_literals)
+        if comp.args:
+            present = any(mgu(comp, other) is not None
+                          for clause in clause_set.clauses for other in clause.literals)
+        else:  # a 0-ary literal unifies only with itself
+            present = any(comp in clause.literal_set for clause in clause_set.clauses)
         if not present:
             return True, "no_complement_partner"
     threshold = config.literal_threshold

@@ -95,6 +95,17 @@ def test_prove_all_tautologies_is_satisfiable():
     assert verify_model(s, outcome.model)
 
 
+def test_prove_first_order_input_that_preprocessing_reduces_to_0_ary_atoms():
+    x = Variable("X")
+    tautology = Clause(1, [pos("P", x), neg("P", x)])
+    outcome, _ = prove(ClauseSet([tautology]), FAST)
+    assert outcome.reason == "all clauses deleted in preprocessing"
+    # first-order input never ends satisfiable, even when only 0-ary atoms survive
+    s = ClauseSet([tautology, Clause(2, [pos("p")])])
+    outcome, trace = prove(s, FAST)
+    assert not outcome.satisfiable and verify_trace(s, trace)
+
+
 def test_prove_single_unit_satisfiable_via_fallback():
     outcome, _ = prove(clause_set([[pos("p")]]), FAST)
     assert outcome.satisfiable and outcome.model == {"p": True}
@@ -289,7 +300,7 @@ def _chain(k, reverse=False):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "4214326cbf95d41b3f4309ba737658d67db010d0e31563c11e3dd5d6599d0aa8"
+GOLDEN_TRACE_DIGEST = "328d970ab8e7baee9fe8307573741cb8ca88baa89c173dbc71b828f6abeaac71"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
@@ -304,6 +315,7 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     three_sat_rng = random.Random(6)
     runs += [(_three_sat(three_sat_rng, 10, 43), fallback_only) for _ in range(8)]
     runs += [(_chain(k, reverse), fallback_only) for k in range(3, 7) for reverse in (False, True)]
+    runs += [(s, fallback_only) for s in (ex51, ex52, ex53)]
     digest = hashlib.sha256()
     for s, config in runs:
         _, trace = prove(s, config)

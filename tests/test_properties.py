@@ -1,8 +1,10 @@
 """Property tests: construction steps against a full rebuild, the saturation
-fallback's resolvents against the rounds they stand for, prove against the
-brute-force oracle, and the parsers on arbitrary text. Example counts stay
-low so the suite stays fast."""
+fallback's resolvents against the rounds they stand for and the clauses it
+starts from, prove against the brute-force oracle, the parsers on arbitrary
+text, and TPTP render/parse round trips. Example counts stay low so the suite
+stays fast."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trisep import (
@@ -28,15 +30,19 @@ from trisep import (
     parse_tptp_cnf,
     parse_trace_document,
     pos,
+    preprocess,
     prove,
     rename_clause,
     render_dimacs,
+    render_tptp,
     render_trace,
     start,
     verify_model,
     verify_trace,
 )
+from trisep import engine
 from trisep.engine import _ProcessedClauses, _resolvents
+from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError
 from trisep.unify import EMPTY
 
@@ -155,8 +161,9 @@ def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, part
        st.sampled_from([EngineConfig(max_rounds=0), EngineConfig()]))
 def test_prove_agrees_with_the_oracle_and_its_traces_verify(bodies, config):
     """Under the fallback alone and under the default config: the verdict is
-    the oracle's, a model satisfies the input, and the trace verifies both as
-    produced and after a render/parse round trip."""
+    the oracle's, a model satisfies the input, the trace verifies both as
+    produced and after a render/parse round trip, and rendering the parsed
+    document gives the document back."""
     problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
     outcome, trace = prove(problem, config)
     assert outcome.verdict in ("satisfiable", "unsatisfiable"), outcome.reason
@@ -164,7 +171,45 @@ def test_prove_agrees_with_the_oracle_and_its_traces_verify(bodies, config):
     if outcome.satisfiable:
         assert verify_model(problem, outcome.model)
     assert verify_trace(problem, trace)
-    assert verify_trace(problem, parse_trace_document(render_trace(trace)))
+    document = render_trace(trace)
+    parsed = parse_trace_document(document)
+    assert verify_trace(problem, parsed)
+    assert render_trace(parsed) == document
+
+
+class _Entered(Exception):
+    """Raised by the wrapped fallback once it has checked what it was given."""
+
+
+_problem_bodies = st.one_of(*(
+    st.lists(st.lists(literals, min_size=1, max_size=3), min_size=1, max_size=6)
+    for literals in (_propositional_literals, _first_order_literals)))
+
+
+@FEW
+@given(_problem_bodies, st.sampled_from([EngineConfig(max_rounds=0), EngineConfig()]))
+def test_the_fallback_starts_from_the_admitted_clauses(bodies, config):
+    """prove hands the fallback its working set as it stands: no tautology,
+    no two variants, and seen is exactly their variant keys. This is why the
+    fallback admits every clause it is given without checking."""
+    problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
+
+    def entered(working, seen, *_):
+        keys = [variant_key(c.literals) for c in working]
+        assert not any(is_tautology(c) for c in working)
+        assert len(set(keys)) == len(keys)
+        assert seen == set(keys)
+        raise _Entered
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_saturate", entered)
+        try:
+            prove(problem, config)
+        except _Entered:
+            return
+    # prove decided without the fallback, which max_rounds=0 allows only
+    # when preprocessing leaves nothing to saturate
+    assert config.max_rounds or not preprocess(problem).clauses
 
 
 # -- parsers on arbitrary text -------------------------------------------------
@@ -222,5 +267,28 @@ def test_dimacs_round_trip(bodies):
     clauses = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
     parsed = parse_dimacs(render_dimacs(clauses))
     assert parsed.mode == clauses.mode
+    assert ([(c.id, c.literals) for c in parsed.clauses]
+            == [(c.id, c.literals) for c in clauses.clauses])
+
+
+# -- render/parse round trips --------------------------------------------------
+
+_tptp_terms = st.recursive(
+    st.sampled_from([Constant("a"), Constant("b"), Variable("X"), Variable("Y")]),
+    lambda inner: st.one_of(st.builds(lambda t: Function("f", (t,)), inner),
+                            st.builds(lambda s, t: Function("g", (s, t)), inner, inner)),
+    max_leaves=4)
+_tptp_literals = st.one_of(
+    st.builds(Literal, st.booleans(), st.just("p")),
+    st.builds(Literal, st.booleans(), st.just("q"), st.tuples(_tptp_terms)),
+    st.builds(Literal, st.booleans(), st.just("r"), st.tuples(_tptp_terms, _tptp_terms)),
+)
+
+
+@FEW
+@given(st.lists(st.lists(_tptp_literals, max_size=4), min_size=1, max_size=6))
+def test_tptp_round_trip(bodies):
+    clauses = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
+    parsed = parse_tptp_cnf(render_tptp(clauses))
     assert ([(c.id, c.literals) for c in parsed.clauses]
             == [(c.id, c.literals) for c in clauses.clauses])
