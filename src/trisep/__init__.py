@@ -35,7 +35,6 @@ from .oracle import (
     verify_model,
 )
 from .triangle import (
-    BuildConfig,
     Column,
     Triangle,
     close,
@@ -70,7 +69,7 @@ from .tptp import parse_tptp_cnf, render_tptp
 from .render import parse_trace_document, render_trace
 
 __all__ = [
-    "BuildConfig", "Clause", "ClauseSet", "Column", "Constant", "EngineConfig",
+    "Clause", "ClauseSet", "Column", "Constant", "EngineConfig",
     "FIRST_ORDER", "Function", "LinearDeduction", "Literal", "Outcome",
     "PROPOSITIONAL", "ProofTrace", "RoundRecord", "Substitution", "Triangle",
     "VerificationResult", "Variable", "apply", "clause_set", "close",

@@ -22,9 +22,15 @@ from .problems import load_problem_file
 from .render import SZS_BY_VERDICT, parse_trace_document, render_trace
 
 
-def _load_problem(path: str, fmt: str):
-    source = load_problem_file(path, fmt)
-    return source.clauses, source.format
+def _seconds(text: str) -> float:
+    """--timeout: seconds, neither negative nor NaN (no comparison with NaN
+    holds, so a NaN budget would end every loop at once)."""
+    try:
+        if float(text) >= 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number of seconds >= 0, got {text!r}")
 
 
 def _engine_config(args) -> EngineConfig:
@@ -43,7 +49,7 @@ def _engine_config(args) -> EngineConfig:
 
 
 def _cmd_prove(args) -> int:
-    problem, _ = _load_problem(args.problem, args.format)
+    problem = load_problem_file(args.problem, args.format).clauses
     config = _engine_config(args)
     outcome, trace = prove(problem, config)
     result = verify_trace(problem, trace)
@@ -67,7 +73,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem, _ = _load_problem(args.problem, args.format)
+    problem = load_problem_file(args.problem, args.format).clauses
     with open(args.trace, "r", encoding="utf-8") as handle:
         trace = parse_trace_document(handle.read())
     result = verify_trace(problem, trace)
@@ -79,7 +85,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem, _ = _load_problem(args.problem, args.format)
+    problem = load_problem_file(args.problem, args.format).clauses
     if not problem.is_propositional:
         if not all(is_ground(c.literals) for c in problem.clauses):
             print("oracle needs a propositional or ground problem", file=sys.stderr)
@@ -109,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("--max-rounds", type=int, default=40)
     p_prove.add_argument("--fallback", choices=["on", "off"], default="on")
     p_prove.add_argument("--seed", type=int, default=0)
-    p_prove.add_argument("--timeout", type=float, default=10.0,
+    p_prove.add_argument("--timeout", type=_seconds, default=10.0,
                          help="time budget in seconds")
     p_prove.add_argument("--trace", default=None, help="write the trace document here")
     p_prove.add_argument("--quiet", action="store_true")

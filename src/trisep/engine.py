@@ -43,7 +43,6 @@ from .oracle import (
     verify_model,
 )
 from .triangle import (
-    BuildConfig,
     Triangle,
     close,
     extend,
@@ -140,7 +139,7 @@ class VerificationResult:
 
 
 class _RoundBuilder:
-    """Strategy-guided construction of one closed state.
+    """Strategy-guided construction of closed states, one per build.
 
     Selection order: unit clauses first; then extensions after which some
     clause would close fully absorbed; then extensions leaving the fewest new
@@ -153,17 +152,32 @@ class _RoundBuilder:
     because the general form costs measurably more there: placing a clause
     skips the unifier search, and closing candidates are scored on literal
     sets without building their states.
+
+    prove makes one builder per run, which fixes the round policy once: the
+    goal, the width threshold, the column cap (both from the input before
+    preprocessing) and the logic. A kept separated clause enters the working
+    set through admit, which drops the cached occurrence counts; a restart
+    leaves the working set unchanged and reuses them.
     """
 
-    def __init__(self, working: Sequence[Clause], config: BuildConfig,
-                 rng: Optional[random.Random], deadline: float):
-        self.working = list(working)
-        self.working_set = ClauseSet(self.working)
-        self.config = config
-        self.prop = self.working_set.is_propositional
-        self.rng = rng
+    def __init__(self, inputs: ClauseSet, config: EngineConfig, clause_set: ClauseSet,
+                 deadline: float):
+        self.inputs = inputs
+        self.working: List[Clause] = list(inputs.clauses)
+        self.prop = inputs.is_propositional
+        self.sat = config.mode == "sat" and clause_set.is_propositional
+        widest = max(len(c) for c in clause_set.clauses)
+        self.threshold = (2 * widest if config.literal_threshold is None
+                          else config.literal_threshold)
+        self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
+        self.rng: Optional[random.Random] = None
         self._counts: Dict[Literal, int] = {}
+
+    def admit(self, csc: Clause) -> None:
+        """Add a kept separated clause to the working set."""
+        self.working.append(csc)
+        self._counts.clear()
 
     # -- helpers ------------------------------------------------------------
 
@@ -194,7 +208,7 @@ class _RoundBuilder:
                 try:
                     result = extend(state, placed, lit, searched)
                     applied = result.column_sigma(len(result.columns) - 1)
-                    if not applied or redundancy_guard(applied, placed, self.working_set):
+                    if not applied or redundancy_guard(applied, placed, self.working):
                         return result
                 except ConstructionError:
                     pass
@@ -233,11 +247,10 @@ class _RoundBuilder:
                 yield len(closed.d_plus(k)), len(closed.d_minus(k)), clause, closed
 
     def _best_closure(self, state: Triangle) -> Optional[Triangle]:
-        sat = self.config.mode == "sat"
         best_key = None
         best = None
         for outside, inside, clause, closed in self._closures(state):
-            key = ((0 if outside else 1) if sat else outside, -inside, clause.id)
+            key = ((0 if outside else 1) if self.sat else outside, -inside, clause.id)
             if best_key is None or key < best_key:
                 best_key, best = key, (clause, closed)
         if best is None:
@@ -280,7 +293,6 @@ class _RoundBuilder:
             placed_ids = set(state.clause_ids())
             existing_signatures = {self._column_signature(state, i)
                                    for i in range(len(state.columns))}
-        repeats = self.config.mode == "sat"
         column = 1 if state is None else len(state.columns) + 1
         scored = []
         for clause in self.working:
@@ -289,7 +301,7 @@ class _RoundBuilder:
                 # renaming makes a non-ground literal fresh, so only a ground one
                 # can repeat a boundary literal here; a repeat that the column's
                 # unifier would create is not caught
-                if not repeats and placed_lit in boundary:
+                if not self.sat and placed_lit in boundary:
                     continue
                 candidate = self._place(state, placed, placed_lit)
                 if candidate is None:
@@ -303,7 +315,7 @@ class _RoundBuilder:
                 pref = 0 if lit in leftovers else 1
                 own = self._count_clauses_with(lit)
                 comp = self._count_clauses_with(lit.complement())
-                if self.config.mode == "sat":
+                if self.sat:
                     unplaced = 0 if clause.id not in placed_ids else 1
                     key = (unit, unplaced, -own, comp, clause.id, idx)
                 else:
@@ -317,28 +329,22 @@ class _RoundBuilder:
 
     # -- main ---------------------------------------------------------------
 
-    def build(self) -> Optional[Triangle]:
+    def build(self, rng: Optional[random.Random]) -> Optional[Triangle]:
+        """One closed state, or None; rng shuffles ties (None on a first try)."""
+        self.rng = rng
         state: Optional[Triangle] = None
         best: Optional[Triangle] = None
-        max_columns = self.config.max_columns
         while time.monotonic() < self.deadline:
             if state is not None:
                 best = self._best_closure(state)
                 if best is not None:
-                    if self.config.mode == "sat":
-                        placed = {c.clause_id for i, c in enumerate(best.columns)
-                                  if not best.is_stair(i)}
-                        covered = all(c.id in placed for c in self.working
-                                      if c.derived_in is None)
-                        if covered and best.d_plus(best.closing_index):
+                    if self.sat:
+                        # a round that yields a model, or an empty separation
+                        if extract_model(best, self.inputs) is not None or not best.csc:
                             return best
-                        if not best.csc:
-                            return best  # an empty separation settles it regardless
-                    else:
-                        stop, _reason = should_stop(best, self.config, self.working_set)
-                        if stop:
-                            return best
-                if len(state.columns) >= max_columns:
+                    elif should_stop(best, self.threshold, self.working)[0]:
+                        return best
+                if len(state.columns) >= self.max_columns:
                     return best
             extensions = self._extensions(state)
             if not extensions:
@@ -596,16 +602,6 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
 _MAX_RESTARTS = 6  # stalled rounds in a row before the main loop gives up
 
 
-def _resolved_build_config(clause_set: ClauseSet, config: EngineConfig,
-                           goal: str) -> BuildConfig:
-    widest = max((len(c) for c in clause_set.clauses), default=1)
-    threshold = config.literal_threshold
-    if threshold is None:
-        threshold = 2 * widest
-    return BuildConfig(mode=goal, literal_threshold=threshold,
-                       max_columns=max(8, 4 * len(clause_set.clauses)))
-
-
 def _complete_model(model: Assignment, clause_set: ClauseSet) -> Assignment:
     full = {name: False for name in clause_set.predicates()}
     full.update(model)
@@ -633,16 +629,14 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         return _finish((), UNSATISFIABLE)
 
     inputs = preprocess(clause_set)
-    working = list(inputs.clauses)
-
-    if not working:
+    if not inputs.clauses:
         # every input clause was a tautology
         if prop:
             return _finish((), SATISFIABLE, {name: False for name in clause_set.predicates()})
         return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
 
-    goal = "sat" if config.mode == "sat" and prop else "unsat"
-    build_cfg = _resolved_build_config(clause_set, config, goal)
+    builder = _RoundBuilder(inputs, config, clause_set, main_deadline)
+    working = builder.working
     # a clause that preprocessing deleted may hold the highest input id
     next_id = max(c.id for c in clause_set.clauses) + 1
     known = {variant_key(c.literals) for c in working}
@@ -652,7 +646,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     while len(rounds) < config.max_rounds and time.monotonic() < main_deadline:
         rng = (random.Random(config.seed * 1000003 + restart_streak)
                if restart_streak else None)
-        state = _RoundBuilder(working, build_cfg, rng, main_deadline).build()
+        state = builder.build(rng)
         if state is None:
             restart_streak += 1
             if restart_streak > _MAX_RESTARTS:
@@ -660,7 +654,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             continue
         state = fall_in(state)
         raw_state = state
-        if goal == "unsat":
+        if not builder.sat:
             state = prune_redundant_columns(state)
         csc = Clause(next_id, state.csc, derived_in=len(rounds) + 1)
         if csc.is_empty():
@@ -681,7 +675,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             continue
         rounds.append(RoundRecord(csc.derived_in, state, csc))
         known.add(key)
-        working.append(csc)
+        builder.admit(csc)
         next_id += 1
         restart_streak = 0
 

@@ -25,7 +25,7 @@ from .logic import (
 )
 from .errors import ConstructionError
 from .triangle import Triangle
-from .unify import EMPTY, Substitution, apply_literal, compose, mgu, rename_apart
+from .unify import EMPTY, Substitution, apply, apply_literal, compose, mgu, rename_apart
 
 
 # -- variants ----------------------------------------------------------------
@@ -223,15 +223,15 @@ def fall_in(state: Triangle, max_affected: int = 2) -> Triangle:
 
 
 def redundancy_guard(candidate_sigma: Substitution, clause: Clause,
-                     clause_set: ClauseSet) -> bool:
-    """False (reject) when the instance is a tautology or carries some other
-    clause's literals wholesale (syntactic-superset subsumption only)."""
-    from .unify import apply
+                     clauses: Iterable[Clause]) -> bool:
+    """False (reject) when the instance is a tautology or carries the literals
+    of another of clauses wholesale (syntactic-superset subsumption only);
+    clauses is any iterable of clauses, the engine's working list among them."""
     instance = apply(candidate_sigma, clause)
     if is_tautology(instance):
         return False
     instance_lits = instance.literal_set
-    for other in clause_set.clauses:
+    for other in clauses:
         if other.id == clause.id:
             continue
         if other.literal_set <= instance_lits:

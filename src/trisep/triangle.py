@@ -30,7 +30,8 @@ from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import ConstructionError
-from .logic import Clause, ClauseSet, Literal, literal_variables, merge_duplicate_literals
+from .logic import (Clause, ClauseSet, Literal, literal_variables,
+                    merge_duplicate_literals, variables_of)
 from .oracle import Assignment
 from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose, mgu
 
@@ -43,13 +44,6 @@ class Column:
     source_literals: tuple
     boundary_source: Optional[Literal] = None
     closing: bool = False
-
-
-@dataclass(frozen=True)
-class BuildConfig:
-    mode: str = "unsat"                      # "unsat" | "sat" (sat allows boundary repeats)
-    literal_threshold: Optional[int] = None  # cap on the separated clause's width
-    max_columns: int = 64
 
 
 def _derive_column(pos: int, col: Column, sigma: Substitution, complements,
@@ -197,7 +191,6 @@ class Triangle:
 
     def column_sigma(self, index: int) -> Substitution:
         """The global substitution restricted to this column's own variables."""
-        from .logic import variables_of
         names = {v.name for v in variables_of(self.columns[index].source_literals)}
         return self.sigma.restrict(names)
 
@@ -259,31 +252,30 @@ def close(state: Triangle, last_clause: Clause, sigma: Substitution = EMPTY) -> 
 # -- stop conditions ---------------------------------------------------------
 
 
-def should_stop(state: Triangle, config: BuildConfig,
-                clause_set: ClauseSet) -> Tuple[bool, Optional[str]]:
+def should_stop(state: Triangle, threshold: Optional[int],
+                clauses: Iterable[Clause]) -> Tuple[bool, Optional[str]]:
     """Whether a (tentatively) closed state is an acceptable stopping point.
 
     Reasons, strongest first: the closing column absorbed its whole clause
-    (empty_dplus); some leftover literal has no complement partner anywhere in
-    the clause set (no_complement_partner); the separated clause outgrew the
-    configured threshold (threshold).
+    (empty_dplus); some leftover literal has no complement partner in any of
+    the clauses, rescanned in order per leftover (no_complement_partner); the
+    separated clause is wider than threshold, None for no cap (threshold).
     """
     if not state.closed:
         raise ConstructionError("should_stop expects a closed (or tentatively closed) state")
-    k = state.closing_index
-    if not state.d_plus(k):
+    closing_plus = state.d_plus(state.closing_index)
+    if not closing_plus:
         return True, "empty_dplus"
-    for lit in state.d_plus(k):
+    for lit in closing_plus:
         comp = lit.complement()
         if comp.args:
             present = any(mgu(comp, other) is not None
-                          for clause in clause_set.clauses for other in clause.literals)
+                          for clause in clauses for other in clause.literals)
         else:  # a 0-ary literal unifies only with itself
-            present = any(comp in clause.literal_set for clause in clause_set.clauses)
+            present = any(comp in clause.literal_set for clause in clauses)
         if not present:
             return True, "no_complement_partner"
-    threshold = config.literal_threshold
-    if threshold is not None and len(state.csc) > threshold and state.d_minus(k):
+    if threshold is not None and len(state.csc) > threshold:
         return True, "threshold"
     return False, None
 

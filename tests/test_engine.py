@@ -300,7 +300,7 @@ def _chain(k, reverse=False):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "328d970ab8e7baee9fe8307573741cb8ca88baa89c173dbc71b828f6abeaac71"
+GOLDEN_TRACE_DIGEST = "caddd940115359e310b951018d4c46ad26602d5a8daee46e3e2d19d55f61516d"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
@@ -316,6 +316,11 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     runs += [(_three_sat(three_sat_rng, 10, 43), fallback_only) for _ in range(8)]
     runs += [(_chain(k, reverse), fallback_only) for k in range(3, 7) for reverse in (False, True)]
     runs += [(s, fallback_only) for s in (ex51, ex52, ex53)]
+    # restarts (a nonzero seed reshuffles their ties) and every threshold
+    runs += [(random_instance(rng, max_vars=7, max_clauses=10),
+              EngineConfig(mode=("auto", "unsat", "sat")[i % 3], seed=7 + i,
+                           literal_threshold=(1, 2, 3, None)[i % 4], time_budget=30.0))
+             for i in range(30)]
     digest = hashlib.sha256()
     for s, config in runs:
         _, trace = prove(s, config)

@@ -277,6 +277,18 @@ def test_cli_prove_gave_up_exit_one(tmp_path, capsys):
     assert "SZS status GaveUp" in out
 
 
+@pytest.mark.parametrize("timeout", ["nan", "-1", "ten"])
+def test_cli_prove_rejects_a_timeout_that_is_not_a_number_of_seconds(tmp_path, capsys,
+                                                                      timeout):
+    problem = tmp_path / "sat.cnf"
+    problem.write_text(SAT_DIMACS)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["prove", str(problem), f"--timeout={timeout}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--timeout" in captured.err and "SZS status" not in captured.out
+
+
 def test_cli_prove_never_prints_a_verdict_its_own_check_rejected(tmp_path, capsys,
                                                                  monkeypatch):
     problem = tmp_path / "ex41.cnf"

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from trisep import (
-    BuildConfig,
     Clause,
     ClauseSet,
+    EngineConfig,
     clause_set,
     close,
     extend,
@@ -122,7 +122,7 @@ def test_boundary_repeats_are_legal_at_this_level(ex61):
 def test_should_stop_empty_leftover(ex41):
     c1, c2, c3, c4 = ex41.clauses
     state = close(extend(extend(start(c1, pos("p1")), c2, pos("p4")), c3, pos("p3")), c4)
-    stop, reason = should_stop(state, BuildConfig(), ex41)
+    stop, reason = should_stop(state, None, ex41)
     assert stop and reason == "empty_dplus"
 
 
@@ -130,7 +130,7 @@ def test_should_stop_no_complement_partner():
     s = clause_set([[pos("p")], [neg("p"), pos("q")]])
     state = close(start(s.clauses[0], pos("p")), s.clauses[1])
     # leftover q has no clause holding ~q anywhere in the set
-    stop, reason = should_stop(state, BuildConfig(), s)
+    stop, reason = should_stop(state, None, s)
     assert stop and reason == "no_complement_partner"
 
 
@@ -141,9 +141,9 @@ def test_should_stop_threshold():
         [neg("a")], [neg("b")], [neg("c")],
     ])
     state = close(start(s.clauses[0], pos("p")), s.clauses[1])
-    stop, reason = should_stop(state, BuildConfig(literal_threshold=2), s)
+    stop, reason = should_stop(state, 2, s)
     assert stop and reason == "threshold"
-    keep_going, _ = should_stop(state, BuildConfig(literal_threshold=10), s)
+    keep_going, _ = should_stop(state, 10, s)
     assert not keep_going
 
 
@@ -298,13 +298,13 @@ def test_extract_model_ignores_stair_coverage():
 
 def ranked(state, s, config):
     """(clause id, boundary literal) of each extension, best first."""
-    builder = _RoundBuilder(s.clauses, config, None, float("inf"))
+    builder = _RoundBuilder(s, config, s, float("inf"))
     return [(c.columns[-1].clause_id, c.columns[-1].boundary_source)
             for _, c in builder._extensions(state)]
 
 
 def test_select_candidates_unit_first(ex41):
-    order = ranked(None, ex41, BuildConfig(mode="unsat"))
+    order = ranked(None, ex41, EngineConfig(mode="unsat"))
     assert order[0] == (1, pos("p1"))
 
 
@@ -312,7 +312,7 @@ def test_select_candidates_prefers_leftover_literals():
     s = clause_set([[pos("p"), pos("y")], [pos("y"), pos("w"), pos("k")],
                     [neg("y"), neg("w"), neg("k")]])
     state = start(s.clauses[0], pos("p"))  # leaves y above the boundary
-    order = ranked(state, s, BuildConfig(mode="unsat"))
+    order = ranked(state, s, EngineConfig(mode="unsat"))
     _, literal = order[0]
     assert literal == pos("y")
     # and the clause-2 copy of y outranks every non-leftover literal
@@ -321,7 +321,7 @@ def test_select_candidates_prefers_leftover_literals():
 
 def test_select_candidates_tie_breaks_by_clause_id_then_complement_count():
     s = clause_set([[pos("a"), pos("c")], [pos("a"), pos("d")], [neg("a")]])
-    order = ranked(None, s, BuildConfig(mode="unsat"))
+    order = ranked(None, s, EngineConfig(mode="unsat"))
     assert order[0] == (3, neg("a"))  # the unit leads
     assert order.index((1, pos("a"))) < order.index((2, pos("a")))  # id tie-break
     # ~a occurs in a clause and ~c in none: the complement count, not the
@@ -332,7 +332,7 @@ def test_select_candidates_tie_breaks_by_clause_id_then_complement_count():
 def test_select_candidates_filters_boundary_violations():
     s = clause_set([[pos("p")], [neg("p"), pos("q")]])
     state = start(s.clauses[0], pos("p"))
-    order = ranked(state, s, BuildConfig(mode="unsat"))
+    order = ranked(state, s, EngineConfig(mode="unsat"))
     assert all(lit != neg("p") for _, lit in order)
     assert all(lit != pos("p") for _, lit in order)  # no repeats in unsat mode
 
@@ -340,7 +340,7 @@ def test_select_candidates_filters_boundary_violations():
 def test_select_candidates_sat_mode_allows_repeats():
     s = clause_set([[pos("p")], [pos("p"), pos("q")]])
     state = start(s.clauses[0], pos("p"))
-    order = ranked(state, s, BuildConfig(mode="sat"))
+    order = ranked(state, s, EngineConfig(mode="sat"))
     assert (2, pos("p")) in order
 
 
@@ -351,7 +351,7 @@ def test_select_candidates_unsat_prefers_frequent_complement():
         [neg("a"), pos("c")],
         [neg("b"), pos("d")],
     ])
-    order = ranked(None, s, BuildConfig(mode="unsat"))
+    order = ranked(None, s, EngineConfig(mode="unsat"))
     non_unit = [(cid, lit) for cid, lit in order if len(s.by_id(cid)) > 1]
     # ~a occurs in two clauses, ~b in one: a outranks b within clause 1
     assert non_unit.index((1, pos("a"))) < non_unit.index((1, pos("b")))
