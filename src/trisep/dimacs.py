@@ -10,7 +10,7 @@ import re
 from typing import List
 
 from .errors import ParseError
-from .logic import Clause, ClauseSet, Literal, PROPOSITIONAL
+from .logic import Clause, ClauseSet, Literal
 
 
 def parse_dimacs(text: str) -> ClauseSet:
@@ -54,7 +54,7 @@ def parse_dimacs(text: str) -> ClauseSet:
         raise ParseError("missing 'p cnf' header")
     if pending:
         raise ParseError("last clause is missing its terminating 0")
-    return ClauseSet(clauses, mode=PROPOSITIONAL)
+    return ClauseSet(clauses)
 
 
 _VAR_NAME = re.compile(r"^x([1-9][0-9]*)$")

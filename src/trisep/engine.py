@@ -123,6 +123,11 @@ class EngineConfig:
     time_budget: float = 10.0
     seed: int = 0
 
+    def __post_init__(self):
+        # no comparison with NaN holds, so a NaN budget would end every loop at once
+        if not self.time_budget >= 0:
+            raise ValueError(f"time_budget must be >= 0 seconds, got {self.time_budget!r}")
+
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -221,7 +226,7 @@ class _RoundBuilder:
         (clause literal, boundary complement) unifier, since the greedy pull
         order can miss the useful instantiation. On ground input every seed
         is empty, so only the greedy close remains."""
-        placed, _ = rename_clause(clause, len(state.columns) + 1)
+        placed = rename_clause(clause, len(state.columns) + 1)
         targets = [lit.complement() for lit in state.boundary]
         seeds = (mgu(apply_literal(state.sigma, lit), target)
                  for lit in placed.literals for target in targets)
@@ -296,7 +301,7 @@ class _RoundBuilder:
         column = 1 if state is None else len(state.columns) + 1
         scored = []
         for clause in self.working:
-            placed, _ = rename_clause(clause, column)
+            placed = rename_clause(clause, column)
             for idx, (lit, placed_lit) in enumerate(zip(clause.literals, placed.literals)):
                 # renaming makes a non-ground literal fresh, so only a ground one
                 # can repeat a boundary literal here; a repeat that the column's
@@ -372,8 +377,8 @@ def _pulled_close(state: Triangle, placed: Clause, seed) -> Optional[Triangle]:
 def _two_column_rounds(a: Clause, b: Clause) -> List[Triangle]:
     """All k=2 closed states with a's literal on the boundary, closed by b."""
     out = []
-    a1, _ = rename_clause(a, 1)
-    b2, _ = rename_clause(b, 2)
+    a1 = rename_clause(a, 1)
+    b2 = rename_clause(b, 2)
     for lit in a1.literals:
         opened = start(a1, lit)
         for other in b2.literals:
@@ -638,7 +643,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     builder = _RoundBuilder(inputs, config, clause_set, main_deadline)
     working = builder.working
     # a clause that preprocessing deleted may hold the highest input id
-    next_id = max(c.id for c in clause_set.clauses) + 1
+    next_id = clause_set.next_id()
     known = {variant_key(c.literals) for c in working}
     rounds: List[RoundRecord] = []
     restart_streak = 0

@@ -20,8 +20,7 @@ from .logic import (
     Variable,
     is_ground,
     is_tautology,
-    literal_variables,
-    variables_of,
+    variable_names,
 )
 from .errors import ConstructionError
 from .triangle import Triangle
@@ -116,19 +115,10 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
             continue
         seen.add(key)
         kept.append(clause)
-    renamed, _ = rename_apart(kept)
-    return ClauseSet(renamed)
+    return ClauseSet(rename_apart(kept))
 
 
 # -- unifier search -------------------------------------------------------------
-
-
-def _source_var_names(columns) -> set:
-    names = set()
-    for col in columns:
-        for lit in col.source_literals:
-            names.update(v.name for v in literal_variables(lit))
-    return names
 
 
 def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
@@ -139,7 +129,8 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
     earlier columns (backward propagation is the caller's concern). The
     literals must be renamed apart from the state's columns; raises
     ConstructionError when they share a variable."""
-    overlap = {v.name for v in variables_of(literals)} & _source_var_names(state.columns)
+    overlap = variable_names(literals) & variable_names(
+        lit for col in state.columns for lit in col.source_literals)
     if overlap:
         raise ConstructionError(f"clause shares variables with the state: {sorted(overlap)}")
     increment = seed
@@ -194,16 +185,9 @@ def fall_in(state: Triangle, max_affected: int = 2) -> Triangle:
                     unifier = mgu(lit, b.complement())
                     if unifier is None or unifier.is_empty():
                         continue
-                    touched = set(unifier.domain)
-                    affected = 0
-                    for j in range(len(current.columns)):
-                        if j == i:
-                            continue
-                        names = {v.name
-                                 for l in current.instantiated(j)
-                                 for v in literal_variables(l)}
-                        if names & touched:
-                            affected += 1
+                    affected = sum(
+                        1 for j in range(len(current.columns)) if j != i
+                        and not variable_names(current.instantiated(j)).isdisjoint(unifier.domain))
                     if affected > max_affected:
                         continue
                     try:

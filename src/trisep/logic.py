@@ -70,10 +70,8 @@ class Literal(NamedTuple):
         return (self.predicate, self.args)
 
     def __str__(self):
-        sign = "" if self.positive else "~"
-        if not self.args:
-            return f"{sign}{self.predicate}"
-        return f"{sign}{self.predicate}({','.join(str(a) for a in self.args)})"
+        atom = Function(self.predicate, self.args) if self.args else Constant(self.predicate)
+        return f"{'' if self.positive else '~'}{atom}"
 
 
 def pos(predicate: str, *args: Term) -> Literal:
@@ -123,6 +121,11 @@ def variables_of(literals: Iterable[Literal]) -> tuple:
                 seen.add(var)
                 out.append(var)
     return tuple(out)
+
+
+def variable_names(literals: Iterable[Literal]) -> frozenset:
+    """The names of the variables in the literals."""
+    return frozenset(v.name for lit in literals if lit.args for v in literal_variables(lit))
 
 
 def is_ground(literals: Iterable[Literal]) -> bool:
@@ -231,24 +234,19 @@ def _check_symbol_tables(clauses) -> None:
 
 
 class ClauseSet:
-    """An ordered collection of clauses with a consistent mode and unique ids."""
+    """An ordered collection of clauses with unique ids; the mode follows from the literals."""
 
     __slots__ = ("clauses", "mode")
 
-    def __init__(self, clauses: Iterable[Clause], mode: Optional[str] = None):
+    def __init__(self, clauses: Iterable[Clause]):
         clauses = tuple(clauses)
         ids = [c.id for c in clauses]
         if len(set(ids)) != len(ids):
             raise ValueError("clause ids must be unique")
         _check_symbol_tables(clauses)
-        inferred = PROPOSITIONAL if all(
-            not lit.args for c in clauses for lit in c.literals) else FIRST_ORDER
-        if mode is None:
-            mode = inferred
-        elif mode != inferred:
-            raise ValueError(f"declared mode {mode!r} but literals say {inferred!r}")
         object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mode", PROPOSITIONAL if all(
+            not lit.args for c in clauses for lit in c.literals) else FIRST_ORDER)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClauseSet is immutable")
@@ -286,7 +284,6 @@ class ClauseSet:
         return "{" + ", ".join(str(c) for c in self.clauses) + "}"
 
 
-def clause_set(literal_lists, mode=None, start_id=1) -> ClauseSet:
+def clause_set(literal_lists, start_id=1) -> ClauseSet:
     """Convenience builder: number clauses start_id, start_id+1, ..."""
-    clauses = [Clause(start_id + i, lits) for i, lits in enumerate(literal_lists)]
-    return ClauseSet(clauses, mode=mode)
+    return ClauseSet(Clause(start_id + i, lits) for i, lits in enumerate(literal_lists))

@@ -95,21 +95,13 @@ def _propositional_masks(clause_set: ClauseSet):
 def is_unsatisfiable_bruteforce(clause_set: ClauseSet,
                                 variable_cap: int = DEFAULT_VARIABLE_CAP) -> bool:
     """True iff no assignment satisfies every clause. Full truth-table sweep."""
-    names, masks = _propositional_masks(clause_set)
-    if len(names) > variable_cap:
-        raise OracleError(f"{len(names)} variables exceed the cap of {variable_cap}")
-    if any(empty for _, _, empty in masks):
-        return True
-    full = 1 << len(names)
-    for assignment in range(full):
-        if all(pos & assignment or neg & ~assignment for pos, neg, _ in masks):
-            return False
-    return True
+    return find_model_bruteforce(clause_set, variable_cap) is None
 
 
 def find_model_bruteforce(clause_set: ClauseSet,
                           variable_cap: int = DEFAULT_VARIABLE_CAP) -> Optional[Assignment]:
-    """A satisfying assignment, or None. Test helper; the engine never calls this."""
+    """The first satisfying assignment in truth-table order, or None. The
+    engine never calls this."""
     names, masks = _propositional_masks(clause_set)
     if len(names) > variable_cap:
         raise OracleError(f"{len(names)} variables exceed the cap of {variable_cap}")

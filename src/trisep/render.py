@@ -5,9 +5,10 @@ position (first selection at the bottom), complements row-aligned with their
 boundary partner, and leftover literals in a band above the boundary rows.
 
 The machine section is line-oriented UTF-8, one tab-separated record per
-line (tags: ROUND, COL, BOUND, CSC, VERDICT, and MODEL for satisfiable
-outcomes). It alone carries everything verify_trace needs; variables are
-written with a '?' sigil so parsing never depends on case conventions.
+line (tags: ROUND, COL, BOUND, CSC, VERDICT, REASON when the outcome gives
+one, and MODEL for satisfiable outcomes). It alone carries everything
+verify_trace needs; variables are written with a '?' sigil so parsing never
+depends on case conventions.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ def format_term(term) -> str:
 
 
 def format_literal(lit: Literal) -> str:
-    sign = "" if lit.positive else "~"
-    if not lit.args:
-        return f"{sign}{lit.predicate}"
-    return f"{sign}{lit.predicate}({','.join(format_term(a) for a in lit.args)})"
+    atom = Function(lit.predicate, lit.args) if lit.args else Constant(lit.predicate)
+    return f"{'' if lit.positive else '~'}{format_term(atom)}"
 
 
 _NAME = re.compile(r"[A-Za-z0-9_$#@']+")
@@ -71,33 +70,30 @@ class _TermScanner:
         self.pos = match.end()
         return match.group()
 
+    def arguments(self, depth: int) -> tuple:
+        """The parenthesized terms after a name, at depth; () when none follow."""
+        if not self.eat("("):
+            return ()
+        args = [self.term(depth)]
+        while self.eat(","):
+            args.append(self.term(depth))
+        if not self.eat(")"):
+            self.error("expected ')'")
+        return tuple(args)
+
     def term(self, depth: int = 1):
         if depth > MAX_TERM_DEPTH:
             self.error(f"term nested deeper than {MAX_TERM_DEPTH}")
         if self.eat("?"):
             return Variable(self.name())
         name = self.name()
-        if self.eat("("):
-            args = [self.term(depth + 1)]
-            while self.eat(","):
-                args.append(self.term(depth + 1))
-            if not self.eat(")"):
-                self.error("expected ')'")
-            return Function(name, tuple(args))
-        return Constant(name)
+        args = self.arguments(depth + 1)
+        return Function(name, args) if args else Constant(name)
 
     def literal(self) -> Literal:
         positive = not self.eat("~")
         name = self.name()
-        args: tuple = ()
-        if self.eat("("):
-            parsed = [self.term()]
-            while self.eat(","):
-                parsed.append(self.term())
-            if not self.eat(")"):
-                self.error("expected ')'")
-            args = tuple(parsed)
-        return Literal(positive, name, args)
+        return Literal(positive, name, self.arguments(1))
 
 
 def parse_literal_text(text: str) -> Literal:
@@ -250,6 +246,8 @@ def render_trace(trace: ProofTrace, problem: str = "", config_note: str = "",
         lines.append("BOUND\t" + _format_literals(boundary_lits))
         lines.append(f"CSC\t{record.csc.id}\t{_format_literals(record.csc.literals)}")
     lines.append(f"VERDICT\t{trace.verdict}")
+    if trace.reason:
+        lines.append(f"REASON\t{trace.reason}")
     if trace.model is not None:
         body = ";".join(f"{name}={'true' if value else 'false'}"
                         for name, value in sorted(trace.model.items()))
@@ -309,6 +307,7 @@ def parse_trace_document(text: str) -> ProofTrace:
     d_minus_parts: List[tuple] = []
     d_plus_parts: List[tuple] = []
     verdict = None
+    reason = None
     model = None
 
     def flush_round(csc_id: int, csc_literals: tuple):
@@ -350,6 +349,8 @@ def parse_trace_document(text: str) -> ProofTrace:
                 verdict = fields[1]
                 if verdict not in SZS_BY_VERDICT:
                     raise ParseError(f"unknown verdict {verdict!r}", line=line_no)
+            elif tag == "REASON":
+                reason = raw.split("\t", 1)[1]
             elif tag == "MODEL":
                 model = {}
                 if fields[1] != "-":
@@ -369,4 +370,4 @@ def parse_trace_document(text: str) -> ProofTrace:
         raise ParseError("no VERDICT record")
     if columns:
         raise ParseError("trailing COL records without a CSC record")
-    return ProofTrace(tuple(rounds), verdict, model=model)
+    return ProofTrace(tuple(rounds), verdict, model=model, reason=reason)

@@ -62,6 +62,19 @@ class _Parser:
         if got != value:
             raise ParseError(f"expected {value!r}, found {got!r}", line=line, column=col)
 
+    def parse_arguments(self, depth: int) -> tuple:
+        """The parenthesized terms after a name, at depth; () when none follow."""
+        token = self.peek()
+        if token is None or token[1] != "(":
+            return ()
+        self.expect("(")
+        args = [self.parse_term(depth)]
+        while self.peek() is not None and self.peek()[1] == ",":
+            self.expect(",")
+            args.append(self.parse_term(depth))
+        self.expect(")")
+        return tuple(args)
+
     def parse_term(self, depth: int = 1):
         kind, name, line, col = self.next()
         if kind != "name":
@@ -71,16 +84,8 @@ class _Parser:
                              line=line, column=col)
         if name[0].isupper() or name[0] == "_":
             return Variable(name)
-        token = self.peek()
-        if token is not None and token[1] == "(":
-            self.expect("(")
-            args = [self.parse_term(depth + 1)]
-            while self.peek() is not None and self.peek()[1] == ",":
-                self.expect(",")
-                args.append(self.parse_term(depth + 1))
-            self.expect(")")
-            return Function(name, tuple(args))
-        return Constant(name)
+        args = self.parse_arguments(depth + 1)
+        return Function(name, args) if args else Constant(name)
 
     def parse_literal(self):
         positive = True
@@ -96,17 +101,7 @@ class _Parser:
             return None  # contributes nothing: the empty disjunct
         if name[0].isupper() or name[0] == "_":
             raise ParseError(f"predicate {name!r} must start lowercase", line=line, column=col)
-        args: tuple = ()
-        token = self.peek()
-        if token is not None and token[1] == "(":
-            self.expect("(")
-            parsed = [self.parse_term()]
-            while self.peek() is not None and self.peek()[1] == ",":
-                self.expect(",")
-                parsed.append(self.parse_term())
-            self.expect(")")
-            args = tuple(parsed)
-        return Literal(positive, name, args)
+        return Literal(positive, name, self.parse_arguments(1))
 
     def parse_disjunct(self, depth: int) -> List[Literal]:
         if self.peek() is not None and self.peek()[1] == "(":
@@ -205,12 +200,8 @@ def _render_term(term, names: _NameMap) -> str:
 
 
 def render_literal_tptp(lit: Literal, names: _NameMap = None) -> str:
-    names = names or _NameMap()
-    sign = "" if lit.positive else "~"
-    if not lit.args:
-        return f"{sign}{names.functor(lit.predicate)}"
-    args = ",".join(_render_term(a, names) for a in lit.args)
-    return f"{sign}{names.functor(lit.predicate)}({args})"
+    atom = Function(lit.predicate, lit.args) if lit.args else Constant(lit.predicate)
+    return f"{'' if lit.positive else '~'}{_render_term(atom, names or _NameMap())}"
 
 
 def render_tptp(clause_set: ClauseSet) -> str:

@@ -30,8 +30,7 @@ from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import ConstructionError
-from .logic import (Clause, ClauseSet, Literal, literal_variables,
-                    merge_duplicate_literals, variables_of)
+from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals, variable_names
 from .oracle import Assignment
 from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose, mgu
 
@@ -78,10 +77,6 @@ def _derive_column(pos: int, col: Column, sigma: Substitution, complements,
     return lits, blit, d_minus, d_plus
 
 
-def _variable_names(literals) -> frozenset:
-    return frozenset(v.name for lit in literals if lit.args for v in literal_variables(lit))
-
-
 class Triangle:
     """Immutable construction state; every operation returns a new one.
 
@@ -124,7 +119,7 @@ class Triangle:
         self._set(columns, sigma, closed, tuple(boundary), tuple(parts), tuple(instantiated),
                   frozenset(complements),
                   merge_duplicate_literals(l for _, d_plus in parts for l in d_plus),
-                  _variable_names(chain.from_iterable(instantiated)))
+                  variable_names(chain.from_iterable(instantiated)))
 
     def _set(self, columns, sigma, closed, boundary, parts, instantiated,
              complements: frozenset, leftovers: tuple, free: frozenset):
@@ -160,7 +155,7 @@ class Triangle:
                    self.parts + ((d_minus, d_plus),), self._instantiated + (lits,),
                    complements if blit is None else complements | {blit.complement()},
                    leftovers + tuple(l for l in d_plus if l not in leftovers),
-                   self._free | _variable_names(lits))
+                   self._free | variable_names(lits))
         return state
 
     def __setattr__(self, name, value):
@@ -191,8 +186,7 @@ class Triangle:
 
     def column_sigma(self, index: int) -> Substitution:
         """The global substitution restricted to this column's own variables."""
-        names = {v.name for v in variables_of(self.columns[index].source_literals)}
-        return self.sigma.restrict(names)
+        return self.sigma.restrict(variable_names(self.columns[index].source_literals))
 
     def clause_ids(self) -> tuple:
         return tuple(col.clause_id for col in self.columns)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from .logic import (
     Clause,
@@ -10,9 +10,9 @@ from .logic import (
     Function,
     Literal,
     Variable,
-    literal_variables,
     merge_duplicate_literals,
     term_variables,
+    variable_names,
 )
 
 
@@ -30,8 +30,6 @@ class Substitution:
     def __init__(self, bindings=None):
         cleaned = {}
         for name, term in dict(bindings or {}).items():
-            if isinstance(name, Variable):
-                name = name.name
             if isinstance(term, Variable) and term.name == name:
                 continue
             if any(v.name == name for v in term_variables(term)):
@@ -199,45 +197,29 @@ def mgu(a: Literal, b: Literal) -> Optional[Substitution]:
     return _ground_out(bindings)
 
 
-def rename_clause(clause: Clause, tag) -> Tuple[Clause, Substitution]:
+def rename_clause(clause: Clause, tag) -> Clause:
     """Suffix every variable with '#tag'; injective, so the result is a variant.
     A variable-free clause comes back as itself."""
-    renaming = {}
-    for lit in clause.literals:
-        for var in literal_variables(lit):
-            if var.name not in renaming:
-                renaming[var.name] = Variable(f"{var.name}#{tag}")
-    if not renaming:
-        return clause, EMPTY
-    sub = Substitution(renaming)
-    return apply(sub, clause), sub
+    names = variable_names(clause.literals)
+    if not names:
+        return clause
+    return apply(Substitution({name: Variable(f"{name}#{tag}") for name in names}), clause)
 
 
-def rename_apart(clauses: Iterable[Clause]):
+def rename_apart(clauses: Iterable[Clause]) -> list:
     """Rename so the clauses pairwise share no variable.
 
-    Clauses that already share nothing pass through with identity renamings;
-    a colliding clause k (1-based) gets the '#k' suffix, escalated in the
-    unlikely event the suffixed names are themselves taken. Returns the
-    renamed clauses and the per-clause renamings.
+    A clause that shares none with the clauses before it passes through as
+    itself; a colliding clause k (1-based) gets the '#k' suffix, escalated to
+    '#k_2', '#k_3', ... in the unlikely event the suffixed names are taken.
     """
     renamed = []
-    subs = []
     used = set()
     for k, clause in enumerate(clauses, start=1):
-        names = {v.name for lit in clause.literals for v in literal_variables(lit)}
-        if names & used:
-            tag, bump = str(k), 1
-            new, sub = rename_clause(clause, tag)
-            while {v.name for lit in new.literals for v in literal_variables(lit)} & used:
-                bump += 1
-                tag = f"{k}_{bump}"
-                new, sub = rename_clause(clause, tag)
-            names = {v.name for lit in new.literals for v in literal_variables(lit)}
-            clause, renaming = new, sub
-        else:
-            renaming = EMPTY
+        new, names, bump = clause, variable_names(clause.literals), 1
+        while not names.isdisjoint(used):
+            new = rename_clause(clause, k if bump == 1 else f"{k}_{bump}")
+            names, bump = variable_names(new.literals), bump + 1
         used |= names
-        renamed.append(clause)
-        subs.append(renaming)
-    return renamed, subs
+        renamed.append(new)
+    return renamed

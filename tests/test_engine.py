@@ -106,6 +106,14 @@ def test_prove_first_order_input_that_preprocessing_reduces_to_0_ary_atoms():
     assert not outcome.satisfiable and verify_trace(s, trace)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, float("-inf")])
+def test_engine_config_rejects_a_time_budget_that_is_not_a_number_of_seconds(budget):
+    # a NaN budget used to end both loops at once with a false "fallback disabled" reason
+    with pytest.raises(ValueError, match="time_budget"):
+        EngineConfig(time_budget=budget)
+    assert EngineConfig(time_budget=0.0).time_budget == 0.0
+
+
 def test_prove_single_unit_satisfiable_via_fallback():
     outcome, _ = prove(clause_set([[pos("p")]]), FAST)
     assert outcome.satisfiable and outcome.model == {"p": True}

@@ -85,7 +85,7 @@ def test_steps_agree_with_a_full_rebuild(data, first_order):
     clauses = [Clause(i, body) for i, body in enumerate(bodies, start=1)]
     state = None
     for column in range(1, data.draw(st.integers(1, 7)) + 1):
-        clause, _ = rename_clause(data.draw(st.sampled_from(clauses)), column)
+        clause = rename_clause(data.draw(st.sampled_from(clauses)), column)
         kind = "start" if state is None else data.draw(
             st.sampled_from(["extend", "stair", "close"]))
         lit = (data.draw(st.sampled_from(clause.literals))
@@ -158,22 +158,27 @@ def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, part
 @FEW
 @given(st.lists(st.lists(_propositional_literals, min_size=1, max_size=3),
                 min_size=1, max_size=8),
-       st.sampled_from([EngineConfig(max_rounds=0), EngineConfig()]))
+       st.sampled_from([EngineConfig(max_rounds=0), EngineConfig(),
+                        EngineConfig(max_rounds=0, fallback_enabled=False)]))
 def test_prove_agrees_with_the_oracle_and_its_traces_verify(bodies, config):
     """Under the fallback alone and under the default config: the verdict is
-    the oracle's, a model satisfies the input, the trace verifies both as
-    produced and after a render/parse round trip, and rendering the parsed
-    document gives the document back."""
+    the oracle's and a model satisfies the input. Under every config, also
+    with nothing to run, the trace verifies both as produced and after a
+    render/parse round trip, and rendering the parsed document gives the
+    document back, the reason for an unknown verdict included."""
     problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
     outcome, trace = prove(problem, config)
-    assert outcome.verdict in ("satisfiable", "unsatisfiable"), outcome.reason
-    assert outcome.unsatisfiable == is_unsatisfiable_bruteforce(problem)
+    if config.fallback_enabled:
+        assert outcome.verdict in ("satisfiable", "unsatisfiable"), outcome.reason
+    if outcome.verdict != "unknown":
+        assert outcome.unsatisfiable == is_unsatisfiable_bruteforce(problem)
     if outcome.satisfiable:
         assert verify_model(problem, outcome.model)
     assert verify_trace(problem, trace)
     document = render_trace(trace)
     parsed = parse_trace_document(document)
     assert verify_trace(problem, parsed)
+    assert parsed.reason == trace.reason
     assert render_trace(parsed) == document
 
 

@@ -153,17 +153,17 @@ def test_mgu_is_most_general():
 def test_rename_apart_disjoint_input_is_untouched():
     c1 = Clause(1, [pos("P", Variable("x"))])
     c2 = Clause(2, [pos("Q", Variable("y"))])
-    renamed, subs = rename_apart([c1, c2])
+    renamed = rename_apart([c1, c2])
     assert renamed[0].literals == c1.literals
     assert renamed[1].literals == c2.literals
-    assert all(s.is_empty() for s in subs)
+    assert renamed[0] is c1 and renamed[1] is c2
 
 
 def test_rename_apart_separates_shared_variables():
     x = Variable("x")
     clauses = [Clause(1, [pos("P", x), pos("Q", x)]), Clause(2, [neg("P", x)]),
                Clause(3, [pos("R", x)])]
-    renamed, _ = rename_apart(clauses)
+    renamed = rename_apart(clauses)
     var_sets = []
     for clause in renamed:
         names = {v.name for lit in clause.literals for a in lit.args
