@@ -14,9 +14,10 @@ Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
 empty: preprocessing, renaming, fall-in and variant keys all reduce to the
 identity or to plain literal sets on ground input. The logic is consulted
-only where a propositional shortcut measurably pays (placing a clause,
-scoring closings, generating resolvents) and where only one logic has the
-notion (model extraction and the Davis-Putnam model).
+only where a propositional shortcut measurably pays (ranking extension
+candidates, scoring closings, generating resolvents: each works on literal
+sets and builds a state only for the chosen step) and where only one logic
+has the notion (model extraction and the Davis-Putnam model).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -124,6 +126,11 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # any other mode would silently run the unsat policy
+        if self.mode not in ("unsat", "sat", "auto"):
+            raise ValueError(f"mode must be 'unsat', 'sat' or 'auto', got {self.mode!r}")
+        if self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds!r}")
         # no comparison with NaN holds, so a NaN budget would end every loop at once
         if not self.time_budget >= 0:
             raise ValueError(f"time_budget must be >= 0 seconds, got {self.time_budget!r}")
@@ -154,9 +161,10 @@ class _RoundBuilder:
 
     One path serves both logics: a propositional round is the case in which
     every unifier is empty. Two steps take a shortcut on propositional input,
-    because the general form costs measurably more there: placing a clause
-    skips the unifier search, and closing candidates are scored on literal
-    sets without building their states.
+    because the general form costs measurably more there: extension
+    candidates are ranked on literal sets and only the winner is placed, and
+    closing candidates are scored on literal sets and only the chosen one is
+    built.
 
     prove makes one builder per run, which fixes the round policy once: the
     goal, the width threshold, the column cap (both from the input before
@@ -206,8 +214,6 @@ class _RoundBuilder:
         try:
             if state is None:
                 return start(placed, lit)
-            if self.prop:
-                return extend(state, placed, lit)
             searched = greedy_pull(state, placed.literals, lit)
             if searched:
                 try:
@@ -289,47 +295,91 @@ class _RoundBuilder:
             boundary_idx = col.source_literals.index(col.boundary_source)
         return (col.clause_id, boundary_idx, variant_key(state.instantiated(index)))
 
-    def _extensions(self, state: Optional[Triangle]) -> List[Tuple[tuple, Triangle]]:
+    def _set_candidates(self, state: Optional[Triangle]):
+        """Propositional extensions, scored on literal sets without placing a
+        clause, as (clause, literal position, literal, new leftover count,
+        look-ahead, a function that places it).
+
+        With lit on the boundary, a column leaves the clause's literals other
+        than lit that are not boundary complements; extend raises exactly
+        when lit is a boundary complement; a column repeats an earlier one
+        exactly when it has the same clause and boundary literal; and an
+        empty separation is one close away exactly when nothing is left over
+        and some clause lies within the boundary complements and lit's.
+        """
+        if state is None:
+            complements, boundary, leftovers, repeats = frozenset(), (), (), ()
+            step = start
+        else:
+            complements, boundary, leftovers = (
+                state.boundary_complements, set(state.boundary), state.leftovers)
+            repeats = {(col.clause_id, col.boundary_source) for col in state.columns}
+            step = partial(extend, state)
+        for clause in self.working:
+            new_plus = len(clause.literal_set - complements) - 1
+            for idx, lit in enumerate(clause.literals):
+                if lit in complements or (clause.id, lit) in repeats:
+                    continue
+                if not self.sat and lit in boundary:
+                    continue
+                look = 1
+                if not leftovers and not new_plus:
+                    within = complements | {lit.complement()}
+                    if any(c.literal_set <= within for c in self.working):
+                        look = 0
+                yield clause, idx, lit, new_plus, look, partial(step, clause, lit)
+
+    def _placed_candidates(self, state: Optional[Triangle]):
+        """First-order extensions in the shape of _set_candidates. A key
+        depends on the column's unifier, so each clause is renamed for its
+        column and placed here, and its function returns the placed state."""
         boundary = set(state.boundary) if state is not None else set()
-        leftovers = set(state.leftovers) if state is not None else set()
-        placed_ids = set()
         existing_signatures = set()
         if state is not None:
-            placed_ids = set(state.clause_ids())
             existing_signatures = {self._column_signature(state, i)
                                    for i in range(len(state.columns))}
         column = 1 if state is None else len(state.columns) + 1
-        scored = []
         for clause in self.working:
             placed = rename_clause(clause, column)
             for idx, (lit, placed_lit) in enumerate(zip(clause.literals, placed.literals)):
                 # renaming makes a non-ground literal fresh, so only a ground one
                 # can repeat a boundary literal here; a repeat that the column's
                 # unifier would create is not caught
-                if not self.sat and placed_lit in boundary:
+                if placed_lit in boundary:
                     continue
                 candidate = self._place(state, placed, placed_lit)
                 if candidate is None:
                     continue
-                if state is not None and self._column_signature(
-                        candidate, len(candidate.columns) - 1) in existing_signatures:
-                    continue
                 new_col = len(candidate.columns) - 1
-                new_plus = len(candidate.d_plus(new_col))
-                unit = 0 if len(clause) == 1 else 1
-                pref = 0 if lit in leftovers else 1
-                own = self._count_clauses_with(lit)
-                comp = self._count_clauses_with(lit.complement())
-                if self.sat:
-                    unplaced = 0 if clause.id not in placed_ids else 1
-                    key = (unit, unplaced, -own, comp, clause.id, idx)
-                else:
-                    # an extension after which an empty separation is one close away
-                    look = 1
-                    if not candidate.leftovers and self._full_close_available(candidate):
-                        look = 0
-                    key = (unit, look, new_plus, pref, -comp, clause.id, idx)
-                scored.append((key, candidate))
+                if state is not None and self._column_signature(
+                        candidate, new_col) in existing_signatures:
+                    continue
+                # an extension after which an empty separation is one close away
+                look = 1
+                if not candidate.leftovers and self._full_close_available(candidate):
+                    look = 0
+                yield (clause, idx, lit, len(candidate.d_plus(new_col)), look,
+                       lambda candidate=candidate: candidate)
+
+    def _extensions(self, state: Optional[Triangle]
+                    ) -> List[Tuple[tuple, Callable[[], Triangle]]]:
+        """Every extension of state (None: every opening column), best first,
+        as (sort key, a function that builds the extended state)."""
+        leftovers = set(state.leftovers) if state is not None else set()
+        placed_ids = set(state.clause_ids()) if state is not None else set()
+        candidates = self._set_candidates if self.prop else self._placed_candidates
+        scored = []
+        for clause, idx, lit, new_plus, look, build in candidates(state):
+            unit = 0 if len(clause) == 1 else 1
+            pref = 0 if lit in leftovers else 1
+            own = self._count_clauses_with(lit)
+            comp = self._count_clauses_with(lit.complement())
+            if self.sat:
+                unplaced = 0 if clause.id not in placed_ids else 1
+                key = (unit, unplaced, -own, comp, clause.id, idx)
+            else:
+                key = (unit, look, new_plus, pref, -comp, clause.id, idx)
+            scored.append((key, build))
         return self._apply_ties(scored)
 
     # -- main ---------------------------------------------------------------
@@ -354,7 +404,7 @@ class _RoundBuilder:
             extensions = self._extensions(state)
             if not extensions:
                 return best  # state's best closure, None before the first column
-            state = extensions[0][1]
+            state = extensions[0][1]()
         return None
 
 

@@ -26,6 +26,7 @@ from trisep import (
     verify_model,
     verify_trace,
 )
+from trisep.cli import main as cli_main
 from trisep.errors import ConstructionError
 from trisep.render import RawState, render_trace
 from conftest import fn, random_instance
@@ -112,6 +113,26 @@ def test_engine_config_rejects_a_time_budget_that_is_not_a_number_of_seconds(bud
     with pytest.raises(ValueError, match="time_budget"):
         EngineConfig(time_budget=budget)
     assert EngineConfig(time_budget=0.0).time_budget == 0.0
+
+
+@pytest.mark.parametrize("mode", ["SAT", "Auto", "", "satisfiable"])
+def test_engine_config_rejects_a_mode_outside_unsat_sat_and_auto(mode):
+    # "SAT" used to run the unsat policy silently
+    with pytest.raises(ValueError, match="mode"):
+        EngineConfig(mode=mode)
+    assert [EngineConfig(mode=m).mode for m in ("unsat", "sat", "auto")] == [
+        "unsat", "sat", "auto"]
+
+
+def test_engine_config_rejects_a_negative_max_rounds(tmp_path, capsys):
+    # -1 used to act as 0
+    with pytest.raises(ValueError, match="max_rounds"):
+        EngineConfig(max_rounds=-1)
+    assert EngineConfig(max_rounds=0).max_rounds == 0
+    problem = tmp_path / "p.cnf"
+    problem.write_text("p cnf 1 1\n1 0\n")
+    assert cli_main(["prove", str(problem), "--max-rounds", "-1", "--quiet"]) == 2
+    assert "max_rounds" in capsys.readouterr().err
 
 
 def test_prove_single_unit_satisfiable_via_fallback():

@@ -1,11 +1,14 @@
-"""Property tests: construction steps against a full rebuild, the saturation
+"""Property tests: construction steps against a full rebuild, the round
+builder's extension ranking against placing every candidate, the saturation
 fallback's resolvents against the rounds they stand for and the clauses it
 starts from, prove against the brute-force oracle, the parsers on arbitrary
 text, and TPTP render/parse round trips. Example counts stay low so the suite
 stays fast."""
 
+import random
+
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from trisep import (
     Clause,
@@ -117,6 +120,105 @@ def test_steps_agree_with_a_full_rebuild(data, first_order):
         if stepped.closed:
             return
         state = stepped
+
+
+# -- extension ranking ---------------------------------------------------------
+
+
+def _placed_signature(state: Triangle, index: int):
+    col = state.columns[index]
+    return (col.clause_id, col.source_literals.index(col.boundary_source),
+            variant_key(state.instantiated(index)))
+
+
+def _reference_ranking(working, state, sat, rng):
+    """The ranking as it was before keys were computed on literal sets: each
+    candidate is placed as a Triangle, its key is read off the placed state,
+    and ties are shuffled within each group of equal key prefix."""
+    scored = []
+    for clause in working:
+        for idx, lit in enumerate(clause.literals):
+            if not sat and state is not None and lit in state.boundary:
+                continue
+            try:
+                placed = start(clause, lit) if state is None else extend(state, clause, lit)
+            except ConstructionError:
+                continue
+            new = len(placed.columns) - 1
+            if any(_placed_signature(placed, new) == _placed_signature(state, i)
+                   for i in range(new)):
+                continue
+            unit = 0 if len(clause) == 1 else 1
+            own = sum(1 for c in working if lit in c.literal_set)
+            comp = sum(1 for c in working if lit.complement() in c.literal_set)
+            if sat:
+                unplaced = 0 if state is None or clause.id not in state.clause_ids() else 1
+                key = (unit, unplaced, -own, comp, clause.id, idx)
+            else:
+                closings = []
+                for other in working:
+                    try:
+                        closings.append(close(placed, other))
+                    except ConstructionError:
+                        pass
+                look = 0 if any(not closed.csc for closed in closings) else 1
+                pref = 0 if state is not None and lit in state.leftovers else 1
+                key = (unit, look, len(placed.d_plus(new)), pref, -comp, clause.id, idx)
+            scored.append((key, placed))
+    scored.sort(key=lambda item: item[0])
+    if rng is None:
+        return scored
+    out = []
+    for key in sorted({key[:-2] for key, _ in scored}):
+        group = [item for item in scored if item[0][:-2] == key]
+        rng.shuffle(group)
+        out.extend(group)
+    return out
+
+
+@FEW
+@given(st.lists(st.lists(_propositional_literals, min_size=1, max_size=3),
+                min_size=1, max_size=7),
+       st.sampled_from(["unsat", "sat", "auto"]), st.one_of(st.none(), st.integers(0, 99)))
+# the opening column leaves ~p over; two candidates for the next one absorb
+# their whole clause with a clause that closes fully after them, but ~p keeps
+# the separation nonempty, so their look-ahead stays 1
+@example([[neg("p"), neg("q")], [neg("p"), pos("q")], [neg("q"), pos("p")]], "unsat", None)
+def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies, mode, seed):
+    """Along the states that successive winners reach, the round builder's
+    set-based ranking gives every key and the (clause id, literal) order
+    that placing every candidate gives, ties shuffled alike by one rng per
+    round; the winner's function builds extend(state, clause, lit), and no
+    ranked candidate completes a complementary pair."""
+    problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
+    inputs = preprocess(problem)
+    if not inputs.clauses:
+        return
+    builder = engine._RoundBuilder(inputs, EngineConfig(mode=mode), problem, float("inf"))
+    builder.rng = None if seed is None else random.Random(seed)
+    reference_rng = None if seed is None else random.Random(seed)
+    state = None
+    for _ in range(builder.max_columns):
+        ranked = builder._extensions(state)
+        expected = _reference_ranking(builder.working, state, mode == "sat", reference_rng)
+        assert [key for key, _ in ranked] == [key for key, _ in expected]
+        built = [build() for _, build in ranked]
+        assert ([(b.columns[-1].clause_id, b.columns[-1].boundary_source) for b in built]
+                == [(p.columns[-1].clause_id, p.columns[-1].boundary_source)
+                    for _, p in expected])
+        complements = state.boundary_complements if state is not None else frozenset()
+        assert not any(b.columns[-1].boundary_source in complements for b in built)
+        if not ranked:
+            return
+        winner = ranked[0][1]()
+        column = winner.columns[-1]
+        clause = inputs.by_id(column.clause_id)
+        reference = (start(clause, column.boundary_source) if state is None
+                     else extend(state, clause, column.boundary_source))
+        assert winner.columns == reference.columns
+        assert winner.parts == reference.parts
+        assert winner.leftovers == reference.leftovers
+        state = winner
 
 
 # -- the saturation fallback ---------------------------------------------------

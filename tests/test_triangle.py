@@ -299,8 +299,8 @@ def test_extract_model_ignores_stair_coverage():
 def ranked(state, s, config):
     """(clause id, boundary literal) of each extension, best first."""
     builder = _RoundBuilder(s, config, s, float("inf"))
-    return [(c.columns[-1].clause_id, c.columns[-1].boundary_source)
-            for _, c in builder._extensions(state)]
+    placed = [build() for _, build in builder._extensions(state)]
+    return [(c.columns[-1].clause_id, c.columns[-1].boundary_source) for c in placed]
 
 
 def test_select_candidates_unit_first(ex41):
