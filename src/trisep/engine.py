@@ -8,7 +8,8 @@ leftover in its closing column yields a model instead. Stalls restart the
 round with perturbed tie-breaking; when restarts run out, a two-column
 saturation (binary resolution as the k=2 special case, with subsumption)
 settles propositional inputs and makes a bounded best effort on first-order
-ones.
+ones. Its first-order resolvents are the closings of one-column states, made
+by the same closing generator as the main loop's rounds.
 
 Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
@@ -27,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
@@ -61,7 +62,8 @@ from .fol import (
     redundancy_guard,
     variant_key,
 )
-from .unify import EMPTY, apply, apply_literal, apply_literals, compose, mgu, rename_clause
+from .unify import (EMPTY, apply, apply_literal, apply_literals, clauses_unifiable_with, compose,
+                    mgu, rename_clause)
 
 UNSATISFIABLE = "unsatisfiable"
 SATISFIABLE = "satisfiable"
@@ -129,6 +131,9 @@ class EngineConfig:
         # any other mode would silently run the unsat policy
         if self.mode not in ("unsat", "sat", "auto"):
             raise ValueError(f"mode must be 'unsat', 'sat' or 'auto', got {self.mode!r}")
+        # a negative threshold would stop every round as the threshold 0 does
+        if (self.literal_threshold or 0) < 0:
+            raise ValueError(f"literal_threshold must be >= 0, got {self.literal_threshold!r}")
         if self.max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds!r}")
         # no comparison with NaN holds, so a NaN budget would end every loop at once
@@ -148,6 +153,24 @@ class VerificationResult:
 # ---------------------------------------------------------------------------
 # Round construction
 # ---------------------------------------------------------------------------
+
+
+def _closings(state: Triangle, clause: Clause):
+    """Closed states for one clause: the greedy close plus one per seeded
+    (clause literal, boundary complement) unifier, since the greedy pull
+    order can miss the useful instantiation. On ground input every seed
+    is empty, so only the greedy close remains. From a one-column state
+    these are the two-column rounds: the binary resolvents."""
+    placed = rename_clause(clause, len(state.columns) + 1)
+    targets = [lit.complement() for lit in state.boundary]
+    seeds = (mgu(apply_literal(state.sigma, lit), target)
+             for lit in placed.literals for target in targets)
+    for seed in chain((EMPTY,), filter(None, seeds)):  # skips None and empty seeds
+        try:
+            closed = close(state, placed, greedy_pull(state, placed.literals, None, seed))
+        except ConstructionError:  # no legal closed state under this unifier
+            continue
+        yield closed
 
 
 class _RoundBuilder:
@@ -198,11 +221,7 @@ class _RoundBuilder:
         cached = self._counts.get(literal)
         if cached is not None:
             return cached
-        if literal.args:
-            n = sum(1 for c in self.working
-                    if any(mgu(literal, other) is not None for other in c.literals))
-        else:  # a 0-ary literal unifies only with itself
-            n = sum(1 for c in self.working if literal in c.literal_set)
+        n = sum(1 for _ in clauses_unifiable_with(literal, self.working))
         self._counts[literal] = n
         return n
 
@@ -227,20 +246,6 @@ class _RoundBuilder:
         except ConstructionError:
             return None
 
-    def _close_states(self, state: Triangle, clause: Clause):
-        """Closed states for one clause: the greedy close plus one per seeded
-        (clause literal, boundary complement) unifier, since the greedy pull
-        order can miss the useful instantiation. On ground input every seed
-        is empty, so only the greedy close remains."""
-        placed = rename_clause(clause, len(state.columns) + 1)
-        targets = [lit.complement() for lit in state.boundary]
-        seeds = (mgu(apply_literal(state.sigma, lit), target)
-                 for lit in placed.literals for target in targets)
-        for seed in chain((EMPTY,), filter(None, seeds)):  # skips None and empty seeds
-            closed = _pulled_close(state, placed, seed)
-            if closed is not None:
-                yield closed
-
     def _closures(self, state: Triangle):
         """Every way to close state, as (leftover count, inside count, clause,
         closed state). Propositional closings are scored on literal sets and
@@ -253,7 +258,7 @@ class _RoundBuilder:
                     yield len(clause) - inside, inside, clause, None
             return
         for clause in self.working:
-            for closed in self._close_states(state, clause):
+            for closed in _closings(state, clause):
                 k = closed.closing_index
                 yield len(closed.d_plus(k)), len(closed.d_minus(k)), clause, closed
 
@@ -277,15 +282,10 @@ class _RoundBuilder:
         if self.rng is None:
             return scored
         out = []
-        i = 0
-        while i < len(scored):
-            j = i
-            while j < len(scored) and scored[j][0][:-2] == scored[i][0][:-2]:
-                j += 1
-            group = scored[i:j]
+        for _, group in groupby(scored, key=lambda item: item[0][:-2]):
+            group = list(group)
             self.rng.shuffle(group)
             out.extend(group)
-            i = j
         return out
 
     def _column_signature(self, state: Triangle, index: int):
@@ -415,32 +415,6 @@ class _RoundBuilder:
 _SATURATION_CLAUSE_CAP = 20000
 
 
-def _pulled_close(state: Triangle, placed: Clause, seed) -> Optional[Triangle]:
-    """Close state with placed under the greedy unifier grown from seed, or
-    None when no legal closed state results."""
-    try:
-        return close(state, placed, greedy_pull(state, placed.literals, None, seed))
-    except ConstructionError:
-        return None
-
-
-def _two_column_rounds(a: Clause, b: Clause) -> List[Triangle]:
-    """All k=2 closed states with a's literal on the boundary, closed by b."""
-    out = []
-    a1 = rename_clause(a, 1)
-    b2 = rename_clause(b, 2)
-    for lit in a1.literals:
-        opened = start(a1, lit)
-        for other in b2.literals:
-            seed = mgu(other, lit.complement())
-            if seed is None:
-                continue
-            closed = _pulled_close(opened, b2, seed)
-            if closed is not None:
-                out.append(closed)
-    return out
-
-
 class _ProcessedClauses:
     """The saturation's processed clauses in processing order, indexed by
     literal. Subsumption is syntactic literal-set inclusion in both logics.
@@ -503,9 +477,10 @@ def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: s
     exactly the csc of close(start(given, lit), other), so no state is built
     unless the round joins a proof. Its partners are the processed clauses
     that hold the complement, in processing order. A first-order csc depends
-    on the unifier, so each first-order round is built here, with every
-    processed clause in processing order (given itself last, paired with
-    itself once), and its function returns it.
+    on the unifier, so each first-order round is built here by _closings, as
+    in round building, from one clause's one-column state and the other
+    clause, with every processed clause in processing order (given itself
+    last, paired with itself once), and its function returns it.
     """
     if prop:
         given_set = given.literal_set
@@ -530,7 +505,8 @@ def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: s
     for other in processed.clauses.values():
         pairs = ((given, other),) if other is given else ((given, other), (other, given))
         for a, b in pairs:
-            for closed in _two_column_rounds(a, b):
+            a1 = rename_clause(a, 1)
+            for closed in (c for lit in a1.literals for c in _closings(start(a1, lit), b)):
                 lits = closed.csc
                 if is_tautology(lits):
                     continue
@@ -687,7 +663,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     if not inputs.clauses:
         # every input clause was a tautology
         if prop:
-            return _finish((), SATISFIABLE, {name: False for name in clause_set.predicates()})
+            return _finish((), SATISFIABLE, _complete_model({}, clause_set))
         return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
 
     builder = _RoundBuilder(inputs, config, clause_set, main_deadline)
@@ -698,14 +674,13 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     rounds: List[RoundRecord] = []
     restart_streak = 0
 
-    while len(rounds) < config.max_rounds and time.monotonic() < main_deadline:
+    while (len(rounds) < config.max_rounds and restart_streak <= _MAX_RESTARTS
+           and time.monotonic() < main_deadline):
         rng = (random.Random(config.seed * 1000003 + restart_streak)
                if restart_streak else None)
         state = builder.build(rng)
         if state is None:
             restart_streak += 1
-            if restart_streak > _MAX_RESTARTS:
-                break
             continue
         state = fall_in(state)
         raw_state = state
@@ -725,8 +700,6 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
                    or any(c.literal_set <= csc.literal_set for c in working))
         if stalled:
             restart_streak += 1
-            if restart_streak > _MAX_RESTARTS:
-                break
             continue
         rounds.append(RoundRecord(csc.derived_in, state, csc))
         known.add(key)

@@ -311,13 +311,13 @@ def parse_trace_document(text: str) -> ProofTrace:
     model = None
 
     def flush_round(csc_id: int, csc_literals: tuple):
-        nonlocal columns, sigmas, d_minus_parts, d_plus_parts
+        nonlocal columns, sigmas, d_minus_parts, d_plus_parts, current_round
         if current_round is None:
-            raise ParseError("CSC record before any ROUND record")
+            raise ParseError("CSC record outside a round")
         state = RawState(columns, sigmas, d_minus_parts, d_plus_parts)
         csc = Clause(csc_id, csc_literals, derived_in=current_round)
         rounds.append(RoundRecord(current_round, state, csc))
-        columns, sigmas, d_minus_parts, d_plus_parts = [], [], [], []
+        columns, sigmas, d_minus_parts, d_plus_parts, current_round = [], [], [], [], None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("TRACE\tBEGIN"):
@@ -332,6 +332,8 @@ def parse_trace_document(text: str) -> ProofTrace:
         tag = fields[0]
         try:
             if tag == "ROUND":
+                if current_round is not None:  # would merge the two rounds' columns
+                    raise ParseError(f"ROUND record inside round {current_round}", line=line_no)
                 current_round = int(fields[1])
             elif tag == "COL":
                 _, pos, clause_id, kind, boundary, sigma, sources, d_minus, d_plus = fields
@@ -368,6 +370,6 @@ def parse_trace_document(text: str) -> ProofTrace:
         raise ParseError("no TRACE BEGIN/TRACE END section")
     if verdict is None:
         raise ParseError("no VERDICT record")
-    if columns:
-        raise ParseError("trailing COL records without a CSC record")
+    if columns or current_round is not None:
+        raise ParseError("trailing ROUND or COL records without a CSC record")
     return ProofTrace(tuple(rounds), verdict, model=model, reason=reason)

@@ -32,7 +32,8 @@ from typing import Iterable, List, Optional, Tuple
 from .errors import ConstructionError
 from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals, variable_names
 from .oracle import Assignment
-from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose, mgu
+from .unify import (EMPTY, Substitution, apply_literal, apply_literals, clauses_unifiable_with,
+                    compose)
 
 
 @dataclass(frozen=True)
@@ -215,11 +216,7 @@ _EMPTY_STATE = Triangle(())
 def start(first_clause: Clause, boundary_literal: Literal,
           sigma: Substitution = EMPTY) -> Triangle:
     """Open a construction with one clause and its boundary literal."""
-    if boundary_literal not in first_clause.literals:
-        raise ConstructionError(
-            f"literal {boundary_literal} is not in clause {first_clause.id}")
-    return _EMPTY_STATE._append(
-        Column(first_clause.id, first_clause.literals, boundary_literal), sigma)
+    return extend(_EMPTY_STATE, first_clause, boundary_literal, sigma)
 
 
 def extend(state: Triangle, clause: Clause, boundary_literal: Optional[Literal],
@@ -261,13 +258,7 @@ def should_stop(state: Triangle, threshold: Optional[int],
     if not closing_plus:
         return True, "empty_dplus"
     for lit in closing_plus:
-        comp = lit.complement()
-        if comp.args:
-            present = any(mgu(comp, other) is not None
-                          for clause in clauses for other in clause.literals)
-        else:  # a 0-ary literal unifies only with itself
-            present = any(comp in clause.literal_set for clause in clauses)
-        if not present:
+        if next(clauses_unifiable_with(lit.complement(), clauses), None) is None:
             return True, "no_complement_partner"
     if threshold is not None and len(state.csc) > threshold:
         return True, "threshold"

@@ -135,6 +135,18 @@ def test_engine_config_rejects_a_negative_max_rounds(tmp_path, capsys):
     assert "max_rounds" in capsys.readouterr().err
 
 
+def test_engine_config_rejects_a_negative_literal_threshold(tmp_path, capsys):
+    # -1 used to act as 0, stopping every round at its first closing
+    with pytest.raises(ValueError, match="literal_threshold"):
+        EngineConfig(literal_threshold=-5)
+    assert [EngineConfig(literal_threshold=t).literal_threshold for t in (None, 0, 3)] == [
+        None, 0, 3]
+    problem = tmp_path / "p.cnf"
+    problem.write_text("p cnf 2 3\n1 2 0\n-1 0\n-2 0\n")
+    assert cli_main(["prove", str(problem), "--nt", "-1", "--quiet"]) == 2
+    assert "literal_threshold" in capsys.readouterr().err
+
+
 def test_prove_single_unit_satisfiable_via_fallback():
     outcome, _ = prove(clause_set([[pos("p")]]), FAST)
     assert outcome.satisfiable and outcome.model == {"p": True}

@@ -12,6 +12,8 @@ from trisep import (
     Constant,
     EngineConfig,
     Function,
+    ProofTrace,
+    RoundRecord,
     Variable,
     VerificationResult,
     clause_set,
@@ -24,6 +26,7 @@ from trisep import (
     render_dimacs,
     render_tptp,
     render_trace,
+    start,
     verify_trace,
 )
 from trisep.cli import main as cli_main
@@ -145,6 +148,15 @@ def test_tptp_round_trip_random_first_order():
 
 # -- trace documents ------------------------------------------------------------------
 
+UNIT_PAIR_DIMACS = "p cnf 1 2\n1 0\n-1 0\n"
+# the machine section of the one-round refutation of {x1}, {~x1}
+_UNIT_PAIR_COLUMNS = ("COL\t1\t1\tB\tx1\t-\tx1\tx1\t-", "COL\t2\t2\tC\t-\t-\t~x1\t~x1\t-")
+_UNIT_PAIR_REFUTATION = ("ROUND\t1", *_UNIT_PAIR_COLUMNS, "CSC\t3\t-", "VERDICT\tunsatisfiable")
+
+
+def _trace_document(*records):
+    return "".join(f"{line}\n" for line in ("TRACE\tBEGIN", *records, "TRACE\tEND"))
+
 
 def test_trace_document_round_trip_propositional(ex41):
     outcome, trace = prove(ex41, EngineConfig(time_budget=20.0))
@@ -203,6 +215,22 @@ def test_trace_document_tampering_is_caught(ex41):
                                        "VERDICT\tunsatisfiable\nMODEL\tp1=yes")):
         with pytest.raises(ParseError):
             parse_trace_document(claimless)
+
+
+def test_trace_parser_rejects_a_round_that_opens_before_the_last_one_closes(tmp_path, capsys):
+    # ROUND 1's column and ROUND 2's two columns used to merge into one round
+    # numbered 2, which verify_trace accepted
+    merged = _trace_document("ROUND\t1", _UNIT_PAIR_COLUMNS[0], "ROUND\t2", *_UNIT_PAIR_COLUMNS,
+                             "CSC\t3\t-", "VERDICT\tunsatisfiable")
+    unclosed = _trace_document("ROUND\t1", "VERDICT\tunknown")
+    for document in (merged, unclosed):
+        with pytest.raises(ParseError, match="ROUND"):
+            parse_trace_document(document)
+    problem, trace_path = tmp_path / "units.cnf", tmp_path / "merged.trace"
+    problem.write_text(UNIT_PAIR_DIMACS)
+    trace_path.write_text(merged)
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
+    assert "verified" not in capsys.readouterr().out
 
 
 def test_trace_table_renders_empty_separation_marker(ex41):
@@ -331,6 +359,56 @@ def test_cli_check_fails_on_tampered_trace(tmp_path, capsys):
         trace_path.write_text(claimless)
         assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
         assert "verified" not in capsys.readouterr().out
+
+
+def test_cli_check_verifies_a_hand_written_refutation(tmp_path, capsys):
+    problem, trace_path = tmp_path / "units.cnf", tmp_path / "out.trace"
+    problem.write_text(UNIT_PAIR_DIMACS)
+    trace_path.write_text(_trace_document(*_UNIT_PAIR_REFUTATION))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
+    assert "verified: 1 round(s)" in capsys.readouterr().out
+
+
+def _tampered(index, record):
+    """The unit pair's refutation with one record replaced."""
+    records = list(_UNIT_PAIR_REFUTATION)
+    records[index] = record
+    return records
+
+
+@pytest.mark.parametrize("problem_text, records, diagnostic", [
+    (UNIT_PAIR_DIMACS, _tampered(1, "COL\t1\t2\tB\tx1\t-\tx1\tx1\t-"),
+     "round 1: column 1 is not a variant of clause 2"),
+    (UNIT_PAIR_DIMACS, _tampered(1, "COL\t1\t1\tB\tx1\t-\tx1\tx1\tx1"),
+     "round 1: column 1 partition overlaps"),
+    (UNIT_PAIR_DIMACS, _tampered(1, "COL\t1\t1\tB\tx1\t-\tx1\t-\tx1"),
+     "round 1: column 1 has an empty inside part"),
+    # {x1} and {x2} are consistent: the columns are well formed, yet their
+    # inside parts x1 and x2 contradict nothing
+    ("p cnf 2 2\n1 0\n2 0\n", _tampered(2, "COL\t2\t2\tC\t-\t-\tx2\tx2\t-"),
+     "round 1: inside parts are not a standard contradiction"),
+    (UNIT_PAIR_DIMACS, _tampered(3, "CSC\t1\t-"), "round 1: separated clause id 1 already used"),
+    (UNIT_PAIR_DIMACS, ["VERDICT\tunsatisfiable"],
+     "verdict unsatisfiable with no rounds and no empty input clause"),
+    ("cnf(c1, axiom, p(X)).\n", ["VERDICT\tsatisfiable", "MODEL\t-"],
+     "satisfiable verdict on a first-order problem"),
+], ids=["variant", "overlap", "empty-inside", "contradiction", "id-reused", "no-rounds",
+        "first-order-sat"])
+def test_cli_check_reports_each_rejection(tmp_path, capsys, problem_text, records, diagnostic):
+    problem, trace_path = tmp_path / "problem", tmp_path / "tampered.trace"
+    problem.write_text(problem_text)
+    trace_path.write_text(_trace_document(*records))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 3
+    assert f"verification failed: {diagnostic}" in capsys.readouterr().out
+
+
+def test_verify_trace_rejects_an_open_state():
+    # a parsed document's states are always closed, so only a library caller
+    # can hand verify_trace an open one
+    s = clause_set([[pos("p")], [neg("p")]])
+    opened = start(s.clauses[0], pos("p"))
+    trace = ProofTrace((RoundRecord(1, opened, Clause(3, [pos("p")])),), "unknown")
+    assert verify_trace(s, trace) == VerificationResult(False, "round 1: state is not closed")
 
 
 def test_cli_oracle(tmp_path, capsys):

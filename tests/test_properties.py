@@ -28,6 +28,7 @@ from trisep import (
     is_tautology,
     is_unsatisfiable_bruteforce,
     load_problem,
+    mgu,
     neg,
     parse_dimacs,
     parse_tptp_cnf,
@@ -255,6 +256,61 @@ def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, part
         assert built.columns == state.columns
         assert built.parts == state.parts
         assert built.csc == state.csc
+
+
+def _reference_two_column_rounds(a: Clause, b: Clause):
+    """The k=2 closed states with a's literal on the boundary, closed by b, as
+    the fallback once built them: one greedy close per unifying literal pair,
+    grown from that pair's unifier."""
+    out = []
+    a1 = rename_clause(a, 1)
+    b2 = rename_clause(b, 2)
+    for lit in a1.literals:
+        opened = start(a1, lit)
+        for other in b2.literals:
+            seed = mgu(other, lit.complement())
+            if seed is None:
+                continue
+            try:
+                out.append(close(opened, b2, greedy_pull(opened, b2.literals, None, seed)))
+            except ConstructionError:
+                pass
+    return out
+
+
+def _first_occurrences(states):
+    """(csc variant key, clause ids, columns, substitution) of the first state
+    with each key, in order: what the saturation keeps of a resolvent stream."""
+    firsts = {}
+    for state in states:
+        firsts.setdefault(variant_key(state.csc), (state.clause_ids(), state.columns,
+                                                   state.sigma))
+    return list(firsts.items())
+
+
+_binary_literals = st.builds(Literal, st.booleans(), st.just("r"), st.tuples(_terms, _terms))
+_first_order_clauses = st.lists(st.one_of(_first_order_literals, _binary_literals),
+                                min_size=1, max_size=3)
+
+
+# more examples than elsewhere: under 1 in 10 pairs has two distinct resolvents
+@settings(FEW, max_examples=200)
+@given(_first_order_clauses, _first_order_clauses, st.sampled_from(["self", "pivot", "free"]))
+# three distinct resolvents on one pivot, so their order shows
+@example([Literal(True, "p", (Variable("X"),))],
+         [Literal(False, "p", (t,)) for t in (Constant("a"), Constant("b"),
+                                              Function("f", (Variable("Y"),)))], "free")
+def test_first_order_resolvents_are_closings_of_one_column_states(a_body, b_body, pairing):
+    """Closing a's one-column states with b yields the rounds of the
+    per-literal-pair construction: the same distinct resolvents, in
+    first-occurrence order, from the same states."""
+    a = Clause(1, a_body)
+    if pairing == "pivot":  # b can resolve with a's first literal
+        b_body = b_body + [a_body[0].complement()]
+    b = a if pairing == "self" else Clause(2, b_body)
+    a1 = rename_clause(a, 1)
+    closings = [closed for lit in a1.literals for closed in engine._closings(start(a1, lit), b)]
+    assert _first_occurrences(closings) == _first_occurrences(_reference_two_column_rounds(a, b))
 
 
 @FEW
