@@ -5,13 +5,11 @@ the trace document between SZS output markers. Exit codes: 0 a verdict was
 reached, 1 gave up, 2 input error, 3 a trace failed verification (check: the
 given trace; prove: its own trace, reported as SZS status Error instead of
 the verdict).
-The ETM_SEED environment variable overrides --seed when set.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .engine import EngineConfig, prove, verify_trace
@@ -33,24 +31,10 @@ def _seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a number of seconds >= 0, got {text!r}")
 
 
-def _engine_config(args) -> EngineConfig:
-    seed = args.seed
-    env_seed = os.environ.get("ETM_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    return EngineConfig(
-        mode=args.mode,
-        literal_threshold=args.nt,
-        max_rounds=args.max_rounds,
-        fallback_enabled=args.fallback == "on",
-        time_budget=args.timeout,
-        seed=seed,
-    )
-
-
 def _cmd_prove(args) -> int:
     problem = load_problem_file(args.problem, args.format).clauses
-    config = _engine_config(args)
+    config = EngineConfig(mode=args.mode, literal_threshold=args.nt, max_rounds=args.max_rounds,
+                          fallback_enabled=args.fallback == "on", time_budget=args.timeout)
     outcome, trace = prove(problem, config)
     result = verify_trace(problem, trace)
     if not result:
@@ -58,7 +42,7 @@ def _cmd_prove(args) -> int:
         print(f"% verification failed: {result.diagnostic}")
         return 3
     note = (f"mode={args.mode} nt={args.nt} max-rounds={args.max_rounds} "
-            f"fallback={args.fallback} seed={config.seed} timeout={args.timeout}")
+            f"fallback={args.fallback} timeout={args.timeout}")
     document = render_trace(trace, problem=args.problem, config_note=note,
                             verified=True)
     if args.trace:  # written before the verdict, so an unwritable path prints none
@@ -114,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="leftover-literal threshold for stopping a round")
     p_prove.add_argument("--max-rounds", type=int, default=40)
     p_prove.add_argument("--fallback", choices=["on", "off"], default="on")
-    p_prove.add_argument("--seed", type=int, default=0)
     p_prove.add_argument("--timeout", type=_seconds, default=10.0,
                          help="time budget in seconds")
     p_prove.add_argument("--trace", default=None, help="write the trace document here")

@@ -4,12 +4,14 @@ linear resolution.
 One round builds one closed construction, separates its leftover clause, and
 feeds it back into the working set. An empty separated clause refutes the
 input. A propositional round that covers every input clause and keeps a
-leftover in its closing column yields a model instead. Stalls restart the
-round with perturbed tie-breaking; when restarts run out, a two-column
+leftover in its closing column yields a model instead. The first round
+that stalls (no closed state, or a separated clause that is a known variant,
+a tautology or subsumed by the working set) ends the loop: a two-column
 saturation (binary resolution as the k=2 special case, with subsumption)
-settles propositional inputs and makes a bounded best effort on first-order
-ones. Its first-order resolvents are the closings of one-column states, made
-by the same closing generator as the main loop's rounds.
+continues from the admitted clauses, settles propositional inputs and makes
+a bounded best effort on first-order ones. Its first-order resolvents are
+the closings of one-column states, made by the same closing generator as the
+main loop's rounds.
 
 Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
@@ -24,11 +26,10 @@ has the notion (model extraction and the Davis-Putnam model).
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
@@ -125,7 +126,6 @@ class EngineConfig:
     max_rounds: int = 40
     fallback_enabled: bool = True
     time_budget: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         # any other mode would silently run the unsat policy
@@ -180,7 +180,7 @@ class _RoundBuilder:
     clause would close fully absorbed; then extensions leaving the fewest new
     leftovers; then literals already left above the boundary; then the
     mode-specific occurrence counts; clause id and literal position settle
-    ties, optionally shuffled within tie groups on restarts.
+    ties, so every key is unique and a build is deterministic.
 
     One path serves both logics: a propositional round is the case in which
     every unifier is empty. Two steps take a shortcut on propositional input,
@@ -192,8 +192,8 @@ class _RoundBuilder:
     prove makes one builder per run, which fixes the round policy once: the
     goal, the width threshold, the column cap (both from the input before
     preprocessing) and the logic. A kept separated clause enters the working
-    set through admit, which drops the cached occurrence counts; a restart
-    leaves the working set unchanged and reuses them.
+    set through admit, which also drops the occurrence counts that the
+    extension steps cached.
     """
 
     def __init__(self, inputs: ClauseSet, config: EngineConfig, clause_set: ClauseSet,
@@ -207,7 +207,6 @@ class _RoundBuilder:
                           else config.literal_threshold)
         self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
-        self.rng: Optional[random.Random] = None
         self._counts: Dict[Literal, int] = {}
 
     def admit(self, csc: Clause) -> None:
@@ -276,17 +275,6 @@ class _RoundBuilder:
 
     def _full_close_available(self, state: Triangle) -> bool:
         return any(not outside for outside, _, _, _ in self._closures(state))
-
-    def _apply_ties(self, scored: list) -> list:
-        scored.sort(key=lambda item: item[0])
-        if self.rng is None:
-            return scored
-        out = []
-        for _, group in groupby(scored, key=lambda item: item[0][:-2]):
-            group = list(group)
-            self.rng.shuffle(group)
-            out.extend(group)
-        return out
 
     def _column_signature(self, state: Triangle, index: int):
         col = state.columns[index]
@@ -380,13 +368,13 @@ class _RoundBuilder:
             else:
                 key = (unit, look, new_plus, pref, -comp, clause.id, idx)
             scored.append((key, build))
-        return self._apply_ties(scored)
+        scored.sort(key=lambda item: item[0])
+        return scored
 
     # -- main ---------------------------------------------------------------
 
-    def build(self, rng: Optional[random.Random]) -> Optional[Triangle]:
-        """One closed state, or None; rng shuffles ties (None on a first try)."""
-        self.rng = rng
+    def build(self) -> Optional[Triangle]:
+        """One closed state, or None."""
         state: Optional[Triangle] = None
         best: Optional[Triangle] = None
         while time.monotonic() < self.deadline:
@@ -630,8 +618,6 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
 # prove
 # ---------------------------------------------------------------------------
 
-_MAX_RESTARTS = 6  # stalled rounds in a row before the main loop gives up
-
 
 def _complete_model(model: Assignment, clause_set: ClauseSet) -> Assignment:
     full = {name: False for name in clause_set.predicates()}
@@ -672,16 +658,12 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     next_id = clause_set.next_id()
     known = {variant_key(c.literals) for c in working}
     rounds: List[RoundRecord] = []
-    restart_streak = 0
 
-    while (len(rounds) < config.max_rounds and restart_streak <= _MAX_RESTARTS
-           and time.monotonic() < main_deadline):
-        rng = (random.Random(config.seed * 1000003 + restart_streak)
-               if restart_streak else None)
-        state = builder.build(rng)
+    # the first stalled round hands the admitted clauses to the fallback
+    while len(rounds) < config.max_rounds and time.monotonic() < main_deadline:
+        state = builder.build()
         if state is None:
-            restart_streak += 1
-            continue
+            break
         state = fall_in(state)
         raw_state = state
         if not builder.sat:
@@ -696,16 +678,13 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
                 if verify_model(clause_set, model):
                     return _finish(rounds, SATISFIABLE, model)
         key = variant_key(csc.literals)
-        stalled = (key in known or is_tautology(csc)
-                   or any(c.literal_set <= csc.literal_set for c in working))
-        if stalled:
-            restart_streak += 1
-            continue
+        if (key in known or is_tautology(csc)
+                or any(c.literal_set <= csc.literal_set for c in working)):
+            break
         rounds.append(RoundRecord(csc.derived_in, state, csc))
         known.add(key)
         builder.admit(csc)
         next_id += 1
-        restart_streak = 0
 
     if config.fallback_enabled and time.monotonic() < deadline:
         verdict, fb_rounds, model, reason = _saturate(
@@ -714,7 +693,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             model = _complete_model(model, clause_set)
         return _finish(fb_rounds if verdict == UNSATISFIABLE else rounds, verdict, model, reason)
     reason = ("time budget exhausted" if time.monotonic() >= deadline
-              else "round or restart budget exhausted, fallback disabled")
+              else "round budget exhausted or a round stalled, fallback disabled")
     return _finish(rounds, UNKNOWN, reason=reason)
 
 

@@ -298,7 +298,9 @@ class RawState:
 def parse_trace_document(text: str) -> ProofTrace:
     """Read the machine section back. Raises ParseError when the document
     makes no claim: no complete TRACE BEGIN/END section, no VERDICT record,
-    or a verdict or MODEL value outside the rendered vocabulary."""
+    or a verdict or MODEL value outside the rendered vocabulary; and when a
+    ROUND or COL number is not the next round's or column's position, which
+    would render back differently."""
     in_section = ended = False
     rounds: List[RoundRecord] = []
     current_round = None
@@ -335,8 +337,14 @@ def parse_trace_document(text: str) -> ProofTrace:
                 if current_round is not None:  # would merge the two rounds' columns
                     raise ParseError(f"ROUND record inside round {current_round}", line=line_no)
                 current_round = int(fields[1])
+                if current_round != len(rounds) + 1:
+                    raise ParseError(f"ROUND {current_round} where round {len(rounds) + 1} "
+                                     "is next", line=line_no)
             elif tag == "COL":
                 _, pos, clause_id, kind, boundary, sigma, sources, d_minus, d_plus = fields
+                if int(pos) != len(columns) + 1:
+                    raise ParseError(f"COL {pos} where column {len(columns) + 1} is next",
+                                     line=line_no)
                 boundary_lit = None if boundary == "-" else parse_literal_text(boundary)
                 columns.append(Column(int(clause_id), _parse_literals(sources),
                                       boundary_lit, closing=kind == "C"))
