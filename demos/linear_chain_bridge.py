@@ -49,8 +49,8 @@ print("pivots a, p, ~p hold a complementary pair: the boundary line cannot")
 print("carry them all at once, so the chain splits at the conflict.")
 expected = linear_resolvent(chain)
 rounds = linear_to_etc(chain)
-for record in rounds:
-    print(f"  round {record.round_index}: clauses {record.clause_ids_used} "
+for number, record in enumerate(rounds, start=1):
+    print(f"  round {number}: clauses {record.clause_ids_used} "
           f"separate {[str(l) for l in record.csc.literals]}")
 print("final separation equals the chain's resolvent:",
       set(rounds[-1].csc.literals) == set(expected))

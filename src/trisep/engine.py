@@ -11,7 +11,10 @@ saturation (binary resolution as the k=2 special case, with subsumption)
 continues from the admitted clauses, settles propositional inputs and makes
 a bounded best effort on first-order ones. Its first-order resolvents are
 the closings of one-column states, made by the same closing generator as the
-main loop's rounds.
+main loop's rounds. A trace is the ordered list of its rounds, so a round's
+number is its position there, and derived clause ids grow in round order. One
+deadline serves the whole run: reaching it ends the run without a verdict, so
+the clock never shapes the trace of a run that finishes.
 
 Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
@@ -88,7 +91,6 @@ class Outcome:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    round_index: int
     state: Triangle
     csc: Clause
 
@@ -101,7 +103,6 @@ class _LazyRound(NamedTuple):
     """A saturation round not built yet: its closed state is built only when
     the round joins the proof chain."""
 
-    round_index: int
     clause_ids_used: tuple
     csc: Clause
     build: Callable[[], Triangle]
@@ -556,10 +557,10 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
     tick = len(heap)
     processed = _ProcessedClauses()
     lazy: Dict[int, _LazyRound] = {}
-    round_no = len(existing_rounds) + 1
 
     def finish_unsat(empty: _LazyRound):
-        # build only the ancestor rounds of the empty clause, then renumber
+        # build only the ancestor rounds of the empty clause; ids grow in
+        # derivation order, so sorting by id puts each round after its premises
         pool = {rec.csc.id: rec for rec in existing_rounds}
         pool.update(lazy)
         needed = set(empty.clause_ids_used)
@@ -574,19 +575,14 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
                 if used not in needed:
                     needed.add(used)
                     frontier.append(used)
-        chain.sort(key=lambda r: r.round_index)
-        renumbered = []
-        for i, rec in enumerate(chain, start=1):
-            csc = Clause(rec.csc.id, rec.csc.literals, derived_in=i)
-            renumbered.append(RoundRecord(i, rec.state, csc))
-        return UNSATISFIABLE, renumbered, None, None
+        chain.sort(key=lambda r: r.csc.id)
+        return UNSATISFIABLE, [RoundRecord(rec.state, rec.csc) for rec in chain], None, None
 
     def record_round(ids: tuple, lits, build) -> _LazyRound:
-        nonlocal next_id, round_no
-        record = _LazyRound(round_no, ids, Clause(next_id, lits, derived_in=round_no), build)
+        nonlocal next_id
+        record = _LazyRound(ids, Clause(next_id, lits), build)
         lazy[next_id] = record
         next_id += 1
-        round_no += 1
         return record
 
     while heap:
@@ -635,11 +631,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     if not clause_set.clauses:
         raise ValueError("empty input clause set")
     config = config or EngineConfig()
-    started = time.monotonic()
-    deadline = started + config.time_budget
-    # reserve half the budget for the saturation fallback when it is enabled
-    main_deadline = (started + config.time_budget * 0.5
-                     if config.fallback_enabled else deadline)
+    deadline = time.monotonic() + config.time_budget
     prop = clause_set.is_propositional
 
     if any(c.is_empty() for c in clause_set.clauses):
@@ -652,15 +644,16 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             return _finish((), SATISFIABLE, _complete_model({}, clause_set))
         return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
 
-    builder = _RoundBuilder(inputs, config, clause_set, main_deadline)
+    builder = _RoundBuilder(inputs, config, clause_set, deadline)
     working = builder.working
     # a clause that preprocessing deleted may hold the highest input id
     next_id = clause_set.next_id()
     known = {variant_key(c.literals) for c in working}
     rounds: List[RoundRecord] = []
 
-    # the first stalled round hands the admitted clauses to the fallback
-    while len(rounds) < config.max_rounds and time.monotonic() < main_deadline:
+    # the first stalled round hands the admitted clauses to the fallback; a
+    # build at the deadline returns None
+    while len(rounds) < config.max_rounds:
         state = builder.build()
         if state is None:
             break
@@ -668,9 +661,9 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         raw_state = state
         if not builder.sat:
             state = prune_redundant_columns(state)
-        csc = Clause(next_id, state.csc, derived_in=len(rounds) + 1)
+        csc = Clause(next_id, state.csc)
         if csc.is_empty():
-            return _finish(rounds + [RoundRecord(csc.derived_in, state, csc)], UNSATISFIABLE)
+            return _finish(rounds + [RoundRecord(state, csc)], UNSATISFIABLE)
         if prop and config.mode in ("sat", "auto"):
             model = extract_model(raw_state, inputs)
             if model is not None:
@@ -681,7 +674,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         if (key in known or is_tautology(csc)
                 or any(c.literal_set <= csc.literal_set for c in working)):
             break
-        rounds.append(RoundRecord(csc.derived_in, state, csc))
+        rounds.append(RoundRecord(state, csc))
         known.add(key)
         builder.admit(csc)
         next_id += 1
@@ -716,8 +709,8 @@ def verify_trace(clause_set: ClauseSet, trace: ProofTrace) -> VerificationResult
     registry: Dict[int, Clause] = {c.id: c for c in clause_set.clauses}
     prop = clause_set.is_propositional
 
-    def fail(round_index, message):
-        return VerificationResult(False, f"round {round_index}: {message}")
+    def fail(number, message):
+        return VerificationResult(False, f"round {number}: {message}")
 
     for number, record in enumerate(trace.rounds, start=1):
         state = record.state
@@ -831,7 +824,6 @@ def linear_to_etc(ld: LinearDeduction, start_id: Optional[int] = None) -> List[R
     if start_id is None:
         start_id = max([top.id] + [c.id for c in sides]) + 1
     rounds: List[RoundRecord] = []
-    round_no = 1
     while sides:
         seen = set()
         seg = 0
@@ -845,11 +837,9 @@ def linear_to_etc(ld: LinearDeduction, start_id: Optional[int] = None) -> List[R
         for j in range(seg - 2, -1, -1):
             state = extend(state, sides[j], pivots[j])
         state = close(state, top)
-        csc = Clause(start_id, state.csc, derived_in=round_no)
-        rounds.append(RoundRecord(round_no, state, csc))
-        top = csc
+        top = Clause(start_id, state.csc)
+        rounds.append(RoundRecord(state, top))
         sides = sides[seg:]
         pivots = pivots[seg:]
         start_id += 1
-        round_no += 1
     return rounds

@@ -192,8 +192,7 @@ def fall_in(state: Triangle, max_affected: int = 2) -> Triangle:
                         continue
                     try:
                         candidate = Triangle(current.columns,
-                                             compose(unifier, current.sigma),
-                                             closed=current.closed)
+                                             compose(unifier, current.sigma))
                     except ConstructionError:
                         continue
                     current = candidate

@@ -8,7 +8,7 @@ of the first-order one. All values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import ArityError
 
@@ -137,28 +137,21 @@ class Clause:
     """A duplicate-free disjunction of literals.
 
     The empty clause is permitted and is always false. Equality and hashing
-    ignore the id and origin: two clauses are equal when their literal sets
-    are, which is what subsumption and duplicate detection want.
+    ignore the id: two clauses are equal when their literal sets are, which
+    is what subsumption and duplicate detection want.
     """
 
-    __slots__ = ("id", "literals", "derived_in", "_literal_set", "_hash")
+    __slots__ = ("id", "literals", "_literal_set", "_hash")
 
-    def __init__(self, cid: int, literals: Iterable[Literal], derived_in: Optional[int] = None):
+    def __init__(self, cid: int, literals: Iterable[Literal]):
         merged = merge_duplicate_literals(literals)
         object.__setattr__(self, "id", cid)
         object.__setattr__(self, "literals", merged)
-        object.__setattr__(self, "derived_in", derived_in)
         object.__setattr__(self, "_literal_set", frozenset(merged))
         object.__setattr__(self, "_hash", hash(self._literal_set))
 
     def __setattr__(self, name, value):
         raise AttributeError("Clause is immutable")
-
-    @property
-    def origin(self) -> str:
-        if self.derived_in is None:
-            return "input"
-        return f"derived(round {self.derived_in})"
 
     @property
     def literal_set(self) -> frozenset:

@@ -10,14 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from .errors import OracleError
-from .logic import (
-    Clause,
-    ClauseSet,
-    Constant,
-    Literal,
-    is_ground,
-    variables_of,
-)
+from .logic import Clause, ClauseSet, Constant, Function, Literal, Variable, is_ground
 
 DEFAULT_VARIABLE_CAP = 24
 
@@ -146,27 +139,35 @@ def propositional_shadow(clauses: Iterable[Clause]) -> List[Clause]:
                 name = f"a{len(atom_names) + 1}"
                 atom_names[lit.atom] = name
             literals.append(Literal(lit.positive, name))
-        out.append(Clause(clause.id, literals, clause.derived_in))
+        out.append(Clause(clause.id, literals))
     return out
 
 
 def ground_fresh(clauses: Iterable[Clause]) -> List[Clause]:
-    """Ground residual variables, one fresh constant per variable.
+    """Ground residual variables, one fresh constant per variable, named
+    _g1, _g2, ... in first-occurrence order.
 
     The injection preserves syntactic (dis)equality of atoms exactly, so the
-    grounded clauses are a standard contradiction iff the originals are.
+    grounded clauses are a standard contradiction iff the originals are. The
+    walk is this module's own, so that no fault in the engine's substitution
+    code can reach the check that certifies first-order rounds.
     """
-    clauses = list(clauses)
-    grounding = {}
-    for clause in clauses:
-        for var in variables_of(clause.literals):
-            if var.name not in grounding:
-                grounding[var.name] = Constant(f"_g{len(grounding) + 1}")
-    if not grounding:
-        return clauses
-    from .unify import Substitution, apply
-    sub = Substitution(grounding)
-    return [apply(sub, clause) for clause in clauses]
+    grounding: Dict[str, Constant] = {}
+
+    def ground(term):
+        if isinstance(term, Variable):
+            if term.name not in grounding:
+                grounding[term.name] = Constant(f"_g{len(grounding) + 1}")
+            return grounding[term.name]
+        if isinstance(term, Function):
+            return Function(term.name, tuple(ground(a) for a in term.args))
+        return term
+
+    return [clause if is_ground(clause.literals) else
+            Clause(clause.id, [Literal(lit.positive, lit.predicate,
+                                       tuple(ground(a) for a in lit.args))
+                               for lit in clause.literals])
+            for clause in clauses]
 
 
 def shadow_contradiction_check(clauses: Iterable[Clause]) -> bool:

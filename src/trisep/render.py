@@ -209,9 +209,9 @@ def render_trace(trace: ProofTrace, problem: str = "", config_note: str = "",
     status = {True: "verified", False: "VERIFICATION FAILED", None: "unverified"}[verified]
     lines.append(f"# verdict: {trace.verdict} ({status})")
     lines.append("")
-    for record in trace.rounds:
+    for number, record in enumerate(trace.rounds, start=1):
         state = record.state
-        lines.append(f"== round {record.round_index} "
+        lines.append(f"== round {number} "
                      f"(clauses {', '.join(str(c) for c in record.clause_ids_used)}) ==")
         lines.append(render_round_table(state))
         csc_text = " | ".join(str(l) for l in record.csc.literals) or "⊥"
@@ -228,9 +228,9 @@ def render_trace(trace: ProofTrace, problem: str = "", config_note: str = "",
 
     # machine-readable section
     lines.append("TRACE\tBEGIN")
-    for record in trace.rounds:
+    for number, record in enumerate(trace.rounds, start=1):
         state = record.state
-        lines.append(f"ROUND\t{record.round_index}")
+        lines.append(f"ROUND\t{number}")
         for pos, col in enumerate(state.columns):
             boundary = (format_literal(col.boundary_source)
                         if col.boundary_source is not None else "-")
@@ -317,8 +317,7 @@ def parse_trace_document(text: str) -> ProofTrace:
         if current_round is None:
             raise ParseError("CSC record outside a round")
         state = RawState(columns, sigmas, d_minus_parts, d_plus_parts)
-        csc = Clause(csc_id, csc_literals, derived_in=current_round)
-        rounds.append(RoundRecord(current_round, state, csc))
+        rounds.append(RoundRecord(state, Clause(csc_id, csc_literals)))
         columns, sigmas, d_minus_parts, d_plus_parts, current_round = [], [], [], [], None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -82,7 +82,8 @@ class Triangle:
     """Immutable construction state; every operation returns a new one.
 
     Derived data (instantiated literals, partitions, boundary, csc) is
-    computed eagerly from the columns and the global substitution. A state,
+    computed eagerly from the columns and the global substitution; a state is
+    closed exactly when it holds its (single) closing column. A state,
     open or closed, also carries its boundary complements, its leftovers
     (the union of the d_plus parts, duplicate-free, in column order: the csc
     once closed) and the variables of its instantiated literals, so that a
@@ -92,29 +93,23 @@ class Triangle:
     __slots__ = ("columns", "sigma", "closed", "boundary", "parts", "_instantiated",
                  "boundary_complements", "leftovers", "_free")
 
-    def __init__(self, columns: Iterable[Column], sigma: Substitution = EMPTY,
-                 closed: bool = False):
+    def __init__(self, columns: Iterable[Column], sigma: Substitution = EMPTY):
         columns = tuple(columns)
         boundary: List[Literal] = []
         parts: List[Tuple[tuple, tuple]] = []
         instantiated: List[tuple] = []
         problems: List[str] = []
         complements: set = set()
-        closing_seen = 0
+        closed = False
         for pos, col in enumerate(columns, start=1):
             lits, blit, d_minus, d_plus = _derive_column(
-                pos, col, sigma, complements, problems, closing_seen > 0)
+                pos, col, sigma, complements, problems, closed)
             if blit is not None:
                 boundary.append(blit)
                 complements.add(blit.complement())
-            if col.closing:
-                closing_seen += 1
+            closed = closed or col.closing
             instantiated.append(lits)
             parts.append((d_minus, d_plus))
-        if closed and closing_seen != 1:
-            problems.append("closed state must hold exactly one closing column")
-        if not closed and closing_seen:
-            problems.append("open state holds a closing column")
         if problems:
             raise ConstructionError("; ".join(problems))
         self._set(columns, sigma, closed, tuple(boundary), tuple(parts), tuple(instantiated),
@@ -143,7 +138,7 @@ class Triangle:
         """
         sigma = compose(unifier, self.sigma)
         if not self._free.isdisjoint(unifier.domain):
-            return Triangle(self.columns + (col,), sigma, closed=col.closing)
+            return Triangle(self.columns + (col,), sigma)
         problems: List[str] = []
         lits, blit, d_minus, d_plus = _derive_column(
             len(self.columns) + 1, col, sigma, self.boundary_complements, problems)
@@ -277,7 +272,7 @@ def normalize_stairs(state: Triangle) -> Triangle:
     if not stairs:
         return state
     rest = [col for i, col in enumerate(state.columns) if not state.is_stair(i)]
-    return Triangle(tuple(rest) + tuple(stairs), state.sigma, closed=True)
+    return Triangle(tuple(rest) + tuple(stairs), state.sigma)
 
 
 def prune_redundant_columns(state: Triangle) -> Triangle:
@@ -304,7 +299,7 @@ def prune_redundant_columns(state: Triangle) -> Triangle:
         if not drop:
             return current
         kept = tuple(col for i, col in enumerate(current.columns) if i not in drop)
-        current = Triangle(kept, current.sigma, closed=True)
+        current = Triangle(kept, current.sigma)
 
 
 # -- model extraction ---------------------------------------------------------

@@ -111,7 +111,7 @@ def apply(sub: Substitution, target):
     if isinstance(target, Literal):
         return apply_literal(sub, target)
     if isinstance(target, Clause):
-        return Clause(target.id, apply_literals(sub, target.literals), target.derived_in)
+        return Clause(target.id, apply_literals(sub, target.literals))
     return apply_literals(sub, target)
 
 

@@ -103,7 +103,7 @@ def test_criterion_03(ex43):
     state = close(state, c[3])
     assert state.csc == (pos("x4"),)
 
-    separated = Clause(9, state.csc, derived_in=1)
+    separated = Clause(9, state.csc)
     second = start(c[8], pos("x7"))
     second = extend(second, separated, pos("x4"))
     second = extend(second, c[5], neg("x1"))
@@ -180,7 +180,7 @@ def test_criterion_06(ex53):
     assert set(first.csc) == {pos("P2", a1, fn("f1", a3))}
     assert shadow_contradiction_check(d_columns(first))
 
-    separated = Clause(8, first.csc, derived_in=1)
+    separated = Clause(8, first.csc)
     second = start(separated, pos("P2", a1, fn("f1", a3)))
     second = pulled_extend(second, c1, neg("P1", Variable("x11"), Variable("x12"),
                                            Variable("x13")))

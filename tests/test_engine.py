@@ -30,7 +30,7 @@ from trisep import (
 from trisep import engine
 from trisep.cli import main as cli_main
 from trisep.errors import ConstructionError
-from trisep.render import RawState, render_trace
+from trisep.render import RawState, parse_trace_document, render_trace
 from conftest import fn, random_instance
 
 FAST = EngineConfig(time_budget=30.0)
@@ -161,6 +161,63 @@ def test_prove_fallback_disabled_gives_up():
     assert trace.reason
 
 
+def test_a_zero_time_budget_gives_up_with_a_trace_that_verifies(ex43):
+    outcome, trace = prove(ex43, EngineConfig(time_budget=0.0))
+    assert outcome.verdict == "unknown" and outcome.reason == "time budget exhausted"
+    assert verify_trace(ex43, trace)
+    assert parse_trace_document(render_trace(trace)).reason == "time budget exhausted"
+
+
+class _SlowClock:
+    """Stands in for the time module on a machine far slower than any real
+    one: every reading of the clock advances it by a millisecond."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 0.001
+        return self.now
+
+
+@pytest.mark.parametrize("name", ["ex43", "ex53"])
+def test_a_slow_clock_leaves_the_trace_of_a_finished_run_unchanged(monkeypatch, request, name):
+    # the clock decides only whether a run gives up: a run that ends inside
+    # its budget, with a third of it to spare, has the trace of the real clock
+    problem = request.getfixturevalue(name)
+    _, expected = prove(problem, FAST)
+    clock = _SlowClock()
+    monkeypatch.setattr(engine, "time", clock)
+    prove(problem, EngineConfig(time_budget=1e9))
+    budget, clock.now = 1.5 * clock.now, 0.0
+    _, trace = prove(problem, EngineConfig(time_budget=budget))
+    assert render_trace(trace) == render_trace(expected)
+    assert clock.now < budget
+
+
+def test_the_budget_running_out_during_the_fallback_ends_it(monkeypatch, ex43):
+    clock = _SlowClock()
+    monkeypatch.setattr(engine, "time", clock)
+    saturate = engine._saturate
+
+    def late(*args):
+        clock.now += 60.0  # the budget runs out as the fallback starts
+        return saturate(*args)
+
+    monkeypatch.setattr(engine, "_saturate", late)
+    outcome, trace = prove(ex43, EngineConfig(max_rounds=0, time_budget=30.0))
+    assert outcome.reason == "time budget exhausted during saturation"
+    assert verify_trace(ex43, trace)
+
+
+def test_the_saturation_clause_cap_ends_the_fallback(monkeypatch, ex43):
+    monkeypatch.setattr(engine, "_SATURATION_CLAUSE_CAP", 0)
+    outcome, trace = prove(ex43, EngineConfig(max_rounds=0, time_budget=30.0))
+    assert outcome.verdict == "unknown"
+    assert outcome.reason == "saturation clause cap exceeded"
+    assert verify_trace(ex43, trace)
+
+
 def test_prove_unsat_mode_never_claims_satisfiable():
     s = clause_set([[pos("p1")], [neg("p1"), pos("p4")]])
     outcome, _ = prove(s, EngineConfig(mode="unsat", fallback_enabled=False,
@@ -214,8 +271,8 @@ def test_verify_rejects_unknown_clause_citation(ex41):
     from trisep.triangle import Column, Triangle
     bad_columns = (Column(99, state.columns[0].source_literals,
                           state.columns[0].boundary_source),) + state.columns[1:]
-    bad_state = Triangle(bad_columns, state.sigma, closed=True)
-    bad = ProofTrace((RoundRecord(1, bad_state, trace.rounds[0].csc),), "unsatisfiable")
+    bad_state = Triangle(bad_columns, state.sigma)
+    bad = ProofTrace((RoundRecord(bad_state, trace.rounds[0].csc),), "unsatisfiable")
     result = verify_trace(ex41, bad)
     assert not result and "unknown clause" in result.diagnostic
 
@@ -230,7 +287,7 @@ def test_verify_rejects_deleted_inside_literal(ex41):
     parts_minus[victim] = parts_minus[victim][1:]
     sigmas = [state.column_sigma(i) for i in range(len(columns))]
     raw = RawState(columns, sigmas, parts_minus, parts_plus)
-    bad = ProofTrace((RoundRecord(1, raw, trace.rounds[0].csc),), "unsatisfiable")
+    bad = ProofTrace((RoundRecord(raw, trace.rounds[0].csc),), "unsatisfiable")
     result = verify_trace(ex41, bad)
     assert not result
 
@@ -243,15 +300,15 @@ def test_verify_rejects_forward_citation(ex41):
     csc_id = trace.rounds[0].csc.id
     bad_columns = (Column(csc_id, state.columns[0].source_literals,
                           state.columns[0].boundary_source),) + state.columns[1:]
-    bad_state = Triangle(bad_columns, state.sigma, closed=True)
-    bad = ProofTrace((RoundRecord(1, bad_state, trace.rounds[0].csc),), "unsatisfiable")
+    bad_state = Triangle(bad_columns, state.sigma)
+    bad = ProofTrace((RoundRecord(bad_state, trace.rounds[0].csc),), "unsatisfiable")
     assert not verify_trace(ex41, bad)
 
 
 def test_verify_rejects_wrong_csc(ex41):
     _, trace = prove(ex41, FAST)
-    wrong = Clause(trace.rounds[0].csc.id, [pos("zz")], derived_in=1)
-    bad = ProofTrace((RoundRecord(1, trace.rounds[0].state, wrong),), "unsatisfiable")
+    wrong = Clause(trace.rounds[0].csc.id, [pos("zz")])
+    bad = ProofTrace((RoundRecord(trace.rounds[0].state, wrong),), "unsatisfiable")
     result = verify_trace(ex41, bad)
     assert not result and "separated clause" in result.diagnostic
 
@@ -260,7 +317,7 @@ def test_verify_rejects_verdict_mismatch(ex41):
     s = clause_set([[pos("p1")], [neg("p1"), pos("p4")]])
     c1, c2 = s.clauses
     state = close(start(c1, pos("p1")), c2)
-    record = RoundRecord(1, state, Clause(3, state.csc, derived_in=1))
+    record = RoundRecord(state, Clause(3, state.csc))
     claimed = ProofTrace((record,), "unsatisfiable")
     result = verify_trace(s, claimed)
     assert not result and "nonempty" in result.diagnostic

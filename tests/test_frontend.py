@@ -324,6 +324,15 @@ def test_cli_prove_gave_up_exit_one(tmp_path, capsys):
     assert "SZS status GaveUp" in out
 
 
+def test_cli_prove_with_a_zero_timeout_gives_up(tmp_path, capsys):
+    problem = tmp_path / "ex41.cnf"
+    problem.write_text(EX41_DIMACS)
+    code = cli_main(["prove", str(problem), "--timeout", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "SZS status GaveUp" in out and "REASON\ttime budget exhausted" in out
+
+
 @pytest.mark.parametrize("timeout", ["nan", "-1", "ten"])
 def test_cli_prove_rejects_a_timeout_that_is_not_a_number_of_seconds(tmp_path, capsys,
                                                                       timeout):
@@ -426,7 +435,7 @@ def test_verify_trace_rejects_an_open_state():
     # can hand verify_trace an open one
     s = clause_set([[pos("p")], [neg("p")]])
     opened = start(s.clauses[0], pos("p"))
-    trace = ProofTrace((RoundRecord(1, opened, Clause(3, [pos("p")])),), "unknown")
+    trace = ProofTrace((RoundRecord(opened, Clause(3, [pos("p")])),), "unknown")
     assert verify_trace(s, trace) == VerificationResult(False, "round 1: state is not closed")
 
 

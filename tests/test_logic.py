@@ -67,11 +67,6 @@ def test_empty_clause_is_permitted():
     assert empty.is_empty() and len(empty) == 0
 
 
-def test_clause_origin_labels():
-    assert Clause(1, [pos("p")]).origin == "input"
-    assert Clause(2, [pos("p")], derived_in=3).origin == "derived(round 3)"
-
-
 def test_clause_set_mode_inference():
     assert clause_set([[pos("p")], [neg("q")]]).is_propositional
     fol = ClauseSet([Clause(1, [pos("P", Variable("x"))])])

@@ -18,6 +18,7 @@ from trisep import (
     verify_model,
 )
 from trisep.errors import OracleError
+from trisep.logic import is_ground
 from trisep.oracle import find_model_bruteforce, ground_fresh
 from conftest import fn, random_clause_list
 
@@ -134,6 +135,25 @@ def test_ground_fresh_uses_one_constant_per_variable():
     grounded = ground_fresh(cols)
     args = grounded[0].literals[0].args
     assert args[0] != args[1]
+
+
+def test_ground_fresh_names_constants_in_first_occurrence_order():
+    x, y = Variable("x"), Variable("y")
+    grounded = ground_fresh(clauses([neg("P", y, fn("f", x))], [pos("Q", x), pos("R", y)]))
+    assert [str(c) for c in grounded] == ["~P(_g1,f(_g2))", "Q(_g2) | R(_g1)"]
+
+
+def test_the_oracle_survives_a_fault_in_the_engine_substitution_code(monkeypatch):
+    # the oracle certifies first-order rounds, so it must not share the
+    # engine's substitution code: break it and ground the columns anyway
+    import trisep.unify
+    monkeypatch.setattr(trisep.unify, "apply", lambda sub, target: target)
+    x, y = Variable("x"), Variable("y")
+    contradiction = clauses([neg("P", x, fn("f", y))], [pos("P", x, fn("f", y)), pos("Q", y)],
+                            [neg("Q", y)])
+    assert all(is_ground(c.literals) for c in ground_fresh(contradiction))
+    assert shadow_contradiction_check(contradiction)
+    assert not shadow_contradiction_check(clauses([pos("P", x)], [neg("P", y)]))
 
 
 def test_substitution_invariance_of_standard_contradictions():

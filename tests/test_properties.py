@@ -99,8 +99,7 @@ def test_steps_agree_with_a_full_rebuild(data, first_order):
         column_entry = Column(clause.id, clause.literals, lit, closing=kind == "close")
         try:
             rebuilt = Triangle(previous + (column_entry,),
-                               compose(sigma, state.sigma if state is not None else EMPTY),
-                               closed=kind == "close")
+                               compose(sigma, state.sigma if state is not None else EMPTY))
         except ConstructionError:
             rebuilt = None
         try:
