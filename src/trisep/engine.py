@@ -14,7 +14,9 @@ the closings of one-column states, made by the same closing generator as the
 main loop's rounds. A trace is the ordered list of its rounds, so a round's
 number is its position there, and derived clause ids grow in round order. One
 deadline serves the whole run: reaching it ends the run without a verdict, so
-the clock never shapes the trace of a run that finishes.
+the clock never shapes the trace of a run that finishes. No derived clause
+that holds a term deeper than the parsers accept is admitted: such a
+separated clause stalls the main loop, and such a resolvent is dropped.
 
 Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
@@ -42,6 +44,7 @@ from .logic import (
     Literal,
     is_tautology,
     merge_duplicate_literals,
+    too_deep,
 )
 from .oracle import (
     Assignment,
@@ -72,6 +75,7 @@ from .unify import (EMPTY, apply, apply_literal, apply_literals, clauses_unifiab
 UNSATISFIABLE = "unsatisfiable"
 SATISFIABLE = "satisfiable"
 UNKNOWN = "unknown"
+DEPTH_BOUND_REACHED = "term depth bound reached"
 
 
 @dataclass(frozen=True)
@@ -263,15 +267,14 @@ class _RoundBuilder:
                 yield len(closed.d_plus(k)), len(closed.d_minus(k)), clause, closed
 
     def _best_closure(self, state: Triangle) -> Optional[Triangle]:
-        best_key = None
-        best = None
-        for outside, inside, clause, closed in self._closures(state):
-            key = ((0 if outside else 1) if self.sat else outside, -inside, clause.id)
-            if best_key is None or key < best_key:
-                best_key, best = key, (clause, closed)
+        def key(closure):
+            outside, inside, clause, _ = closure
+            return ((0 if outside else 1) if self.sat else outside, -inside, clause.id)
+
+        best = min(self._closures(state), key=key, default=None)
         if best is None:
             return None
-        clause, closed = best
+        _, _, clause, closed = best
         return close(state, clause) if closed is None else closed
 
     def _full_close_available(self, state: Triangle) -> bool:
@@ -352,8 +355,9 @@ class _RoundBuilder:
 
     def _extensions(self, state: Optional[Triangle]
                     ) -> List[Tuple[tuple, Callable[[], Triangle]]]:
-        """Every extension of state (None: every opening column), best first,
-        as (sort key, a function that builds the extended state)."""
+        """Every extension of state (None: every opening column), in scan
+        order, as (key, a function that builds the extended state). Keys are
+        unique, and the least one ranks best."""
         leftovers = set(state.leftovers) if state is not None else set()
         placed_ids = set(state.clause_ids()) if state is not None else set()
         candidates = self._set_candidates if self.prop else self._placed_candidates
@@ -369,7 +373,6 @@ class _RoundBuilder:
             else:
                 key = (unit, look, new_plus, pref, -comp, clause.id, idx)
             scored.append((key, build))
-        scored.sort(key=lambda item: item[0])
         return scored
 
     # -- main ---------------------------------------------------------------
@@ -393,7 +396,7 @@ class _RoundBuilder:
             extensions = self._extensions(state)
             if not extensions:
                 return best  # state's best closure, None before the first column
-            state = extensions[0][1]()
+            state = min(extensions)[1]()
         return None
 
 
@@ -547,6 +550,8 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
     Partners, forward and backward subsumption are found through the literal
     index of the processed clauses. A kept resolvent records its round
     lazily, and only the ancestor rounds of the empty clause are built.
+    A first-order resolvent holding a term nested deeper than the parsers
+    accept is dropped, so the saturation is then incomplete.
     Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with
     the derivation chain, SATISFIABLE with a Davis-Putnam model
     (propositional saturation only), or UNKNOWN on budget or cap
@@ -557,6 +562,7 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
     tick = len(heap)
     processed = _ProcessedClauses()
     lazy: Dict[int, _LazyRound] = {}
+    dropped_deep = False
 
     def finish_unsat(empty: _LazyRound):
         # build only the ancestor rounds of the empty clause; ids grow in
@@ -598,6 +604,9 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
         for lits, key, ids, build in _resolvents(given, processed, prop, seen):
             if not lits:
                 return finish_unsat(record_round(ids, (), build))
+            if not prop and too_deep(lits):
+                dropped_deep = True
+                continue
             if processed.subsumes(frozenset(lits)):
                 continue
             seen.add(key)
@@ -607,6 +616,8 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
     if prop:
         predicates = {lit.predicate for c in working for lit in c.literals}
         return SATISFIABLE, [], _dp_model(list(processed.clauses.values()), predicates), None
+    if dropped_deep:
+        return UNKNOWN, [], None, DEPTH_BOUND_REACHED
     return UNKNOWN, [], None, "first-order saturation completed without the empty clause"
 
 
@@ -650,6 +661,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     next_id = clause_set.next_id()
     known = {variant_key(c.literals) for c in working}
     rounds: List[RoundRecord] = []
+    deep = False
 
     # the first stalled round hands the admitted clauses to the fallback; a
     # build at the deadline returns None
@@ -671,7 +683,8 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
                 if verify_model(clause_set, model):
                     return _finish(rounds, SATISFIABLE, model)
         key = variant_key(csc.literals)
-        if (key in known or is_tautology(csc)
+        deep = too_deep(csc.literals)
+        if (deep or key in known or is_tautology(csc)
                 or any(c.literal_set <= csc.literal_set for c in working)):
             break
         rounds.append(RoundRecord(state, csc))
@@ -685,8 +698,12 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         if verdict == SATISFIABLE:
             model = _complete_model(model, clause_set)
         return _finish(fb_rounds if verdict == UNSATISFIABLE else rounds, verdict, model, reason)
-    reason = ("time budget exhausted" if time.monotonic() >= deadline
-              else "round budget exhausted or a round stalled, fallback disabled")
+    if time.monotonic() >= deadline:
+        reason = "time budget exhausted"
+    elif deep:
+        reason = DEPTH_BOUND_REACHED
+    else:
+        reason = "round budget exhausted or a round stalled, fallback disabled"
     return _finish(rounds, UNKNOWN, reason=reason)
 
 

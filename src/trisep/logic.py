@@ -44,8 +44,8 @@ class Function:
 Term = Union[Variable, Constant, Function]
 
 # Deepest term nesting the parsers accept (a constant or variable has depth 1,
-# f(t) one more than t). Term walks are recursive, so deeper input would end
-# in RecursionError instead of a ParseError.
+# f(t) one more than t), and the engine admits (too_deep). Term walks are
+# recursive, so deeper terms would end in RecursionError.
 MAX_TERM_DEPTH = 128
 
 
@@ -111,16 +111,19 @@ def literal_variables(literal: Literal) -> Iterator[Variable]:
         yield from term_variables(arg)
 
 
-def variables_of(literals: Iterable[Literal]) -> tuple:
-    """Distinct variables in first-occurrence order."""
-    seen = set()
-    out = []
+def too_deep(literals: Iterable[Literal]) -> bool:
+    """Whether some literal holds a term nested deeper than MAX_TERM_DEPTH,
+    counted as the parsers count. A walk with its own stack, so that a deep
+    term cannot exhaust the interpreter's."""
     for lit in literals:
-        for var in literal_variables(lit):
-            if var not in seen:
-                seen.add(var)
-                out.append(var)
-    return tuple(out)
+        stack = [(arg, 1) for arg in lit.args]
+        while stack:
+            term, depth = stack.pop()
+            if depth > MAX_TERM_DEPTH:
+                return True
+            if isinstance(term, Function):
+                stack.extend((arg, depth + 1) for arg in term.args)
+    return False
 
 
 def variable_names(literals: Iterable[Literal]) -> frozenset:

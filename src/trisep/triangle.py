@@ -12,25 +12,24 @@ separated clause the round derives.
 One set of steps serves both logics. Columns keep their pre-instantiation
 literals and the state carries one global substitution; start, extend and
 close each take the column's unifier and compose it into that substitution.
-One function derives a column (its instantiation, boundary literal and
-partition) from the boundary before it. A step appends: it derives only the
-new column, on top of the boundary complements and leftovers that every
-state carries, unless the unifier binds a variable of the earlier columns'
-instantiated literals. Such a unifier re-instantiates them, which is how
-backward-propagating substitutions are realized, and the whole state is
-re-derived, as the constructor does for every state it is given. Propositional
-input is the case in which every unifier is empty, so its steps always
-append. Finding a unifier is the caller's concern (trisep.fol.greedy_pull).
+One column step derives a column (its instantiation, boundary literal and
+partition) from the boundary before it and extends the state's fields with
+it; the constructor is the fold of that step over a state's columns. A step
+appends: it derives only the new column, unless the unifier binds a variable
+of the earlier columns' instantiated literals. Such a unifier re-instantiates
+them, which is how backward-propagating substitutions are realized, and the
+whole state is rebuilt by the constructor. Propositional input is the case
+in which every unifier is empty, so its steps always append. Finding a
+unifier is the caller's concern (trisep.fol.greedy_pull).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .errors import ConstructionError
-from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals, variable_names
+from .logic import Clause, ClauseSet, Literal, variable_names
 from .oracle import Assignment
 from .unify import (EMPTY, Substitution, apply_literal, apply_literals, clauses_unifiable_with,
                     compose)
@@ -46,113 +45,89 @@ class Column:
     closing: bool = False
 
 
-def _derive_column(pos: int, col: Column, sigma: Substitution, complements,
-                   problems: List[str], closing_seen: bool = False):
+def _derive_column(pos: int, col: Column, sigma: Substitution, complements, closed: bool):
     """Derive column pos (1-based) under sigma, given the complements of the
-    boundary literals before it: (instantiated literals, boundary literal or
-    None, d_minus, d_plus). Every broken invariant is appended to problems."""
+    boundary literals before it and whether a closing column came before it:
+    (instantiated literals, boundary literal or None, d_minus, d_plus).
+    Raises ConstructionError at the first broken invariant."""
     lits = apply_literals(sigma, col.source_literals)
     blit = None
     if col.boundary_source is not None:
         if col.closing:
-            problems.append(f"column {pos}: closing column carries a boundary literal")
+            raise ConstructionError(f"column {pos}: closing column carries a boundary literal")
         blit = apply_literal(sigma, col.boundary_source)
         if blit not in lits:
-            problems.append(f"column {pos}: boundary literal {blit} not in the clause")
+            raise ConstructionError(f"column {pos}: boundary literal {blit} not in the clause")
         if blit in complements:
-            problems.append(
+            raise ConstructionError(
                 f"column {pos}: boundary literal {blit} completes a complementary pair")
         d_minus = (blit,) + tuple(l for l in lits if l in complements and l != blit)
     else:
-        if closing_seen and col.closing:
-            problems.append(f"column {pos}: second closing column")
+        if closed and col.closing:
+            raise ConstructionError(f"column {pos}: second closing column")
         d_minus = tuple(l for l in lits if l in complements)
         if not d_minus:
             kind = "closing" if col.closing else "stair"
-            problems.append(
+            raise ConstructionError(
                 f"column {pos}: {kind} column holds no complement of a boundary literal")
     inside = set(d_minus)
     d_plus = tuple(l for l in lits if l not in inside)
     if col.boundary_source is None and not col.closing and d_plus:
-        problems.append(f"column {pos}: stair column leaves literals outside the contradiction")
+        raise ConstructionError(
+            f"column {pos}: stair column leaves literals outside the contradiction")
     return lits, blit, d_minus, d_plus
 
 
 class Triangle:
     """Immutable construction state; every operation returns a new one.
 
-    Derived data (instantiated literals, partitions, boundary, csc) is
-    computed eagerly from the columns and the global substitution; a state is
-    closed exactly when it holds its (single) closing column. A state,
-    open or closed, also carries its boundary complements, its leftovers
-    (the union of the d_plus parts, duplicate-free, in column order: the csc
-    once closed) and the variables of its instantiated literals, so that a
-    step can append a column without re-deriving the ones before it.
+    A state is what its column steps make: _plus derives one column and
+    extends every field with it, and Triangle(columns, sigma) folds _plus
+    over the columns. Besides the columns and sigma, a state carries its
+    closedness (it holds its closing column), boundary, partitions,
+    instantiated literals, boundary complements, leftovers (the union of the
+    d_plus parts, duplicate-free, in column order: the csc once closed) and
+    the variables of its instantiated literals.
     """
 
     __slots__ = ("columns", "sigma", "closed", "boundary", "parts", "_instantiated",
                  "boundary_complements", "leftovers", "_free")
 
     def __init__(self, columns: Iterable[Column], sigma: Substitution = EMPTY):
-        columns = tuple(columns)
-        boundary: List[Literal] = []
-        parts: List[Tuple[tuple, tuple]] = []
-        instantiated: List[tuple] = []
-        problems: List[str] = []
-        complements: set = set()
-        closed = False
-        for pos, col in enumerate(columns, start=1):
-            lits, blit, d_minus, d_plus = _derive_column(
-                pos, col, sigma, complements, problems, closed)
-            if blit is not None:
-                boundary.append(blit)
-                complements.add(blit.complement())
-            closed = closed or col.closing
-            instantiated.append(lits)
-            parts.append((d_minus, d_plus))
-        if problems:
-            raise ConstructionError("; ".join(problems))
-        self._set(columns, sigma, closed, tuple(boundary), tuple(parts), tuple(instantiated),
-                  frozenset(complements),
-                  merge_duplicate_literals(l for _, d_plus in parts for l in d_plus),
-                  variable_names(chain.from_iterable(instantiated)))
+        self._set((), sigma, False, (), (), (), frozenset(), (), frozenset())
+        state = self
+        for col in columns:
+            state = state._plus(col, sigma)
+        self._set(*(getattr(state, name) for name in self.__slots__))
 
-    def _set(self, columns, sigma, closed, boundary, parts, instantiated,
-             complements: frozenset, leftovers: tuple, free: frozenset):
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_instantiated", instantiated)
-        object.__setattr__(self, "boundary_complements", complements)
-        object.__setattr__(self, "leftovers", leftovers)
-        object.__setattr__(self, "_free", free)
+    def _set(self, *fields):
+        """Fill the slots with fields, in __slots__ order."""
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
-    def _append(self, col: Column, unifier: Substitution) -> "Triangle":
-        """This open state plus col, under unifier composed into sigma.
-
-        When the unifier binds no variable of the instantiated columns, those
-        columns and their partitions are unchanged, so only col is derived.
-        Otherwise (backward propagation) the whole state is re-derived.
-        """
-        sigma = compose(unifier, self.sigma)
-        if not self._free.isdisjoint(unifier.domain):
-            return Triangle(self.columns + (col,), sigma)
-        problems: List[str] = []
+    def _plus(self, col: Column, sigma: Substitution) -> "Triangle":
+        """This state plus col, derived under sigma. The earlier columns are
+        taken as they are, so sigma must not re-instantiate them."""
         lits, blit, d_minus, d_plus = _derive_column(
-            len(self.columns) + 1, col, sigma, self.boundary_complements, problems)
-        if problems:
-            raise ConstructionError("; ".join(problems))
-        state = object.__new__(Triangle)
+            len(self.columns) + 1, col, sigma, self.boundary_complements, self.closed)
         complements, leftovers = self.boundary_complements, self.leftovers
-        state._set(self.columns + (col,), sigma, col.closing,
+        state = object.__new__(Triangle)
+        state._set(self.columns + (col,), sigma, self.closed or col.closing,
                    self.boundary if blit is None else self.boundary + (blit,),
                    self.parts + ((d_minus, d_plus),), self._instantiated + (lits,),
                    complements if blit is None else complements | {blit.complement()},
                    leftovers + tuple(l for l in d_plus if l not in leftovers),
                    self._free | variable_names(lits))
         return state
+
+    def _append(self, col: Column, unifier: Substitution) -> "Triangle":
+        """This open state plus col, under unifier composed into sigma: one
+        step, unless the unifier binds a variable of the instantiated columns
+        (backward propagation) and the whole state is re-derived."""
+        sigma = compose(unifier, self.sigma)
+        if not self._free.isdisjoint(unifier.domain):
+            return Triangle(self.columns + (col,), sigma)
+        return self._plus(col, sigma)
 
     def __setattr__(self, name, value):
         raise AttributeError("Triangle is immutable")
@@ -195,8 +170,7 @@ class Triangle:
         bits = []
         for i, col in enumerate(self.columns):
             d_minus, d_plus = self.parts[i]
-            tag = "closing" if col.closing else ("stair" if self.is_stair(i) else
-                                                 str(apply_literal(self.sigma, col.boundary_source)))
+            tag = "closing" if col.closing else ("stair" if self.is_stair(i) else str(d_minus[0]))
             bits.append(f"[{col.clause_id}:{tag} -| {','.join(map(str, d_minus))}"
                         f" |+ {','.join(map(str, d_plus))}]")
         state = "closed" if self.closed else "open"
@@ -291,8 +265,7 @@ def prune_redundant_columns(state: Triangle) -> Triangle:
             if current.is_stair(i):
                 drop.add(i)
             elif col.boundary_source is not None:
-                blit = apply_literal(current.sigma, col.boundary_source)
-                comp = blit.complement()
+                comp = current.d_minus(i)[0].complement()
                 if not any(comp in current.instantiated(j)
                            for j in range(i + 1, len(current.columns))):
                     drop.add(i)

@@ -27,7 +27,7 @@ from trisep import (
     verify_model,
     verify_trace,
 )
-from trisep import engine
+from trisep import engine, logic
 from trisep.cli import main as cli_main
 from trisep.errors import ConstructionError
 from trisep.render import RawState, parse_trace_document, render_trace
@@ -216,6 +216,28 @@ def test_the_saturation_clause_cap_ends_the_fallback(monkeypatch, ex43):
     assert outcome.verdict == "unknown"
     assert outcome.reason == "saturation clause cap exceeded"
     assert verify_trace(ex43, trace)
+
+
+@pytest.mark.parametrize("steps, config", [
+    ([("p", "p")], EngineConfig(time_budget=30.0)),
+    ([("p", "p")], EngineConfig(max_rounds=0, time_budget=30.0)),
+    # rounds alone: the first round past the bound stalls the main loop
+    ([("p", "q"), ("q", "p")], EngineConfig(fallback_enabled=False, time_budget=30.0)),
+])
+def test_the_term_depth_bound_ends_an_infinite_chain(monkeypatch, steps, config):
+    # p(a), p(f(a)), p(f(f(a))), ... never end; the engine admits no term
+    # deeper than the bound, here patched small to reach it fast
+    monkeypatch.setattr(logic, "MAX_TERM_DEPTH", 6)
+    x = Variable("X")
+    s = clause_set([[pos("p", Constant("a"))]]
+                   + [[neg(a, x), pos(b, fn("f", x))] for a, b in steps])
+    outcome, trace = prove(s, config)
+    assert outcome.verdict == "unknown"
+    assert outcome.reason == "term depth bound reached"
+    assert verify_trace(s, trace)
+    parsed = parse_trace_document(render_trace(trace))
+    assert parsed.reason == "term depth bound reached"
+    assert verify_trace(s, parsed)
 
 
 def test_prove_unsat_mode_never_claims_satisfiable():

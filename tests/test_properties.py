@@ -5,6 +5,9 @@ starts from, prove against the brute-force oracle, the parsers on arbitrary
 text, and TPTP render/parse round trips. Example counts stay low so the suite
 stays fast."""
 
+from itertools import chain
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -46,6 +49,8 @@ from trisep import engine
 from trisep.engine import _ProcessedClauses, _resolvents
 from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError
+from trisep.logic import merge_duplicate_literals, variable_names
+from trisep.triangle import _derive_column
 from trisep.unify import EMPTY
 
 FEW = settings(max_examples=50, deadline=None,
@@ -62,25 +67,53 @@ _first_order_literals = st.builds(Literal, st.booleans(), st.sampled_from("pq"),
 _propositional_literals = st.builds(Literal, st.booleans(), st.sampled_from("pqrs"))
 
 
-def _assert_same_state(state: Triangle, rebuilt: Triangle):
-    assert state.columns == rebuilt.columns
-    assert state.sigma == rebuilt.sigma
-    assert state.closed == rebuilt.closed
-    assert state.boundary == rebuilt.boundary
-    assert state.parts == rebuilt.parts
-    for i in range(len(state.columns)):
-        assert state.instantiated(i) == rebuilt.instantiated(i)
-    assert state.leftovers == rebuilt.leftovers
-    assert state.boundary_complements == rebuilt.boundary_complements
-    assert state.csc == rebuilt.csc
+def _reference_state(columns, sigma):
+    """A state's fields as one loop over its columns accumulates them, with
+    no column step in between: the independent reference for the steps and
+    for Triangle, which folds them. Raises ConstructionError where
+    _derive_column does."""
+    boundary, parts, instantiated = [], [], []
+    complements = set()
+    closed = False
+    for index, col in enumerate(columns, start=1):
+        lits, blit, d_minus, d_plus = _derive_column(index, col, sigma, complements, closed)
+        if blit is not None:
+            boundary.append(blit)
+            complements.add(blit.complement())
+        closed = closed or col.closing
+        instantiated.append(lits)
+        parts.append((d_minus, d_plus))
+    leftovers = merge_duplicate_literals(l for _, d_plus in parts for l in d_plus)
+    return SimpleNamespace(
+        columns=tuple(columns), sigma=sigma, closed=closed, boundary=tuple(boundary),
+        parts=tuple(parts), instantiated=tuple(instantiated),
+        boundary_complements=frozenset(complements), leftovers=leftovers,
+        csc=leftovers if closed else None,
+        free=variable_names(chain.from_iterable(instantiated)),
+        closing_index=next((i for i, col in enumerate(columns) if col.closing), None))
+
+
+def _assert_same_state(state: Triangle, reference: SimpleNamespace):
+    assert state.columns == reference.columns
+    assert state.sigma == reference.sigma
+    assert state.closed == reference.closed
+    assert state.boundary == reference.boundary
+    assert state.parts == reference.parts
+    assert (tuple(state.instantiated(i) for i in range(len(state.columns)))
+            == reference.instantiated)
+    assert state.leftovers == reference.leftovers
+    assert state.boundary_complements == reference.boundary_complements
+    assert state.csc == reference.csc
+    assert state._free == reference.free
+    assert state.closing_index == reference.closing_index
 
 
 @FEW
 @given(st.data(), st.booleans())
 def test_steps_agree_with_a_full_rebuild(data, first_order):
     """Every start/extend/close, under the empty unifier or greedy_pull's,
-    gives the state that Triangle derives from scratch, and raises exactly
-    when that derivation does."""
+    and Triangle on the same columns give the state that a plain loop over
+    the columns derives, and raise exactly when that loop does."""
     literals = _first_order_literals if first_order else _propositional_literals
     bodies = data.draw(st.lists(st.lists(literals, min_size=1, max_size=3),
                                 min_size=1, max_size=5))
@@ -95,11 +128,15 @@ def test_steps_agree_with_a_full_rebuild(data, first_order):
         sigma = EMPTY
         if state is not None and data.draw(st.booleans()):
             sigma = greedy_pull(state, clause.literals, lit)
-        previous = state.columns if state is not None else ()
-        column_entry = Column(clause.id, clause.literals, lit, closing=kind == "close")
+        columns = (state.columns if state is not None else ()) + (
+            Column(clause.id, clause.literals, lit, closing=kind == "close"),)
+        total = compose(sigma, state.sigma if state is not None else EMPTY)
         try:
-            rebuilt = Triangle(previous + (column_entry,),
-                               compose(sigma, state.sigma if state is not None else EMPTY))
+            reference = _reference_state(columns, total)
+        except ConstructionError:
+            reference = None
+        try:
+            rebuilt = Triangle(columns, total)
         except ConstructionError:
             rebuilt = None
         try:
@@ -111,10 +148,11 @@ def test_steps_agree_with_a_full_rebuild(data, first_order):
                 stepped = extend(state, clause, lit, sigma)
         except ConstructionError:
             stepped = None
-        assert (stepped is None) == (rebuilt is None)
+        assert (stepped is None) == (rebuilt is None) == (reference is None)
         if stepped is None:
             continue
-        _assert_same_state(stepped, rebuilt)
+        _assert_same_state(stepped, reference)
+        _assert_same_state(rebuilt, reference)
         if stepped.closed:
             return
         state = stepped
@@ -188,7 +226,7 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies, mode
     builder = engine._RoundBuilder(inputs, EngineConfig(mode=mode), problem, float("inf"))
     state = None
     for _ in range(builder.max_columns):
-        ranked = builder._extensions(state)
+        ranked = sorted(builder._extensions(state), key=lambda item: item[0])
         expected = _reference_ranking(builder.working, state, mode == "sat")
         assert [key for key, _ in ranked] == [key for key, _ in expected]
         built = [build() for _, build in ranked]

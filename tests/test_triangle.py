@@ -299,7 +299,7 @@ def test_extract_model_ignores_stair_coverage():
 def ranked(state, s, config):
     """(clause id, boundary literal) of each extension, best first."""
     builder = _RoundBuilder(s, config, s, float("inf"))
-    placed = [build() for _, build in builder._extensions(state)]
+    placed = [build() for _, build in sorted(builder._extensions(state), key=lambda e: e[0])]
     return [(c.columns[-1].clause_id, c.columns[-1].boundary_source) for c in placed]
 
 
