@@ -33,7 +33,7 @@ def _seconds(text: str) -> float:
 
 def _cmd_prove(args) -> int:
     problem = load_problem_file(args.problem, args.format).clauses
-    config = EngineConfig(mode=args.mode, literal_threshold=args.nt, max_rounds=args.max_rounds,
+    config = EngineConfig(literal_threshold=args.nt, max_rounds=args.max_rounds,
                           fallback_enabled=args.fallback == "on", time_budget=args.timeout)
     outcome, trace = prove(problem, config)
     result = verify_trace(problem, trace)
@@ -41,8 +41,8 @@ def _cmd_prove(args) -> int:
         print(f"% SZS status Error for {args.problem}")
         print(f"% verification failed: {result.diagnostic}")
         return 3
-    note = (f"mode={args.mode} nt={args.nt} max-rounds={args.max_rounds} "
-            f"fallback={args.fallback} timeout={args.timeout}")
+    note = (f"nt={args.nt} max-rounds={args.max_rounds} fallback={args.fallback} "
+            f"timeout={args.timeout}")
     document = render_trace(trace, problem=args.problem, config_note=note,
                             verified=True)
     if args.trace:  # written before the verdict, so an unwritable path prints none
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prove = sub.add_parser("prove", help="decide a clause set and emit a trace")
     common(p_prove)
-    p_prove.add_argument("--mode", choices=["unsat", "sat", "auto"], default="auto")
     p_prove.add_argument("--nt", type=int, default=None,
                          help="leftover-literal threshold for stopping a round")
     p_prove.add_argument("--max-rounds", type=int, default=40)

@@ -1,7 +1,9 @@
 """DIMACS CNF reading and writing.
 
 Variable i maps to the 0-ary predicate x<i>; negative integers give negative
-literals; duplicate literals within a clause merge.
+literals; duplicate literals within a clause merge. A line starting with %
+ends the clause data (the SATLIB trailer "%" / "0" follows it), and the
+clause count must equal the header's.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ def parse_dimacs(text: str) -> ClauseSet:
     pending: List[Literal] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if header is not None:
                 raise ParseError("duplicate header", line=line_no)
@@ -54,6 +58,8 @@ def parse_dimacs(text: str) -> ClauseSet:
         raise ParseError("missing 'p cnf' header")
     if pending:
         raise ParseError("last clause is missing its terminating 0")
+    if len(clauses) != header[1]:
+        raise ParseError(f"{len(clauses)} clause(s), but the header declares {header[1]}")
     return ClauseSet(clauses)
 
 

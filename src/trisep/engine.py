@@ -126,16 +126,12 @@ class ProofTrace:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    mode: str = "auto"                        # "unsat" | "sat" | "auto"
     literal_threshold: Optional[int] = None   # None: 2 x widest input clause
     max_rounds: int = 40
     fallback_enabled: bool = True
     time_budget: float = 10.0
 
     def __post_init__(self):
-        # any other mode would silently run the unsat policy
-        if self.mode not in ("unsat", "sat", "auto"):
-            raise ValueError(f"mode must be 'unsat', 'sat' or 'auto', got {self.mode!r}")
         # a negative threshold would stop every round as the threshold 0 does
         if (self.literal_threshold or 0) < 0:
             raise ValueError(f"literal_threshold must be >= 0, got {self.literal_threshold!r}")
@@ -183,9 +179,10 @@ class _RoundBuilder:
 
     Selection order: unit clauses first; then extensions after which some
     clause would close fully absorbed; then extensions leaving the fewest new
-    leftovers; then literals already left above the boundary; then the
-    mode-specific occurrence counts; clause id and literal position settle
-    ties, so every key is unique and a build is deterministic.
+    leftovers; then literals already left above the boundary; then literals
+    whose complement occurs in more clauses; clause id and literal position
+    settle ties, so every key is unique and a build is deterministic. A
+    build stops at the first closing that should_stop accepts.
 
     One path serves both logics: a propositional round is the case in which
     every unifier is empty. Two steps take a shortcut on propositional input,
@@ -194,19 +191,16 @@ class _RoundBuilder:
     closing candidates are scored on literal sets and only the chosen one is
     built.
 
-    prove makes one builder per run, which fixes the round policy once: the
-    goal, the width threshold, the column cap (both from the input before
-    preprocessing) and the logic. A kept separated clause enters the working
-    set through admit, which also drops the occurrence counts that the
-    extension steps cached.
+    prove makes one builder per run, which fixes the width threshold, the
+    column cap (both from the input before preprocessing) and the logic once.
+    A kept separated clause enters the working set through admit, which also
+    drops the occurrence counts that the extension steps cached.
     """
 
     def __init__(self, inputs: ClauseSet, config: EngineConfig, clause_set: ClauseSet,
                  deadline: float):
-        self.inputs = inputs
         self.working: List[Clause] = list(inputs.clauses)
         self.prop = inputs.is_propositional
-        self.sat = config.mode == "sat" and clause_set.is_propositional
         widest = max(len(c) for c in clause_set.clauses)
         self.threshold = (2 * widest if config.literal_threshold is None
                           else config.literal_threshold)
@@ -269,7 +263,7 @@ class _RoundBuilder:
     def _best_closure(self, state: Triangle) -> Optional[Triangle]:
         def key(closure):
             outside, inside, clause, _ = closure
-            return ((0 if outside else 1) if self.sat else outside, -inside, clause.id)
+            return outside, -inside, clause.id
 
         best = min(self._closures(state), key=key, default=None)
         if best is None:
@@ -310,9 +304,7 @@ class _RoundBuilder:
         for clause in self.working:
             new_plus = len(clause.literal_set - complements) - 1
             for idx, lit in enumerate(clause.literals):
-                if lit in complements or (clause.id, lit) in repeats:
-                    continue
-                if not self.sat and lit in boundary:
+                if lit in complements or lit in boundary or (clause.id, lit) in repeats:
                     continue
                 look = 1
                 if not leftovers and not new_plus:
@@ -359,20 +351,13 @@ class _RoundBuilder:
         order, as (key, a function that builds the extended state). Keys are
         unique, and the least one ranks best."""
         leftovers = set(state.leftovers) if state is not None else set()
-        placed_ids = set(state.clause_ids()) if state is not None else set()
         candidates = self._set_candidates if self.prop else self._placed_candidates
         scored = []
         for clause, idx, lit, new_plus, look, build in candidates(state):
             unit = 0 if len(clause) == 1 else 1
             pref = 0 if lit in leftovers else 1
-            own = self._count_clauses_with(lit)
             comp = self._count_clauses_with(lit.complement())
-            if self.sat:
-                unplaced = 0 if clause.id not in placed_ids else 1
-                key = (unit, unplaced, -own, comp, clause.id, idx)
-            else:
-                key = (unit, look, new_plus, pref, -comp, clause.id, idx)
-            scored.append((key, build))
+            scored.append(((unit, look, new_plus, pref, -comp, clause.id, idx), build))
         return scored
 
     # -- main ---------------------------------------------------------------
@@ -384,13 +369,8 @@ class _RoundBuilder:
         while time.monotonic() < self.deadline:
             if state is not None:
                 best = self._best_closure(state)
-                if best is not None:
-                    if self.sat:
-                        # a round that yields a model, or an empty separation
-                        if extract_model(best, self.inputs) is not None or not best.csc:
-                            return best
-                    elif should_stop(best, self.threshold, self.working)[0]:
-                        return best
+                if best is not None and should_stop(best, self.threshold, self.working)[0]:
+                    return best
                 if len(state.columns) >= self.max_columns:
                     return best
             extensions = self._extensions(state)
@@ -669,14 +649,12 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         state = builder.build()
         if state is None:
             break
-        state = fall_in(state)
-        raw_state = state
-        if not builder.sat:
-            state = prune_redundant_columns(state)
+        raw_state = fall_in(state)
+        state = prune_redundant_columns(raw_state)
         csc = Clause(next_id, state.csc)
         if csc.is_empty():
             return _finish(rounds + [RoundRecord(state, csc)], UNSATISFIABLE)
-        if prop and config.mode in ("sat", "auto"):
+        if prop:
             model = extract_model(raw_state, inputs)
             if model is not None:
                 model = _complete_model(model, clause_set)

@@ -2,7 +2,8 @@
 
 Lowercase leading letters give functors and constants, uppercase or
 underscore give variables. Roles are ignored; include directives are
-rejected. $false stands for the empty clause.
+rejected. $false stands for the empty clause; every other $-prefixed
+predicate, $true among them, is rejected, as is a negated $false.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class _Parser:
             if not positive:
                 raise ParseError("negated $false is not supported", line=line, column=col)
             return None  # contributes nothing: the empty disjunct
+        if name[0] == "$":
+            raise ParseError(f"predicate {name!r} is not supported", line=line, column=col)
         if name[0].isupper() or name[0] == "_":
             raise ParseError(f"predicate {name!r} must start lowercase", line=line, column=col)
         return Literal(positive, name, self.parse_arguments(1))

@@ -117,15 +117,6 @@ def test_engine_config_rejects_a_time_budget_that_is_not_a_number_of_seconds(bud
     assert EngineConfig(time_budget=0.0).time_budget == 0.0
 
 
-@pytest.mark.parametrize("mode", ["SAT", "Auto", "", "satisfiable"])
-def test_engine_config_rejects_a_mode_outside_unsat_sat_and_auto(mode):
-    # "SAT" used to run the unsat policy silently
-    with pytest.raises(ValueError, match="mode"):
-        EngineConfig(mode=mode)
-    assert [EngineConfig(mode=m).mode for m in ("unsat", "sat", "auto")] == [
-        "unsat", "sat", "auto"]
-
-
 def test_engine_config_rejects_a_negative_max_rounds(tmp_path, capsys):
     # -1 used to act as 0
     with pytest.raises(ValueError, match="max_rounds"):
@@ -240,16 +231,9 @@ def test_the_term_depth_bound_ends_an_infinite_chain(monkeypatch, steps, config)
     assert verify_trace(s, parsed)
 
 
-def test_prove_unsat_mode_never_claims_satisfiable():
-    s = clause_set([[pos("p1")], [neg("p1"), pos("p4")]])
-    outcome, _ = prove(s, EngineConfig(mode="unsat", fallback_enabled=False,
-                                       time_budget=5.0))
-    assert outcome.verdict == "unknown"
-
-
 def test_prove_sat_mode_finds_model():
     s = clause_set([[pos("a"), pos("b")], [neg("a"), pos("c")], [pos("d")]])
-    outcome, _ = prove(s, EngineConfig(mode="sat", time_budget=30.0))
+    outcome, _ = prove(s, EngineConfig(time_budget=30.0))
     assert outcome.satisfiable
     assert verify_model(s, outcome.model)
 
@@ -422,14 +406,14 @@ def _chain(k, reverse=False):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "2e0a22f93bdce574e0296207238abf0cfb3f64fb09928fb1d3195fae50943c06"
+GOLDEN_TRACE_DIGEST = "88d5d64c33ad0f024419e7ef19f8eab1605ec61d06d72045ffae88c145549311"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     rng = random.Random(4711)
     runs = [(random_instance(rng, max_vars=7, max_clauses=10),
-             EngineConfig(mode=("auto", "unsat", "sat")[i % 3], time_budget=30.0))
-            for i in range(30)]
+             EngineConfig(time_budget=30.0))
+            for _ in range(30)]
     runs += [(s, FAST) for s in (ex51, ex52, ex53)]
     runs += [(_chain(k, reverse), FAST) for k in range(3, 7) for reverse in (False, True)]
     fallback_only = EngineConfig(max_rounds=0, time_budget=30.0)
@@ -440,8 +424,7 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     runs += [(s, fallback_only) for s in (ex51, ex52, ex53)]
     # every threshold
     runs += [(random_instance(rng, max_vars=7, max_clauses=10),
-              EngineConfig(mode=("auto", "unsat", "sat")[i % 3],
-                           literal_threshold=(1, 2, 3, None)[i % 4], time_budget=30.0))
+              EngineConfig(literal_threshold=(1, 2, 3, None)[i % 4], time_budget=30.0))
              for i in range(30)]
     digest = hashlib.sha256()
     for s, config in runs:
@@ -569,13 +552,6 @@ def test_linear_bridge_random_chains():
             assert len(rounds) == 1
         s = ClauseSet([ld.top_clause, *ld.side_clauses])
         assert verify_trace(s, ProofTrace(tuple(rounds), "unknown"))
-
-
-def test_sat_mode_still_refutes_contradictions():
-    s = clause_set([[pos("p")], [neg("p")]])
-    outcome, trace = prove(s, EngineConfig(mode="sat", time_budget=10.0))
-    assert outcome.unsatisfiable
-    assert verify_trace(s, trace)
 
 
 def test_per_column_sigma_merges_back_to_the_global_substitution(ex52):

@@ -65,6 +65,31 @@ def test_parse_dimacs_errors():
         parse_dimacs("1 0\n")                 # clause before header
 
 
+@pytest.mark.parametrize("text", ["p cnf 2 3\n1 0\n-2 0\n", "p cnf 1 1\n1 0\n-1 0\n",
+                                  "p cnf 1 1\n"], ids=["fewer", "more", "none"])
+def test_parse_dimacs_rejects_a_clause_count_other_than_the_headers(tmp_path, capsys, text):
+    # a truncated file used to be read silently
+    with pytest.raises(ParseError, match="header declares"):
+        parse_dimacs(text)
+    problem = tmp_path / "count.cnf"
+    problem.write_text(text)
+    assert cli_main(["prove", str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert "header declares" in captured.err and "SZS status" not in captured.out
+
+
+def test_parse_dimacs_ends_the_clause_data_at_the_satlib_trailer(tmp_path, capsys):
+    # the trailer's 0 used to be read as an empty clause, so both the prover
+    # and the oracle called this satisfiable set unsatisfiable
+    text = "p cnf 2 1\n1 2 0\n%\n0\n"
+    assert [[str(l) for l in c.literals] for c in parse_dimacs(text).clauses] == [["x1", "x2"]]
+    problem = tmp_path / "satlib.cnf"
+    problem.write_text(text)
+    for command in ("prove", "oracle"):
+        assert cli_main([command, str(problem)]) == 0
+        assert "SZS status Satisfiable" in capsys.readouterr().out
+
+
 def test_dimacs_round_trip(ex41):
     text = render_dimacs(ex41)
     again = parse_dimacs(text)
@@ -104,6 +129,17 @@ def test_parse_tptp_propositional_mode_inference():
 def test_parse_tptp_empty_clause_and_comments():
     s = parse_tptp_cnf("% a comment\ncnf(bad, axiom, $false).\n")
     assert s.clauses[0].is_empty()
+
+
+def test_parse_tptp_rejects_every_defined_predicate_but_false(tmp_path, capsys):
+    # ~$true used to read as an ordinary atom: "satisfiable" with $true false
+    for body in ("~$true", "$true", "p | $true", "$false | ~$false", "$ite"):
+        with pytest.raises(ParseError):
+            parse_tptp_cnf(f"cnf(c1, axiom, {body}).")
+    problem = tmp_path / "true.p"
+    problem.write_text("cnf(c1, axiom, ~$true).\n")
+    assert cli_main(["prove", str(problem)]) == 2
+    assert "SZS status" not in capsys.readouterr().out
 
 
 def test_parse_tptp_errors():
@@ -343,6 +379,16 @@ def test_cli_prove_rejects_a_timeout_that_is_not_a_number_of_seconds(tmp_path, c
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert "--timeout" in captured.err and "SZS status" not in captured.out
+
+
+def test_cli_prove_has_no_mode_flag(tmp_path, capsys):
+    problem = tmp_path / "sat.cnf"
+    problem.write_text(SAT_DIMACS)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["prove", str(problem), "--mode", "sat"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--mode" in captured.err and "SZS status" not in captured.out
 
 
 def test_cli_prove_never_prints_a_verdict_its_own_check_rejected(tmp_path, capsys,

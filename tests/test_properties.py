@@ -167,14 +167,14 @@ def _placed_signature(state: Triangle, index: int):
             variant_key(state.instantiated(index)))
 
 
-def _reference_ranking(working, state, sat):
+def _reference_ranking(working, state):
     """The ranking as it was before keys were computed on literal sets: each
     candidate is placed as a Triangle and its key is read off the placed
     state."""
     scored = []
     for clause in working:
         for idx, lit in enumerate(clause.literals):
-            if not sat and state is not None and lit in state.boundary:
+            if state is not None and lit in state.boundary:
                 continue
             try:
                 placed = start(clause, lit) if state is None else extend(state, clause, lit)
@@ -185,21 +185,16 @@ def _reference_ranking(working, state, sat):
                    for i in range(new)):
                 continue
             unit = 0 if len(clause) == 1 else 1
-            own = sum(1 for c in working if lit in c.literal_set)
             comp = sum(1 for c in working if lit.complement() in c.literal_set)
-            if sat:
-                unplaced = 0 if state is None or clause.id not in state.clause_ids() else 1
-                key = (unit, unplaced, -own, comp, clause.id, idx)
-            else:
-                closings = []
-                for other in working:
-                    try:
-                        closings.append(close(placed, other))
-                    except ConstructionError:
-                        pass
-                look = 0 if any(not closed.csc for closed in closings) else 1
-                pref = 0 if state is not None and lit in state.leftovers else 1
-                key = (unit, look, len(placed.d_plus(new)), pref, -comp, clause.id, idx)
+            closings = []
+            for other in working:
+                try:
+                    closings.append(close(placed, other))
+                except ConstructionError:
+                    pass
+            look = 0 if any(not closed.csc for closed in closings) else 1
+            pref = 0 if state is not None and lit in state.leftovers else 1
+            key = (unit, look, len(placed.d_plus(new)), pref, -comp, clause.id, idx)
             scored.append((key, placed))
     scored.sort(key=lambda item: item[0])
     return scored
@@ -207,13 +202,12 @@ def _reference_ranking(working, state, sat):
 
 @FEW
 @given(st.lists(st.lists(_propositional_literals, min_size=1, max_size=3),
-                min_size=1, max_size=7),
-       st.sampled_from(["unsat", "sat", "auto"]))
+                min_size=1, max_size=7))
 # the opening column leaves ~p over; two candidates for the next one absorb
 # their whole clause with a clause that closes fully after them, but ~p keeps
 # the separation nonempty, so their look-ahead stays 1
-@example([[neg("p"), neg("q")], [neg("p"), pos("q")], [neg("q"), pos("p")]], "unsat")
-def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies, mode):
+@example([[neg("p"), neg("q")], [neg("p"), pos("q")], [neg("q"), pos("p")]])
+def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
     """Along the states that successive winners reach, the round builder's
     set-based ranking gives every key and the (clause id, literal) order
     that placing every candidate gives; the winner's function builds
@@ -223,11 +217,11 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies, mode
     inputs = preprocess(problem)
     if not inputs.clauses:
         return
-    builder = engine._RoundBuilder(inputs, EngineConfig(mode=mode), problem, float("inf"))
+    builder = engine._RoundBuilder(inputs, EngineConfig(), problem, float("inf"))
     state = None
     for _ in range(builder.max_columns):
         ranked = sorted(builder._extensions(state), key=lambda item: item[0])
-        expected = _reference_ranking(builder.working, state, mode == "sat")
+        expected = _reference_ranking(builder.working, state)
         assert [key for key, _ in ranked] == [key for key, _ in expected]
         built = [build() for _, build in ranked]
         assert ([(b.columns[-1].clause_id, b.columns[-1].boundary_source) for b in built]

@@ -296,15 +296,15 @@ def test_extract_model_ignores_stair_coverage():
 # -- candidate ranking (the engine's, shared by both logics) ---------------------------
 
 
-def ranked(state, s, config):
+def ranked(state, s):
     """(clause id, boundary literal) of each extension, best first."""
-    builder = _RoundBuilder(s, config, s, float("inf"))
+    builder = _RoundBuilder(s, EngineConfig(), s, float("inf"))
     placed = [build() for _, build in sorted(builder._extensions(state), key=lambda e: e[0])]
     return [(c.columns[-1].clause_id, c.columns[-1].boundary_source) for c in placed]
 
 
 def test_select_candidates_unit_first(ex41):
-    order = ranked(None, ex41, EngineConfig(mode="unsat"))
+    order = ranked(None, ex41)
     assert order[0] == (1, pos("p1"))
 
 
@@ -312,7 +312,7 @@ def test_select_candidates_prefers_leftover_literals():
     s = clause_set([[pos("p"), pos("y")], [pos("y"), pos("w"), pos("k")],
                     [neg("y"), neg("w"), neg("k")]])
     state = start(s.clauses[0], pos("p"))  # leaves y above the boundary
-    order = ranked(state, s, EngineConfig(mode="unsat"))
+    order = ranked(state, s)
     _, literal = order[0]
     assert literal == pos("y")
     # and the clause-2 copy of y outranks every non-leftover literal
@@ -321,7 +321,7 @@ def test_select_candidates_prefers_leftover_literals():
 
 def test_select_candidates_tie_breaks_by_clause_id_then_complement_count():
     s = clause_set([[pos("a"), pos("c")], [pos("a"), pos("d")], [neg("a")]])
-    order = ranked(None, s, EngineConfig(mode="unsat"))
+    order = ranked(None, s)
     assert order[0] == (3, neg("a"))  # the unit leads
     assert order.index((1, pos("a"))) < order.index((2, pos("a")))  # id tie-break
     # ~a occurs in a clause and ~c in none: the complement count, not the
@@ -332,16 +332,9 @@ def test_select_candidates_tie_breaks_by_clause_id_then_complement_count():
 def test_select_candidates_filters_boundary_violations():
     s = clause_set([[pos("p")], [neg("p"), pos("q")]])
     state = start(s.clauses[0], pos("p"))
-    order = ranked(state, s, EngineConfig(mode="unsat"))
+    order = ranked(state, s)
     assert all(lit != neg("p") for _, lit in order)
-    assert all(lit != pos("p") for _, lit in order)  # no repeats in unsat mode
-
-
-def test_select_candidates_sat_mode_allows_repeats():
-    s = clause_set([[pos("p")], [pos("p"), pos("q")]])
-    state = start(s.clauses[0], pos("p"))
-    order = ranked(state, s, EngineConfig(mode="sat"))
-    assert (2, pos("p")) in order
+    assert all(lit != pos("p") for _, lit in order)  # no boundary literal repeats
 
 
 def test_select_candidates_unsat_prefers_frequent_complement():
@@ -351,7 +344,7 @@ def test_select_candidates_unsat_prefers_frequent_complement():
         [neg("a"), pos("c")],
         [neg("b"), pos("d")],
     ])
-    order = ranked(None, s, EngineConfig(mode="unsat"))
+    order = ranked(None, s)
     non_unit = [(cid, lit) for cid, lit in order if len(s.by_id(cid)) > 1]
     # ~a occurs in two clauses, ~b in one: a outranks b within clause 1
     assert non_unit.index((1, pos("a"))) < non_unit.index((1, pos("b")))
