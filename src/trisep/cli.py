@@ -33,16 +33,15 @@ def _seconds(text: str) -> float:
 
 def _cmd_prove(args) -> int:
     problem = load_problem_file(args.problem, args.format).clauses
-    config = EngineConfig(literal_threshold=args.nt, max_rounds=args.max_rounds,
-                          fallback_enabled=args.fallback == "on", time_budget=args.timeout)
+    config = EngineConfig(max_rounds=args.max_rounds, fallback_enabled=args.fallback == "on",
+                          time_budget=args.timeout)
     outcome, trace = prove(problem, config)
     result = verify_trace(problem, trace)
     if not result:
         print(f"% SZS status Error for {args.problem}")
         print(f"% verification failed: {result.diagnostic}")
         return 3
-    note = (f"nt={args.nt} max-rounds={args.max_rounds} fallback={args.fallback} "
-            f"timeout={args.timeout}")
+    note = f"max-rounds={args.max_rounds} fallback={args.fallback} timeout={args.timeout}"
     document = render_trace(trace, problem=args.problem, config_note=note,
                             verified=True)
     if args.trace:  # written before the verdict, so an unwritable path prints none
@@ -93,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prove = sub.add_parser("prove", help="decide a clause set and emit a trace")
     common(p_prove)
-    p_prove.add_argument("--nt", type=int, default=None,
-                         help="leftover-literal threshold for stopping a round")
     p_prove.add_argument("--max-rounds", type=int, default=40)
     p_prove.add_argument("--fallback", choices=["on", "off"], default="on")
     p_prove.add_argument("--timeout", type=_seconds, default=10.0,

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
@@ -53,6 +54,7 @@ from .oracle import (
     verify_model,
 )
 from .triangle import (
+    EMPTY_STATE,
     Triangle,
     close,
     extend,
@@ -126,15 +128,11 @@ class ProofTrace:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    literal_threshold: Optional[int] = None   # None: 2 x widest input clause
     max_rounds: int = 40
     fallback_enabled: bool = True
     time_budget: float = 10.0
 
     def __post_init__(self):
-        # a negative threshold would stop every round as the threshold 0 does
-        if (self.literal_threshold or 0) < 0:
-            raise ValueError(f"literal_threshold must be >= 0, got {self.literal_threshold!r}")
         if self.max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds!r}")
         # no comparison with NaN holds, so a NaN budget would end every loop at once
@@ -191,19 +189,18 @@ class _RoundBuilder:
     closing candidates are scored on literal sets and only the chosen one is
     built.
 
-    prove makes one builder per run, which fixes the width threshold, the
-    column cap (both from the input before preprocessing) and the logic once.
-    A kept separated clause enters the working set through admit, which also
-    drops the occurrence counts that the extension steps cached.
+    Every build starts from the empty state. prove makes one builder per
+    run, which fixes the logic once and derives the width threshold (twice
+    the widest input clause) and the column cap from the input before
+    preprocessing. A kept separated clause enters the working set through
+    admit, which also drops the occurrence counts that the extension steps
+    cached.
     """
 
-    def __init__(self, inputs: ClauseSet, config: EngineConfig, clause_set: ClauseSet,
-                 deadline: float):
+    def __init__(self, inputs: ClauseSet, clause_set: ClauseSet, deadline: float):
         self.working: List[Clause] = list(inputs.clauses)
         self.prop = inputs.is_propositional
-        widest = max(len(c) for c in clause_set.clauses)
-        self.threshold = (2 * widest if config.literal_threshold is None
-                          else config.literal_threshold)
+        self.threshold = 2 * max(len(c) for c in clause_set.clauses)
         self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
         self._counts: Dict[Literal, int] = {}
@@ -223,14 +220,11 @@ class _RoundBuilder:
         self._counts[literal] = n
         return n
 
-    def _place(self, state: Optional[Triangle], placed: Clause, lit: Literal,
-               ) -> Optional[Triangle]:
+    def _place(self, state: Triangle, placed: Clause, lit: Literal) -> Optional[Triangle]:
         """Add a clause, already renamed for its column, with lit on the boundary
         under the greedy unifier. When that unifier breaks an invariant or
         makes a redundant instance, the clause is placed uninstantiated."""
         try:
-            if state is None:
-                return start(placed, lit)
             searched = greedy_pull(state, placed.literals, lit)
             if searched:
                 try:
@@ -245,34 +239,30 @@ class _RoundBuilder:
             return None
 
     def _closures(self, state: Triangle):
-        """Every way to close state, as (leftover count, inside count, clause,
-        closed state). Propositional closings are scored on literal sets and
-        their state is left None, to be built only for the chosen one."""
+        """Every way to close state as (key, clause, closed state); the least
+        key, (leftover count, -inside count, clause id), ranks best. Propositional
+        closings are scored on literal sets, their state None until chosen."""
         if self.prop:
             complements = state.boundary_complements
             for clause in self.working:
                 inside = len(clause.literal_set & complements)
                 if inside:
-                    yield len(clause) - inside, inside, clause, None
+                    yield (len(clause) - inside, -inside, clause.id), clause, None
             return
         for clause in self.working:
             for closed in _closings(state, clause):
                 k = closed.closing_index
-                yield len(closed.d_plus(k)), len(closed.d_minus(k)), clause, closed
+                yield (len(closed.d_plus(k)), -len(closed.d_minus(k)), clause.id), clause, closed
 
     def _best_closure(self, state: Triangle) -> Optional[Triangle]:
-        def key(closure):
-            outside, inside, clause, _ = closure
-            return outside, -inside, clause.id
-
-        best = min(self._closures(state), key=key, default=None)
+        best = min(self._closures(state), key=itemgetter(0), default=None)
         if best is None:
             return None
-        _, _, clause, closed = best
+        _, clause, closed = best
         return close(state, clause) if closed is None else closed
 
     def _full_close_available(self, state: Triangle) -> bool:
-        return any(not outside for outside, _, _, _ in self._closures(state))
+        return any(key[0] == 0 for key, _, _ in self._closures(state))
 
     def _column_signature(self, state: Triangle, index: int):
         col = state.columns[index]
@@ -281,7 +271,7 @@ class _RoundBuilder:
             boundary_idx = col.source_literals.index(col.boundary_source)
         return (col.clause_id, boundary_idx, variant_key(state.instantiated(index)))
 
-    def _set_candidates(self, state: Optional[Triangle]):
+    def _set_candidates(self, state: Triangle):
         """Propositional extensions, scored on literal sets without placing a
         clause, as (clause, literal position, literal, new leftover count,
         look-ahead, a function that places it).
@@ -293,14 +283,9 @@ class _RoundBuilder:
         empty separation is one close away exactly when nothing is left over
         and some clause lies within the boundary complements and lit's.
         """
-        if state is None:
-            complements, boundary, leftovers, repeats = frozenset(), (), (), ()
-            step = start
-        else:
-            complements, boundary, leftovers = (
-                state.boundary_complements, set(state.boundary), state.leftovers)
-            repeats = {(col.clause_id, col.boundary_source) for col in state.columns}
-            step = partial(extend, state)
+        complements, boundary, leftovers = (
+            state.boundary_complements, set(state.boundary), state.leftovers)
+        repeats = {(col.clause_id, col.boundary_source) for col in state.columns}
         for clause in self.working:
             new_plus = len(clause.literal_set - complements) - 1
             for idx, lit in enumerate(clause.literals):
@@ -311,20 +296,17 @@ class _RoundBuilder:
                     within = complements | {lit.complement()}
                     if any(c.literal_set <= within for c in self.working):
                         look = 0
-                yield clause, idx, lit, new_plus, look, partial(step, clause, lit)
+                yield clause, idx, lit, new_plus, look, partial(extend, state, clause, lit)
 
-    def _placed_candidates(self, state: Optional[Triangle]):
+    def _placed_candidates(self, state: Triangle):
         """First-order extensions in the shape of _set_candidates. A key
         depends on the column's unifier, so each clause is renamed for its
         column and placed here, and its function returns the placed state."""
-        boundary = set(state.boundary) if state is not None else set()
-        existing_signatures = set()
-        if state is not None:
-            existing_signatures = {self._column_signature(state, i)
-                                   for i in range(len(state.columns))}
-        column = 1 if state is None else len(state.columns) + 1
+        boundary = set(state.boundary)
+        existing_signatures = {self._column_signature(state, i)
+                               for i in range(len(state.columns))}
         for clause in self.working:
-            placed = rename_clause(clause, column)
+            placed = rename_clause(clause, len(state.columns) + 1)
             for idx, (lit, placed_lit) in enumerate(zip(clause.literals, placed.literals)):
                 # renaming makes a non-ground literal fresh, so only a ground one
                 # can repeat a boundary literal here; a repeat that the column's
@@ -335,8 +317,7 @@ class _RoundBuilder:
                 if candidate is None:
                     continue
                 new_col = len(candidate.columns) - 1
-                if state is not None and self._column_signature(
-                        candidate, new_col) in existing_signatures:
+                if self._column_signature(candidate, new_col) in existing_signatures:
                     continue
                 # an extension after which an empty separation is one close away
                 look = 1
@@ -345,12 +326,11 @@ class _RoundBuilder:
                 yield (clause, idx, lit, len(candidate.d_plus(new_col)), look,
                        lambda candidate=candidate: candidate)
 
-    def _extensions(self, state: Optional[Triangle]
-                    ) -> List[Tuple[tuple, Callable[[], Triangle]]]:
-        """Every extension of state (None: every opening column), in scan
-        order, as (key, a function that builds the extended state). Keys are
-        unique, and the least one ranks best."""
-        leftovers = set(state.leftovers) if state is not None else set()
+    def _extensions(self, state: Triangle) -> List[Tuple[tuple, Callable[[], Triangle]]]:
+        """Every extension of state, in scan order, as (key, a function that
+        builds the extended state). Keys are unique, and the least one ranks
+        best."""
+        leftovers = set(state.leftovers)
         candidates = self._set_candidates if self.prop else self._placed_candidates
         scored = []
         for clause, idx, lit, new_plus, look, build in candidates(state):
@@ -364,10 +344,10 @@ class _RoundBuilder:
 
     def build(self) -> Optional[Triangle]:
         """One closed state, or None."""
-        state: Optional[Triangle] = None
+        state = EMPTY_STATE
         best: Optional[Triangle] = None
         while time.monotonic() < self.deadline:
-            if state is not None:
+            if state.columns:
                 best = self._best_closure(state)
                 if best is not None and should_stop(best, self.threshold, self.working)[0]:
                     return best
@@ -635,7 +615,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             return _finish((), SATISFIABLE, _complete_model({}, clause_set))
         return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
 
-    builder = _RoundBuilder(inputs, config, clause_set, deadline)
+    builder = _RoundBuilder(inputs, clause_set, deadline)
     working = builder.working
     # a clause that preprocessing deleted may hold the highest input id
     next_id = clause_set.next_id()
@@ -699,7 +679,8 @@ def verify_trace(clause_set: ClauseSet, trace: ProofTrace) -> VerificationResult
     is disjoint with a nonempty inside part; the inside parts pass the
     brute-force standard-contradiction check (grounded first); the separated
     clause is exactly the union of the leftovers. Finally the verdict must
-    match the last round.
+    be unsatisfiable, satisfiable or unknown, match the last round, and come
+    with a model exactly when it is satisfiable.
     """
     registry: Dict[int, Clause] = {c.id: c for c in clause_set.clauses}
     prop = clause_set.is_propositional
@@ -738,6 +719,8 @@ def verify_trace(clause_set: ClauseSet, trace: ProofTrace) -> VerificationResult
             return fail(number, f"separated clause id {record.csc.id} already used")
         registry[record.csc.id] = record.csc
 
+    if trace.model is not None and trace.verdict != SATISFIABLE:
+        return VerificationResult(False, f"a model with verdict {trace.verdict}")
     if trace.verdict == UNSATISFIABLE:
         if trace.rounds:
             if trace.rounds[-1].csc.literals:
@@ -754,6 +737,8 @@ def verify_trace(clause_set: ClauseSet, trace: ProofTrace) -> VerificationResult
         model = _complete_model(trace.model, clause_set)
         if not verify_model(clause_set, model):
             return VerificationResult(False, "recorded model does not satisfy the input")
+    elif trace.verdict != UNKNOWN:
+        return VerificationResult(False, f"unknown verdict {trace.verdict!r}")
     return VerificationResult(True)
 
 
@@ -828,8 +813,8 @@ def linear_to_etc(ld: LinearDeduction, start_id: Optional[int] = None) -> List[R
                 break
             seen.add(pivot)
             seg += 1
-        state = start(sides[seg - 1], pivots[seg - 1])
-        for j in range(seg - 2, -1, -1):
+        state = EMPTY_STATE
+        for j in range(seg - 1, -1, -1):
             state = extend(state, sides[j], pivots[j])
         state = close(state, top)
         top = Clause(start_id, state.csc)

@@ -268,7 +268,7 @@ class RawState:
         self._column_sigmas = tuple(column_sigmas)
         self._d_minus = tuple(d_minus_parts)
         self._d_plus = tuple(d_plus_parts)
-        self.closed = True
+        self.closed = sum(col.closing for col in self.columns) == 1
 
     @property
     def sigma(self) -> Substitution:
@@ -298,9 +298,11 @@ class RawState:
 def parse_trace_document(text: str) -> ProofTrace:
     """Read the machine section back. Raises ParseError when the document
     makes no claim: no complete TRACE BEGIN/END section, no VERDICT record,
-    or a verdict or MODEL value outside the rendered vocabulary; and when a
-    ROUND or COL number is not the next round's or column's position, which
-    would render back differently."""
+    or a verdict or MODEL value outside the rendered vocabulary; and when it
+    would render back differently: a ROUND or COL number out of place, a
+    column kind other than B (with a boundary literal), S or C (with '-'), a
+    BOUND record other than its round's boundary literals, or a second
+    VERDICT. A parsed round is closed when it holds exactly one C column."""
     in_section = ended = False
     rounds: List[RoundRecord] = []
     current_round = None
@@ -344,17 +346,27 @@ def parse_trace_document(text: str) -> ProofTrace:
                 if int(pos) != len(columns) + 1:
                     raise ParseError(f"COL {pos} where column {len(columns) + 1} is next",
                                      line=line_no)
+                if kind not in ("B", "S", "C") or (kind == "B") == (boundary == "-"):
+                    raise ParseError(f"column kind {kind!r} with boundary {boundary!r}: B needs "
+                                     "a literal, S and C need '-'", line=line_no)
                 boundary_lit = None if boundary == "-" else parse_literal_text(boundary)
                 columns.append(Column(int(clause_id), _parse_literals(sources),
                                       boundary_lit, closing=kind == "C"))
                 sigmas.append(_parse_sigma(sigma))
                 d_minus_parts.append(_parse_literals(d_minus))
                 d_plus_parts.append(_parse_literals(d_plus))
-            elif tag == "BOUND":
-                pass  # redundant with the COL records
+            elif tag == "BOUND":  # redundant with the COL records, so it must agree
+                sigma = RawState(columns, sigmas, (), ()).sigma
+                bound = tuple(apply_literal(sigma, col.boundary_source)
+                              for col in columns if col.boundary_source is not None)
+                if current_round is None or _parse_literals(fields[1]) != bound:
+                    raise ParseError("BOUND record other than its round's boundary literals",
+                                     line=line_no)
             elif tag == "CSC":
                 flush_round(int(fields[1]), _parse_literals(fields[2]))
             elif tag == "VERDICT":
+                if verdict is not None:
+                    raise ParseError("second VERDICT record", line=line_no)
                 verdict = fields[1]
                 if verdict not in SZS_BY_VERDICT:
                     raise ParseError(f"unknown verdict {verdict!r}", line=line_no)

@@ -179,13 +179,13 @@ class Triangle:
 
 # -- construction steps --------------------------------------------------------
 
-_EMPTY_STATE = Triangle(())
+EMPTY_STATE = Triangle(())  # every construction grows from here
 
 
 def start(first_clause: Clause, boundary_literal: Literal,
           sigma: Substitution = EMPTY) -> Triangle:
     """Open a construction with one clause and its boundary literal."""
-    return extend(_EMPTY_STATE, first_clause, boundary_literal, sigma)
+    return extend(EMPTY_STATE, first_clause, boundary_literal, sigma)
 
 
 def extend(state: Triangle, clause: Clause, boundary_literal: Optional[Literal],

@@ -14,6 +14,7 @@ from trisep import (
     RoundRecord,
     Substitution,
     Variable,
+    VerificationResult,
     clause_set,
     close,
     extend,
@@ -126,18 +127,6 @@ def test_engine_config_rejects_a_negative_max_rounds(tmp_path, capsys):
     problem.write_text("p cnf 1 1\n1 0\n")
     assert cli_main(["prove", str(problem), "--max-rounds", "-1", "--quiet"]) == 2
     assert "max_rounds" in capsys.readouterr().err
-
-
-def test_engine_config_rejects_a_negative_literal_threshold(tmp_path, capsys):
-    # -1 used to act as 0, stopping every round at its first closing
-    with pytest.raises(ValueError, match="literal_threshold"):
-        EngineConfig(literal_threshold=-5)
-    assert [EngineConfig(literal_threshold=t).literal_threshold for t in (None, 0, 3)] == [
-        None, 0, 3]
-    problem = tmp_path / "p.cnf"
-    problem.write_text("p cnf 2 3\n1 2 0\n-1 0\n-2 0\n")
-    assert cli_main(["prove", str(problem), "--nt", "-1", "--quiet"]) == 2
-    assert "literal_threshold" in capsys.readouterr().err
 
 
 def test_prove_single_unit_satisfiable_via_fallback():
@@ -340,6 +329,24 @@ def test_verify_accepts_unknown_traces(ex41):
     assert verify_trace(ex41, ProofTrace((), "unknown", reason="gave up"))
 
 
+def test_verify_rejects_a_verdict_outside_the_three():
+    # used to verify, as no branch of the verdict check matched it
+    result = verify_trace(clause_set([[pos("p")]]), ProofTrace((), "maybe"))
+    assert result == VerificationResult(False, "unknown verdict 'maybe'")
+
+
+@pytest.mark.parametrize("verdict", ["unknown", "unsatisfiable"])
+def test_verify_rejects_a_model_on_a_verdict_other_than_satisfiable(verdict):
+    # an unknown trace with a model used to verify, and rendered a MODEL record
+    s = clause_set([[pos("p")], [neg("p")]])
+    _, trace = prove(s, FAST)
+    assert trace.verdict == "unsatisfiable"
+    with_model = ProofTrace(trace.rounds if verdict == "unsatisfiable" else (), verdict,
+                            model={"p": False})
+    assert verify_trace(s, with_model) == VerificationResult(
+        False, f"a model with verdict {verdict}")
+
+
 # -- soundness and completeness over random instances ------------------------------------
 
 
@@ -406,7 +413,7 @@ def _chain(k, reverse=False):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "88d5d64c33ad0f024419e7ef19f8eab1605ec61d06d72045ffae88c145549311"
+GOLDEN_TRACE_DIGEST = "bde352fc279fd252ab97d0603a8d7dc16f904c46e70c87a49d0bf6d3d5a17f7a"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
@@ -422,10 +429,8 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     runs += [(_three_sat(three_sat_rng, 10, 43), fallback_only) for _ in range(8)]
     runs += [(_chain(k, reverse), fallback_only) for k in range(3, 7) for reverse in (False, True)]
     runs += [(s, fallback_only) for s in (ex51, ex52, ex53)]
-    # every threshold
-    runs += [(random_instance(rng, max_vars=7, max_clauses=10),
-              EngineConfig(literal_threshold=(1, 2, 3, None)[i % 4], time_budget=30.0))
-             for i in range(30)]
+    runs += [(random_instance(rng, max_vars=7, max_clauses=10), EngineConfig(time_budget=30.0))
+             for _ in range(30)]
     digest = hashlib.sha256()
     for s, config in runs:
         _, trace = prove(s, config)

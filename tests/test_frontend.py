@@ -194,6 +194,13 @@ def _trace_document(*records):
     return "".join(f"{line}\n" for line in ("TRACE\tBEGIN", *records, "TRACE\tEND"))
 
 
+def _tampered(index, record):
+    """The unit pair's refutation with one record replaced."""
+    records = list(_UNIT_PAIR_REFUTATION)
+    records[index] = record
+    return records
+
+
 def test_trace_document_round_trip_propositional(ex41):
     outcome, trace = prove(ex41, EngineConfig(time_budget=20.0))
     document = render_trace(trace, problem="ex41")
@@ -286,6 +293,32 @@ def test_trace_parser_rejects_record_numbers_out_of_place(tmp_path, capsys):
         trace_path.write_text(document)
         assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
         assert "verified" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("records, message", [
+    (_tampered(1, "COL\t1\t1\tX\tx1\t-\tx1\tx1\t-"), "column kind 'X'"),
+    # used to parse, and rendered back as B
+    (_tampered(1, "COL\t1\t1\tS\tx1\t-\tx1\tx1\t-"), "column kind 'S' with boundary 'x1'"),
+    # used to parse as a stair, leaving the round without a closing column
+    (_tampered(2, "COL\t2\t2\tB\t-\t-\t~x1\t~x1\t-"), "column kind 'B' with boundary '-'"),
+    (_tampered(2, "COL\t2\t2\tC\t~x1\t-\t~x1\t~x1\t-"), "column kind 'C' with boundary '~x1'"),
+    # used to be ignored
+    (("ROUND\t1", *_UNIT_PAIR_COLUMNS, "BOUND\t~x1", *_UNIT_PAIR_REFUTATION[3:]),
+     "BOUND record other than"),
+    (("BOUND\t-", *_UNIT_PAIR_REFUTATION), "BOUND record other than"),
+    # the second one used to win
+    ((*_UNIT_PAIR_REFUTATION, "VERDICT\tunknown"), "second VERDICT record"),
+], ids=["kind-X", "S-with-literal", "B-without-literal", "C-with-literal", "wrong-BOUND",
+        "stray-BOUND", "second-VERDICT"])
+def test_trace_parser_rejects_records_that_would_render_back_differently(tmp_path, capsys,
+                                                                         records, message):
+    with pytest.raises(ParseError, match=message):
+        parse_trace_document(_trace_document(*records))
+    problem, trace_path = tmp_path / "units.cnf", tmp_path / "altered.trace"
+    problem.write_text(UNIT_PAIR_DIMACS)
+    trace_path.write_text(_trace_document(*records))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
+    assert "verified" not in capsys.readouterr().out
 
 
 def test_trace_table_renders_empty_separation_marker(ex41):
@@ -391,6 +424,17 @@ def test_cli_prove_has_no_mode_flag(tmp_path, capsys):
     assert "--mode" in captured.err and "SZS status" not in captured.out
 
 
+def test_cli_prove_has_no_width_threshold_flag(tmp_path, capsys):
+    # the cap on a round's separated clause is always twice the widest input clause
+    problem = tmp_path / "sat.cnf"
+    problem.write_text(SAT_DIMACS)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["prove", "--nt", "3", str(problem)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--nt" in captured.err and "SZS status" not in captured.out
+
+
 def test_cli_prove_never_prints_a_verdict_its_own_check_rejected(tmp_path, capsys,
                                                                  monkeypatch):
     problem = tmp_path / "ex41.cnf"
@@ -443,13 +487,6 @@ def test_cli_check_verifies_a_hand_written_refutation(tmp_path, capsys):
     assert "verified: 1 round(s)" in capsys.readouterr().out
 
 
-def _tampered(index, record):
-    """The unit pair's refutation with one record replaced."""
-    records = list(_UNIT_PAIR_REFUTATION)
-    records[index] = record
-    return records
-
-
 @pytest.mark.parametrize("problem_text, records, diagnostic", [
     (UNIT_PAIR_DIMACS, _tampered(1, "COL\t1\t2\tB\tx1\t-\tx1\tx1\t-"),
      "round 1: column 1 is not a variant of clause 2"),
@@ -466,8 +503,12 @@ def _tampered(index, record):
      "verdict unsatisfiable with no rounds and no empty input clause"),
     ("cnf(c1, axiom, p(X)).\n", ["VERDICT\tsatisfiable", "MODEL\t-"],
      "satisfiable verdict on a first-order problem"),
+    # the closing column written as a stair: the round has no closing column
+    (UNIT_PAIR_DIMACS, _tampered(2, "COL\t2\t2\tS\t-\t-\t~x1\t~x1\t-"),
+     "round 1: state is not closed"),
+    (UNIT_PAIR_DIMACS, ["VERDICT\tunknown", "MODEL\tx1=true"], "a model with verdict unknown"),
 ], ids=["variant", "overlap", "empty-inside", "contradiction", "id-reused", "no-rounds",
-        "first-order-sat"])
+        "first-order-sat", "no-closing-column", "unknown-with-model"])
 def test_cli_check_reports_each_rejection(tmp_path, capsys, problem_text, records, diagnostic):
     problem, trace_path = tmp_path / "problem", tmp_path / "tampered.trace"
     problem.write_text(problem_text)
@@ -477,8 +518,8 @@ def test_cli_check_reports_each_rejection(tmp_path, capsys, problem_text, record
 
 
 def test_verify_trace_rejects_an_open_state():
-    # a parsed document's states are always closed, so only a library caller
-    # can hand verify_trace an open one
+    # a parsed round without its closing column fails the same way (see
+    # test_cli_check_reports_each_rejection)
     s = clause_set([[pos("p")], [neg("p")]])
     opened = start(s.clauses[0], pos("p"))
     trace = ProofTrace((RoundRecord(opened, Clause(3, [pos("p")])),), "unknown")

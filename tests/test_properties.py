@@ -50,7 +50,7 @@ from trisep.engine import _ProcessedClauses, _resolvents
 from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError
 from trisep.logic import merge_duplicate_literals, variable_names
-from trisep.triangle import _derive_column
+from trisep.triangle import EMPTY_STATE, _derive_column
 from trisep.unify import EMPTY
 
 FEW = settings(max_examples=50, deadline=None,
@@ -174,10 +174,10 @@ def _reference_ranking(working, state):
     scored = []
     for clause in working:
         for idx, lit in enumerate(clause.literals):
-            if state is not None and lit in state.boundary:
+            if lit in state.boundary:
                 continue
             try:
-                placed = start(clause, lit) if state is None else extend(state, clause, lit)
+                placed = extend(state, clause, lit)
             except ConstructionError:
                 continue
             new = len(placed.columns) - 1
@@ -193,7 +193,7 @@ def _reference_ranking(working, state):
                 except ConstructionError:
                     pass
             look = 0 if any(not closed.csc for closed in closings) else 1
-            pref = 0 if state is not None and lit in state.leftovers else 1
+            pref = 0 if lit in state.leftovers else 1
             key = (unit, look, len(placed.d_plus(new)), pref, -comp, clause.id, idx)
             scored.append((key, placed))
     scored.sort(key=lambda item: item[0])
@@ -217,8 +217,8 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
     inputs = preprocess(problem)
     if not inputs.clauses:
         return
-    builder = engine._RoundBuilder(inputs, EngineConfig(), problem, float("inf"))
-    state = None
+    builder = engine._RoundBuilder(inputs, problem, float("inf"))
+    state = EMPTY_STATE
     for _ in range(builder.max_columns):
         ranked = sorted(builder._extensions(state), key=lambda item: item[0])
         expected = _reference_ranking(builder.working, state)
@@ -227,15 +227,14 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
         assert ([(b.columns[-1].clause_id, b.columns[-1].boundary_source) for b in built]
                 == [(p.columns[-1].clause_id, p.columns[-1].boundary_source)
                     for _, p in expected])
-        complements = state.boundary_complements if state is not None else frozenset()
-        assert not any(b.columns[-1].boundary_source in complements for b in built)
+        assert not any(b.columns[-1].boundary_source in state.boundary_complements
+                       for b in built)
         if not ranked:
             return
         winner = ranked[0][1]()
         column = winner.columns[-1]
         clause = inputs.by_id(column.clause_id)
-        reference = (start(clause, column.boundary_source) if state is None
-                     else extend(state, clause, column.boundary_source))
+        reference = extend(state, clause, column.boundary_source)
         assert winner.columns == reference.columns
         assert winner.parts == reference.parts
         assert winner.leftovers == reference.leftovers

@@ -5,7 +5,6 @@ import pytest
 from trisep import (
     Clause,
     ClauseSet,
-    EngineConfig,
     clause_set,
     close,
     extend,
@@ -22,6 +21,7 @@ from trisep import (
 )
 from trisep.engine import _RoundBuilder
 from trisep.errors import ConstructionError
+from trisep.triangle import EMPTY_STATE
 from conftest import random_closed_state, random_instance
 
 
@@ -298,13 +298,13 @@ def test_extract_model_ignores_stair_coverage():
 
 def ranked(state, s):
     """(clause id, boundary literal) of each extension, best first."""
-    builder = _RoundBuilder(s, EngineConfig(), s, float("inf"))
+    builder = _RoundBuilder(s, s, float("inf"))
     placed = [build() for _, build in sorted(builder._extensions(state), key=lambda e: e[0])]
     return [(c.columns[-1].clause_id, c.columns[-1].boundary_source) for c in placed]
 
 
 def test_select_candidates_unit_first(ex41):
-    order = ranked(None, ex41)
+    order = ranked(EMPTY_STATE, ex41)
     assert order[0] == (1, pos("p1"))
 
 
@@ -321,7 +321,7 @@ def test_select_candidates_prefers_leftover_literals():
 
 def test_select_candidates_tie_breaks_by_clause_id_then_complement_count():
     s = clause_set([[pos("a"), pos("c")], [pos("a"), pos("d")], [neg("a")]])
-    order = ranked(None, s)
+    order = ranked(EMPTY_STATE, s)
     assert order[0] == (3, neg("a"))  # the unit leads
     assert order.index((1, pos("a"))) < order.index((2, pos("a")))  # id tie-break
     # ~a occurs in a clause and ~c in none: the complement count, not the
@@ -344,7 +344,7 @@ def test_select_candidates_unsat_prefers_frequent_complement():
         [neg("a"), pos("c")],
         [neg("b"), pos("d")],
     ])
-    order = ranked(None, s)
+    order = ranked(EMPTY_STATE, s)
     non_unit = [(cid, lit) for cid, lit in order if len(s.by_id(cid)) > 1]
     # ~a occurs in two clauses, ~b in one: a outranks b within clause 1
     assert non_unit.index((1, pos("a"))) < non_unit.index((1, pos("b")))
