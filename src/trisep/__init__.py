@@ -32,7 +32,9 @@ from .oracle import (
     propositional_shadow,
     shadow_contradiction_check,
     standard_contradiction_counterexample,
+    VerificationResult,
     verify_model,
+    verify_trace,
 )
 from .triangle import (
     Column,
@@ -57,11 +59,9 @@ from .engine import (
     Outcome,
     ProofTrace,
     RoundRecord,
-    VerificationResult,
     linear_resolvent,
     linear_to_etc,
     prove,
-    verify_trace,
 )
 from .dimacs import parse_dimacs, render_dimacs
 from .problems import ProblemSource, load_problem, load_problem_file

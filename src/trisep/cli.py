@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import EngineConfig, prove, verify_trace
+from .engine import EngineConfig, prove
 from .errors import ParseError, TrisepError
-from .oracle import OracleError, is_unsatisfiable_bruteforce, propositional_shadow, ground_fresh
+from .oracle import OracleError, is_unsatisfiable_bruteforce, propositional_shadow, verify_trace
 from .logic import ClauseSet, is_ground
 from .problems import load_problem_file
 from .render import SZS_BY_VERDICT, parse_trace_document, render_trace
@@ -73,7 +73,7 @@ def _cmd_oracle(args) -> int:
         if not all(is_ground(c.literals) for c in problem.clauses):
             print("oracle needs a propositional or ground problem", file=sys.stderr)
             return 2
-        problem = ClauseSet(propositional_shadow(ground_fresh(problem.clauses)))
+        problem = ClauseSet(propositional_shadow(problem.clauses))
     unsat = is_unsatisfiable_bruteforce(problem)
     status = "Unsatisfiable" if unsat else "Satisfiable"
     print(f"% SZS status {status} for {args.problem}")

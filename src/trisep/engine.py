@@ -1,5 +1,4 @@
-"""The outer deduction loop, proof-trace verification, and the bridge from
-linear resolution.
+"""The outer deduction loop and the bridge from linear resolution.
 
 One round builds one closed construction, separates its leftover clause, and
 feeds it back into the working set. An empty separated clause refutes the
@@ -47,12 +46,7 @@ from .logic import (
     merge_duplicate_literals,
     too_deep,
 )
-from .oracle import (
-    Assignment,
-    is_standard_contradiction,
-    shadow_contradiction_check,
-    verify_model,
-)
+from .oracle import SATISFIABLE, UNKNOWN, UNSATISFIABLE, Assignment, complete_model, verify_model
 from .triangle import (
     EMPTY_STATE,
     Triangle,
@@ -66,17 +60,12 @@ from .triangle import (
 from .fol import (
     greedy_pull,
     fall_in,
-    positional_variant,
     preprocess,
     redundancy_guard,
     variant_key,
 )
-from .unify import (EMPTY, apply, apply_literal, apply_literals, clauses_unifiable_with, compose,
-                    mgu, rename_clause)
+from .unify import EMPTY, apply, apply_literal, clauses_unifiable_with, compose, mgu, rename_clause
 
-UNSATISFIABLE = "unsatisfiable"
-SATISFIABLE = "satisfiable"
-UNKNOWN = "unknown"
 DEPTH_BOUND_REACHED = "term depth bound reached"
 
 
@@ -138,15 +127,6 @@ class EngineConfig:
         # no comparison with NaN holds, so a NaN budget would end every loop at once
         if not self.time_budget >= 0:
             raise ValueError(f"time_budget must be >= 0 seconds, got {self.time_budget!r}")
-
-
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    diagnostic: str = ""
-
-    def __bool__(self):
-        return self.ok
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +566,6 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
 # ---------------------------------------------------------------------------
 
 
-def _complete_model(model: Assignment, clause_set: ClauseSet) -> Assignment:
-    full = {name: False for name in clause_set.predicates()}
-    full.update(model)
-    return full
-
-
 def _finish(rounds: Sequence[RoundRecord], verdict: str, model: Optional[Assignment] = None,
             reason: Optional[str] = None) -> Tuple[Outcome, ProofTrace]:
     return Outcome(verdict, model, reason), ProofTrace(tuple(rounds), verdict, model, reason)
@@ -612,7 +586,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     if not inputs.clauses:
         # every input clause was a tautology
         if prop:
-            return _finish((), SATISFIABLE, _complete_model({}, clause_set))
+            return _finish((), SATISFIABLE, complete_model({}, clause_set))
         return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
 
     builder = _RoundBuilder(inputs, clause_set, deadline)
@@ -637,7 +611,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         if prop:
             model = extract_model(raw_state, inputs)
             if model is not None:
-                model = _complete_model(model, clause_set)
+                model = complete_model(model, clause_set)
                 if verify_model(clause_set, model):
                     return _finish(rounds, SATISFIABLE, model)
         key = variant_key(csc.literals)
@@ -654,7 +628,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
         verdict, fb_rounds, model, reason = _saturate(
             working, known, next_id, prop, deadline, rounds)
         if verdict == SATISFIABLE:
-            model = _complete_model(model, clause_set)
+            model = complete_model(model, clause_set)
         return _finish(fb_rounds if verdict == UNSATISFIABLE else rounds, verdict, model, reason)
     if time.monotonic() >= deadline:
         reason = "time budget exhausted"
@@ -663,83 +637,6 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     else:
         reason = "round budget exhausted or a round stalled, fallback disabled"
     return _finish(rounds, UNKNOWN, reason=reason)
-
-
-# ---------------------------------------------------------------------------
-# Trace verification
-# ---------------------------------------------------------------------------
-
-
-def verify_trace(clause_set: ClauseSet, trace: ProofTrace) -> VerificationResult:
-    """Certify every round as a contradiction-separation step.
-
-    Checks per round: cited clauses are inputs or earlier separated clauses;
-    each column's pre-instantiation literals are a (positional) variant of the
-    cited clause; the recorded partition re-derives from the substitution and
-    is disjoint with a nonempty inside part; the inside parts pass the
-    brute-force standard-contradiction check (grounded first); the separated
-    clause is exactly the union of the leftovers. Finally the verdict must
-    be unsatisfiable, satisfiable or unknown, match the last round, and come
-    with a model exactly when it is satisfiable.
-    """
-    registry: Dict[int, Clause] = {c.id: c for c in clause_set.clauses}
-    prop = clause_set.is_propositional
-
-    def fail(number, message):
-        return VerificationResult(False, f"round {number}: {message}")
-
-    for number, record in enumerate(trace.rounds, start=1):
-        state = record.state
-        if not state.closed:
-            return fail(number, "state is not closed")
-        for pos, col in enumerate(state.columns):
-            origin = registry.get(col.clause_id)
-            if origin is None:
-                return fail(number, f"column {pos + 1} cites unknown clause {col.clause_id}")
-            if not positional_variant(col.source_literals, origin.literals):
-                return fail(number, f"column {pos + 1} is not a variant of clause "
-                                    f"{col.clause_id}")
-            inst = set(apply_literals(state.sigma, col.source_literals))
-            d_minus, d_plus = set(state.d_minus(pos)), set(state.d_plus(pos))
-            if d_minus & d_plus:
-                return fail(number, f"column {pos + 1} partition overlaps")
-            if not d_minus:
-                return fail(number, f"column {pos + 1} has an empty inside part")
-            if inst != d_minus | d_plus:
-                return fail(number, f"column {pos + 1} partition does not match the "
-                                    "instantiated clause")
-        inside = [Clause(i + 1, state.d_minus(i)) for i in range(len(state.columns))]
-        contradiction = (is_standard_contradiction(inside) if prop
-                         else shadow_contradiction_check(inside))
-        if not contradiction:
-            return fail(number, "inside parts are not a standard contradiction")
-        if set(record.csc.literals) != set(state.csc):
-            return fail(number, "separated clause does not equal the leftover union")
-        if record.csc.id in registry:
-            return fail(number, f"separated clause id {record.csc.id} already used")
-        registry[record.csc.id] = record.csc
-
-    if trace.model is not None and trace.verdict != SATISFIABLE:
-        return VerificationResult(False, f"a model with verdict {trace.verdict}")
-    if trace.verdict == UNSATISFIABLE:
-        if trace.rounds:
-            if trace.rounds[-1].csc.literals:
-                return VerificationResult(
-                    False, "verdict unsatisfiable but the last separated clause is nonempty")
-        elif not any(c.is_empty() for c in clause_set.clauses):
-            return VerificationResult(
-                False, "verdict unsatisfiable with no rounds and no empty input clause")
-    elif trace.verdict == SATISFIABLE:
-        if not prop:
-            return VerificationResult(False, "satisfiable verdict on a first-order problem")
-        if trace.model is None:
-            return VerificationResult(False, "satisfiable verdict without a model")
-        model = _complete_model(trace.model, clause_set)
-        if not verify_model(clause_set, model):
-            return VerificationResult(False, "recorded model does not satisfy the input")
-    elif trace.verdict != UNKNOWN:
-        return VerificationResult(False, f"unknown verdict {trace.verdict!r}")
-    return VerificationResult(True)
 
 
 # ---------------------------------------------------------------------------

@@ -64,39 +64,6 @@ def variant_key(literals: Collection[Literal]) -> frozenset:
         Literal(l.positive, l.predicate, tuple(canon(a) for a in l.args)) for l in ordered)
 
 
-def positional_variant(src: Iterable[Literal], orig: Iterable[Literal]) -> bool:
-    """True when src is orig with variables renamed injectively, literal by
-    literal in order. Engine traces always record literals positionally."""
-    src, orig = tuple(src), tuple(orig)
-    if len(src) != len(orig):
-        return False
-    fwd = {}
-    bwd = {}
-
-    def match(a, b) -> bool:
-        if isinstance(a, Variable) and isinstance(b, Variable):
-            if fwd.setdefault(a.name, b.name) != b.name:
-                return False
-            if bwd.setdefault(b.name, a.name) != a.name:
-                return False
-            return True
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return a.name == b.name
-        if isinstance(a, Function) and isinstance(b, Function):
-            return (a.name == b.name and len(a.args) == len(b.args)
-                    and all(match(x, y) for x, y in zip(a.args, b.args)))
-        return False
-
-    for la, lb in zip(src, orig):
-        if la.positive != lb.positive or la.predicate != lb.predicate:
-            return False
-        if len(la.args) != len(lb.args):
-            return False
-        if not all(match(x, y) for x, y in zip(la.args, lb.args)):
-            return False
-    return True
-
-
 # -- preprocessing -------------------------------------------------------------
 
 

@@ -1,18 +1,25 @@
-"""Independent brute-force ground truth.
+"""Independent brute-force ground truth, and the trace checker built on it.
 
 Everything here is deliberately naive: contradiction checking enumerates
-literal tuples, satisfiability enumerates assignments. None of it shares
-logic with the construction engine, so it can certify the engine's output.
+literal tuples, satisfiability enumerates assignments, and verify_trace
+re-derives every column with this module's one term walk. None of it shares
+logic with the construction engine (this module imports only trisep.logic and
+trisep.errors), so it can certify the engine's output.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import OracleError
 from .logic import Clause, ClauseSet, Constant, Function, Literal, Variable, is_ground
 
 DEFAULT_VARIABLE_CAP = 24
+
+UNSATISFIABLE = "unsatisfiable"
+SATISFIABLE = "satisfiable"
+UNKNOWN = "unknown"
 
 # Assignment: map from 0-ary predicate symbol to bool.
 Assignment = Dict[str, bool]
@@ -37,28 +44,26 @@ def standard_contradiction_counterexample(clauses: Iterable[Clause]) -> Optional
     for clause in clauses:
         if clause.is_empty():
             raise OracleError(f"clause {clause.id} is empty")
+    if not clauses:
+        return ()
     chosen: List[Literal] = []
-    chosen_set = set()
-
-    def search(i: int) -> Optional[tuple]:
-        if i == len(clauses):
+    times: Dict[Literal, int] = {}  # how often each literal is chosen
+    # the untried literals of each open clause: the search keeps its own
+    # stack, so a round of any width fits in the interpreter's
+    pending = [iter(clauses[0].literals)]
+    while pending:
+        if len(chosen) == len(pending):  # back at this clause: undo its choice
+            times[chosen.pop()] -= 1
+        lit = next((l for l in pending[-1] if not times.get(l.complement())), None)
+        if lit is None:
+            pending.pop()
+            continue
+        chosen.append(lit)
+        times[lit] = times.get(lit, 0) + 1
+        if len(chosen) == len(clauses):
             return tuple(chosen)
-        for lit in clauses[i].literals:
-            if lit.complement() in chosen_set:
-                continue
-            chosen.append(lit)
-            fresh = lit not in chosen_set
-            if fresh:
-                chosen_set.add(lit)
-            found = search(i + 1)
-            chosen.pop()
-            if fresh:
-                chosen_set.discard(lit)
-            if found is not None:
-                return found
-        return None
-
-    return search(0)
+        pending.append(iter(clauses[len(chosen)].literals))
+    return None
 
 
 def is_standard_contradiction(clauses: Iterable[Clause]) -> bool:
@@ -143,39 +148,169 @@ def propositional_shadow(clauses: Iterable[Clause]) -> List[Clause]:
     return out
 
 
-def ground_fresh(clauses: Iterable[Clause]) -> List[Clause]:
-    """Ground residual variables, one fresh constant per variable, named
-    _g1, _g2, ... in first-occurrence order.
+def _replace(literals: Iterable[Literal], var: Callable[[Variable], object]) -> tuple:
+    """The literals with each variable v replaced by var(v); a literal without
+    arguments passes through. This is the module's one term walk, so that no
+    fault in the engine's substitution code can reach the checks that certify
+    its rounds. It recurses: the parsers bound every source literal and every
+    binding at MAX_TERM_DEPTH, so the literals walked here, instantiated ones
+    included, are at most twice that (256 levels) deep."""
 
-    The injection preserves syntactic (dis)equality of atoms exactly, so the
-    grounded clauses are a standard contradiction iff the originals are. The
-    walk is this module's own, so that no fault in the engine's substitution
-    code can reach the check that certifies first-order rounds.
-    """
-    grounding: Dict[str, Constant] = {}
-
-    def ground(term):
+    def walk(term):
         if isinstance(term, Variable):
-            if term.name not in grounding:
-                grounding[term.name] = Constant(f"_g{len(grounding) + 1}")
-            return grounding[term.name]
+            return var(term)
         if isinstance(term, Function):
-            return Function(term.name, tuple(ground(a) for a in term.args))
+            return Function(term.name, tuple(walk(a) for a in term.args))
         return term
 
+    return tuple(lit if not lit.args else
+                 Literal(lit.positive, lit.predicate, tuple(walk(a) for a in lit.args))
+                 for lit in literals)
+
+
+def _numbering(make: Callable[[int], object]) -> Callable[[Variable], object]:
+    """A replacement for _replace: the n-th distinct variable it meets,
+    counted from 1, becomes make(n)."""
+    names: Dict[str, object] = {}
+    return lambda var: names.get(var.name) or names.setdefault(var.name, make(len(names) + 1))
+
+
+def _instantiate(sigma, literals: Iterable[Literal]) -> tuple:
+    """The literals under sigma in one pass: a binding is not walked again."""
+    return _replace(literals, lambda var: sigma.get(var.name) or var)
+
+
+def positional_variant(src: Iterable[Literal], orig: Iterable[Literal]) -> bool:
+    """True when src is orig with variables renamed injectively, literal by
+    literal in order: numbered by first occurrence, the variables of both
+    give equal tuples. Engine traces always record literals positionally."""
+    src, orig = tuple(src), tuple(orig)
+    return src == orig or (_replace(src, _numbering(lambda n: Variable(str(n))))
+                           == _replace(orig, _numbering(lambda n: Variable(str(n)))))
+
+
+def ground_fresh(clauses: Iterable[Clause]) -> List[Clause]:
+    """Ground residual variables, one fresh constant per variable, named
+    _g1, _g2, ... in first-occurrence order; a ground clause comes back as
+    itself.
+
+    The injection preserves syntactic (dis)equality of atoms exactly, so the
+    grounded clauses are a standard contradiction iff the originals are.
+    """
+    fresh = _numbering(lambda n: Constant(f"_g{n}"))
     return [clause if is_ground(clause.literals) else
-            Clause(clause.id, [Literal(lit.positive, lit.predicate,
-                                       tuple(ground(a) for a in lit.args))
-                               for lit in clause.literals])
+            Clause(clause.id, _replace(clause.literals, fresh))
             for clause in clauses]
 
 
 def shadow_contradiction_check(clauses: Iterable[Clause]) -> bool:
     """Standard-contradiction check for possibly non-ground first-order columns.
 
-    Residual variables are grounded to fresh constants, the result is mapped
-    through the propositional shadow, and the tuple enumeration runs there.
-    Substitution invariance of standard contradictions makes one grounding
-    sufficient.
+    Residual variables are grounded to fresh constants, and the tuple
+    enumeration runs on the grounded clauses. Substitution invariance of
+    standard contradictions makes one grounding sufficient; ground
+    (propositional among them) clauses are checked as they are.
     """
-    return is_standard_contradiction(propositional_shadow(ground_fresh(clauses)))
+    return is_standard_contradiction(ground_fresh(clauses))
+
+
+# ---------------------------------------------------------------------------
+# Trace verification
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VerificationResult:
+    ok: bool
+    diagnostic: str = ""
+
+    def __bool__(self):
+        return self.ok
+
+
+def complete_model(model: Assignment, clause_set: ClauseSet) -> Assignment:
+    """model extended to every predicate of clause_set, unassigned ones false."""
+    full = {name: False for name in clause_set.predicates()}
+    full.update(model)
+    return full
+
+
+def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
+    """Certify every round of a proof trace (trisep.engine.ProofTrace, or one
+    parsed by trisep.render) as a contradiction-separation step.
+
+    Checks per round: cited clauses are inputs or earlier separated clauses;
+    each column's pre-instantiation literals are a (positional) variant of the
+    cited clause; the recorded partition re-derives from the substitution and
+    is disjoint with a nonempty inside part; the inside parts pass the
+    brute-force standard-contradiction check (grounded first); the separated
+    clause is exactly the union of the leftovers, under a fresh id; and the
+    columns were placed in a legal order: each inside part holds only its own
+    boundary literal and complements of earlier columns' boundary literals.
+    Finally the verdict must be unsatisfiable, satisfiable or unknown, match
+    the last round, and come with a model exactly when it is satisfiable.
+    """
+    registry: Dict[int, Clause] = {c.id: c for c in clause_set.clauses}
+
+    def fail(number, message):
+        return VerificationResult(False, f"round {number}: {message}")
+
+    for number, record in enumerate(trace.rounds, start=1):
+        state = record.state
+        if not state.closed:
+            return fail(number, "state is not closed")
+        sigma = state.sigma
+        earlier = set()  # complements of the boundary literals placed so far
+        misplaced = None  # the first column whose inside part breaks the order
+        for pos, col in enumerate(state.columns):
+            origin = registry.get(col.clause_id)
+            if origin is None:
+                return fail(number, f"column {pos + 1} cites unknown clause {col.clause_id}")
+            if not positional_variant(col.source_literals, origin.literals):
+                return fail(number, f"column {pos + 1} is not a variant of clause "
+                                    f"{col.clause_id}")
+            inst = set(_instantiate(sigma, col.source_literals))
+            d_minus, d_plus = set(state.d_minus(pos)), set(state.d_plus(pos))
+            if d_minus & d_plus:
+                return fail(number, f"column {pos + 1} partition overlaps")
+            if not d_minus:
+                return fail(number, f"column {pos + 1} has an empty inside part")
+            if inst != d_minus | d_plus:
+                return fail(number, f"column {pos + 1} partition does not match the "
+                                    "instantiated clause")
+            own = set(_instantiate(sigma, (col.boundary_source,) if col.boundary_source else ()))
+            if misplaced is None and not d_minus <= own | earlier:
+                misplaced = pos + 1
+            earlier |= {lit.complement() for lit in own}
+        inside = [Clause(i + 1, state.d_minus(i)) for i in range(len(state.columns))]
+        if not shadow_contradiction_check(inside):
+            return fail(number, "inside parts are not a standard contradiction")
+        if set(record.csc.literals) != set(state.csc):
+            return fail(number, "separated clause does not equal the leftover union")
+        if record.csc.id in registry:
+            return fail(number, f"separated clause id {record.csc.id} already used")
+        if misplaced is not None:
+            return fail(number, f"column {misplaced} holds an inside literal that is neither "
+                                "its boundary literal nor the complement of an earlier one")
+        registry[record.csc.id] = record.csc
+
+    if trace.model is not None and trace.verdict != SATISFIABLE:
+        return VerificationResult(False, f"a model with verdict {trace.verdict}")
+    if trace.verdict == UNSATISFIABLE:
+        if trace.rounds:
+            if trace.rounds[-1].csc.literals:
+                return VerificationResult(
+                    False, "verdict unsatisfiable but the last separated clause is nonempty")
+        elif not any(c.is_empty() for c in clause_set.clauses):
+            return VerificationResult(
+                False, "verdict unsatisfiable with no rounds and no empty input clause")
+    elif trace.verdict == SATISFIABLE:
+        if not clause_set.is_propositional:
+            return VerificationResult(False, "satisfiable verdict on a first-order problem")
+        if trace.model is None:
+            return VerificationResult(False, "satisfiable verdict without a model")
+        if not verify_model(clause_set, complete_model(trace.model, clause_set)):
+            return VerificationResult(False, "recorded model does not satisfy the input")
+    elif trace.verdict != UNKNOWN:
+        return VerificationResult(False, f"unknown verdict {trace.verdict!r}")
+    return VerificationResult(True)

@@ -19,7 +19,8 @@ from trisep import (
     start,
 )
 from trisep.errors import ConstructionError
-from trisep.fol import positional_variant, variant_key
+from trisep.fol import variant_key
+from trisep.oracle import positional_variant
 from conftest import fn, pulled_close, pulled_extend
 
 

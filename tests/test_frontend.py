@@ -487,6 +487,23 @@ def test_cli_check_verifies_a_hand_written_refutation(tmp_path, capsys):
     assert "verified: 1 round(s)" in capsys.readouterr().out
 
 
+def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, capsys):
+    # the chain x1, ~x1 | x2, ..., ~x1099 | x1100, ~x1100, refuted in one round
+    # of 1 101 columns: the oracle's tuple search must not recurse per column
+    n = 1100
+    problem, trace_path = tmp_path / "chain.cnf", tmp_path / "wide.trace"
+    problem.write_text(f"p cnf {n} {n + 1}\n1 0\n"
+                       + "".join(f"-{k} {k + 1} 0\n" for k in range(1, n)) + f"-{n} 0\n")
+    columns = ["COL\t1\t1\tB\tx1\t-\tx1\tx1\t-"]
+    columns += [f"COL\t{k + 1}\t{k + 1}\tB\tx{k + 1}\t-\t~x{k};x{k + 1}\tx{k + 1};~x{k}\t-"
+                for k in range(1, n)]
+    columns.append(f"COL\t{n + 1}\t{n + 1}\tC\t-\t-\t~x{n}\t~x{n}\t-")
+    trace_path.write_text(_trace_document("ROUND\t1", *columns, f"CSC\t{n + 2}\t-",
+                                          "VERDICT\tunsatisfiable"))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
+    assert "verified: 1 round(s)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("problem_text, records, diagnostic", [
     (UNIT_PAIR_DIMACS, _tampered(1, "COL\t1\t2\tB\tx1\t-\tx1\tx1\t-"),
      "round 1: column 1 is not a variant of clause 2"),
@@ -507,8 +524,15 @@ def test_cli_check_verifies_a_hand_written_refutation(tmp_path, capsys):
     (UNIT_PAIR_DIMACS, _tampered(2, "COL\t2\t2\tS\t-\t-\t~x1\t~x1\t-"),
      "round 1: state is not closed"),
     (UNIT_PAIR_DIMACS, ["VERDICT\tunknown", "MODEL\tx1=true"], "a model with verdict unknown"),
+    # the closing column placed before the boundary literal it complements:
+    # the inside parts still contradict each other, but no construction
+    # places the columns in this order
+    (UNIT_PAIR_DIMACS, ["ROUND\t1", "COL\t1\t2\tC\t-\t-\t~x1\t~x1\t-",
+                        "COL\t2\t1\tB\tx1\t-\tx1\tx1\t-", "CSC\t3\t-", "VERDICT\tunsatisfiable"],
+     "round 1: column 1 holds an inside literal that is neither its boundary literal nor the "
+     "complement of an earlier one"),
 ], ids=["variant", "overlap", "empty-inside", "contradiction", "id-reused", "no-rounds",
-        "first-order-sat", "no-closing-column", "unknown-with-model"])
+        "first-order-sat", "no-closing-column", "unknown-with-model", "construction-order"])
 def test_cli_check_reports_each_rejection(tmp_path, capsys, problem_text, records, diagnostic):
     problem, trace_path = tmp_path / "problem", tmp_path / "tampered.trace"
     problem.write_text(problem_text)

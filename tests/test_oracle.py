@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import trisep
 from trisep import (
     Clause,
     ClauseSet,
@@ -14,11 +17,13 @@ from trisep import (
     pos,
     propositional_shadow,
     shadow_contradiction_check,
+    prove,
     standard_contradiction_counterexample,
     verify_model,
+    verify_trace,
 )
 from trisep.errors import OracleError
-from trisep.logic import is_ground
+from trisep.logic import is_ground, merge_duplicate_literals
 from trisep.oracle import find_model_bruteforce, ground_fresh
 from conftest import fn, random_clause_list
 
@@ -40,6 +45,16 @@ def test_counterexample_is_first_pair_free_tuple():
     found = standard_contradiction_counterexample(
         clauses([pos("p"), pos("q")], [pos("r")]))
     assert found == (pos("p"), pos("r"))
+
+
+def test_the_tuple_search_runs_through_a_chain_wider_than_the_recursion_limit():
+    # x1, ~x1 | x2, ..., ~x1999 | x2000, ~x2000
+    n = 2000
+    chain = clauses([pos("x1")], *([neg(f"x{k}"), pos(f"x{k + 1}")] for k in range(1, n)),
+                    [neg(f"x{n}")])
+    assert is_standard_contradiction(chain)
+    found = standard_contradiction_counterexample(chain[:-1])
+    assert found == tuple(pos(f"x{k}") for k in range(1, n + 1))
 
 
 def test_standard_contradiction_rejects_non_ground_and_empty():
@@ -154,6 +169,52 @@ def test_the_oracle_survives_a_fault_in_the_engine_substitution_code(monkeypatch
     assert all(is_ground(c.literals) for c in ground_fresh(contradiction))
     assert shadow_contradiction_check(contradiction)
     assert not shadow_contradiction_check(clauses([pos("P", x)], [neg("P", y)]))
+
+
+def test_verify_trace_rejects_a_trace_built_with_faulty_substitution_code(monkeypatch):
+    # the checker must not share the engine's substitution code either: make
+    # the construction steps drop one binding (the variable that sorts last),
+    # build a refutation with them, and the checker must see the wrong
+    # instances. The unifier search (trisep.fol) and renaming (trisep.unify)
+    # keep theirs: with a binding dropped there, greedy_pull re-finds the same
+    # unifier forever and renamed clauses share variables.
+    real = trisep.unify.apply_literal
+
+    def faulty_literal(sub, lit):
+        dropped = max(sub.domain, default=None)
+        return real(trisep.unify.Substitution(
+            {name: term for name, term in sub.items() if name != dropped}), lit)
+
+    def faulty_literals(sub, literals):
+        return merge_duplicate_literals(faulty_literal(sub, lit) for lit in literals)
+
+    faults = {"apply_literal": faulty_literal, "apply_literals": faulty_literals}
+    for module in (trisep.engine, trisep.render, trisep.triangle):
+        for name in faults.keys() & vars(module).keys():
+            monkeypatch.setattr(module, name, faults[name])
+    a, b, x, y = Constant("a"), Constant("b"), Variable("x"), Variable("y")
+    problem = ClauseSet([Clause(1, [pos("p", a)]), Clause(2, [pos("r", b)]),
+                         Clause(3, [neg("p", x), neg("r", y), pos("q", x, y)]),
+                         Clause(4, [neg("q", a, b)])])
+    outcome, trace = prove(problem)
+    assert outcome.unsatisfiable and trace.rounds
+    result = verify_trace(problem, trace)
+    assert not result and "partition does not match" in result.diagnostic
+
+
+def test_the_oracle_imports_only_logic_and_errors():
+    # so it imports nothing from unify, fol, triangle or engine, whose code
+    # builds the rounds it certifies
+    imported = set()
+    for node in ast.walk(ast.parse(Path(trisep.oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported |= ({base} if node.module else {base + a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    local = {name.replace("trisep.", ".") for name in imported
+             if name.startswith((".", "trisep."))}
+    assert local <= {".logic", ".errors"}
 
 
 def test_substitution_invariance_of_standard_contradictions():

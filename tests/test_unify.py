@@ -15,7 +15,7 @@ from trisep import (
     pos,
     rename_apart,
 )
-from trisep.fol import positional_variant
+from trisep.oracle import positional_variant
 
 
 def fn(name, *args):
