@@ -152,6 +152,79 @@ def _closings(state: Triangle, clause: Clause):
         yield closed
 
 
+class _ClauseStore:
+    """A growing clause set in insertion order, indexed by literal: the round
+    builder's working set and the saturation's processed clauses.
+    Subsumption is syntactic literal-set inclusion in both logics.
+
+    Each literal maps to the clauses that hold it. Each clause is also
+    watched under its first literal (a stored clause is never empty): a
+    clause whose literals are a subset of C's holds its watched literal,
+    which is in C, so scanning the watches of C's literals tests every
+    candidate subsumer once. Dicts keyed by clause id keep insertion order
+    and delete in O(1). First-order unifiable counts are memoized until the
+    store changes.
+    """
+
+    def __init__(self, clauses: Iterable[Clause] = ()):
+        self._clauses: Dict[int, Clause] = {}
+        self._occurrences: Dict[Literal, Dict[int, Clause]] = {}
+        self._watches: Dict[Literal, Dict[int, frozenset]] = {}
+        self._unifiable: Dict[Literal, int] = {}
+        for clause in clauses:
+            self.add(clause)
+
+    def __iter__(self):
+        return iter(self._clauses.values())
+
+    def __len__(self):
+        return len(self._clauses)
+
+    def add(self, clause: Clause) -> None:
+        cid = clause.id
+        self._clauses[cid] = clause
+        for lit in clause.literals:
+            self._occurrences.setdefault(lit, {})[cid] = clause
+        self._watches.setdefault(clause.literals[0], {})[cid] = clause.literal_set
+        self._unifiable.clear()
+
+    def holding(self, literal: Literal):
+        """The clauses that hold literal, in insertion order."""
+        return self._occurrences.get(literal, {}).values()
+
+    def count_unifiable(self, literal: Literal) -> int:
+        """How many clauses hold a literal that unifies with literal."""
+        if not literal.args:  # a 0-ary literal unifies only with itself
+            return len(self._occurrences.get(literal, ()))
+        n = self._unifiable.get(literal)
+        if n is None:
+            n = self._unifiable[literal] = sum(1 for _ in clauses_unifiable_with(literal, self))
+        return n
+
+    def subsumes(self, literal_set: frozenset) -> bool:
+        """Whether some clause's literals are a subset of literal_set."""
+        watches = self._watches
+        for lit in literal_set:
+            watched = watches.get(lit)
+            if watched:
+                for subset in watched.values():
+                    if subset <= literal_set:
+                        return True
+        return False
+
+    def remove_subsumed_by(self, clause: Clause) -> None:
+        """Drop every clause whose literals strictly contain clause's."""
+        literal_set = clause.literal_set
+        fewest = min((self._occurrences.get(lit, {}) for lit in clause.literals), key=len)
+        for other in [p for p in fewest.values() if literal_set < p.literal_set]:
+            cid = other.id
+            del self._clauses[cid]
+            for lit in other.literals:
+                del self._occurrences[lit][cid]
+            del self._watches[other.literals[0]][cid]
+        self._unifiable.clear()
+
+
 class _RoundBuilder:
     """Strategy-guided construction of closed states, one per build.
 
@@ -172,33 +245,18 @@ class _RoundBuilder:
     Every build starts from the empty state. prove makes one builder per
     run, which fixes the logic once and derives the width threshold (twice
     the widest input clause) and the column cap from the input before
-    preprocessing. A kept separated clause enters the working set through
-    admit, which also drops the occurrence counts that the extension steps
-    cached.
+    preprocessing. The working set is a clause store, to which prove adds
+    each kept separated clause.
     """
 
     def __init__(self, inputs: ClauseSet, clause_set: ClauseSet, deadline: float):
-        self.working: List[Clause] = list(inputs.clauses)
+        self.working = _ClauseStore(inputs.clauses)
         self.prop = inputs.is_propositional
         self.threshold = 2 * max(len(c) for c in clause_set.clauses)
         self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
-        self._counts: Dict[Literal, int] = {}
-
-    def admit(self, csc: Clause) -> None:
-        """Add a kept separated clause to the working set."""
-        self.working.append(csc)
-        self._counts.clear()
 
     # -- helpers ------------------------------------------------------------
-
-    def _count_clauses_with(self, literal: Literal) -> int:
-        cached = self._counts.get(literal)
-        if cached is not None:
-            return cached
-        n = sum(1 for _ in clauses_unifiable_with(literal, self.working))
-        self._counts[literal] = n
-        return n
 
     def _place(self, state: Triangle, placed: Clause, lit: Literal) -> Optional[Triangle]:
         """Add a clause, already renamed for its column, with lit on the boundary
@@ -272,10 +330,9 @@ class _RoundBuilder:
                 if lit in complements or lit in boundary or (clause.id, lit) in repeats:
                     continue
                 look = 1
-                if not leftovers and not new_plus:
-                    within = complements | {lit.complement()}
-                    if any(c.literal_set <= within for c in self.working):
-                        look = 0
+                if not leftovers and not new_plus and self.working.subsumes(
+                        complements | {lit.complement()}):
+                    look = 0
                 yield clause, idx, lit, new_plus, look, partial(extend, state, clause, lit)
 
     def _placed_candidates(self, state: Triangle):
@@ -316,7 +373,7 @@ class _RoundBuilder:
         for clause, idx, lit, new_plus, look, build in candidates(state):
             unit = 0 if len(clause) == 1 else 1
             pref = 0 if lit in leftovers else 1
-            comp = self._count_clauses_with(lit.complement())
+            comp = self.working.count_unifiable(lit.complement())
             scored.append(((unit, look, new_plus, pref, -comp, clause.id, idx), build))
         return scored
 
@@ -347,58 +404,7 @@ class _RoundBuilder:
 _SATURATION_CLAUSE_CAP = 20000
 
 
-class _ProcessedClauses:
-    """The saturation's processed clauses in processing order, indexed by
-    literal. Subsumption is syntactic literal-set inclusion in both logics.
-
-    Each literal maps to the clauses that hold it. Each clause is also
-    watched under its first literal (a processed clause is never empty): a
-    clause whose literals are a subset of C's holds its watched literal,
-    which is in C, so scanning the watches of C's literals tests every
-    candidate subsumer once. Dicts keyed by clause id keep processing order
-    and delete in O(1).
-    """
-
-    def __init__(self):
-        self.clauses: Dict[int, Clause] = {}
-        self._occurrences: Dict[Literal, Dict[int, Clause]] = {}
-        self._watches: Dict[Literal, Dict[int, frozenset]] = {}
-
-    def add(self, clause: Clause) -> None:
-        cid = clause.id
-        self.clauses[cid] = clause
-        for lit in clause.literals:
-            self._occurrences.setdefault(lit, {})[cid] = clause
-        self._watches.setdefault(clause.literals[0], {})[cid] = clause.literal_set
-
-    def holding(self, literal: Literal):
-        """The clauses that hold literal, in processing order."""
-        return self._occurrences.get(literal, {}).values()
-
-    def subsumes(self, literal_set: frozenset) -> bool:
-        """Whether some clause's literals are a subset of literal_set."""
-        watches = self._watches
-        for lit in literal_set:
-            watched = watches.get(lit)
-            if watched:
-                for subset in watched.values():
-                    if subset <= literal_set:
-                        return True
-        return False
-
-    def remove_subsumed_by(self, clause: Clause) -> None:
-        """Drop every clause whose literals strictly contain clause's."""
-        literal_set = clause.literal_set
-        fewest = min((self._occurrences.get(lit, {}) for lit in clause.literals), key=len)
-        for other in [p for p in fewest.values() if literal_set < p.literal_set]:
-            cid = other.id
-            del self.clauses[cid]
-            for lit in other.literals:
-                del self._occurrences[lit][cid]
-            del self._watches[other.literals[0]][cid]
-
-
-def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: set):
+def _resolvents(given: Clause, processed: _ClauseStore, prop: bool, seen: set):
     """Two-column resolvents of given, which is already processed, that are
     neither tautologies nor variants of a clause in seen, as (literals in
     csc order, variant key, ids of the two clauses, a function that builds
@@ -434,7 +440,7 @@ def _resolvents(given: Clause, processed: _ProcessedClauses, prop: bool, seen: s
                     yield (lits, resolvent, (given.id, other.id),
                            lambda lit=lit, other=other: close(start(given, lit), other))
         return
-    for other in processed.clauses.values():
+    for other in processed:
         pairs = ((given, other),) if other is given else ((given, other), (other, given))
         for a, b in pairs:
             a1 = rename_clause(a, 1)
@@ -477,7 +483,7 @@ def _dp_model(clauses: Sequence[Clause], predicates: Iterable[str]) -> Assignmen
     return assign
 
 
-def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
+def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
     """Exhaustive two-column rounds with subsumption, smallest clauses first.
 
@@ -487,9 +493,10 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
     the fallback's rounds follow. One given-clause loop serves both logics;
     only the resolvent generator and the closing model depend on the logic,
     which is the input's (preprocessing can leave first-order input 0-ary).
-    Partners, forward and backward subsumption are found through the literal
-    index of the processed clauses. A kept resolvent records its round
-    lazily, and only the ancestor rounds of the empty clause are built.
+    The processed clauses are a clause store, like the round builder's
+    working set: partners, forward and backward subsumption are found through
+    its literal index. A kept resolvent records its round lazily, and only
+    the ancestor rounds of the empty clause are built.
     A first-order resolvent holding a term nested deeper than the parsers
     accept is dropped, so the saturation is then incomplete.
     Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with
@@ -500,7 +507,7 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
     heap = [(len(clause), tick, clause) for tick, clause in enumerate(working)]
     heapq.heapify(heap)
     tick = len(heap)
-    processed = _ProcessedClauses()
+    processed = _ClauseStore()
     lazy: Dict[int, _LazyRound] = {}
     dropped_deep = False
 
@@ -534,7 +541,7 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
     while heap:
         if time.monotonic() > deadline:
             return UNKNOWN, [], None, "time budget exhausted during saturation"
-        if len(processed.clauses) > _SATURATION_CLAUSE_CAP:
+        if len(processed) > _SATURATION_CLAUSE_CAP:
             return UNKNOWN, [], None, "saturation clause cap exceeded"
         _, _, given = heapq.heappop(heap)
         if processed.subsumes(given.literal_set):
@@ -555,7 +562,7 @@ def _saturate(working: Sequence[Clause], seen: set, next_id: int, prop: bool,
             tick += 1
     if prop:
         predicates = {lit.predicate for c in working for lit in c.literals}
-        return SATISFIABLE, [], _dp_model(list(processed.clauses.values()), predicates), None
+        return SATISFIABLE, [], _dp_model(list(processed), predicates), None
     if dropped_deep:
         return UNKNOWN, [], None, DEPTH_BOUND_REACHED
     return UNKNOWN, [], None, "first-order saturation completed without the empty clause"
@@ -573,8 +580,6 @@ def _finish(rounds: Sequence[RoundRecord], verdict: str, model: Optional[Assignm
 
 def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
           ) -> Tuple[Outcome, ProofTrace]:
-    if not clause_set.clauses:
-        raise ValueError("empty input clause set")
     config = config or EngineConfig()
     deadline = time.monotonic() + config.time_budget
     prop = clause_set.is_propositional
@@ -616,12 +621,11 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
                     return _finish(rounds, SATISFIABLE, model)
         key = variant_key(csc.literals)
         deep = too_deep(csc.literals)
-        if (deep or key in known or is_tautology(csc)
-                or any(c.literal_set <= csc.literal_set for c in working)):
+        if deep or key in known or is_tautology(csc) or working.subsumes(csc.literal_set):
             break
         rounds.append(RoundRecord(state, csc))
         known.add(key)
-        builder.admit(csc)
+        working.add(csc)
         next_id += 1
 
     if config.fallback_enabled and time.monotonic() < deadline:

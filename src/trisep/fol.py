@@ -176,7 +176,7 @@ def redundancy_guard(candidate_sigma: Substitution, clause: Clause,
                      clauses: Iterable[Clause]) -> bool:
     """False (reject) when the instance is a tautology or carries the literals
     of another of clauses wholesale (syntactic-superset subsumption only);
-    clauses is any iterable of clauses, the engine's working list among them."""
+    clauses is any iterable of clauses, the engine's clause store among them."""
     instance = apply(candidate_sigma, clause)
     if is_tautology(instance):
         return False

@@ -79,9 +79,14 @@ def test_prove_satisfiable_two_clause_set():
     assert verify_trace(s, trace)
 
 
-def test_prove_rejects_empty_input():
-    with pytest.raises(ValueError):
-        prove(ClauseSet([]), FAST)
+def test_prove_empty_input_is_satisfiable():
+    # no clause constrains any atom, so the empty model satisfies the set
+    s = ClauseSet([])
+    outcome, trace = prove(s, FAST)
+    assert outcome.satisfiable
+    assert outcome.model == {}
+    assert trace.rounds == ()
+    assert verify_trace(s, trace)
 
 
 def test_prove_short_circuits_on_empty_input_clause():
@@ -441,21 +446,25 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_the_first_stalled_round_hands_the_run_to_the_fallback(monkeypatch, reverse):
     # three kept rounds, then a build whose separated clause stalls: the
-    # fallback continues from the admitted clauses and refutes in 6 rounds
+    # fallback continues from the admitted clauses and the three rounds, and
+    # refutes in 6 rounds
     calls = Counter()
+    last_args = {}
 
     def counting(name, fn):
         def wrapper(*args):
             calls[name] += 1
+            last_args[name] = args
             return fn(*args)
         return wrapper
 
-    for owner, name in ((engine._RoundBuilder, "build"), (engine._RoundBuilder, "admit"),
-                        (engine, "_saturate")):
+    for owner, name in ((engine._RoundBuilder, "build"), (engine, "_saturate")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     problem = _chain(8, reverse)
     outcome, trace = prove(problem, FAST)
-    assert calls == {"build": 4, "admit": 3, "_saturate": 1}
+    assert calls == {"build": 4, "_saturate": 1}
+    *_, existing_rounds = last_args["_saturate"]
+    assert len(existing_rounds) == 3
     assert outcome.unsatisfiable
     assert len(trace.rounds) == 6
     assert verify_trace(problem, trace)

@@ -1,9 +1,9 @@
 """Property tests: construction steps against a full rebuild, the round
-builder's extension ranking against placing every candidate, the saturation
-fallback's resolvents against the rounds they stand for and the clauses it
-starts from, prove against the brute-force oracle, the parsers on arbitrary
-text, and TPTP render/parse round trips. Example counts stay low so the suite
-stays fast."""
+builder's extension ranking against placing every candidate, the clause
+store against linear scans, the saturation fallback's resolvents against the
+rounds they stand for and the clauses it starts from, prove against the
+brute-force oracle, the parsers on arbitrary text, and TPTP render/parse
+round trips. Example counts stay low so the suite stays fast."""
 
 from itertools import chain
 from types import SimpleNamespace
@@ -46,12 +46,12 @@ from trisep import (
     verify_trace,
 )
 from trisep import engine
-from trisep.engine import _ProcessedClauses, _resolvents
+from trisep.engine import _ClauseStore, _resolvents
 from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError
 from trisep.logic import merge_duplicate_literals, variable_names
 from trisep.triangle import EMPTY_STATE, _derive_column
-from trisep.unify import EMPTY
+from trisep.unify import EMPTY, clauses_unifiable_with
 
 FEW = settings(max_examples=50, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
@@ -241,6 +241,46 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
         state = winner
 
 
+# -- the clause store -----------------------------------------------------------
+
+_store_operations = st.one_of(*(
+    st.lists(st.tuples(st.booleans(), st.lists(literals, min_size=1, max_size=3)),
+             min_size=1, max_size=10)
+    for literals in (_propositional_literals, _first_order_literals)))
+
+
+@FEW
+@given(_store_operations)
+# a removal, then an add, each changing the count of a literal counted before
+@example([(True, [pos("p", Constant("a")), pos("q", Constant("b"))]),
+          (False, [pos("p", Constant("a"))]), (True, [pos("p", Variable("X"))])])
+def test_the_clause_store_answers_as_linear_scans_do(operations):
+    """With adds and removals of subsumed clauses interleaved (True adds the
+    clause), the store iterates in insertion order, and holding,
+    count_unifiable and subsumes answer as scans over a plain list do.
+    Every count is asked after every change, so a count memoized before a
+    change that moves it would show."""
+    store, reference = _ClauseStore(), []
+    probes = {lit for _, body in operations for l in body for lit in (l, l.complement())}
+    for cid, (adding, body) in enumerate(operations, start=1):
+        clause = Clause(cid, body)
+        if adding:
+            store.add(clause)
+            reference.append(clause)
+        else:
+            store.remove_subsumed_by(clause)
+            reference = [c for c in reference if not clause.literal_set < c.literal_set]
+        assert list(store) == reference
+        assert len(store) == len(reference)
+        for lit in probes:
+            assert list(store.holding(lit)) == [c for c in reference if lit in c.literal_set]
+            assert (store.count_unifiable(lit)
+                    == sum(1 for _ in clauses_unifiable_with(lit, reference)))
+        for _, other in operations:
+            for within in (frozenset(other), frozenset(other) | clause.literal_set):
+                assert store.subsumes(within) == any(c.literal_set <= within for c in reference)
+
+
 # -- the saturation fallback ---------------------------------------------------
 
 _propositional_clauses = st.lists(_propositional_literals, min_size=1, max_size=4).filter(
@@ -255,7 +295,7 @@ def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, part
     partners taken in processing order."""
     partners = [Clause(i, body) for i, body in enumerate(partner_bodies, start=1)]
     given_clause = Clause(len(partners) + 1, given_body)
-    processed = _ProcessedClauses()
+    processed = _ClauseStore()
     for clause in partners + [given_clause]:
         processed.add(clause)
     expected = []
