@@ -44,7 +44,6 @@ from .triangle import (
     extract_model,
     normalize_stairs,
     prune_redundant_columns,
-    should_stop,
     start,
 )
 from .fol import (
@@ -62,6 +61,7 @@ from .engine import (
     linear_resolvent,
     linear_to_etc,
     prove,
+    should_stop,
 )
 from .dimacs import parse_dimacs, render_dimacs
 from .problems import ProblemSource, load_problem, load_problem_file

@@ -54,7 +54,6 @@ from .triangle import (
     extend,
     extract_model,
     prune_redundant_columns,
-    should_stop,
     start,
 )
 from .fol import (
@@ -64,7 +63,7 @@ from .fol import (
     redundancy_guard,
     variant_key,
 )
-from .unify import EMPTY, apply, apply_literal, clauses_unifiable_with, compose, mgu, rename_clause
+from .unify import EMPTY, apply, apply_literal, compose, mgu, rename_clause
 
 DEPTH_BOUND_REACHED = "term depth bound reached"
 
@@ -162,8 +161,8 @@ class _ClauseStore:
     clause whose literals are a subset of C's holds its watched literal,
     which is in C, so scanning the watches of C's literals tests every
     candidate subsumer once. Dicts keyed by clause id keep insertion order
-    and delete in O(1). First-order unifiable counts are memoized until the
-    store changes.
+    and delete in O(1). count_unifiable serves the ranking and should_stop's
+    partner test; its first-order counts are memoized until the store changes.
     """
 
     def __init__(self, clauses: Iterable[Clause] = ()):
@@ -198,7 +197,8 @@ class _ClauseStore:
             return len(self._occurrences.get(literal, ()))
         n = self._unifiable.get(literal)
         if n is None:
-            n = self._unifiable[literal] = sum(1 for _ in clauses_unifiable_with(literal, self))
+            n = self._unifiable[literal] = sum(
+                1 for c in self if any(mgu(literal, other) is not None for other in c.literals))
         return n
 
     def subsumes(self, literal_set: frozenset) -> bool:
@@ -225,6 +225,27 @@ class _ClauseStore:
         self._unifiable.clear()
 
 
+def should_stop(state: Triangle, threshold: Optional[int],
+                working: _ClauseStore) -> Tuple[bool, Optional[str]]:
+    """Whether a (tentatively) closed state is an acceptable stopping point.
+
+    Reasons, strongest first: the closing column absorbed its whole clause
+    (empty_dplus); no clause of working holds a literal that unifies with the
+    complement of some closing leftover (no_complement_partner); the
+    separated clause is wider than threshold, None for no cap (threshold).
+    """
+    if not state.closed:
+        raise ConstructionError("should_stop expects a closed (or tentatively closed) state")
+    closing_plus = state.d_plus(state.closing_index)
+    if not closing_plus:
+        return True, "empty_dplus"
+    if any(working.count_unifiable(lit.complement()) == 0 for lit in closing_plus):
+        return True, "no_complement_partner"
+    if threshold is not None and len(state.csc) > threshold:
+        return True, "threshold"
+    return False, None
+
+
 class _RoundBuilder:
     """Strategy-guided construction of closed states, one per build.
 
@@ -233,7 +254,8 @@ class _RoundBuilder:
     leftovers; then literals already left above the boundary; then literals
     whose complement occurs in more clauses; clause id and literal position
     settle ties, so every key is unique and a build is deterministic. A
-    build stops at the first closing that should_stop accepts.
+    build stops at the first closing that should_stop accepts, which asks the
+    working set for complement partners.
 
     One path serves both logics: a propositional round is the case in which
     every unifier is empty. Two steps take a shortcut on propositional input,
@@ -299,9 +321,6 @@ class _RoundBuilder:
         _, clause, closed = best
         return close(state, clause) if closed is None else closed
 
-    def _full_close_available(self, state: Triangle) -> bool:
-        return any(key[0] == 0 for key, _, _ in self._closures(state))
-
     def _column_signature(self, state: Triangle, index: int):
         col = state.columns[index]
         boundary_idx = None
@@ -356,10 +375,11 @@ class _RoundBuilder:
                 new_col = len(candidate.columns) - 1
                 if self._column_signature(candidate, new_col) in existing_signatures:
                     continue
-                # an extension after which an empty separation is one close away
-                look = 1
-                if not candidate.leftovers and self._full_close_available(candidate):
-                    look = 0
+                # an extension after which an empty separation is one close
+                # away: its best closing leaves nothing over
+                least = None if candidate.leftovers else min(
+                    self._closures(candidate), key=itemgetter(0), default=None)
+                look = 0 if least is not None and least[0][0] == 0 else 1
                 yield (clause, idx, lit, len(candidate.d_plus(new_col)), look,
                        lambda candidate=candidate: candidate)
 

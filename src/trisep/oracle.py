@@ -248,7 +248,8 @@ def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
     columns were placed in a legal order: each inside part holds only its own
     boundary literal and complements of earlier columns' boundary literals.
     Finally the verdict must be unsatisfiable, satisfiable or unknown, match
-    the last round, and come with a model exactly when it is satisfiable.
+    the last round, come with a model exactly when it is satisfiable, and
+    come with a reason only when it is unknown.
     """
     registry: Dict[int, Clause] = {c.id: c for c in clause_set.clauses}
 
@@ -296,6 +297,8 @@ def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
 
     if trace.model is not None and trace.verdict != SATISFIABLE:
         return VerificationResult(False, f"a model with verdict {trace.verdict}")
+    if trace.reason is not None and trace.verdict in (SATISFIABLE, UNSATISFIABLE):
+        return VerificationResult(False, f"a reason with verdict {trace.verdict}")
     if trace.verdict == UNSATISFIABLE:
         if trace.rounds:
             if trace.rounds[-1].csc.literals:

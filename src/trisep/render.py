@@ -301,8 +301,9 @@ def parse_trace_document(text: str) -> ProofTrace:
     or a verdict or MODEL value outside the rendered vocabulary; and when it
     would render back differently: a ROUND or COL number out of place, a
     column kind other than B (with a boundary literal), S or C (with '-'), a
-    BOUND record other than its round's boundary literals, or a second
-    VERDICT. A parsed round is closed when it holds exactly one C column."""
+    BOUND record other than its round's boundary literals, a second VERDICT,
+    REASON or MODEL record, or a predicate named twice in one MODEL record.
+    A parsed round is closed when it holds exactly one C column."""
     in_section = ended = False
     rounds: List[RoundRecord] = []
     current_round = None
@@ -371,8 +372,12 @@ def parse_trace_document(text: str) -> ProofTrace:
                 if verdict not in SZS_BY_VERDICT:
                     raise ParseError(f"unknown verdict {verdict!r}", line=line_no)
             elif tag == "REASON":
+                if reason is not None:
+                    raise ParseError("second REASON record", line=line_no)
                 reason = raw.split("\t", 1)[1]
             elif tag == "MODEL":
+                if model is not None:
+                    raise ParseError("second MODEL record", line=line_no)
                 model = {}
                 if fields[1] != "-":
                     for part in fields[1].split(";"):
@@ -380,6 +385,9 @@ def parse_trace_document(text: str) -> ProofTrace:
                         if value not in ("true", "false"):
                             raise ParseError(f"model value {value!r} for {name!r} is "
                                              "neither true nor false", line=line_no)
+                        if name in model:
+                            raise ParseError(f"{name!r} named twice in the MODEL record",
+                                             line=line_no)
                         model[name] = value == "true"
             else:
                 raise ParseError(f"unknown record tag {tag!r}", line=line_no)

@@ -20,19 +20,19 @@ of the earlier columns' instantiated literals. Such a unifier re-instantiates
 them, which is how backward-propagating substitutions are realized, and the
 whole state is rebuilt by the constructor. Propositional input is the case
 in which every unifier is empty, so its steps always append. Finding a
-unifier is the caller's concern (trisep.fol.greedy_pull).
+unifier is the caller's concern (trisep.fol.greedy_pull), and so is when to
+stop growing a construction (trisep.engine.should_stop asks the working set).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from .errors import ConstructionError
 from .logic import Clause, ClauseSet, Literal, variable_names
 from .oracle import Assignment
-from .unify import (EMPTY, Substitution, apply_literal, apply_literals, clauses_unifiable_with,
-                    compose)
+from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose
 
 
 @dataclass(frozen=True)
@@ -207,31 +207,6 @@ def close(state: Triangle, last_clause: Clause, sigma: Substitution = EMPTY) -> 
         raise ConstructionError("state is already closed")
     return state._append(Column(last_clause.id, last_clause.literals, None, closing=True),
                          sigma)
-
-
-# -- stop conditions ---------------------------------------------------------
-
-
-def should_stop(state: Triangle, threshold: Optional[int],
-                clauses: Iterable[Clause]) -> Tuple[bool, Optional[str]]:
-    """Whether a (tentatively) closed state is an acceptable stopping point.
-
-    Reasons, strongest first: the closing column absorbed its whole clause
-    (empty_dplus); some leftover literal has no complement partner in any of
-    the clauses, rescanned in order per leftover (no_complement_partner); the
-    separated clause is wider than threshold, None for no cap (threshold).
-    """
-    if not state.closed:
-        raise ConstructionError("should_stop expects a closed (or tentatively closed) state")
-    closing_plus = state.d_plus(state.closing_index)
-    if not closing_plus:
-        return True, "empty_dplus"
-    for lit in closing_plus:
-        if next(clauses_unifiable_with(lit.complement(), clauses), None) is None:
-            return True, "no_complement_partner"
-    if threshold is not None and len(state.csc) > threshold:
-        return True, "threshold"
-    return False, None
 
 
 # -- deduction-preserving transformations ------------------------------------

@@ -197,13 +197,6 @@ def mgu(a: Literal, b: Literal) -> Optional[Substitution]:
     return _ground_out(bindings)
 
 
-def clauses_unifiable_with(literal: Literal, clauses: Iterable[Clause]):
-    """The clauses, in order, that hold a literal unifying with literal."""
-    if not literal.args:  # a 0-ary literal unifies only with itself
-        return (c for c in clauses if literal in c.literal_set)
-    return (c for c in clauses if any(mgu(literal, other) is not None for other in c.literals))
-
-
 def rename_clause(clause: Clause, tag) -> Clause:
     """Suffix every variable with '#tag'; injective, so the result is a variant.
     A variable-free clause comes back as itself."""

@@ -15,11 +15,14 @@ from trisep import (
     pos,
     preprocess,
     redundancy_guard,
+    rename_clause,
     shadow_contradiction_check,
     start,
 )
+from trisep.engine import _ClauseStore
 from trisep.errors import ConstructionError
 from trisep.fol import variant_key
+from trisep.logic import variable_names
 from trisep.oracle import positional_variant
 from conftest import fn, pulled_close, pulled_extend
 
@@ -299,6 +302,21 @@ def test_redundancy_guard_accepts_fresh_instances():
     clause = Clause(1, [pos("P", Variable("x")), pos("Q", Variable("x"))])
     s = ClauseSet([clause, Clause(2, [pos("Q", Constant("b"))])])
     assert redundancy_guard(Substitution({"x": a}), clause, s)
+
+
+def test_redundancy_guard_ignores_the_clause_whose_instance_it_judges():
+    # a separated clause over X#1, placed in column 3 as X#1#3, which the
+    # column's unifier binds back to X#1: its instance equals the stored
+    # clause, which must not count as a subsumer of its own instance
+    x1 = Variable("X#1")
+    separated = Clause(7, [neg("p", x1), pos("q", fn("f", x1))])
+    placed = rename_clause(separated, 3)
+    assert variable_names(placed.literals) == {"X#1#3"}
+    unifier = Substitution({"X#1#3": x1})
+    assert redundancy_guard(unifier, placed, _ClauseStore([separated]))
+    # an equal clause under another id does subsume the instance
+    twin = Clause(8, separated.literals)
+    assert not redundancy_guard(unifier, placed, _ClauseStore([separated, twin]))
 
 
 # -- stair placement in first-order mode -------------------------------------------

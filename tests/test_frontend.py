@@ -185,6 +185,7 @@ def test_tptp_round_trip_random_first_order():
 # -- trace documents ------------------------------------------------------------------
 
 UNIT_PAIR_DIMACS = "p cnf 1 2\n1 0\n-1 0\n"
+SINGLE_UNIT_DIMACS = "p cnf 1 1\n1 0\n"
 # the machine section of the one-round refutation of {x1}, {~x1}
 _UNIT_PAIR_COLUMNS = ("COL\t1\t1\tB\tx1\t-\tx1\tx1\t-", "COL\t2\t2\tC\t-\t-\t~x1\t~x1\t-")
 _UNIT_PAIR_REFUTATION = ("ROUND\t1", *_UNIT_PAIR_COLUMNS, "CSC\t3\t-", "VERDICT\tunsatisfiable")
@@ -308,8 +309,16 @@ def test_trace_parser_rejects_record_numbers_out_of_place(tmp_path, capsys):
     (("BOUND\t-", *_UNIT_PAIR_REFUTATION), "BOUND record other than"),
     # the second one used to win
     ((*_UNIT_PAIR_REFUTATION, "VERDICT\tunknown"), "second VERDICT record"),
+    # the last value used to win, so both MODEL documents verified against
+    # {x1} although they also claim x1=false
+    (("VERDICT\tsatisfiable", "MODEL\tx1=false", "MODEL\tx1=true"), "second MODEL record"),
+    (("VERDICT\tsatisfiable", "MODEL\tx1=false;x1=true"),
+     "'x1' named twice in the MODEL record"),
+    (("VERDICT\tunknown", "REASON\ttime budget exhausted",
+      "REASON\tsaturation clause cap exceeded"), "second REASON record"),
 ], ids=["kind-X", "S-with-literal", "B-without-literal", "C-with-literal", "wrong-BOUND",
-        "stray-BOUND", "second-VERDICT"])
+        "stray-BOUND", "second-VERDICT", "second-MODEL", "predicate-twice-in-MODEL",
+        "second-REASON"])
 def test_trace_parser_rejects_records_that_would_render_back_differently(tmp_path, capsys,
                                                                          records, message):
     with pytest.raises(ParseError, match=message):
@@ -318,7 +327,8 @@ def test_trace_parser_rejects_records_that_would_render_back_differently(tmp_pat
     problem.write_text(UNIT_PAIR_DIMACS)
     trace_path.write_text(_trace_document(*records))
     assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
-    assert "verified" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "verified" not in captured.out and "Traceback" not in captured.err
 
 
 def test_trace_table_renders_empty_separation_marker(ex41):
@@ -524,6 +534,10 @@ def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, cap
     (UNIT_PAIR_DIMACS, _tampered(2, "COL\t2\t2\tS\t-\t-\t~x1\t~x1\t-"),
      "round 1: state is not closed"),
     (UNIT_PAIR_DIMACS, ["VERDICT\tunknown", "MODEL\tx1=true"], "a model with verdict unknown"),
+    (UNIT_PAIR_DIMACS, (*_UNIT_PAIR_REFUTATION, "REASON\ttime budget exhausted"),
+     "a reason with verdict unsatisfiable"),
+    (SINGLE_UNIT_DIMACS, ["VERDICT\tsatisfiable", "REASON\ttime budget exhausted",
+                          "MODEL\tx1=true"], "a reason with verdict satisfiable"),
     # the closing column placed before the boundary literal it complements:
     # the inside parts still contradict each other, but no construction
     # places the columns in this order
@@ -532,7 +546,8 @@ def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, cap
      "round 1: column 1 holds an inside literal that is neither its boundary literal nor the "
      "complement of an earlier one"),
 ], ids=["variant", "overlap", "empty-inside", "contradiction", "id-reused", "no-rounds",
-        "first-order-sat", "no-closing-column", "unknown-with-model", "construction-order"])
+        "first-order-sat", "no-closing-column", "unknown-with-model", "unsatisfiable-with-reason",
+        "satisfiable-with-reason", "construction-order"])
 def test_cli_check_reports_each_rejection(tmp_path, capsys, problem_text, records, diagnostic):
     problem, trace_path = tmp_path / "problem", tmp_path / "tampered.trace"
     problem.write_text(problem_text)

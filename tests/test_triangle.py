@@ -5,6 +5,8 @@ import pytest
 from trisep import (
     Clause,
     ClauseSet,
+    Constant,
+    Variable,
     clause_set,
     close,
     extend,
@@ -19,10 +21,10 @@ from trisep import (
     start,
     verify_model,
 )
-from trisep.engine import _RoundBuilder
+from trisep.engine import _ClauseStore, _RoundBuilder
 from trisep.errors import ConstructionError
 from trisep.triangle import EMPTY_STATE
-from conftest import random_closed_state, random_instance
+from conftest import pulled_close, random_closed_state, random_instance
 
 
 def d_columns(state):
@@ -122,7 +124,7 @@ def test_boundary_repeats_are_legal_at_this_level(ex61):
 def test_should_stop_empty_leftover(ex41):
     c1, c2, c3, c4 = ex41.clauses
     state = close(extend(extend(start(c1, pos("p1")), c2, pos("p4")), c3, pos("p3")), c4)
-    stop, reason = should_stop(state, None, ex41)
+    stop, reason = should_stop(state, None, _ClauseStore(ex41.clauses))
     assert stop and reason == "empty_dplus"
 
 
@@ -130,8 +132,21 @@ def test_should_stop_no_complement_partner():
     s = clause_set([[pos("p")], [neg("p"), pos("q")]])
     state = close(start(s.clauses[0], pos("p")), s.clauses[1])
     # leftover q has no clause holding ~q anywhere in the set
-    stop, reason = should_stop(state, None, s)
+    stop, reason = should_stop(state, None, _ClauseStore(s.clauses))
     assert stop and reason == "no_complement_partner"
+
+
+def test_should_stop_asks_for_a_unifiable_partner_on_first_order_input():
+    a, b, x, y = Constant("a"), Constant("b"), Variable("X"), Variable("Y")
+    top, step = Clause(1, [pos("p", a)]), Clause(2, [neg("p", y), pos("q", y)])
+    state = pulled_close(start(top, pos("p", a)), step)
+    assert state.csc == (pos("q", a),)
+    # ~q(X) unifies with ~q(a), the complement of the closing leftover
+    partnered = _ClauseStore([top, step, Clause(3, [neg("q", x)])])
+    assert should_stop(state, None, partnered) == (False, None)
+    # ~q(b) does not, so q(a) has no partner
+    unpartnered = _ClauseStore([top, step, Clause(3, [neg("q", b)])])
+    assert should_stop(state, None, unpartnered) == (True, "no_complement_partner")
 
 
 def test_should_stop_threshold():
@@ -141,9 +156,10 @@ def test_should_stop_threshold():
         [neg("a")], [neg("b")], [neg("c")],
     ])
     state = close(start(s.clauses[0], pos("p")), s.clauses[1])
-    stop, reason = should_stop(state, 2, s)
+    working = _ClauseStore(s.clauses)
+    stop, reason = should_stop(state, 2, working)
     assert stop and reason == "threshold"
-    keep_going, _ = should_stop(state, 10, s)
+    keep_going, _ = should_stop(state, 10, working)
     assert not keep_going
 
 
