@@ -138,11 +138,12 @@ def _closings(state: Triangle, clause: Clause):
     (clause literal, boundary complement) unifier, since the greedy pull
     order can miss the useful instantiation. On ground input every seed
     is empty, so only the greedy close remains. From a one-column state
-    these are the two-column rounds: the binary resolvents."""
+    these are the two-column rounds: the binary resolvents. Without a seed,
+    no instance of the clause holds a boundary complement: none is tried."""
     placed = rename_clause(clause, len(state.columns) + 1)
-    targets = [lit.complement() for lit in state.boundary]
-    seeds = (mgu(apply_literal(state.sigma, lit), target)
-             for lit in placed.literals for target in targets)
+    seeds = [mgu(lit, b.complement()) for lit in placed.literals for b in state.boundary]
+    if all(seed is None for seed in seeds):
+        return
     for seed in chain((EMPTY,), filter(None, seeds)):  # skips None and empty seeds
         try:
             closed = close(state, placed, greedy_pull(state, placed.literals, None, seed))
@@ -289,8 +290,9 @@ class _RoundBuilder:
             if searched:
                 try:
                     result = extend(state, placed, lit, searched)
-                    applied = result.column_sigma(len(result.columns) - 1)
-                    if not applied or redundancy_guard(applied, placed, self.working):
+                    instance = result.instantiated(-1)
+                    if instance == placed.literals or redundancy_guard(
+                            instance, placed.id, self.working):
                         return result
                 except ConstructionError:
                     pass

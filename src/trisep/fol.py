@@ -15,7 +15,6 @@ from .logic import (
     Clause,
     ClauseSet,
     Constant,
-    Function,
     Literal,
     Variable,
     is_ground,
@@ -24,7 +23,7 @@ from .logic import (
 )
 from .errors import ConstructionError
 from .triangle import Triangle
-from .unify import EMPTY, Substitution, apply, apply_literal, compose, mgu, rename_apart
+from .unify import EMPTY, Substitution, apply_literal, compose, map_variables, mgu, rename_apart
 
 
 # -- variants ----------------------------------------------------------------
@@ -51,17 +50,14 @@ def variant_key(literals: Collection[Literal]) -> frozenset:
     ordered = sorted(literals, key=_blind_literal_key)
     renaming = {}
 
-    def canon(term):
-        if isinstance(term, Variable):
-            if term.name not in renaming:
-                renaming[term.name] = Variable(f"v{len(renaming)}")
-            return renaming[term.name]
-        if isinstance(term, Function):
-            return Function(term.name, tuple(canon(a) for a in term.args))
-        return term
+    def canon(var):
+        if var.name not in renaming:
+            renaming[var.name] = Variable(f"v{len(renaming)}")
+        return renaming[var.name]
 
-    return frozenset(
-        Literal(l.positive, l.predicate, tuple(canon(a) for a in l.args)) for l in ordered)
+    return frozenset(Literal(l.positive, l.predicate,
+                             tuple(map_variables(a, canon) for a in l.args))
+                     for l in ordered)
 
 
 # -- preprocessing -------------------------------------------------------------
@@ -95,26 +91,25 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
     in order, passes repeat to a fixpoint, and bindings may instantiate
     earlier columns (backward propagation is the caller's concern). The
     literals must be renamed apart from the state's columns; raises
-    ConstructionError when they share a variable."""
+    ConstructionError when they share a variable. The state's boundary comes
+    instantiated, and its substitution binds none of the renamed literals'
+    variables, so only the growing unifier is applied here."""
     overlap = variable_names(literals) & variable_names(
         lit for col in state.columns for lit in col.source_literals)
     if overlap:
         raise ConstructionError(f"clause shares variables with the state: {sorted(overlap)}")
     increment = seed
-    total = compose(seed, state.sigma)
-    boundary_sources = [col.boundary_source for col in state.columns
-                        if col.boundary_source is not None]
     pulled = [lit for lit in literals if exclude is None or lit != exclude]
 
-    def instantiate():  # only a new unifier changes total
-        return ([apply_literal(total, b).complement() for b in boundary_sources],
-                [apply_literal(total, lit) for lit in pulled])
+    def instantiate():  # only a new unifier changes increment
+        return ([apply_literal(increment, b).complement() for b in state.boundary],
+                [apply_literal(increment, lit) for lit in pulled])
 
     targets, insts = instantiate()
     changed = True
     while changed:
         changed = False
-        for i in range(len(boundary_sources)):
+        for i in range(len(state.boundary)):
             for j in range(len(pulled)):
                 inst, target = insts[j], targets[i]
                 if inst == target:
@@ -123,7 +118,6 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
                 if unifier is None:
                     continue
                 increment = compose(unifier, increment)
-                total = compose(unifier, total)
                 targets, insts = instantiate()
                 changed = True
     return increment
@@ -172,17 +166,17 @@ def fall_in(state: Triangle, max_affected: int = 2) -> Triangle:
     return current
 
 
-def redundancy_guard(candidate_sigma: Substitution, clause: Clause,
+def redundancy_guard(instance: Iterable[Literal], clause_id: int,
                      clauses: Iterable[Clause]) -> bool:
-    """False (reject) when the instance is a tautology or carries the literals
-    of another of clauses wholesale (syntactic-superset subsumption only);
-    clauses is any iterable of clauses, the engine's clause store among them."""
-    instance = apply(candidate_sigma, clause)
-    if is_tautology(instance):
+    """False (reject) when instance, the instantiated literals of clause
+    clause_id, is a tautology or carries the literals of another of clauses
+    wholesale (syntactic-superset subsumption only); clauses is any iterable
+    of clauses, the engine's clause store among them."""
+    instance_lits = frozenset(instance)
+    if is_tautology(instance_lits):
         return False
-    instance_lits = instance.literal_set
     for other in clauses:
-        if other.id == clause.id:
+        if other.id == clause_id:
             continue
         if other.literal_set <= instance_lits:
             return False

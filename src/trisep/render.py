@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from .errors import ParseError
 from .logic import (MAX_TERM_DEPTH, Clause, Constant, Function, Literal, Variable,
-                    merge_duplicate_literals)
+                    merge_duplicate_literals, variable_names)
 from .triangle import Column
 from .unify import Substitution, apply_literal
 from .engine import ProofTrace, RoundRecord
@@ -121,7 +121,8 @@ def _format_sigma(sigma: Substitution) -> str:
                     for name, term in sorted(sigma.items()))
 
 
-def _parse_sigma(field: str) -> Substitution:
+def _parse_sigma(field: str, names: frozenset) -> Substitution:
+    """A column's substitution, which may bind only the variables in names."""
     if field == "-":
         return Substitution()
     bindings = {}
@@ -129,6 +130,10 @@ def _parse_sigma(field: str) -> Substitution:
         if ":=" not in part or not part.startswith("?"):
             raise ParseError(f"malformed binding {part!r}")
         name, text = part.split(":=", 1)
+        if name[1:] in bindings:
+            raise ParseError(f"variable {name} bound twice in {field!r}")
+        if name[1:] not in names:
+            raise ParseError(f"{name} is bound, but the column's source literals do not hold it")
         scanner = _TermScanner(text)
         term = scanner.term()
         if scanner.pos != len(scanner.text):
@@ -146,31 +151,26 @@ def _column_label(state, index) -> str:
 
 def render_round_table(state) -> str:
     columns = list(range(len(state.columns)))
-    boundary_position: Dict[int, int] = {}
-    boundary_literals: List[Literal] = []
-    for i in columns:
-        col = state.columns[i]
-        if col.boundary_source is not None:
-            boundary_position[i] = len(boundary_literals)
-            boundary_literals.append(apply_literal(state.sigma, col.boundary_source))
+    bearers = [i for i in columns if state.columns[i].boundary_source is not None]
+    boundary_position: Dict[int, int] = {i: position for position, i in enumerate(bearers)}
     band_height = max((len(state.d_plus(i)) for i in columns), default=0)
-    n_rows = band_height + len(boundary_literals)
+    n_rows = band_height + len(state.boundary)
     render_order = list(reversed(columns))
     grid = [["" for _ in render_order] for _ in range(n_rows)]
 
     def boundary_row(position: int) -> int:
         # position 0 (first selected) renders at the bottom
-        return band_height + (len(boundary_literals) - 1 - position)
+        return band_height + (len(state.boundary) - 1 - position)
 
     for out_idx, i in enumerate(render_order):
         for r, lit in enumerate(reversed(state.d_plus(i))):
             grid[band_height - 1 - r][out_idx] = str(lit)
         own_position = boundary_position.get(i)
         for lit in state.d_minus(i):
-            if own_position is not None and lit == boundary_literals[own_position]:
+            if own_position is not None and lit == state.boundary[own_position]:
                 grid[boundary_row(own_position)][out_idx] = str(lit)
                 continue
-            for position, blit in enumerate(boundary_literals):
+            for position, blit in enumerate(state.boundary):
                 if lit == blit.complement():
                     grid[boundary_row(position)][out_idx] = str(lit)
                     break
@@ -241,9 +241,7 @@ def render_trace(trace: ProofTrace, problem: str = "", config_note: str = "",
                 _format_literals(state.d_minus(pos)),
                 _format_literals(state.d_plus(pos)),
             ]))
-        boundary_lits = [apply_literal(state.sigma, col.boundary_source)
-                         for col in state.columns if col.boundary_source is not None]
-        lines.append("BOUND\t" + _format_literals(boundary_lits))
+        lines.append("BOUND\t" + _format_literals(state.boundary))
         lines.append(f"CSC\t{record.csc.id}\t{_format_literals(record.csc.literals)}")
     lines.append(f"VERDICT\t{trace.verdict}")
     if trace.reason:
@@ -269,14 +267,11 @@ class RawState:
         self._d_minus = tuple(d_minus_parts)
         self._d_plus = tuple(d_plus_parts)
         self.closed = sum(col.closing for col in self.columns) == 1
-
-    @property
-    def sigma(self) -> Substitution:
         # column sigmas are restrictions to pairwise disjoint variable sets
-        merged = {}
-        for sub in self._column_sigmas:
-            merged.update(dict(sub.items()))
-        return Substitution(merged)
+        self.sigma = Substitution({name: term for sub in self._column_sigmas
+                                   for name, term in sub.items()})
+        self.boundary = tuple(apply_literal(self.sigma, col.boundary_source)
+                              for col in self.columns if col.boundary_source is not None)
 
     def column_sigma(self, index) -> Substitution:
         return self._column_sigmas[index]
@@ -301,12 +296,15 @@ def parse_trace_document(text: str) -> ProofTrace:
     or a verdict or MODEL value outside the rendered vocabulary; and when it
     would render back differently: a ROUND or COL number out of place, a
     column kind other than B (with a boundary literal), S or C (with '-'), a
-    BOUND record other than its round's boundary literals, a second VERDICT,
-    REASON or MODEL record, or a predicate named twice in one MODEL record.
-    A parsed round is closed when it holds exactly one C column."""
+    COL sigma that binds a variable twice or one its column does not hold,
+    a round without one BOUND record, after its COL records, that lists its
+    boundary literals, a second VERDICT, REASON or MODEL record, or a
+    predicate named twice in one MODEL record. A parsed round is closed when
+    it holds exactly one C column."""
     in_section = ended = False
     rounds: List[RoundRecord] = []
     current_round = None
+    state = None  # the current round's, made at its BOUND record
     columns: List[Column] = []
     sigmas: List[Substitution] = []
     d_minus_parts: List[tuple] = []
@@ -314,14 +312,6 @@ def parse_trace_document(text: str) -> ProofTrace:
     verdict = None
     reason = None
     model = None
-
-    def flush_round(csc_id: int, csc_literals: tuple):
-        nonlocal columns, sigmas, d_minus_parts, d_plus_parts, current_round
-        if current_round is None:
-            raise ParseError("CSC record outside a round")
-        state = RawState(columns, sigmas, d_minus_parts, d_plus_parts)
-        rounds.append(RoundRecord(state, Clause(csc_id, csc_literals)))
-        columns, sigmas, d_minus_parts, d_plus_parts, current_round = [], [], [], [], None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("TRACE\tBEGIN"):
@@ -347,24 +337,31 @@ def parse_trace_document(text: str) -> ProofTrace:
                 if int(pos) != len(columns) + 1:
                     raise ParseError(f"COL {pos} where column {len(columns) + 1} is next",
                                      line=line_no)
+                if state is not None:
+                    raise ParseError(f"COL {pos} after its round's BOUND record", line=line_no)
                 if kind not in ("B", "S", "C") or (kind == "B") == (boundary == "-"):
                     raise ParseError(f"column kind {kind!r} with boundary {boundary!r}: B needs "
                                      "a literal, S and C need '-'", line=line_no)
                 boundary_lit = None if boundary == "-" else parse_literal_text(boundary)
                 columns.append(Column(int(clause_id), _parse_literals(sources),
                                       boundary_lit, closing=kind == "C"))
-                sigmas.append(_parse_sigma(sigma))
+                sigmas.append(_parse_sigma(sigma, variable_names(columns[-1].source_literals)))
                 d_minus_parts.append(_parse_literals(d_minus))
                 d_plus_parts.append(_parse_literals(d_plus))
             elif tag == "BOUND":  # redundant with the COL records, so it must agree
-                sigma = RawState(columns, sigmas, (), ()).sigma
-                bound = tuple(apply_literal(sigma, col.boundary_source)
-                              for col in columns if col.boundary_source is not None)
-                if current_round is None or _parse_literals(fields[1]) != bound:
+                if state is not None:
+                    raise ParseError(f"second BOUND record in round {current_round}", line=line_no)
+                state = RawState(columns, sigmas, d_minus_parts, d_plus_parts)
+                if current_round is None or _parse_literals(fields[1]) != state.boundary:
                     raise ParseError("BOUND record other than its round's boundary literals",
                                      line=line_no)
             elif tag == "CSC":
-                flush_round(int(fields[1]), _parse_literals(fields[2]))
+                if state is None:
+                    raise ParseError("CSC record without its round's BOUND record", line=line_no)
+                csc = Clause(int(fields[1]), _parse_literals(fields[2]))
+                rounds.append(RoundRecord(state, csc))
+                columns, sigmas, d_minus_parts, d_plus_parts = [], [], [], []
+                current_round = state = None
             elif tag == "VERDICT":
                 if verdict is not None:
                     raise ParseError("second VERDICT record", line=line_no)

@@ -19,9 +19,12 @@ appends: it derives only the new column, unless the unifier binds a variable
 of the earlier columns' instantiated literals. Such a unifier re-instantiates
 them, which is how backward-propagating substitutions are realized, and the
 whole state is rebuilt by the constructor. Propositional input is the case
-in which every unifier is empty, so its steps always append. Finding a
-unifier is the caller's concern (trisep.fol.greedy_pull), and so is when to
-stop growing a construction (trisep.engine.should_stop asks the working set).
+in which every unifier is empty, so its steps always append. The column
+step is the only engine code that applies a state's substitution: callers
+read the state's boundary and instantiated columns. Finding a unifier is the
+caller's concern (trisep.fol.greedy_pull, which grows it against that
+boundary), and so is when to stop growing a construction
+(trisep.engine.should_stop asks the working set).
 """
 
 from __future__ import annotations

@@ -83,13 +83,17 @@ class Substitution:
 EMPTY = Substitution()
 
 
-def apply_term(sub: Substitution, term):
+def map_variables(term, replacement):
+    """term with each variable v replaced by replacement(v); a replacement is not walked."""
     if isinstance(term, Variable):
-        bound = sub.get(term.name)
-        return term if bound is None else bound
+        return replacement(term)
     if isinstance(term, Function):
-        return Function(term.name, tuple(apply_term(sub, a) for a in term.args))
+        return Function(term.name, tuple(map_variables(a, replacement) for a in term.args))
     return term
+
+
+def apply_term(sub: Substitution, term):
+    return map_variables(term, lambda var: sub.get(var.name) or var)
 
 
 def apply_literal(sub: Substitution, literal: Literal) -> Literal:
@@ -171,13 +175,11 @@ def _unify_terms(a, b, bindings) -> bool:
 def _ground_out(bindings) -> Substitution:
     """Resolve every binding fully; acyclic by the occurs check, so this terminates."""
 
-    def deep(term):
-        term = _resolve(term, bindings)
-        if isinstance(term, Function):
-            return Function(term.name, tuple(deep(a) for a in term.args))
-        return term
+    def resolved(var):
+        term = _resolve(var, bindings)
+        return term if isinstance(term, Variable) else map_variables(term, resolved)
 
-    return Substitution({name: deep(Variable(name)) for name in bindings})
+    return Substitution({name: resolved(Variable(name)) for name in bindings})
 
 
 def mgu(a: Literal, b: Literal) -> Optional[Substitution]:

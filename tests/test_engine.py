@@ -262,6 +262,21 @@ def test_prove_first_order_never_satisfiable():
     assert outcome.verdict == "unknown"
 
 
+def test_a_clause_without_a_unifiable_boundary_complement_tries_no_close(monkeypatch):
+    # neither q(y) nor ~p(b) unifies with ~p(f(x)), the one boundary
+    # complement, so no instance of the clause can close the state
+    calls = []
+    real = engine.greedy_pull
+    monkeypatch.setattr(engine, "greedy_pull", lambda *args: calls.append(args) or real(*args))
+    x, y = Variable("x"), Variable("y")
+    opened = start(Clause(1, [pos("p", fn("f", x))]), pos("p", fn("f", x)))
+    stranger = Clause(2, [pos("q", y), neg("p", Constant("b"))])
+    assert list(engine._closings(opened, stranger)) == []
+    assert calls == []
+    partner = Clause(3, [neg("p", y)])
+    assert list(engine._closings(opened, partner)) and calls
+
+
 # -- verify_trace ----------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from trisep import (
     Constant,
     Substitution,
     Variable,
+    apply,
     clause_set,
     close,
     extend,
@@ -286,7 +287,8 @@ def test_redundancy_guard_rejects_tautology_instances():
     a = Constant("a")
     clause = Clause(1, [pos("P", x), neg("P", y)])
     s = ClauseSet([clause, Clause(2, [pos("Q", a)])])
-    assert not redundancy_guard(Substitution({"x": a, "y": a}), clause, s)
+    # the instance under {x -> a, y -> a}
+    assert not redundancy_guard((pos("P", a), neg("P", a)), clause.id, s)
 
 
 def test_redundancy_guard_rejects_supersets():
@@ -294,14 +296,14 @@ def test_redundancy_guard_rejects_supersets():
     existing = Clause(2, [pos("Q", a)])
     clause = Clause(1, [pos("P", Variable("x")), pos("Q", Variable("x"))])
     s = ClauseSet([clause, existing])
-    assert not redundancy_guard(Substitution({"x": a}), clause, s)
+    assert not redundancy_guard((pos("P", a), pos("Q", a)), clause.id, s)
 
 
 def test_redundancy_guard_accepts_fresh_instances():
     a = Constant("a")
     clause = Clause(1, [pos("P", Variable("x")), pos("Q", Variable("x"))])
     s = ClauseSet([clause, Clause(2, [pos("Q", Constant("b"))])])
-    assert redundancy_guard(Substitution({"x": a}), clause, s)
+    assert redundancy_guard((pos("P", a), pos("Q", a)), clause.id, s)
 
 
 def test_redundancy_guard_ignores_the_clause_whose_instance_it_judges():
@@ -312,11 +314,12 @@ def test_redundancy_guard_ignores_the_clause_whose_instance_it_judges():
     separated = Clause(7, [neg("p", x1), pos("q", fn("f", x1))])
     placed = rename_clause(separated, 3)
     assert variable_names(placed.literals) == {"X#1#3"}
-    unifier = Substitution({"X#1#3": x1})
-    assert redundancy_guard(unifier, placed, _ClauseStore([separated]))
+    instance = apply(Substitution({"X#1#3": x1}), placed).literals
+    assert instance == separated.literals
+    assert redundancy_guard(instance, placed.id, _ClauseStore([separated]))
     # an equal clause under another id does subsume the instance
     twin = Clause(8, separated.literals)
-    assert not redundancy_guard(unifier, placed, _ClauseStore([separated, twin]))
+    assert not redundancy_guard(instance, placed.id, _ClauseStore([separated, twin]))
 
 
 # -- stair placement in first-order mode -------------------------------------------

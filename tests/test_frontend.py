@@ -188,7 +188,8 @@ UNIT_PAIR_DIMACS = "p cnf 1 2\n1 0\n-1 0\n"
 SINGLE_UNIT_DIMACS = "p cnf 1 1\n1 0\n"
 # the machine section of the one-round refutation of {x1}, {~x1}
 _UNIT_PAIR_COLUMNS = ("COL\t1\t1\tB\tx1\t-\tx1\tx1\t-", "COL\t2\t2\tC\t-\t-\t~x1\t~x1\t-")
-_UNIT_PAIR_REFUTATION = ("ROUND\t1", *_UNIT_PAIR_COLUMNS, "CSC\t3\t-", "VERDICT\tunsatisfiable")
+_UNIT_PAIR_REFUTATION = ("ROUND\t1", *_UNIT_PAIR_COLUMNS, "BOUND\tx1", "CSC\t3\t-",
+                         "VERDICT\tunsatisfiable")
 
 
 def _trace_document(*records):
@@ -304,9 +305,22 @@ def test_trace_parser_rejects_record_numbers_out_of_place(tmp_path, capsys):
     (_tampered(2, "COL\t2\t2\tB\t-\t-\t~x1\t~x1\t-"), "column kind 'B' with boundary '-'"),
     (_tampered(2, "COL\t2\t2\tC\t~x1\t-\t~x1\t~x1\t-"), "column kind 'C' with boundary '~x1'"),
     # used to be ignored
-    (("ROUND\t1", *_UNIT_PAIR_COLUMNS, "BOUND\t~x1", *_UNIT_PAIR_REFUTATION[3:]),
-     "BOUND record other than"),
+    (_tampered(3, "BOUND\t~x1"), "BOUND record other than"),
     (("BOUND\t-", *_UNIT_PAIR_REFUTATION), "BOUND record other than"),
+    # render_trace writes one BOUND record per round, after its COL records;
+    # a round without one used to verify
+    ((*_UNIT_PAIR_REFUTATION[:3], *_UNIT_PAIR_REFUTATION[4:]),
+     "CSC record without its round's BOUND record"),
+    ((*_UNIT_PAIR_REFUTATION[:4], *_UNIT_PAIR_REFUTATION[3:]), "second BOUND record in round 1"),
+    (("ROUND\t1", _UNIT_PAIR_COLUMNS[0], "BOUND\tx1", *_UNIT_PAIR_REFUTATION[2:]),
+     "COL 2 after its round's BOUND record"),
+    # a column substitution is the state's restricted to the column's own
+    # variables: the last binding of ?X used to win, and a binding of a
+    # variable held by another column used to act on that column
+    (_tampered(1, "COL\t1\t1\tB\tp(?X)\t?X:=a;?X:=b\tp(?X)\tp(b)\t-"),
+     "variable \\?X bound twice"),
+    (_tampered(1, "COL\t1\t1\tB\tx1\t?X:=a\tx1\tx1\t-"),
+     "\\?X is bound, but the column's source literals do not hold it"),
     # the second one used to win
     ((*_UNIT_PAIR_REFUTATION, "VERDICT\tunknown"), "second VERDICT record"),
     # the last value used to win, so both MODEL documents verified against
@@ -317,7 +331,8 @@ def test_trace_parser_rejects_record_numbers_out_of_place(tmp_path, capsys):
     (("VERDICT\tunknown", "REASON\ttime budget exhausted",
       "REASON\tsaturation clause cap exceeded"), "second REASON record"),
 ], ids=["kind-X", "S-with-literal", "B-without-literal", "C-with-literal", "wrong-BOUND",
-        "stray-BOUND", "second-VERDICT", "second-MODEL", "predicate-twice-in-MODEL",
+        "stray-BOUND", "no-BOUND", "second-BOUND", "COL-after-BOUND", "variable-bound-twice",
+        "foreign-binding", "second-VERDICT", "second-MODEL", "predicate-twice-in-MODEL",
         "second-REASON"])
 def test_trace_parser_rejects_records_that_would_render_back_differently(tmp_path, capsys,
                                                                          records, message):
@@ -508,8 +523,9 @@ def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, cap
     columns += [f"COL\t{k + 1}\t{k + 1}\tB\tx{k + 1}\t-\t~x{k};x{k + 1}\tx{k + 1};~x{k}\t-"
                 for k in range(1, n)]
     columns.append(f"COL\t{n + 1}\t{n + 1}\tC\t-\t-\t~x{n}\t~x{n}\t-")
-    trace_path.write_text(_trace_document("ROUND\t1", *columns, f"CSC\t{n + 2}\t-",
-                                          "VERDICT\tunsatisfiable"))
+    bound = ";".join(f"x{k}" for k in range(1, n + 1))
+    trace_path.write_text(_trace_document("ROUND\t1", *columns, f"BOUND\t{bound}",
+                                          f"CSC\t{n + 2}\t-", "VERDICT\tunsatisfiable"))
     assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
     assert "verified: 1 round(s)" in capsys.readouterr().out
 
@@ -525,7 +541,7 @@ def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, cap
     # inside parts x1 and x2 contradict nothing
     ("p cnf 2 2\n1 0\n2 0\n", _tampered(2, "COL\t2\t2\tC\t-\t-\tx2\tx2\t-"),
      "round 1: inside parts are not a standard contradiction"),
-    (UNIT_PAIR_DIMACS, _tampered(3, "CSC\t1\t-"), "round 1: separated clause id 1 already used"),
+    (UNIT_PAIR_DIMACS, _tampered(4, "CSC\t1\t-"), "round 1: separated clause id 1 already used"),
     (UNIT_PAIR_DIMACS, ["VERDICT\tunsatisfiable"],
      "verdict unsatisfiable with no rounds and no empty input clause"),
     ("cnf(c1, axiom, p(X)).\n", ["VERDICT\tsatisfiable", "MODEL\t-"],
@@ -542,7 +558,8 @@ def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, cap
     # the inside parts still contradict each other, but no construction
     # places the columns in this order
     (UNIT_PAIR_DIMACS, ["ROUND\t1", "COL\t1\t2\tC\t-\t-\t~x1\t~x1\t-",
-                        "COL\t2\t1\tB\tx1\t-\tx1\tx1\t-", "CSC\t3\t-", "VERDICT\tunsatisfiable"],
+                        "COL\t2\t1\tB\tx1\t-\tx1\tx1\t-", "BOUND\tx1", "CSC\t3\t-",
+                        "VERDICT\tunsatisfiable"],
      "round 1: column 1 holds an inside literal that is neither its boundary literal nor the "
      "complement of an earlier one"),
 ], ids=["variant", "overlap", "empty-inside", "contradiction", "id-reused", "no-rounds",

@@ -175,9 +175,11 @@ def test_verify_trace_rejects_a_trace_built_with_faulty_substitution_code(monkey
     # the checker must not share the engine's substitution code either: make
     # the construction steps drop one binding (the variable that sorts last),
     # build a refutation with them, and the checker must see the wrong
-    # instances. The unifier search (trisep.fol) and renaming (trisep.unify)
-    # keep theirs: with a binding dropped there, greedy_pull re-finds the same
-    # unifier forever and renamed clauses share variables.
+    # instances. The unifier search (trisep.fol) reads the boundary that the
+    # faulty steps derive, but applies its growing unifier with its own code,
+    # and renaming (trisep.unify) keeps its code too: with a binding dropped
+    # there, greedy_pull re-finds the same unifier forever and renamed clauses
+    # share variables.
     real = trisep.unify.apply_literal
 
     def faulty_literal(sub, lit):

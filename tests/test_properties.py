@@ -1,10 +1,12 @@
-"""Property tests: construction steps against a full rebuild, the round
-builder's extension ranking against placing every candidate, the clause
-store against linear scans, the saturation fallback's resolvents against the
-rounds they stand for and the clauses it starts from, prove against the
-brute-force oracle, the parsers on arbitrary text, and TPTP render/parse
-round trips. Example counts stay low so the suite stays fast."""
+"""Property tests: construction steps against a full rebuild, the unifier
+search against instantiating the boundary sources, the round builder's
+extension ranking against placing every candidate, the clause store against
+linear scans, the saturation fallback's resolvents against the rounds they
+stand for and the clauses it starts from, prove against the brute-force
+oracle, the parsers on arbitrary text, and TPTP render/parse round trips.
+Example counts stay low so the suite stays fast."""
 
+import random
 from itertools import chain
 from types import SimpleNamespace
 
@@ -51,7 +53,7 @@ from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError
 from trisep.logic import merge_duplicate_literals, variable_names
 from trisep.triangle import EMPTY_STATE, _derive_column
-from trisep.unify import EMPTY
+from trisep.unify import EMPTY, apply_literal
 
 FEW = settings(max_examples=50, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
@@ -156,6 +158,73 @@ def test_steps_agree_with_a_full_rebuild(data, first_order):
         if stepped.closed:
             return
         state = stepped
+
+
+def _reference_greedy_pull(state, literals, exclude=None, seed=EMPTY):
+    """greedy_pull with the state's substitution applied here: every pass
+    instantiates the boundary sources and the literals under
+    compose(seed, state.sigma) grown by the unifiers found so far."""
+    increment, total = seed, compose(seed, state.sigma)
+    sources = [col.boundary_source for col in state.columns if col.boundary_source is not None]
+    pulled = [lit for lit in literals if lit != exclude]
+    changed = True
+    while changed:
+        changed = False
+        for source in sources:
+            for lit in pulled:
+                inst = apply_literal(total, lit)
+                target = apply_literal(total, source).complement()
+                unifier = None if inst == target else mgu(inst, target)
+                if unifier is not None:
+                    increment, total = compose(unifier, increment), compose(unifier, total)
+                    changed = True
+    return increment
+
+
+def test_greedy_pull_agrees_with_instantiating_the_boundary_sources():
+    """On random first-order states, some of whose unifiers rewrote earlier
+    columns, greedy_pull, which reads the state's instantiated boundary,
+    finds the reference's unifier from the empty seed and from every
+    (literal, boundary complement) seed."""
+    rng = random.Random(2026)
+    leaves = [Constant("a"), Constant("b"), Variable("X"), Variable("Y")]
+
+    def term(depth=0):
+        roll = rng.random()
+        if depth >= 2 or roll < 0.5:
+            return rng.choice(leaves)
+        if roll < 0.8:
+            return Function("f", (term(depth + 1),))
+        return Function("g", (term(depth + 1), term(depth + 1)))
+
+    def literal():
+        predicate = rng.choice("pqr")
+        args = (term(), term()) if predicate == "r" else (term(),)
+        return Literal(rng.random() < 0.5, predicate, args)
+
+    compared = rewrites = 0
+    for _ in range(300):
+        clauses = [Clause(i, [literal() for _ in range(rng.randint(1, 3))])
+                   for i in range(1, rng.randint(3, 6))]
+        state = EMPTY_STATE
+        for tag in range(1, rng.randint(3, 8)):
+            clause = rename_clause(rng.choice(clauses), tag)
+            lit = rng.choice(clause.literals)
+            try:
+                extended = extend(state, clause, lit, greedy_pull(state, clause.literals, lit))
+            except ConstructionError:
+                continue
+            rewrites += any(extended.instantiated(i) != state.instantiated(i)
+                            for i in range(len(state.columns)))
+            state = extended
+            placed = rename_clause(rng.choice(clauses), "q")
+            exclude = rng.choice((None,) + placed.literals)
+            seeds = [mgu(l, b.complement()) for l in placed.literals for b in state.boundary]
+            for seed in [EMPTY] + [seed for seed in seeds if seed is not None]:
+                assert (greedy_pull(state, placed.literals, exclude, seed)
+                        == _reference_greedy_pull(state, placed.literals, exclude, seed))
+                compared += 1
+    assert rewrites > 20 and compared > 1000
 
 
 # -- extension ranking ---------------------------------------------------------
