@@ -135,16 +135,29 @@ class EngineConfig:
 
 def _closings(state: Triangle, clause: Clause):
     """Closed states for one clause: the greedy close plus one per seeded
-    (clause literal, boundary complement) unifier, since the greedy pull
-    order can miss the useful instantiation. On ground input every seed
-    is empty, so only the greedy close remains. From a one-column state
-    these are the two-column rounds: the binary resolvents. Without a seed,
-    no instance of the clause holds a boundary complement: none is tried."""
+    (clause literal, boundary complement) unifier, literal by literal, since
+    the greedy pull order can miss the useful instantiation. On ground input
+    every seed is empty, so only the greedy close remains. From a one-column
+    state these are the two-column rounds: the binary resolvents. Without a
+    seed, no instance of the clause holds a boundary complement: none is
+    tried.
+
+    Each distinct seed is closed once. The greedy pull from the empty seed
+    binds first the first seed met boundary by boundary, and then goes on as
+    it would from that seed, since a pair that did not unify has no unifying
+    instance: the greedy close is that seed's closing. A seed equal to one
+    tried gives the same closing again. Neither repeat changes a ranking
+    (min keeps the first of equal keys) or the fallback (it skips a variant
+    it has seen), so neither is built."""
     placed = rename_clause(clause, len(state.columns) + 1)
-    seeds = [mgu(lit, b.complement()) for lit in placed.literals for b in state.boundary]
-    if all(seed is None for seed in seeds):
+    by_boundary = [[mgu(lit, b.complement()) for lit in placed.literals]
+                   for b in state.boundary]
+    if all(seed is None for row in by_boundary for seed in row):
         return
-    for seed in chain((EMPTY,), filter(None, seeds)):  # skips None and empty seeds
+    # the distinct non-empty seeds, literal by literal, less the greedy close's
+    seeds = dict.fromkeys(filter(None, chain.from_iterable(zip(*by_boundary))))
+    seeds.pop(next(filter(None, chain.from_iterable(by_boundary)), None), None)
+    for seed in chain((EMPTY,), seeds):
         try:
             closed = close(state, placed, greedy_pull(state, placed.literals, None, seed))
         except ConstructionError:  # no legal closed state under this unifier
@@ -265,6 +278,11 @@ class _RoundBuilder:
     closing candidates are scored on literal sets and only the chosen one is
     built.
 
+    Each state's closings are scored once: a first-order candidate keeps the
+    least closing its look-ahead found, and build reuses it when the
+    candidate wins instead of scanning the working set again. _closings
+    builds each clause's closings once per distinct seed.
+
     Every build starts from the empty state. prove makes one builder per
     run, which fixes the logic once and derives the width threshold (twice
     the widest input clause) and the column cap from the input before
@@ -316,8 +334,12 @@ class _RoundBuilder:
                 k = closed.closing_index
                 yield (len(closed.d_plus(k)), -len(closed.d_minus(k)), clause.id), clause, closed
 
-    def _best_closure(self, state: Triangle) -> Optional[Triangle]:
-        best = min(self._closures(state), key=itemgetter(0), default=None)
+    def _best_closure(self, state: Triangle, scored: Optional[list] = None
+                      ) -> Optional[Triangle]:
+        """state's best closing, or None. scored, when given, is what the
+        look-ahead kept of state's closures: the least one, if any."""
+        best = min(self._closures(state) if scored is None else scored,
+                   key=itemgetter(0), default=None)
         if best is None:
             return None
         _, clause, closed = best
@@ -333,7 +355,7 @@ class _RoundBuilder:
     def _set_candidates(self, state: Triangle):
         """Propositional extensions, scored on literal sets without placing a
         clause, as (clause, literal position, literal, new leftover count,
-        look-ahead, a function that places it).
+        look-ahead, a function that places it, None: no closure is scored).
 
         With lit on the boundary, a column leaves the clause's literals other
         than lit that are not boundary complements; extend raises exactly
@@ -354,12 +376,16 @@ class _RoundBuilder:
                 if not leftovers and not new_plus and self.working.subsumes(
                         complements | {lit.complement()}):
                     look = 0
-                yield clause, idx, lit, new_plus, look, partial(extend, state, clause, lit)
+                yield clause, idx, lit, new_plus, look, partial(extend, state, clause, lit), None
 
     def _placed_candidates(self, state: Triangle):
         """First-order extensions in the shape of _set_candidates. A key
         depends on the column's unifier, so each clause is renamed for its
-        column and placed here, and its function returns the placed state."""
+        column and placed here, and its function returns the placed state.
+        A candidate without leftovers has its closures scored for the
+        look-ahead, and keeps the least one (a list of at most one), which
+        build reuses if the candidate wins: the working set does not change
+        within a build."""
         boundary = set(state.boundary)
         existing_signatures = {self._column_signature(state, i)
                                for i in range(len(state.columns))}
@@ -379,24 +405,25 @@ class _RoundBuilder:
                     continue
                 # an extension after which an empty separation is one close
                 # away: its best closing leaves nothing over
-                least = None if candidate.leftovers else min(
-                    self._closures(candidate), key=itemgetter(0), default=None)
-                look = 0 if least is not None and least[0][0] == 0 else 1
+                least = None if candidate.leftovers else heapq.nsmallest(
+                    1, self._closures(candidate), key=itemgetter(0))
+                look = 0 if least and least[0][0][0] == 0 else 1
                 yield (clause, idx, lit, len(candidate.d_plus(new_col)), look,
-                       lambda candidate=candidate: candidate)
+                       lambda candidate=candidate: candidate, least)
 
-    def _extensions(self, state: Triangle) -> List[Tuple[tuple, Callable[[], Triangle]]]:
+    def _extensions(self, state: Triangle
+                    ) -> List[Tuple[tuple, Callable[[], Triangle], Optional[list]]]:
         """Every extension of state, in scan order, as (key, a function that
-        builds the extended state). Keys are unique, and the least one ranks
-        best."""
+        builds the extended state, what the look-ahead kept of its closures
+        or None). Keys are unique, and the least one ranks best."""
         leftovers = set(state.leftovers)
         candidates = self._set_candidates if self.prop else self._placed_candidates
         scored = []
-        for clause, idx, lit, new_plus, look, build in candidates(state):
+        for clause, idx, lit, new_plus, look, build, kept in candidates(state):
             unit = 0 if len(clause) == 1 else 1
             pref = 0 if lit in leftovers else 1
             comp = self.working.count_unifiable(lit.complement())
-            scored.append(((unit, look, new_plus, pref, -comp, clause.id, idx), build))
+            scored.append(((unit, look, new_plus, pref, -comp, clause.id, idx), build, kept))
         return scored
 
     # -- main ---------------------------------------------------------------
@@ -404,10 +431,11 @@ class _RoundBuilder:
     def build(self) -> Optional[Triangle]:
         """One closed state, or None."""
         state = EMPTY_STATE
+        kept = None  # what the look-ahead kept of state's closures
         best: Optional[Triangle] = None
         while time.monotonic() < self.deadline:
             if state.columns:
-                best = self._best_closure(state)
+                best = self._best_closure(state, kept)
                 if best is not None and should_stop(best, self.threshold, self.working)[0]:
                     return best
                 if len(state.columns) >= self.max_columns:
@@ -415,7 +443,8 @@ class _RoundBuilder:
             extensions = self._extensions(state)
             if not extensions:
                 return best  # state's best closure, None before the first column
-            state = min(extensions)[1]()
+            _, place, kept = min(extensions)
+            state = place()
         return None
 
 

@@ -259,7 +259,10 @@ def render_trace(trace: ProofTrace, problem: str = "", config_note: str = "",
 
 class RawState:
     """A parsed round state: recorded partitions are authoritative, the
-    contradiction and partition checks in verify_trace recompute the rest."""
+    contradiction and partition checks in verify_trace recompute the rest.
+    The round's substitution merges the column substitutions, each of which
+    must be that substitution restricted to its column's variables, as a
+    rendered state's are; raises ParseError otherwise."""
 
     def __init__(self, columns, column_sigmas, d_minus_parts, d_plus_parts):
         self.columns = tuple(columns)
@@ -267,9 +270,13 @@ class RawState:
         self._d_minus = tuple(d_minus_parts)
         self._d_plus = tuple(d_plus_parts)
         self.closed = sum(col.closing for col in self.columns) == 1
-        # column sigmas are restrictions to pairwise disjoint variable sets
         self.sigma = Substitution({name: term for sub in self._column_sigmas
                                    for name, term in sub.items()})
+        for pos, (col, sub) in enumerate(zip(self.columns, self._column_sigmas), start=1):
+            merged = self.sigma.restrict(variable_names(col.source_literals))
+            if merged != sub:  # two columns bind a variable they share differently
+                raise ParseError(f"COL {pos} records {_format_sigma(sub)}, but its round's "
+                                 f"substitution gives {_format_sigma(merged)}")
         self.boundary = tuple(apply_literal(self.sigma, col.boundary_source)
                               for col in self.columns if col.boundary_source is not None)
 
@@ -297,7 +304,8 @@ def parse_trace_document(text: str) -> ProofTrace:
     would render back differently: a ROUND or COL number out of place, a
     column kind other than B (with a boundary literal), S or C (with '-'), a
     COL sigma that binds a variable twice or one its column does not hold,
-    a round without one BOUND record, after its COL records, that lists its
+    or that disagrees with another column's on a variable both hold, a
+    round without one BOUND record, after its COL records, that lists its
     boundary literals, a second VERDICT, REASON or MODEL record, or a
     predicate named twice in one MODEL record. A parsed round is closed when
     it holds exactly one C column."""
@@ -390,6 +398,10 @@ def parse_trace_document(text: str) -> ProofTrace:
                 raise ParseError(f"unknown record tag {tag!r}", line=line_no)
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed {tag} record: {exc}", line=line_no) from None
+        except ParseError as exc:  # from reading a field: name the record's line
+            if exc.line is not None:
+                raise
+            raise ParseError(str(exc), line=line_no) from None
     if not ended:
         raise ParseError("no TRACE BEGIN/TRACE END section")
     if verdict is None:

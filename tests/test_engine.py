@@ -23,6 +23,7 @@ from trisep import (
     linear_to_etc,
     neg,
     pos,
+    preprocess,
     prove,
     start,
     verify_model,
@@ -277,6 +278,25 @@ def test_a_clause_without_a_unifiable_boundary_complement_tries_no_close(monkeyp
     assert list(engine._closings(opened, partner)) and calls
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_build_closes_each_state_with_each_clause_once(monkeypatch, reverse):
+    # the look-ahead scores the closings of every candidate that leaves
+    # nothing over, and the winner's least one is reused, not scored again;
+    # a build's states differ in their columns
+    calls = Counter()
+    real = engine._closings
+
+    def counting(state, clause):
+        calls[state.columns, state.sigma, clause.id] += 1
+        return real(state, clause)
+
+    monkeypatch.setattr(engine, "_closings", counting)
+    problem = _chain(8, reverse)
+    builder = engine._RoundBuilder(preprocess(problem), problem, float("inf"))
+    assert builder.build() is not None
+    assert calls and max(calls.values()) == 1
+
+
 # -- verify_trace ----------------------------------------------------------------------
 
 
@@ -431,9 +451,22 @@ def _chain(k, reverse=False):
     return clause_set(bodies[::-1] if reverse else bodies)
 
 
+def _pair_chain(k):
+    """P(a, b), ~P(X, Y) | P(f(X), g(Y)), ~P(f^k(a), g^k(b)), and the
+    distractor ~P(Z, W) | ~P(W, Z), which unifies with a boundary complement
+    at either literal, so its closings have several seeds, some equal."""
+    goal = (Constant("a"), Constant("b"))
+    for _ in range(k):
+        goal = (fn("f", goal[0]), fn("g", goal[1]))
+    x, y, z, w = (Variable(name) for name in "XYZW")
+    return clause_set([[pos("P", Constant("a"), Constant("b"))],
+                       [neg("P", x, y), pos("P", fn("f", x), fn("g", y))],
+                       [neg("P", *goal)], [neg("P", z, w), neg("P", w, z)]])
+
+
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "bde352fc279fd252ab97d0603a8d7dc16f904c46e70c87a49d0bf6d3d5a17f7a"
+GOLDEN_TRACE_DIGEST = "05ee06c93751c25f21ac5f4413ac71ccf458ddde131240df11f4ccc7bb19a9b0"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
@@ -443,12 +476,14 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
             for _ in range(30)]
     runs += [(s, FAST) for s in (ex51, ex52, ex53)]
     runs += [(_chain(k, reverse), FAST) for k in range(3, 7) for reverse in (False, True)]
+    runs += [(_pair_chain(k), FAST) for k in (3, 4)]
     fallback_only = EngineConfig(max_rounds=0, time_budget=30.0)
     runs.append((_three_sat(random.Random(5), 8, 40), fallback_only))
     three_sat_rng = random.Random(6)
     runs += [(_three_sat(three_sat_rng, 10, 43), fallback_only) for _ in range(8)]
     runs += [(_chain(k, reverse), fallback_only) for k in range(3, 7) for reverse in (False, True)]
     runs += [(s, fallback_only) for s in (ex51, ex52, ex53)]
+    runs += [(_pair_chain(k), fallback_only) for k in (3, 4)]
     runs += [(random_instance(rng, max_vars=7, max_clauses=10), EngineConfig(time_budget=30.0))
              for _ in range(30)]
     digest = hashlib.sha256()

@@ -346,6 +346,43 @@ def test_trace_parser_rejects_records_that_would_render_back_differently(tmp_pat
     assert "verified" not in captured.out and "Traceback" not in captured.err
 
 
+SHARED_VARIABLE_TPTP = "cnf(c1, axiom, p(X)).\ncnf(c2, axiom, ~p(Y)).\n"
+
+
+def _shared_variable_refutation(first_sigma):
+    """A refutation of p(X), ~p(Y) whose two columns both hold ?X."""
+    return _trace_document("ROUND\t1", f"COL\t1\t1\tB\tp(?X)\t{first_sigma}\tp(?X)\tp(a)\t-",
+                           "COL\t2\t2\tC\t-\t?X:=a\t~p(?X)\t~p(a)\t-", "BOUND\tp(a)",
+                           "CSC\t3\t-", "VERDICT\tunsatisfiable")
+
+
+def test_trace_parser_rejects_columns_that_bind_a_shared_variable_differently(tmp_path, capsys):
+    # the round's substitution let the last binding of ?X win, so check
+    # verified column 1's p(a) although its own ?X:=b gives p(b)
+    problem, trace_path = tmp_path / "shared.p", tmp_path / "shared.trace"
+    problem.write_text(SHARED_VARIABLE_TPTP)
+    trace_path.write_text(_shared_variable_refutation("?X:=b"))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert "verified" not in captured.out
+    assert "COL 1 records ?X:=b, but its round's substitution gives ?X:=a (line 5)" in captured.err
+    # columns that agree on the variable they share still verify
+    trace_path.write_text(_shared_variable_refutation("?X:=a"))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
+
+
+@pytest.mark.parametrize("column, message", [
+    ("COL\t1\t1\tB\tp(?X)\t?X:=b;?X:=c\tp(?X)\tp(b)\t-", "variable ?X bound twice in '?X:=b;?X:=c'"),
+    ("COL\t1\t1\tB\tp(?X\t-\tp(?X)\tp(?X)\t-", "expected ')' in 'p(?X' at offset 4"),
+], ids=["sigma", "literal"])
+def test_check_names_the_line_of_a_field_it_cannot_read(tmp_path, capsys, column, message):
+    problem, trace_path = tmp_path / "shared.p", tmp_path / "unreadable.trace"
+    problem.write_text(SHARED_VARIABLE_TPTP)
+    trace_path.write_text(_trace_document("ROUND\t1", column))
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
+    assert f"{message} (line 3)" in capsys.readouterr().err
+
+
 def test_trace_table_renders_empty_separation_marker(ex41):
     _, trace = prove(ex41, EngineConfig(time_budget=20.0))
     document = render_trace(trace, problem="ex41")

@@ -2,11 +2,13 @@
 search against instantiating the boundary sources, the round builder's
 extension ranking against placing every candidate, the clause store against
 linear scans, the saturation fallback's resolvents against the rounds they
-stand for and the clauses it starts from, prove against the brute-force
-oracle, the parsers on arbitrary text, and TPTP render/parse round trips.
-Example counts stay low so the suite stays fast."""
+stand for and the clauses it starts from, the closing generator against one
+that closes every seed, prove against the brute-force oracle, the parsers on
+arbitrary text, and TPTP render/parse round trips. Example counts stay low so
+the suite stays fast."""
 
 import random
+from collections import Counter
 from itertools import chain
 from types import SimpleNamespace
 
@@ -291,8 +293,8 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
     for _ in range(builder.max_columns):
         ranked = sorted(builder._extensions(state), key=lambda item: item[0])
         expected = _reference_ranking(builder.working, state)
-        assert [key for key, _ in ranked] == [key for key, _ in expected]
-        built = [build() for _, build in ranked]
+        assert [key for key, *_ in ranked] == [key for key, _ in expected]
+        built = [build() for _, build, _ in ranked]
         assert ([(b.columns[-1].clause_id, b.columns[-1].boundary_source) for b in built]
                 == [(p.columns[-1].clause_id, p.columns[-1].boundary_source)
                     for _, p in expected])
@@ -414,6 +416,76 @@ def _first_occurrences(states):
         firsts.setdefault(variant_key(state.csc), (state.clause_ids(), state.columns,
                                                    state.sigma))
     return list(firsts.items())
+
+
+def _reference_closings(state: Triangle, clause: Clause):
+    """Closings as a closing generator that repeats work makes them: the
+    greedy close, then one close per non-empty seed, literal by literal,
+    repeated seeds and the greedy close's own seed included."""
+    placed = rename_clause(clause, len(state.columns) + 1)
+    seeds = [mgu(lit, b.complement()) for lit in placed.literals for b in state.boundary]
+    if all(seed is None for seed in seeds):
+        return
+    for seed in chain((EMPTY,), filter(None, seeds)):
+        try:
+            yield close(state, placed, greedy_pull(state, placed.literals, None, seed))
+        except ConstructionError:
+            continue
+
+
+def _random_term(rng, depth=0):
+    draw = rng.random()
+    if depth < 2 and draw < 0.25:
+        return Function("f", (_random_term(rng, depth + 1),))
+    return Variable(rng.choice("XYZ")) if draw < 0.6 else Constant(rng.choice("ab"))
+
+
+def _random_clause(rng, cid):
+    literals = []
+    for _ in range(rng.randint(1, 3)):
+        arity = rng.choice((1, 2))
+        lit = Literal(rng.random() < 0.5, "pr"[arity - 1],
+                      tuple(_random_term(rng) for _ in range(arity)))
+        if lit not in literals:
+            literals.append(lit)
+    return Clause(cid, literals)
+
+
+def _random_open_state(rng):
+    """A state of two to four columns, each placed under its greedy unifier;
+    a column that cannot be placed is left out."""
+    first = rename_clause(_random_clause(rng, 1), 1)
+    state = start(first, rng.choice(first.literals))
+    for cid in range(2, rng.randint(2, 4) + 1):
+        placed = rename_clause(_random_clause(rng, cid), cid)
+        lit = rng.choice(placed.literals)
+        try:
+            state = extend(state, placed, lit, greedy_pull(state, placed.literals, lit))
+        except ConstructionError:
+            continue
+    return state
+
+
+def test_closings_are_the_distinct_closed_states_of_every_seed():
+    """Closing each distinct seed once, and the greedy close's seed not
+    again, yields the distinct closed states that closing every seed yields,
+    in first-occurrence order, and builds fewer where seeds repeat."""
+    rng = random.Random(7)
+    covered = Counter()
+    for _ in range(500):
+        state, clause = _random_open_state(rng), _random_clause(rng, 9)
+        expected = list(_reference_closings(state, clause))
+        closings = list(engine._closings(state, clause))
+        assert (list(dict.fromkeys((s.columns, s.sigma) for s in closings))
+                == list(dict.fromkeys((s.columns, s.sigma) for s in expected)))
+        placed = rename_clause(clause, len(state.columns) + 1)
+        seeds = [seed for seed in (mgu(lit, b.complement()) for lit in placed.literals
+                                   for b in state.boundary) if seed]
+        if len(state.boundary) >= 2:
+            covered["several seeds"] += len(set(seeds)) >= 2
+            covered["a repeated seed"] += len(seeds) > len(set(seeds))
+        covered["fewer built"] += len(closings) < len(expected)
+    assert min(covered[name] for name in ("several seeds", "a repeated seed", "fewer built")) > 0
 
 
 _binary_literals = st.builds(Literal, st.booleans(), st.just("r"), st.tuples(_terms, _terms))

@@ -315,7 +315,7 @@ def test_extract_model_ignores_stair_coverage():
 def ranked(state, s):
     """(clause id, boundary literal) of each extension, best first."""
     builder = _RoundBuilder(s, s, float("inf"))
-    placed = [build() for _, build in sorted(builder._extensions(state), key=lambda e: e[0])]
+    placed = [build() for _, build, _ in sorted(builder._extensions(state), key=lambda e: e[0])]
     return [(c.columns[-1].clause_id, c.columns[-1].boundary_source) for c in placed]
 
 
