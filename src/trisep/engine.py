@@ -8,14 +8,17 @@ that stalls (no closed state, or a separated clause that is a known variant,
 a tautology or subsumed by the working set) ends the loop: a two-column
 saturation (binary resolution as the k=2 special case, with subsumption)
 continues from the admitted clauses, settles propositional inputs and makes
-a bounded best effort on first-order ones. Its first-order resolvents are
-the closings of one-column states, made by the same closing generator as the
-main loop's rounds. A trace is the ordered list of its rounds, so a round's
-number is its position there, and derived clause ids grow in round order. One
-deadline serves the whole run: reaching it ends the run without a verdict, so
-the clock never shapes the trace of a run that finishes. No derived clause
-that holds a term deeper than the parsers accept is admitted: such a
-separated clause stalls the main loop, and such a resolvent is dropped.
+a bounded best effort on first-order ones. On propositional input it is
+ordered resolution: a pair is resolved only on the atom that comes first in
+both clauses under one atom order, along which the Davis-Putnam model is then
+built. Its first-order resolvents are the closings of one-column states, made
+by the same closing generator as the main loop's rounds. A trace is the
+ordered list of its rounds, so a round's number is its position there, and
+derived clause ids grow in round order. One deadline serves the whole run:
+reaching it ends the run without a verdict, so the clock never shapes the
+trace of a run that finishes. No derived clause that holds a term deeper than
+the parsers accept is admitted: such a separated clause stalls the main loop,
+and such a resolvent is dropped.
 
 Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
@@ -24,7 +27,8 @@ identity or to plain literal sets on ground input. The logic is consulted
 only where a propositional shortcut measurably pays (ranking extension
 candidates, scoring closings, generating resolvents: each works on literal
 sets and builds a state only for the chosen step) and where only one logic
-has the notion (model extraction and the Davis-Putnam model).
+has the notion (the atom order of ordered resolution, model extraction and
+the Davis-Putnam model).
 """
 
 from __future__ import annotations
@@ -455,41 +459,49 @@ class _RoundBuilder:
 _SATURATION_CLAUSE_CAP = 20000
 
 
-def _resolvents(given: Clause, processed: _ClauseStore, prop: bool, seen: set):
+def _first_literal(clause: Clause, order: Dict[str, int]) -> Literal:
+    """The literal of clause whose atom comes first in order."""
+    return min(clause.literals, key=lambda l: order[l.predicate])
+
+
+def _resolvents(given: Clause, processed: _ClauseStore, order: Optional[Dict[str, int]],
+                seen: set):
     """Two-column resolvents of given, which is already processed, that are
     neither tautologies nor variants of a clause in seen, as (literals in
     csc order, variant key, ids of the two clauses, a function that builds
     the closed state).
 
-    A propositional resolvent on the pivot lit is given's literals without
+    Propositional resolution is ordered: order maps each atom to its
+    position, and a pair is resolved only on the atom that comes first in
+    both clauses. given's pivot lit is thus its first literal, and its
+    partners are the processed clauses, in processing order, whose first
+    literal is lit's complement. The resolvent is given's literals without
     lit, then the partner's without lit's complement, duplicates merged:
     exactly the csc of close(start(given, lit), other), so no state is built
-    unless the round joins a proof. Its partners are the processed clauses
-    that hold the complement, in processing order. A first-order csc depends
-    on the unifier, so each first-order round is built here by _closings, as
-    in round building, from one clause's one-column state and the other
-    clause, with every processed clause in processing order (given itself
-    last, paired with itself once), and its function returns it.
+    unless the round joins a proof. First-order input (order None) has no
+    atom order: a first-order csc depends on the unifier, so each
+    first-order round is built here by _closings, as in round building, from
+    one clause's one-column state and the other clause, with every processed
+    clause in processing order (given itself last, paired with itself once),
+    and its function returns it.
     """
-    if prop:
-        given_set = given.literal_set
-        for lit in given.literals:
-            comp = lit.complement()
-            rest = given_set - {lit}
-            head = tuple(l for l in given.literals if l != lit)
-            # neither clause is a tautology, so the resolvent is one exactly
-            # when the partner complements a literal of rest
-            clashes = frozenset(l.complement() for l in rest)
-            for other in processed.holding(comp):
-                other_set = other.literal_set
-                if not clashes.isdisjoint(other_set):
-                    continue
-                resolvent = rest | (other_set - {comp})
-                if resolvent not in seen:
-                    lits = head + tuple(l for l in other.literals
-                                        if l != comp and l not in rest)
-                    yield (lits, resolvent, (given.id, other.id),
-                           lambda lit=lit, other=other: close(start(given, lit), other))
+    if order is not None:
+        lit = _first_literal(given, order)
+        comp = lit.complement()
+        rest = given.literal_set - {lit}
+        head = tuple(l for l in given.literals if l != lit)
+        # neither clause is a tautology, so the resolvent is one exactly
+        # when the partner complements a literal of rest
+        clashes = frozenset(l.complement() for l in rest)
+        for other in processed.holding(comp):
+            other_set = other.literal_set
+            if not clashes.isdisjoint(other_set) or _first_literal(other, order) != comp:
+                continue
+            resolvent = rest | (other_set - {comp})
+            if resolvent not in seen:
+                lits = head + tuple(l for l in other.literals if l != comp and l not in rest)
+                yield (lits, resolvent, (given.id, other.id),
+                       lambda other=other: close(start(given, lit), other))
         return
     for other in processed:
         pairs = ((given, other),) if other is given else ((given, other), (other, given))
@@ -504,39 +516,42 @@ def _resolvents(given: Clause, processed: _ClauseStore, prop: bool, seen: set):
                     yield lits, key, closed.clause_ids(), lambda closed=closed: closed
 
 
-def _dp_model(clauses: Sequence[Clause], predicates: Iterable[str]) -> Assignment:
-    """Model of a resolution-closed, empty-clause-free propositional set.
+def _dp_model(clauses: Iterable[Clause], order: Dict[str, int]) -> Assignment:
+    """Model of a propositional set that ordered resolution has saturated
+    without deriving the empty clause.
 
-    Backward pass of Davis-Putnam elimination: variables are eliminated in
-    sorted order; assigning in reverse, a variable is true iff some clause
-    over the remaining variables holds it positively with every other literal
-    already false. Closure under resolution (modulo subsumption) makes the
-    choice conflict-free.
+    order is the resolution's atom order: it maps each atom to its position,
+    in position order. Each clause goes to the bucket of its first atom, and
+    the atoms are assigned backward along the order (the backward pass of
+    Davis-Putnam elimination): an atom is true iff some clause in its bucket
+    holds it positively and every other literal, whose atom is later and so
+    already assigned, is false. Every clause then holds. By induction from the
+    last atom, suppose every clause whose first atom is later holds, and a
+    clause ~x | D in x's bucket fails: D is false and x was made true by some
+    x | C with C false. Both clauses have x first, so their resolvent C | D
+    was derived, or a clause that subsumes it was kept. That clause is not
+    empty, since the empty clause was not derived, and not a tautology, since
+    all its literals are false; so its first atom is later than x and it is
+    false, which the induction hypothesis excludes. A clause dropped as
+    subsumed holds because its subsumer does.
     """
-    order = sorted(predicates)
-    position = {name: i for i, name in enumerate(order)}
+    buckets: Dict[str, List[Clause]] = {name: [] for name in order}
+    for clause in clauses:
+        buckets[_first_literal(clause, order).predicate].append(clause)
     assign: Assignment = {}
-    for i in range(len(order) - 1, -1, -1):
-        name = order[i]
-        forced = False
-        for clause in clauses:
-            preds = [lit.predicate for lit in clause.literals]
-            if name not in preds:
-                continue
-            if any(position[p] < i for p in preds):
-                continue
-            others = [lit for lit in clause.literals if lit.predicate != name]
-            if all(assign[lit.predicate] != lit.positive for lit in others):
-                if any(lit.positive for lit in clause.literals if lit.predicate == name):
-                    forced = True
-                    break
-        assign[name] = forced
+    for name in reversed(order):
+        assign[name] = any(
+            all(l.positive if l.predicate == name else assign[l.predicate] != l.positive
+                for l in clause.literals)
+            for clause in buckets[name])
     return assign
 
 
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
-    """Exhaustive two-column rounds with subsumption, smallest clauses first.
+    """Exhaustive two-column rounds with subsumption, smallest clauses first:
+    ordered binary resolution on propositional input, binary resolution
+    through closings on first-order input.
 
     Continues from the clauses prove admitted: working holds no tautology
     and no two variants, seen holds their variant keys (and grows with every
@@ -544,6 +559,9 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
     the fallback's rounds follow. One given-clause loop serves both logics;
     only the resolvent generator and the closing model depend on the logic,
     which is the input's (preprocessing can leave first-order input 0-ary).
+    The propositional atom order is fixed once, from the clauses the
+    saturation starts from: fewer occurrences first, ties broken by name.
+    The resolvents and the Davis-Putnam model share it.
     The processed clauses are a clause store, like the round builder's
     working set: partners, forward and backward subsumption are found through
     its literal index. A kept resolvent records its round lazily, and only
@@ -556,6 +574,13 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
     exhaustion, or when first-order saturation ends without the empty clause.
     """
     heap = [(len(clause), tick, clause) for tick, clause in enumerate(working)]
+    order: Optional[Dict[str, int]] = None
+    if prop:
+        counts: Dict[str, int] = {}
+        for _, _, clause in heap:
+            for lit in clause.literals:
+                counts[lit.predicate] = counts.get(lit.predicate, 0) + 1
+        order = {name: i for i, name in enumerate(sorted(counts, key=lambda n: (counts[n], n)))}
     heapq.heapify(heap)
     tick = len(heap)
     processed = _ClauseStore()
@@ -599,7 +624,7 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
             continue
         processed.remove_subsumed_by(given)
         processed.add(given)
-        for lits, key, ids, build in _resolvents(given, processed, prop, seen):
+        for lits, key, ids, build in _resolvents(given, processed, order, seen):
             if not lits:
                 return finish_unsat(record_round(ids, (), build))
             if not prop and too_deep(lits):
@@ -612,8 +637,7 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
             heapq.heappush(heap, (len(lits), tick, record.csc))
             tick += 1
     if prop:
-        predicates = {lit.predicate for c in working for lit in c.literals}
-        return SATISFIABLE, [], _dp_model(list(processed), predicates), None
+        return SATISFIABLE, [], _dp_model(processed, order), None
     if dropped_deep:
         return UNKNOWN, [], None, DEPTH_BOUND_REACHED
     return UNKNOWN, [], None, "first-order saturation completed without the empty clause"
@@ -684,6 +708,8 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             working, known, next_id, prop, deadline, rounds)
         if verdict == SATISFIABLE:
             model = complete_model(model, clause_set)
+            if not verify_model(clause_set, model):
+                verdict, model, reason = UNKNOWN, None, "the saturation model failed verification"
         return _finish(fb_rounds if verdict == UNSATISFIABLE else rounds, verdict, model, reason)
     if time.monotonic() >= deadline:
         reason = "time budget exhausted"

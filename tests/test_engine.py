@@ -140,6 +140,18 @@ def test_prove_single_unit_satisfiable_via_fallback():
     assert outcome.satisfiable and outcome.model == {"p": True}
 
 
+def test_a_fallback_model_that_fails_verification_ends_in_unknown(monkeypatch):
+    # p | q, ~p holds only with q true; a Davis-Putnam model that makes every
+    # atom false must not become a Satisfiable verdict
+    monkeypatch.setattr(engine, "_dp_model", lambda clauses, order: dict.fromkeys(order, False))
+    s = clause_set([[pos("p"), pos("q")], [neg("p")]])
+    outcome, trace = prove(s, EngineConfig(max_rounds=0, time_budget=30.0))
+    assert outcome.verdict == "unknown" and outcome.model is None
+    assert outcome.reason == "the saturation model failed verification"
+    assert trace.reason == outcome.reason
+    assert verify_trace(s, trace)
+
+
 def test_prove_fallback_disabled_gives_up():
     s = clause_set([[pos("p")]])
     outcome, trace = prove(s, EngineConfig(fallback_enabled=False, time_budget=5.0))
@@ -420,6 +432,24 @@ def test_random_instances_agree_with_oracle():
             checked_traces += 1
 
 
+def test_the_fallback_alone_and_the_default_run_agree_with_the_truth_table():
+    """600 seeded random sets of 3-8 atoms and 3-14 clauses of width 1-3, each
+    proved by the saturation fallback alone and with the default config. Every
+    verdict is the truth table's, every model satisfies its set and every
+    trace verifies. An atom order in the Davis-Putnam model other than the
+    resolution's gives models that fail here."""
+    rng = random.Random(2026)
+    configs = (EngineConfig(max_rounds=0), EngineConfig())
+    for _ in range(600):
+        s = random_instance(rng, min_vars=3, max_vars=8, min_clauses=3, max_clauses=14)
+        expected = "unsatisfiable" if is_unsatisfiable_bruteforce(s) else "satisfiable"
+        for config in configs:
+            outcome, trace = prove(s, config)
+            assert outcome.verdict == expected
+            assert not outcome.satisfiable or verify_model(s, outcome.model)
+            assert verify_trace(s, trace)
+
+
 def test_oracle_unsat_instances_all_refuted():
     rng = random.Random(77)
     refuted = 0
@@ -466,7 +496,7 @@ def _pair_chain(k):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "05ee06c93751c25f21ac5f4413ac71ccf458ddde131240df11f4ccc7bb19a9b0"
+GOLDEN_TRACE_DIGEST = "84b036192228204e7a712d81f6a9eda127e3c64ad41f9db13ad379395eb3380f"
 
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):

@@ -359,24 +359,32 @@ _propositional_clauses = st.lists(_propositional_literals, min_size=1, max_size=
 
 
 @FEW
-@given(_propositional_clauses, st.lists(_propositional_clauses, min_size=1, max_size=3))
-def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, partner_bodies):
+@given(_propositional_clauses, st.lists(_propositional_clauses, min_size=1, max_size=3),
+       st.permutations("pqrs"))
+def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, partner_bodies,
+                                                                names):
     """Each resolvent is yielded without building its round, yet its literals,
     clause ids and deferred state are those of close(start(given, lit), other),
-    partners taken in processing order."""
+    where lit is given's first literal in the atom order and other's first
+    literal is lit's complement, partners taken in processing order."""
+    order = {name: i for i, name in enumerate(names)}
     partners = [Clause(i, body) for i, body in enumerate(partner_bodies, start=1)]
     given_clause = Clause(len(partners) + 1, given_body)
     processed = _ClauseStore()
     for clause in partners + [given_clause]:
         processed.add(clause)
+
+    def first(clause):
+        return min(clause.literals, key=lambda lit: order[lit.predicate])
+
+    lit = first(given_clause)
     expected = []
-    for lit in given_clause.literals:
-        for other in partners:
-            if lit.complement() in other.literal_set:
-                state = close(start(given_clause, lit), other)
-                if not is_tautology(state.csc):
-                    expected.append(state)
-    yielded = list(_resolvents(given_clause, processed, True, set()))
+    for other in partners:
+        if first(other) == lit.complement():
+            state = close(start(given_clause, lit), other)
+            if not is_tautology(state.csc):
+                expected.append(state)
+    yielded = list(_resolvents(given_clause, processed, order, set()))
     assert len(yielded) == len(expected)
     for (lits, key, ids, build), state in zip(yielded, expected):
         assert lits == state.csc
@@ -386,6 +394,19 @@ def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, part
         assert built.columns == state.columns
         assert built.parts == state.parts
         assert built.csc == state.csc
+
+
+def test_a_propositional_pair_is_resolved_only_on_an_atom_first_in_both():
+    """Under the order p < q < r, given q | r resolves with ~q | r on q, which
+    is first in both; not with p | ~q, whose first atom is p, nor with ~r,
+    because r is not given's first atom."""
+    order = {"p": 0, "q": 1, "r": 2}
+    partners = [Clause(1, [pos("p"), neg("q")]), Clause(2, [neg("r")]),
+                Clause(3, [neg("q"), pos("r")])]
+    given_clause = Clause(4, [pos("q"), pos("r")])
+    processed = _ClauseStore(partners + [given_clause])
+    yielded = list(_resolvents(given_clause, processed, order, set()))
+    assert [(lits, ids) for lits, _, ids, _ in yielded] == [((pos("r"),), (4, 3))]
 
 
 def _reference_two_column_rounds(a: Clause, b: Clause):
