@@ -150,9 +150,10 @@ def _closings(state: Triangle, clause: Clause):
     binds first the first seed met boundary by boundary, and then goes on as
     it would from that seed, since a pair that did not unify has no unifying
     instance: the greedy close is that seed's closing. A seed equal to one
-    tried gives the same closing again. Neither repeat changes a ranking
-    (min keeps the first of equal keys) or the fallback (it skips a variant
-    it has seen), so neither is built."""
+    tried gives the same closing again, and so does a distinct seed that
+    grows to a unifier grown before. No repeat changes a ranking (min keeps
+    the first of equal keys) or the fallback (it skips a variant it has
+    seen), so none is built."""
     placed = rename_clause(clause, len(state.columns) + 1)
     by_boundary = [[mgu(lit, b.complement()) for lit in placed.literals]
                    for b in state.boundary]
@@ -161,9 +162,14 @@ def _closings(state: Triangle, clause: Clause):
     # the distinct non-empty seeds, literal by literal, less the greedy close's
     seeds = dict.fromkeys(filter(None, chain.from_iterable(zip(*by_boundary))))
     seeds.pop(next(filter(None, chain.from_iterable(by_boundary)), None), None)
+    grown = set()
     for seed in chain((EMPTY,), seeds):
         try:
-            closed = close(state, placed, greedy_pull(state, placed.literals, None, seed))
+            unifier = greedy_pull(state, placed.literals, None, seed)
+            if unifier in grown:
+                continue
+            grown.add(unifier)
+            closed = close(state, placed, unifier)
         except ConstructionError:  # no legal closed state under this unifier
             continue
         yield closed

@@ -7,8 +7,7 @@ of the first-order one. All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import ArityError
 
@@ -16,26 +15,82 @@ PROPOSITIONAL = "propositional"
 FIRST_ORDER = "first-order"
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class _Term:
+    """Shared by the three term kinds. A term is immutable and fixes three
+    facts once, when it is built: its hash, hash((name,)) or hash((name,
+    args)), on which set order, Literal hashes and so the traces depend; the
+    names of its variables; and its depth. Equality is structural and false
+    across kinds; unequal hashes reject at once."""
+
+    __slots__ = ("name", "variable_names", "depth", "_hash")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.name == other.name)
+
+    @property
+    def _fields(self) -> tuple:
+        return (self.name,)
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields))})"
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+class Variable(_Term):
+    __slots__ = ()
 
-    def __str__(self):
-        return self.name
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "variable_names", frozenset((name,)))
+        object.__setattr__(self, "depth", 1)
+        object.__setattr__(self, "_hash", hash((name,)))
 
 
-@dataclass(frozen=True)
-class Function:
-    name: str
-    args: tuple
+class Constant(_Term):
+    __slots__ = ()
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "variable_names", frozenset())
+        object.__setattr__(self, "depth", 1)
+        object.__setattr__(self, "_hash", hash((name,)))
+
+
+class Function(_Term):
+    __slots__ = ("args",)
+
+    def __init__(self, name: str, args: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "variable_names",
+                           frozenset().union(*(a.variable_names for a in args)))
+        object.__setattr__(self, "depth", 1 + max((a.depth for a in args), default=0))
+        object.__setattr__(self, "_hash", hash((name, args)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Function:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.name == other.name
+                                 and self.args == other.args)
+
+    __hash__ = _Term.__hash__  # a class that defines __eq__ must name its hash
+
+    @property
+    def _fields(self) -> tuple:
+        return (self.name, self.args)
 
     def __str__(self):
         return f"{self.name}({','.join(str(a) for a in self.args)})"
@@ -44,8 +99,10 @@ class Function:
 Term = Union[Variable, Constant, Function]
 
 # Deepest term nesting the parsers accept (a constant or variable has depth 1,
-# f(t) one more than t), and the engine admits (too_deep). Term walks are
-# recursive, so deeper terms would end in RecursionError.
+# f(t) one more than t), and the engine admits (too_deep). A term's hash,
+# variable names and depth are fixed when it is built, but substitution,
+# unification, equality and printing still recurse, so deeper terms could end
+# in RecursionError.
 MAX_TERM_DEPTH = 128
 
 
@@ -70,8 +127,8 @@ class Literal(NamedTuple):
         return (self.predicate, self.args)
 
     def __str__(self):
-        atom = Function(self.predicate, self.args) if self.args else Constant(self.predicate)
-        return f"{'' if self.positive else '~'}{atom}"
+        args = f"({','.join(map(str, self.args))})" if self.args else ""
+        return f"{'' if self.positive else '~'}{self.predicate}{args}"
 
 
 def pos(predicate: str, *args: Term) -> Literal:
@@ -98,42 +155,19 @@ def merge_duplicate_literals(literals: Iterable[Literal]) -> tuple:
     return tuple(out)
 
 
-def term_variables(term: Term) -> Iterator[Variable]:
-    if isinstance(term, Variable):
-        yield term
-    elif isinstance(term, Function):
-        for arg in term.args:
-            yield from term_variables(arg)
-
-
-def literal_variables(literal: Literal) -> Iterator[Variable]:
-    for arg in literal.args:
-        yield from term_variables(arg)
-
-
 def too_deep(literals: Iterable[Literal]) -> bool:
     """Whether some literal holds a term nested deeper than MAX_TERM_DEPTH,
-    counted as the parsers count. A walk with its own stack, so that a deep
-    term cannot exhaust the interpreter's."""
-    for lit in literals:
-        stack = [(arg, 1) for arg in lit.args]
-        while stack:
-            term, depth = stack.pop()
-            if depth > MAX_TERM_DEPTH:
-                return True
-            if isinstance(term, Function):
-                stack.extend((arg, depth + 1) for arg in term.args)
-    return False
+    counted as the parsers count."""
+    return any(arg.depth > MAX_TERM_DEPTH for lit in literals for arg in lit.args)
 
 
 def variable_names(literals: Iterable[Literal]) -> frozenset:
     """The names of the variables in the literals."""
-    return frozenset(v.name for lit in literals if lit.args for v in literal_variables(lit))
+    return frozenset(name for lit in literals for arg in lit.args for name in arg.variable_names)
 
 
 def is_ground(literals: Iterable[Literal]) -> bool:
-    return not any(lit.args and any(True for _ in literal_variables(lit))
-                   for lit in literals)
+    return not any(arg.variable_names for lit in literals for arg in lit.args)
 
 
 class Clause:

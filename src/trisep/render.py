@@ -42,8 +42,8 @@ def format_term(term) -> str:
 
 
 def format_literal(lit: Literal) -> str:
-    atom = Function(lit.predicate, lit.args) if lit.args else Constant(lit.predicate)
-    return f"{'' if lit.positive else '~'}{format_term(atom)}"
+    args = f"({','.join(map(format_term, lit.args))})" if lit.args else ""
+    return f"{'' if lit.positive else '~'}{lit.predicate}{args}"
 
 
 _NAME = re.compile(r"[A-Za-z0-9_$#@']+")

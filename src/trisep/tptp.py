@@ -203,8 +203,11 @@ def _render_term(term, names: _NameMap) -> str:
 
 
 def render_literal_tptp(lit: Literal, names: _NameMap = None) -> str:
-    atom = Function(lit.predicate, lit.args) if lit.args else Constant(lit.predicate)
-    return f"{'' if lit.positive else '~'}{_render_term(atom, names or _NameMap())}"
+    names = names or _NameMap()
+    atom = names.functor(lit.predicate)  # first: names are handed out in the order asked
+    if lit.args:
+        atom += f"({','.join(_render_term(a, names) for a in lit.args)})"
+    return f"{'' if lit.positive else '~'}{atom}"
 
 
 def render_tptp(clause_set: ClauseSet) -> str:

@@ -11,7 +11,6 @@ from .logic import (
     Literal,
     Variable,
     merge_duplicate_literals,
-    term_variables,
     variable_names,
 )
 
@@ -32,7 +31,7 @@ class Substitution:
         for name, term in dict(bindings or {}).items():
             if isinstance(term, Variable) and term.name == name:
                 continue
-            if any(v.name == name for v in term_variables(term)):
+            if name in term.variable_names:
                 raise ValueError(f"binding {name} -> {term} fails the occurs check")
             cleaned[name] = term
         object.__setattr__(self, "_map", cleaned)
@@ -84,12 +83,13 @@ EMPTY = Substitution()
 
 
 def map_variables(term, replacement):
-    """term with each variable v replaced by replacement(v); a replacement is not walked."""
+    """term with each variable v replaced by replacement(v); a replacement is
+    not walked, and a ground term comes back as itself."""
+    if not term.variable_names:
+        return term
     if isinstance(term, Variable):
         return replacement(term)
-    if isinstance(term, Function):
-        return Function(term.name, tuple(map_variables(a, replacement) for a in term.args))
-    return term
+    return Function(term.name, tuple(map_variables(a, replacement) for a in term.args))
 
 
 def apply_term(sub: Substitution, term):
@@ -151,6 +151,8 @@ def _occurs(name: str, term, bindings) -> bool:
 def _unify_terms(a, b, bindings) -> bool:
     a = _resolve(a, bindings)
     b = _resolve(b, bindings)
+    if not (a.variable_names or b.variable_names):  # ground terms unify when equal
+        return a == b
     if isinstance(a, Variable):
         if isinstance(b, Variable) and a.name == b.name:
             return True
@@ -175,11 +177,11 @@ def _unify_terms(a, b, bindings) -> bool:
 def _ground_out(bindings) -> Substitution:
     """Resolve every binding fully; acyclic by the occurs check, so this terminates."""
 
-    def resolved(var):
-        term = _resolve(var, bindings)
+    def resolved(term):
+        term = _resolve(term, bindings)
         return term if isinstance(term, Variable) else map_variables(term, resolved)
 
-    return Substitution({name: resolved(Variable(name)) for name in bindings})
+    return Substitution({name: resolved(term) for name, term in bindings.items()})
 
 
 def mgu(a: Literal, b: Literal) -> Optional[Substitution]:

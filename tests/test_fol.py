@@ -66,11 +66,7 @@ def test_preprocess_renames_shared_variables_apart():
     x = Variable("x")
     s = ClauseSet([Clause(1, [pos("P", x)]), Clause(2, [neg("P", x), pos("Q", x)])])
     cleaned = preprocess(s)
-    names = [set(), set()]
-    from trisep.logic import literal_variables
-    for i, clause in enumerate(cleaned.clauses):
-        for lit in clause.literals:
-            names[i] |= {v.name for v in literal_variables(lit)}
+    names = [variable_names(clause.literals) for clause in cleaned.clauses]
     assert not names[0] & names[1]
 
 

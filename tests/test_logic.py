@@ -1,3 +1,6 @@
+import pickle
+import random
+
 import pytest
 
 from trisep import (
@@ -14,6 +17,7 @@ from trisep import (
     pos,
 )
 from trisep.errors import ArityError
+from trisep.logic import MAX_TERM_DEPTH, too_deep, variable_names
 
 
 def test_complement_flips_sign_only():
@@ -92,3 +96,69 @@ def test_clause_set_rejects_duplicate_ids():
 def test_clause_set_rejects_variable_constant_name_clash():
     with pytest.raises(ArityError):
         ClauseSet([Clause(1, [pos("P", Variable("a"), Constant("a"))])])
+
+
+def _random_term(rng, depth=1):
+    """Leaves share names across kinds, so that a variable and a constant of
+    equal hash meet."""
+    draw = rng.random()
+    if depth < 5 and draw < 0.2:
+        return Function("f", (_random_term(rng, depth + 1),))
+    if depth < 5 and draw < 0.35:
+        return Function("g", (_random_term(rng, depth + 1), _random_term(rng, depth + 1)))
+    return rng.choice((Variable, Constant))(rng.choice("aXY"))
+
+
+def _walk_names(term):
+    if isinstance(term, Variable):
+        return {term.name}
+    if isinstance(term, Constant):
+        return set()
+    return set().union(*(_walk_names(a) for a in term.args))
+
+
+def _walk_depth(term):
+    if isinstance(term, Function):
+        return 1 + max((_walk_depth(a) for a in term.args), default=0)
+    return 1
+
+
+def _structure(term):
+    args = tuple(_structure(a) for a in term.args) if isinstance(term, Function) else None
+    return type(term).__name__, term.name, args
+
+
+def _rebuild(term):
+    if isinstance(term, Function):
+        return Function(term.name, tuple(_rebuild(a) for a in term.args))
+    return type(term)(term.name)
+
+
+def test_term_cache_matches_a_fresh_walk():
+    """Each term's hash, variable names and depth, fixed when it is built,
+    equal what a walk of the finished term gives; the hash is that of the
+    term's fields, on which set order and so the traces depend."""
+    rng = random.Random(27)
+    deepest = Variable("X")
+    for _ in range(MAX_TERM_DEPTH - 1):
+        deepest = Function("f", (deepest,))
+    terms = [_random_term(rng) for _ in range(300)] + [deepest, Constant("f"),
+                                                       Function("f", ())]
+    for term in terms:
+        fields = (term.name, term.args) if isinstance(term, Function) else (term.name,)
+        assert hash(term) == hash(fields)
+        assert term.variable_names == _walk_names(term)
+        assert term.depth == _walk_depth(term)
+        copy = _rebuild(term)
+        assert copy == term and hash(copy) == hash(term) and not copy != term
+        assert pickle.loads(pickle.dumps(term)) == term
+    assert deepest.depth == MAX_TERM_DEPTH
+    assert not too_deep([pos("p", deepest)]) and too_deep([pos("p", Function("f", (deepest,)))])
+    assert variable_names([pos("p", deepest, Constant("a"))]) == {"X"}
+    for left in terms[:120]:
+        for right in terms[:120]:
+            same = _structure(left) == _structure(right)
+            assert (left == right) is same and (left != right) is not same
+    assert Variable("a") != Constant("a") and hash(Variable("a")) == hash(Constant("a"))
+    with pytest.raises(AttributeError):
+        deepest.name = "g"
