@@ -11,35 +11,39 @@ continues from the admitted clauses, settles propositional inputs and makes
 a bounded best effort on first-order ones. On propositional input it is
 ordered resolution: a pair is resolved only on the atom that comes first in
 both clauses under one atom order, along which the Davis-Putnam model is then
-built. Its first-order resolvents are the closings of one-column states, made
-by the same closing generator as the main loop's rounds. A trace is the
-ordered list of its rounds, so a round's number is its position there, and
-derived clause ids grow in round order. One deadline serves the whole run:
-reaching it ends the run without a verdict, so the clock never shapes the
-trace of a run that finishes. No derived clause that holds a term deeper than
-the parsers accept is admitted: such a separated clause stalls the main loop,
-and such a resolvent is dropped.
+built. It runs on integer-coded clauses (bitmasks of positive and negative
+atoms, and codes in literal order), and builds clauses and closed states only
+for the rounds of a refutation and for the model. Its first-order resolvents
+are the closings of one-column states, made by the same closing generator as
+the main loop's rounds. A trace is the ordered list of its rounds, so a
+round's number is its position there, and derived clause ids grow in round
+order. One deadline serves the whole run: reaching it ends the run without a
+verdict, so the clock never shapes the trace of a run that finishes. No
+derived clause that holds a term deeper than the parsers accept is admitted:
+such a separated clause stalls the main loop, and such a resolvent is
+dropped.
 
 Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
 empty: preprocessing, renaming, fall-in and variant keys all reduce to the
 identity or to plain literal sets on ground input. The logic is consulted
 only where a propositional shortcut measurably pays (ranking extension
-candidates, scoring closings, generating resolvents: each works on literal
-sets and builds a state only for the chosen step) and where only one logic
-has the notion (the atom order of ordered resolution, model extraction and
-the Davis-Putnam model).
+candidates and scoring closings, which work on literal sets and build a
+state only for the chosen step, and the saturation fallback, which works on
+integer codes) and where only one logic has the notion (the atom order of
+ordered resolution, model extraction and the Davis-Putnam model).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
 from .logic import (
@@ -95,19 +99,6 @@ class RoundRecord:
     @property
     def clause_ids_used(self) -> tuple:
         return self.state.clause_ids()
-
-
-class _LazyRound(NamedTuple):
-    """A saturation round not built yet: its closed state is built only when
-    the round joins the proof chain."""
-
-    clause_ids_used: tuple
-    csc: Clause
-    build: Callable[[], Triangle]
-
-    @property
-    def state(self) -> Triangle:
-        return self.build()
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,8 @@ def _closings(state: Triangle, clause: Clause):
 
 class _ClauseStore:
     """A growing clause set in insertion order, indexed by literal: the round
-    builder's working set and the saturation's processed clauses.
+    builder's working set and the first-order saturation's processed clauses
+    (the propositional saturation holds its own, integer-coded).
     Subsumption is syntactic literal-set inclusion in both logics.
 
     Each literal maps to the clauses that hold it. Each clause is also
@@ -210,10 +202,6 @@ class _ClauseStore:
             self._occurrences.setdefault(lit, {})[cid] = clause
         self._watches.setdefault(clause.literals[0], {})[cid] = clause.literal_set
         self._unifiable.clear()
-
-    def holding(self, literal: Literal):
-        """The clauses that hold literal, in insertion order."""
-        return self._occurrences.get(literal, {}).values()
 
     def count_unifiable(self, literal: Literal) -> int:
         """How many clauses hold a literal that unifies with literal."""
@@ -465,50 +453,137 @@ class _RoundBuilder:
 _SATURATION_CLAUSE_CAP = 20000
 
 
-def _first_literal(clause: Clause, order: Dict[str, int]) -> Literal:
-    """The literal of clause whose atom comes first in order."""
-    return min(clause.literals, key=lambda l: order[l.predicate])
+def _first_code(p: int, n: int) -> int:
+    """The first code of a coded clause: the code of its lowest atom."""
+    low = (p | n) & -(p | n)
+    return low.bit_length() if p & low else -low.bit_length()
 
 
-def _resolvents(given: Clause, processed: _ClauseStore, order: Optional[Dict[str, int]],
-                seen: set):
-    """Two-column resolvents of given, which is already processed, that are
-    neither tautologies nor variants of a clause in seen, as (literals in
-    csc order, variant key, ids of the two clauses, a function that builds
-    the closed state).
+class _OrderedResolution:
+    """Ordered binary resolution on integer-coded propositional clauses.
 
-    Propositional resolution is ordered: order maps each atom to its
-    position, and a pair is resolved only on the atom that comes first in
-    both clauses. given's pivot lit is thus its first literal, and its
-    partners are the processed clauses, in processing order, whose first
-    literal is lit's complement. The resolvent is given's literals without
-    lit, then the partner's without lit's complement, duplicates merged:
-    exactly the csc of close(start(given, lit), other), so no state is built
-    unless the round joins a proof. First-order input (order None) has no
-    atom order: a first-order csc depends on the unifier, so each
-    first-order round is built here by _closings, as in round building, from
-    one clause's one-column state and the other clause, with every processed
-    clause in processing order (given itself last, paired with itself once),
-    and its function returns it.
+    atoms fixes the atom order: the atom at position i is coded i + 1 and its
+    negation -(i + 1). A clause is held as (p, n, codes): the bitmasks of
+    its positive and negative atoms, bit i for position i, and its codes in
+    literal order. Its pivot is its lowest atom, so its first code; it is a
+    tautology exactly when p & n; (p, n) is its variant key; and D subsumes
+    C exactly when D's masks lie within C's.
+
+    The processed clauses are indexed by their first code, in insertion
+    order. That index gives the partners of a pivot c, the clauses whose
+    first code is -c, and it answers forward subsumption, since a subsumer's
+    first code lies in the clause. A per-code occurrence index finds the
+    clauses that a new clause subsumes; a removal reaches both indexes.
+    Clause and Triangle objects are built only on request: for a derived
+    clause's round, and for the Davis-Putnam model.
     """
-    if order is not None:
-        lit = _first_literal(given, order)
-        comp = lit.complement()
-        rest = given.literal_set - {lit}
-        head = tuple(l for l in given.literals if l != lit)
-        # neither clause is a tautology, so the resolvent is one exactly
-        # when the partner complements a literal of rest
-        clashes = frozenset(l.complement() for l in rest)
-        for other in processed.holding(comp):
-            other_set = other.literal_set
-            if not clashes.isdisjoint(other_set) or _first_literal(other, order) != comp:
+
+    def __init__(self, atoms: Sequence[str], inputs: Iterable[Clause]):
+        self.order = order = {name: i for i, name in enumerate(atoms)}
+        self.inputs = {clause.id: clause for clause in inputs}
+        # the literal of each code; every literal the saturation meets is an input's
+        self.literal = {(order[lit.predicate] + 1) * (1 if lit.positive else -1): lit
+                        for clause in self.inputs.values() for lit in clause.literals}
+        self.derived: Dict[int, tuple] = {}  # derived clause id -> codes
+        self.processed: Dict[int, tuple] = {}  # id -> codes, in insertion order
+        self._first: Dict[int, Dict[int, Tuple[int, int]]] = {}
+        self._occurrences: Dict[int, Dict[int, Tuple[int, int]]] = {}
+
+    def encode(self, literals: Iterable[Literal]) -> Tuple[int, int, tuple]:
+        """The clause of literals as (p, n, codes)."""
+        p = n = 0
+        codes = []
+        for lit in literals:
+            i = self.order[lit.predicate]
+            if lit.positive:
+                p |= 1 << i
+                codes.append(i + 1)
+            else:
+                n |= 1 << i
+                codes.append(-i - 1)
+        return p, n, tuple(codes)
+
+    def subsumes(self, p: int, n: int, codes: tuple) -> bool:
+        """Whether some processed clause subsumes the clause (p, n, codes)."""
+        first, np_, nn = self._first, ~p, ~n
+        for code in codes:
+            for dp, dn in first.get(code, {}).values():
+                if not (dp & np_ or dn & nn):
+                    return True
+        return False
+
+    def remove_subsumed_by(self, p: int, n: int, codes: tuple) -> None:
+        """Drop every processed clause that strictly contains (p, n, codes)."""
+        occurrences = self._occurrences
+        fewest = min((occurrences.get(code, {}) for code in codes), key=len)
+        contained = [(cid, masks) for cid, masks in fewest.items()
+                     if not (p & ~masks[0] or n & ~masks[1]) and masks != (p, n)]
+        for cid, masks in contained:
+            for code in self.processed.pop(cid):
+                del occurrences[code][cid]
+            del self._first[_first_code(*masks)][cid]
+
+    def add(self, cid: int, p: int, n: int, codes: tuple) -> None:
+        masks = (p, n)
+        self.processed[cid] = codes
+        self._first.setdefault(_first_code(p, n), {})[cid] = masks
+        for code in codes:
+            self._occurrences.setdefault(code, {})[cid] = masks
+
+    def resolvents(self, p: int, n: int, codes: tuple, seen: set):
+        """Resolvents of the processed clause (p, n, codes) on its pivot c
+        with each processed clause whose first code is -c, in processing
+        order, that are neither tautologies nor have a key in seen, as (p, n,
+        codes, partner id). A resolvent's codes are the clause's without c,
+        then the partner's new ones: the csc order of close(start(clause, c),
+        partner)."""
+        c = _first_code(p, n)
+        keep = ~(1 << (abs(c) - 1))
+        head = tuple(code for code in codes if code != c)
+        old = {*codes, -c}
+        p, n = p & keep, n & keep
+        for other, (op, on) in self._first.get(-c, {}).items():
+            rp, rn = p | (op & keep), n | (on & keep)
+            if rp & rn or (rp, rn) in seen:
                 continue
-            resolvent = rest | (other_set - {comp})
-            if resolvent not in seen:
-                lits = head + tuple(l for l in other.literals if l != comp and l not in rest)
-                yield (lits, resolvent, (given.id, other.id),
-                       lambda other=other: close(start(given, lit), other))
-        return
+            yield rp, rn, head + tuple(code for code in self.processed[other]
+                                       if code not in old), other
+
+    def clause(self, cid: int) -> Clause:
+        if cid in self.inputs:
+            return self.inputs[cid]
+        return Clause(cid, (self.literal[code] for code in self.derived[cid]))
+
+    def round(self, cid: int, ids: tuple) -> RoundRecord:
+        """The round that derived clause cid from the clauses ids: the first,
+        opened on its pivot, closed by the second."""
+        given, other = map(self.clause, ids)
+        pivot = min(given.literals, key=lambda lit: self.order[lit.predicate])
+        return RoundRecord(close(start(given, pivot), other), self.clause(cid))
+
+
+def _proof_chain(last: int, premises: Dict[int, tuple]) -> List[int]:
+    """The ids of the rounds that derive clause last, its own included, in id
+    order. premises maps each round's clause id to the ids of the clauses it
+    used; ids grow in derivation order, so each round follows its premises."""
+    needed, frontier = {last}, [last]
+    while frontier:
+        for used in premises.get(frontier.pop(), ()):
+            if used not in needed:
+                needed.add(used)
+                frontier.append(used)
+    return sorted(needed & premises.keys())
+
+
+def _resolvents(given: Clause, processed: _ClauseStore, seen: set):
+    """First-order two-column resolvents of given, which is already
+    processed, that are neither tautologies nor variants of a clause in seen,
+    as (closed state, variant key of its csc). A first-order csc depends on
+    the unifier, so each round is built here by _closings, as in round
+    building, from one clause's one-column state and the other clause, with
+    every processed clause in processing order (given itself last, paired
+    with itself once).
+    """
     for other in processed:
         pairs = ((given, other),) if other is given else ((given, other), (other, given))
         for a, b in pairs:
@@ -519,7 +594,7 @@ def _resolvents(given: Clause, processed: _ClauseStore, order: Optional[Dict[str
                     continue
                 key = variant_key(lits)
                 if key not in seen:
-                    yield lits, key, closed.clause_ids(), lambda closed=closed: closed
+                    yield closed, key
 
 
 def _dp_model(clauses: Iterable[Clause], order: Dict[str, int]) -> Assignment:
@@ -543,7 +618,7 @@ def _dp_model(clauses: Iterable[Clause], order: Dict[str, int]) -> Assignment:
     """
     buckets: Dict[str, List[Clause]] = {name: [] for name in order}
     for clause in clauses:
-        buckets[_first_literal(clause, order).predicate].append(clause)
+        buckets[min((l.predicate for l in clause.literals), key=order.__getitem__)].append(clause)
     assign: Assignment = {}
     for name in reversed(order):
         assign[name] = any(
@@ -553,6 +628,47 @@ def _dp_model(clauses: Iterable[Clause], order: Dict[str, int]) -> Assignment:
     return assign
 
 
+def _ordered_saturation(working: Sequence[Clause], next_id: int, deadline: float,
+                        existing_rounds: Sequence[RoundRecord]):
+    """_saturate on propositional input, on integer-coded clauses."""
+    counts = Counter(lit.predicate for clause in working for lit in clause.literals)
+    coded = _OrderedResolution(sorted(counts, key=lambda n: (counts[n], n)), working)
+    heap = [(len(clause), tick, clause.id, *coded.encode(clause.literals))
+            for tick, clause in enumerate(working)]
+    keys = {(p, n) for _, _, _, p, n, _ in heap}
+    heapq.heapify(heap)
+    tick = len(heap)
+    existing = {rec.csc.id: rec for rec in existing_rounds}
+    premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
+    while heap:
+        if time.monotonic() > deadline:
+            return UNKNOWN, [], None, "time budget exhausted during saturation"
+        if len(coded.processed) > _SATURATION_CLAUSE_CAP:
+            return UNKNOWN, [], None, "saturation clause cap exceeded"
+        _, _, cid, p, n, codes = heapq.heappop(heap)
+        if coded.subsumes(p, n, codes):
+            continue
+        coded.remove_subsumed_by(p, n, codes)
+        coded.add(cid, p, n, codes)
+        for rp, rn, lits, other in coded.resolvents(p, n, codes, keys):
+            if coded.subsumes(rp, rn, lits):
+                continue
+            premises[next_id] = (cid, other)
+            coded.derived[next_id] = lits
+            if not lits:
+                # one fresh record per chain round, the main loop's included, as on
+                # first-order input: the fallback records exactly the rounds it returns
+                rounds = [RoundRecord(existing[i].state, existing[i].csc) if i in existing
+                          else coded.round(i, premises[i])
+                          for i in _proof_chain(next_id, premises)]
+                return UNSATISFIABLE, rounds, None, None
+            keys.add((rp, rn))
+            heapq.heappush(heap, (len(lits), tick, next_id, rp, rn, lits))
+            tick += 1
+            next_id += 1
+    return SATISFIABLE, [], _dp_model(map(coded.clause, coded.processed), coded.order), None
+
+
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
     """Exhaustive two-column rounds with subsumption, smallest clauses first:
@@ -560,66 +676,45 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
     through closings on first-order input.
 
     Continues from the clauses prove admitted: working holds no tautology
-    and no two variants, seen holds their variant keys (and grows with every
-    kept resolvent), and existing_rounds are the main loop's rounds, which
-    the fallback's rounds follow. One given-clause loop serves both logics;
-    only the resolvent generator and the closing model depend on the logic,
-    which is the input's (preprocessing can leave first-order input 0-ary).
-    The propositional atom order is fixed once, from the clauses the
-    saturation starts from: fewer occurrences first, ties broken by name.
-    The resolvents and the Davis-Putnam model share it.
-    The processed clauses are a clause store, like the round builder's
-    working set: partners, forward and backward subsumption are found through
-    its literal index. A kept resolvent records its round lazily, and only
-    the ancestor rounds of the empty clause are built.
-    A first-order resolvent holding a term nested deeper than the parsers
-    accept is dropped, so the saturation is then incomplete.
+    and no two variants, seen holds their variant keys, and existing_rounds
+    are the main loop's rounds, which the fallback's rounds follow. Both
+    logics run the same given-clause loop: the clause of least (length,
+    arrival) is selected, dropped if a processed clause subsumes it, and
+    otherwise drops the processed clauses it strictly subsumes, joins them
+    and is resolved with them; a resolvent that is a tautology, a variant
+    of a clause seen or subsumed by a processed clause is not kept. The
+    logic is the input's (preprocessing can leave first-order input 0-ary).
+
+    On propositional input the loop runs on integer codes
+    (_OrderedResolution), and seen, coded, is read from working's clauses,
+    whose keys it holds. The atom order is fixed once, from the clauses the
+    saturation starts from: fewer occurrences first, ties broken by name. A
+    pair is resolved only on the atom that comes first in both clauses, and
+    the Davis-Putnam model is built along the same order. Only the rounds on
+    the empty clause's ancestor chain are built, and a resolvent's literals
+    keep the order of its round's csc.
+
+    On first-order input the processed clauses are a clause store, like the
+    round builder's working set, whose literal index finds forward and
+    backward subsumption; every kept resolvent's variant key joins seen, and
+    its round is kept to be returned if it lies on the proof chain. A
+    resolvent holding a term nested deeper than the parsers accept is
+    dropped, so the saturation is then incomplete.
+
     Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with
     the derivation chain, SATISFIABLE with a Davis-Putnam model
     (propositional saturation only), or UNKNOWN on budget or cap
     exhaustion, or when first-order saturation ends without the empty clause.
     """
-    heap = [(len(clause), tick, clause) for tick, clause in enumerate(working)]
-    order: Optional[Dict[str, int]] = None
     if prop:
-        counts: Dict[str, int] = {}
-        for _, _, clause in heap:
-            for lit in clause.literals:
-                counts[lit.predicate] = counts.get(lit.predicate, 0) + 1
-        order = {name: i for i, name in enumerate(sorted(counts, key=lambda n: (counts[n], n)))}
+        return _ordered_saturation(list(working), next_id, deadline, existing_rounds)
+    heap = [(len(clause), tick, clause) for tick, clause in enumerate(working)]
     heapq.heapify(heap)
     tick = len(heap)
     processed = _ClauseStore()
-    lazy: Dict[int, _LazyRound] = {}
+    # (state, csc) of every round, a RoundRecord being made only for the proof chain
+    rounds = {rec.csc.id: (rec.state, rec.csc) for rec in existing_rounds}
     dropped_deep = False
-
-    def finish_unsat(empty: _LazyRound):
-        # build only the ancestor rounds of the empty clause; ids grow in
-        # derivation order, so sorting by id puts each round after its premises
-        pool = {rec.csc.id: rec for rec in existing_rounds}
-        pool.update(lazy)
-        needed = set(empty.clause_ids_used)
-        chain = [empty]
-        frontier = list(needed)
-        while frontier:
-            rec = pool.get(frontier.pop())
-            if rec is None:
-                continue
-            chain.append(rec)
-            for used in rec.clause_ids_used:
-                if used not in needed:
-                    needed.add(used)
-                    frontier.append(used)
-        chain.sort(key=lambda r: r.csc.id)
-        return UNSATISFIABLE, [RoundRecord(rec.state, rec.csc) for rec in chain], None, None
-
-    def record_round(ids: tuple, lits, build) -> _LazyRound:
-        nonlocal next_id
-        record = _LazyRound(ids, Clause(next_id, lits), build)
-        lazy[next_id] = record
-        next_id += 1
-        return record
-
     while heap:
         if time.monotonic() > deadline:
             return UNKNOWN, [], None, "time budget exhausted during saturation"
@@ -630,20 +725,23 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
             continue
         processed.remove_subsumed_by(given)
         processed.add(given)
-        for lits, key, ids, build in _resolvents(given, processed, order, seen):
-            if not lits:
-                return finish_unsat(record_round(ids, (), build))
-            if not prop and too_deep(lits):
+        for closed, key in _resolvents(given, processed, seen):
+            lits = closed.csc
+            if too_deep(lits):
                 dropped_deep = True
                 continue
             if processed.subsumes(frozenset(lits)):
                 continue
+            csc = Clause(next_id, lits)
+            rounds[next_id] = closed, csc
+            next_id += 1
+            if not lits:
+                premises = {i: state.clause_ids() for i, (state, _) in rounds.items()}
+                chain_ids = _proof_chain(csc.id, premises)
+                return UNSATISFIABLE, [RoundRecord(*rounds[i]) for i in chain_ids], None, None
             seen.add(key)
-            record = record_round(ids, lits, build)
-            heapq.heappush(heap, (len(lits), tick, record.csc))
+            heapq.heappush(heap, (len(lits), tick, csc))
             tick += 1
-    if prop:
-        return SATISFIABLE, [], _dp_model(processed, order), None
     if dropped_deep:
         return UNKNOWN, [], None, DEPTH_BOUND_REACHED
     return UNKNOWN, [], None, "first-order saturation completed without the empty clause"

@@ -18,9 +18,9 @@ FIRST_ORDER = "first-order"
 class _Term:
     """Shared by the three term kinds. A term is immutable and fixes three
     facts once, when it is built: its hash, hash((name,)) or hash((name,
-    args)), on which set order, Literal hashes and so the traces depend; the
-    names of its variables; and its depth. Equality is structural and false
-    across kinds; unequal hashes reject at once."""
+    args)), which orders sets of terms and literals but no trace; the names
+    of its variables; and its depth. Equality is structural and false across
+    kinds; unequal hashes reject at once."""
 
     __slots__ = ("name", "variable_names", "depth", "_hash")
 
@@ -111,8 +111,8 @@ class Literal(NamedTuple):
 
     A named tuple, so that hashing and equality, which the construction does
     millions of times, run without a Python-level call; the hash is that of
-    (positive, predicate, args), which fixes the iteration order of literal
-    sets and hence the traces.
+    (positive, predicate, args). It fixes the iteration order of literal
+    sets, on which no trace depends.
     """
 
     positive: bool

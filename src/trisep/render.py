@@ -108,12 +108,6 @@ def _format_literals(literals) -> str:
     return ";".join(format_literal(l) for l in literals) if literals else "-"
 
 
-def _parse_literals(field: str) -> tuple:
-    if field == "-":
-        return ()
-    return tuple(parse_literal_text(part) for part in field.split(";"))
-
-
 def _format_sigma(sigma: Substitution) -> str:
     if sigma.is_empty():
         return "-"
@@ -309,6 +303,17 @@ def parse_trace_document(text: str) -> ProofTrace:
     boundary literals, a second VERDICT, REASON or MODEL record, or a
     predicate named twice in one MODEL record. A parsed round is closed when
     it holds exactly one C column."""
+    read: Dict[str, Literal] = {}  # each literal text is parsed once per document
+
+    def literal(text: str) -> Literal:
+        lit = read.get(text)
+        if lit is None:  # only a text that parses is kept
+            lit = read[text] = parse_literal_text(text)
+        return lit
+
+    def literals(field: str) -> tuple:
+        return () if field == "-" else tuple(map(literal, field.split(";")))
+
     in_section = ended = False
     rounds: List[RoundRecord] = []
     current_round = None
@@ -350,23 +355,23 @@ def parse_trace_document(text: str) -> ProofTrace:
                 if kind not in ("B", "S", "C") or (kind == "B") == (boundary == "-"):
                     raise ParseError(f"column kind {kind!r} with boundary {boundary!r}: B needs "
                                      "a literal, S and C need '-'", line=line_no)
-                boundary_lit = None if boundary == "-" else parse_literal_text(boundary)
-                columns.append(Column(int(clause_id), _parse_literals(sources),
+                boundary_lit = None if boundary == "-" else literal(boundary)
+                columns.append(Column(int(clause_id), literals(sources),
                                       boundary_lit, closing=kind == "C"))
                 sigmas.append(_parse_sigma(sigma, variable_names(columns[-1].source_literals)))
-                d_minus_parts.append(_parse_literals(d_minus))
-                d_plus_parts.append(_parse_literals(d_plus))
+                d_minus_parts.append(literals(d_minus))
+                d_plus_parts.append(literals(d_plus))
             elif tag == "BOUND":  # redundant with the COL records, so it must agree
                 if state is not None:
                     raise ParseError(f"second BOUND record in round {current_round}", line=line_no)
                 state = RawState(columns, sigmas, d_minus_parts, d_plus_parts)
-                if current_round is None or _parse_literals(fields[1]) != state.boundary:
+                if current_round is None or literals(fields[1]) != state.boundary:
                     raise ParseError("BOUND record other than its round's boundary literals",
                                      line=line_no)
             elif tag == "CSC":
                 if state is None:
                     raise ParseError("CSC record without its round's BOUND record", line=line_no)
-                csc = Clause(int(fields[1]), _parse_literals(fields[2]))
+                csc = Clause(int(fields[1]), literals(fields[2]))
                 rounds.append(RoundRecord(state, csc))
                 columns, sigmas, d_minus_parts, d_plus_parts = [], [], [], []
                 current_round = state = None

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -499,7 +503,7 @@ def _pair_chain(k):
 GOLDEN_TRACE_DIGEST = "84b036192228204e7a712d81f6a9eda127e3c64ad41f9db13ad379395eb3380f"
 
 
-def test_golden_traces_are_unchanged(ex51, ex52, ex53):
+def _golden_digest(ex51, ex52, ex53):
     rng = random.Random(4711)
     runs = [(random_instance(rng, max_vars=7, max_clauses=10),
              EngineConfig(time_budget=30.0))
@@ -520,7 +524,37 @@ def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     for s, config in runs:
         _, trace = prove(s, config)
         digest.update(render_trace(trace).encode("utf-8"))
-    assert digest.hexdigest() == GOLDEN_TRACE_DIGEST
+    return digest.hexdigest()
+
+
+def test_golden_traces_are_unchanged(ex51, ex52, ex53):
+    assert _golden_digest(ex51, ex52, ex53) == GOLDEN_TRACE_DIGEST
+
+
+def test_traces_do_not_depend_on_hashing(monkeypatch, request):
+    """The golden traces, which include fallback-only 3-SAT runs, stay the
+    same when every term's hash is salted and under two string-hash seeds:
+    no trace depends on the order in which a set or dict keyed by terms or
+    literals is iterated."""
+
+    def salted(value):
+        return hash(("salt", value))
+
+    # logic reads hash as a module global: every term built from here on,
+    # the golden problems included, gets a salted hash
+    monkeypatch.setattr(logic, "hash", salted, raising=False)
+    assert hash(Constant("a")) == salted(("a",)) != hash(("a",))
+    problems = [request.getfixturevalue(name) for name in ("ex51", "ex52", "ex53")]
+    assert _golden_digest(*problems) == GOLDEN_TRACE_DIGEST
+    src = str(Path(engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for seed in ("0", "1"):  # the golden test needs no hypothesis, whose plugin loads slowly
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-p", "no:hypothesispytest", f"{__file__}::test_golden_traces_are_unchanged"],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, f"PYTHONHASHSEED={seed}:\n{run.stdout}{run.stderr}"
 
 
 @pytest.mark.parametrize("reverse", [False, True])

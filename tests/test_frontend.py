@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -344,6 +345,20 @@ def test_trace_parser_rejects_records_that_would_render_back_differently(tmp_pat
     assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 2
     captured = capsys.readouterr()
     assert "verified" not in captured.out and "Traceback" not in captured.err
+
+
+def test_trace_parser_reads_a_repeated_literal_once_and_reports_a_bad_one_where_it_is():
+    # the parser keeps each literal text it has read, per document: a text
+    # read again is the same literal, and a text that fails to parse after
+    # good ones names itself and its line
+    parsed = parse_trace_document(_trace_document(*_UNIT_PAIR_REFUTATION))
+    column = parsed.rounds[0].state.columns[0]
+    assert column.boundary_source is column.source_literals[0]
+    for index, record, bad in ((2, "COL\t2\t2\tC\t-\t-\t~x1\t~x1(\t-", "~x1("),
+                               (3, "BOUND\tx1(", "x1(")):
+        message = f"expected a name in '{bad}' at offset {len(bad)} (line {index + 2})"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_trace_document(_trace_document(*_tampered(index, record)))
 
 
 SHARED_VARIABLE_TPTP = "cnf(c1, axiom, p(X)).\ncnf(c2, axiom, ~p(Y)).\n"
