@@ -28,10 +28,12 @@ so a propositional round is the first-order one in which every unifier is
 empty: preprocessing, renaming, fall-in and variant keys all reduce to the
 identity or to plain literal sets on ground input. The logic is consulted
 only where a propositional shortcut measurably pays (ranking extension
-candidates and scoring closings, which work on literal sets and build a
-state only for the chosen step, and the saturation fallback, which works on
-integer codes) and where only one logic has the notion (the atom order of
-ordered resolution, model extraction and the Davis-Putnam model).
+candidates, which keys only those that can still rank first and places only
+the winner; scoring closings and judging the best with should_stop on
+literal sets, so that only the closing a build returns is built; and the
+saturation fallback, which works on integer codes) and where only one logic
+has the notion (the atom order of ordered resolution, model extraction and
+the Davis-Putnam model).
 """
 
 from __future__ import annotations
@@ -237,23 +239,22 @@ class _ClauseStore:
         self._unifiable.clear()
 
 
-def should_stop(state: Triangle, threshold: Optional[int],
+def should_stop(closing_plus: Sequence[Literal], width: int, threshold: Optional[int],
                 working: _ClauseStore) -> Tuple[bool, Optional[str]]:
-    """Whether a (tentatively) closed state is an acceptable stopping point.
+    """Whether a closing is an acceptable stopping point, read from its
+    closing column's leftovers and its separated clause's width, so that a
+    closing need not be built to be judged.
 
     Reasons, strongest first: the closing column absorbed its whole clause
     (empty_dplus); no clause of working holds a literal that unifies with the
     complement of some closing leftover (no_complement_partner); the
     separated clause is wider than threshold, None for no cap (threshold).
     """
-    if not state.closed:
-        raise ConstructionError("should_stop expects a closed (or tentatively closed) state")
-    closing_plus = state.d_plus(state.closing_index)
     if not closing_plus:
         return True, "empty_dplus"
     if any(working.count_unifiable(lit.complement()) == 0 for lit in closing_plus):
         return True, "no_complement_partner"
-    if threshold is not None and len(state.csc) > threshold:
+    if threshold is not None and width > threshold:
         return True, "threshold"
     return False, None
 
@@ -272,9 +273,12 @@ class _RoundBuilder:
     One path serves both logics: a propositional round is the case in which
     every unifier is empty. Two steps take a shortcut on propositional input,
     because the general form costs measurably more there: extension
-    candidates are ranked on literal sets and only the winner is placed, and
-    closing candidates are scored on literal sets and only the chosen one is
-    built.
+    candidates are ranked on literal sets, clause by clause in the order of
+    the least key each clause could reach, only those that can still beat
+    the least key seen are keyed, and only the winner is placed; closing
+    candidates are scored on literal sets, should_stop reads the best one's
+    leftovers and width off those sets, and only the closing that build
+    returns is built.
 
     Each state's closings are scored once: a first-order candidate keeps the
     least closing its look-ahead found, and build reuses it when the
@@ -333,15 +337,23 @@ class _RoundBuilder:
                 yield (len(closed.d_plus(k)), -len(closed.d_minus(k)), clause.id), clause, closed
 
     def _best_closure(self, state: Triangle, scored: Optional[list] = None
-                      ) -> Optional[Triangle]:
-        """state's best closing, or None. scored, when given, is what the
-        look-ahead kept of state's closures: the least one, if any."""
+                      ) -> Optional[Tuple[Sequence[Literal], int, Callable[[], Triangle]]]:
+        """state's best closing as (its closing column's leftovers, its
+        separated clause's width, a function that builds the closed state),
+        or None. scored, when given, is what the look-ahead kept of state's
+        closures: the least one, if any. A propositional closing leaves the
+        clause's literals that are not boundary complements, and its
+        separated clause is state's leftovers plus those."""
         best = min(self._closures(state) if scored is None else scored,
                    key=itemgetter(0), default=None)
         if best is None:
             return None
         _, clause, closed = best
-        return close(state, clause) if closed is None else closed
+        if closed is not None:
+            return closed.d_plus(closed.closing_index), len(closed.csc), lambda: closed
+        complements = state.boundary_complements
+        plus = [lit for lit in clause.literals if lit not in complements]
+        return plus, len(set(state.leftovers).union(plus)), partial(close, state, clause)
 
     def _column_signature(self, state: Triangle, index: int):
         col = state.columns[index]
@@ -351,9 +363,9 @@ class _RoundBuilder:
         return (col.clause_id, boundary_idx, variant_key(state.instantiated(index)))
 
     def _set_candidates(self, state: Triangle):
-        """Propositional extensions, scored on literal sets without placing a
-        clause, as (clause, literal position, literal, new leftover count,
-        look-ahead, a function that places it, None: no closure is scored).
+        """Propositional extensions, keyed on literal sets without placing a
+        clause, as (key, a function that places it, None: no closure is
+        scored), in scan order.
 
         With lit on the boundary, a column leaves the clause's literals other
         than lit that are not boundary complements; extend raises exactly
@@ -361,33 +373,57 @@ class _RoundBuilder:
         exactly when it has the same clause and boundary literal; and an
         empty separation is one close away exactly when nothing is left over
         and some clause lies within the boundary complements and lit's.
+
+        Only a candidate that can still beat the least key seen so far is
+        keyed. Each clause with a literal outside the boundary complements
+        gets the least (unit, look, new leftovers) its literals could reach,
+        and clauses are scanned in that order, up to the first whose bound
+        exceeds the least key; a literal is skipped when its (unit, look, new
+        leftovers, leftover preference) exceeds it, before its complement is
+        counted. Keys are unique, so the least key keyed is the least of all.
         """
+        working = self.working
         complements, boundary, leftovers = (
-            state.boundary_complements, set(state.boundary), state.leftovers)
+            state.boundary_complements, set(state.boundary), set(state.leftovers))
         repeats = {(col.clause_id, col.boundary_source) for col in state.columns}
-        for clause in self.working:
+        bounds = []
+        for clause in working:
             new_plus = len(clause.literal_set - complements) - 1
+            if new_plus >= 0:
+                bounds.append((0 if len(clause.literals) == 1 else 1,
+                               1 if leftovers or new_plus else 0, new_plus, clause.id, clause))
+        bounds.sort()
+        least = (2,)  # above every key
+        for bound in bounds:
+            if bound[:3] > least:
+                return
+            unit, look_bound, new_plus, cid, clause = bound
             for idx, lit in enumerate(clause.literals):
-                if lit in complements or lit in boundary or (clause.id, lit) in repeats:
+                if lit in complements or lit in boundary or (cid, lit) in repeats:
                     continue
-                look = 1
-                if not leftovers and not new_plus and self.working.subsumes(
-                        complements | {lit.complement()}):
-                    look = 0
-                yield clause, idx, lit, new_plus, look, partial(extend, state, clause, lit), None
+                look = 0 if not look_bound and working.subsumes(
+                    complements | {lit.complement()}) else 1
+                pref = 0 if lit in leftovers else 1
+                if (unit, look, new_plus, pref) > least:
+                    continue
+                key = (unit, look, new_plus, pref,
+                       -working.count_unifiable(lit.complement()), cid, idx)
+                least = min(least, key)
+                yield key, partial(extend, state, clause, lit), None
 
     def _placed_candidates(self, state: Triangle):
-        """First-order extensions in the shape of _set_candidates. A key
-        depends on the column's unifier, so each clause is renamed for its
-        column and placed here, and its function returns the placed state.
-        A candidate without leftovers has its closures scored for the
-        look-ahead, and keeps the least one (a list of at most one), which
-        build reuses if the candidate wins: the working set does not change
-        within a build."""
-        boundary = set(state.boundary)
+        """First-order extensions in the shape of _set_candidates, every one
+        keyed. A key depends on the column's unifier, so each clause is
+        renamed for its column and placed here, and its function returns the
+        placed state. A candidate without leftovers has its closures scored
+        for the look-ahead, and keeps the least one (a list of at most one),
+        which build reuses if the candidate wins: the working set does not
+        change within a build."""
+        boundary, leftovers = set(state.boundary), set(state.leftovers)
         existing_signatures = {self._column_signature(state, i)
                                for i in range(len(state.columns))}
         for clause in self.working:
+            unit = 0 if len(clause) == 1 else 1
             placed = rename_clause(clause, len(state.columns) + 1)
             for idx, (lit, placed_lit) in enumerate(zip(clause.literals, placed.literals)):
                 # renaming makes a non-ground literal fresh, so only a ground one
@@ -406,44 +442,46 @@ class _RoundBuilder:
                 least = None if candidate.leftovers else heapq.nsmallest(
                     1, self._closures(candidate), key=itemgetter(0))
                 look = 0 if least and least[0][0][0] == 0 else 1
-                yield (clause, idx, lit, len(candidate.d_plus(new_col)), look,
-                       lambda candidate=candidate: candidate, least)
+                key = (unit, look, len(candidate.d_plus(new_col)), 0 if lit in leftovers else 1,
+                       -self.working.count_unifiable(lit.complement()), clause.id, idx)
+                yield key, lambda candidate=candidate: candidate, least
 
     def _extensions(self, state: Triangle
                     ) -> List[Tuple[tuple, Callable[[], Triangle], Optional[list]]]:
-        """Every extension of state, in scan order, as (key, a function that
-        builds the extended state, what the look-ahead kept of its closures
-        or None). Keys are unique, and the least one ranks best."""
-        leftovers = set(state.leftovers)
-        candidates = self._set_candidates if self.prop else self._placed_candidates
-        scored = []
-        for clause, idx, lit, new_plus, look, build, kept in candidates(state):
-            unit = 0 if len(clause) == 1 else 1
-            pref = 0 if lit in leftovers else 1
-            comp = self.working.count_unifiable(lit.complement())
-            scored.append(((unit, look, new_plus, pref, -comp, clause.id, idx), build, kept))
-        return scored
+        """The keyed extensions of state, in scan order, as (key, a function
+        that builds the extended state, what the look-ahead kept of its
+        closures or None). Key: (unit, look-ahead, new leftover count,
+        leftover preference, -complement count, clause id, literal position).
+        Keys are unique, and the least one ranks best; a propositional scan
+        keys only the candidates that can still be least."""
+        return list(self._set_candidates(state) if self.prop else self._placed_candidates(state))
 
     # -- main ---------------------------------------------------------------
 
     def build(self) -> Optional[Triangle]:
-        """One closed state, or None."""
+        """One closed state, or None: the best closing of the first state
+        whose best closing should_stop accepts, of the state at the column
+        cap, or of the state that no extension grows. Only that closing is
+        built; the deadline ends a build with None."""
         state = EMPTY_STATE
         kept = None  # what the look-ahead kept of state's closures
-        best: Optional[Triangle] = None
+        best = None  # state's best closing, None before the first column
         while time.monotonic() < self.deadline:
             if state.columns:
                 best = self._best_closure(state, kept)
-                if best is not None and should_stop(best, self.threshold, self.working)[0]:
-                    return best
+                if best is not None and should_stop(
+                        best[0], best[1], self.threshold, self.working)[0]:
+                    break
                 if len(state.columns) >= self.max_columns:
-                    return best
+                    break
             extensions = self._extensions(state)
             if not extensions:
-                return best  # state's best closure, None before the first column
+                break
             _, place, kept = min(extensions)
             state = place()
-        return None
+        else:
+            return None
+        return None if best is None else best[2]()
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +512,17 @@ class _OrderedResolution:
     first code is -c, and it answers forward subsumption, since a subsumer's
     first code lies in the clause. A per-code occurrence index finds the
     clauses that a new clause subsumes; a removal reaches both indexes.
-    Clause and Triangle objects are built only on request: for a derived
-    clause's round, and for the Davis-Putnam model.
+    Clause and Triangle objects are built only for the rounds of a
+    refutation, each clause once; the Davis-Putnam model reads the masks.
     """
 
     def __init__(self, atoms: Sequence[str], inputs: Iterable[Clause]):
         self.order = order = {name: i for i, name in enumerate(atoms)}
-        self.inputs = {clause.id: clause for clause in inputs}
+        # the clause of each id that clause has met, the inputs' from the start
+        self.clauses = {clause.id: clause for clause in inputs}
         # the literal of each code; every literal the saturation meets is an input's
         self.literal = {(order[lit.predicate] + 1) * (1 if lit.positive else -1): lit
-                        for clause in self.inputs.values() for lit in clause.literals}
+                        for clause in self.clauses.values() for lit in clause.literals}
         self.derived: Dict[int, tuple] = {}  # derived clause id -> codes
         self.processed: Dict[int, tuple] = {}  # id -> codes, in insertion order
         self._first: Dict[int, Dict[int, Tuple[int, int]]] = {}
@@ -550,9 +589,12 @@ class _OrderedResolution:
                                        if code not in old), other
 
     def clause(self, cid: int) -> Clause:
-        if cid in self.inputs:
-            return self.inputs[cid]
-        return Clause(cid, (self.literal[code] for code in self.derived[cid]))
+        """The clause cid, built once per saturation: chain rounds share premises."""
+        clause = self.clauses.get(cid)
+        if clause is None:
+            clause = self.clauses[cid] = Clause(
+                cid, (self.literal[code] for code in self.derived[cid]))
+        return clause
 
     def round(self, cid: int, ids: tuple) -> RoundRecord:
         """The round that derived clause cid from the clauses ids: the first,
@@ -597,16 +639,16 @@ def _resolvents(given: Clause, processed: _ClauseStore, seen: set):
                     yield closed, key
 
 
-def _dp_model(clauses: Iterable[Clause], order: Dict[str, int]) -> Assignment:
+def _dp_model(coded: _OrderedResolution) -> Assignment:
     """Model of a propositional set that ordered resolution has saturated
-    without deriving the empty clause.
+    without deriving the empty clause: coded's processed clauses, under its
+    atom order.
 
-    order is the resolution's atom order: it maps each atom to its position,
-    in position order. Each clause goes to the bucket of its first atom, and
-    the atoms are assigned backward along the order (the backward pass of
-    Davis-Putnam elimination): an atom is true iff some clause in its bucket
-    holds it positively and every other literal, whose atom is later and so
-    already assigned, is false. Every clause then holds. By induction from the
+    Each clause goes to the bucket of its first atom, and the atoms are
+    assigned backward along the order (the backward pass of Davis-Putnam
+    elimination): an atom is true iff some clause in its bucket holds it
+    positively and every other literal, whose atom is later and so already
+    assigned, is false. Every clause then holds. By induction from the
     last atom, suppose every clause whose first atom is later holds, and a
     clause ~x | D in x's bucket fails: D is false and x was made true by some
     x | C with C false. Both clauses have x first, so their resolvent C | D
@@ -615,17 +657,18 @@ def _dp_model(clauses: Iterable[Clause], order: Dict[str, int]) -> Assignment:
     all its literals are false; so its first atom is later than x and it is
     false, which the induction hypothesis excludes. A clause dropped as
     subsumed holds because its subsumer does.
+
+    Only a clause whose first code is x's positive one can make x true, and
+    it does when no other positive atom of it is true and every negative
+    atom of it is: true is the bitmask of the atoms made true so far.
     """
-    buckets: Dict[str, List[Clause]] = {name: [] for name in order}
-    for clause in clauses:
-        buckets[min((l.predicate for l in clause.literals), key=order.__getitem__)].append(clause)
-    assign: Assignment = {}
-    for name in reversed(order):
-        assign[name] = any(
-            all(l.positive if l.predicate == name else assign[l.predicate] != l.positive
-                for l in clause.literals)
-            for clause in buckets[name])
-    return assign
+    first = coded._first
+    true = 0
+    for i in reversed(range(len(coded.order))):
+        bit = 1 << i
+        if any(not (p & ~bit & true or n & ~true) for p, n in first.get(i + 1, {}).values()):
+            true |= bit
+    return {name: bool(true >> i & 1) for name, i in reversed(coded.order.items())}
 
 
 def _ordered_saturation(working: Sequence[Clause], next_id: int, deadline: float,
@@ -666,7 +709,7 @@ def _ordered_saturation(working: Sequence[Clause], next_id: int, deadline: float
             heapq.heappush(heap, (len(lits), tick, next_id, rp, rn, lits))
             tick += 1
             next_id += 1
-    return SATISFIABLE, [], _dp_model(map(coded.clause, coded.processed), coded.order), None
+    return SATISFIABLE, [], _dp_model(coded), None
 
 
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,

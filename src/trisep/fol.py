@@ -67,7 +67,9 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
     """Deletion strategy plus renaming: drop tautologies and alphabetic
     duplicates, then rename the survivors apart. Ids are preserved. The
     result's mode follows the survivors, which on first-order input may be
-    all 0-ary (or none at all)."""
+    all 0-ary (or none at all). When nothing is dropped or renamed, the
+    result is clause_set itself, whose symbol tables were checked when it
+    was built."""
     kept = []
     seen = set()
     for clause in clause_set.clauses:
@@ -78,7 +80,11 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
             continue
         seen.add(key)
         kept.append(clause)
-    return ClauseSet(rename_apart(kept))
+    renamed = rename_apart(kept)
+    if len(renamed) == len(clause_set.clauses) and all(
+            new is old for new, old in zip(renamed, clause_set.clauses)):
+        return clause_set
+    return ClauseSet(renamed)
 
 
 # -- unifier search -------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ConstructionError
-from .logic import Clause, ClauseSet, Literal, variable_names
+from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals, variable_names
 from .oracle import Assignment
 from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose
 
@@ -53,7 +53,10 @@ def _derive_column(pos: int, col: Column, sigma: Substitution, complements, clos
     boundary literals before it and whether a closing column came before it:
     (instantiated literals, boundary literal or None, d_minus, d_plus).
     Raises ConstructionError at the first broken invariant."""
-    lits = apply_literals(sigma, col.source_literals)
+    if sigma:
+        lits = apply_literals(sigma, col.source_literals)
+    else:  # nothing to substitute: the merged source literals
+        lits = merge_duplicate_literals(col.source_literals)
     blit = None
     if col.boundary_source is not None:
         if col.closing:
@@ -65,6 +68,7 @@ def _derive_column(pos: int, col: Column, sigma: Substitution, complements, clos
             raise ConstructionError(
                 f"column {pos}: boundary literal {blit} completes a complementary pair")
         d_minus = (blit,) + tuple(l for l in lits if l in complements and l != blit)
+        d_plus = tuple(l for l in lits if l != blit and l not in complements)
     else:
         if closed and col.closing:
             raise ConstructionError(f"column {pos}: second closing column")
@@ -73,11 +77,10 @@ def _derive_column(pos: int, col: Column, sigma: Substitution, complements, clos
             kind = "closing" if col.closing else "stair"
             raise ConstructionError(
                 f"column {pos}: {kind} column holds no complement of a boundary literal")
-    inside = set(d_minus)
-    d_plus = tuple(l for l in lits if l not in inside)
-    if col.boundary_source is None and not col.closing and d_plus:
-        raise ConstructionError(
-            f"column {pos}: stair column leaves literals outside the contradiction")
+        d_plus = tuple(l for l in lits if l not in complements)
+        if not col.closing and d_plus:
+            raise ConstructionError(
+                f"column {pos}: stair column leaves literals outside the contradiction")
     return lits, blit, d_minus, d_plus
 
 
@@ -230,27 +233,32 @@ def normalize_stairs(state: Triangle) -> Triangle:
 def prune_redundant_columns(state: Triangle) -> Triangle:
     """Drop columns that carry no deductive weight.
 
-    Removed, to a fixpoint: every stair column, and every boundary column
-    whose boundary literal has no complement anywhere in a later column. The
-    separated clause loses exactly the pruned columns' leftovers.
+    A column survives exactly when it is not a stair and is either the
+    closing column or a boundary column whose boundary literal's complement
+    is held by a surviving later column; every other one is removed. One
+    right-to-left pass decides each column from the survivors after it, and
+    the kept columns are rebuilt once. That is the fixpoint of removing, pass
+    after pass, every stair and every boundary column whose complement no
+    later column holds: a removal only shrinks what later columns hold, so
+    a column removed on some pass also fails against the final survivors,
+    and a column that survives every pass holds against them. The surviving
+    columns keep their partitions, since no surviving column holds the
+    complement of a removed boundary literal, and the separated clause
+    loses exactly the pruned columns' leftovers.
     """
     if not state.closed:
         raise ConstructionError("prune_redundant_columns expects a closed state")
-    current = state
-    while True:
-        drop = set()
-        for i, col in enumerate(current.columns):
-            if current.is_stair(i):
-                drop.add(i)
-            elif col.boundary_source is not None:
-                comp = current.d_minus(i)[0].complement()
-                if not any(comp in current.instantiated(j)
-                           for j in range(i + 1, len(current.columns))):
-                    drop.add(i)
-        if not drop:
-            return current
-        kept = tuple(col for i, col in enumerate(current.columns) if i not in drop)
-        current = Triangle(kept, current.sigma)
+    held = set()  # the instantiated literals of the surviving later columns
+    kept = []
+    for i in range(len(state.columns) - 1, -1, -1):
+        col = state.columns[i]
+        if col.closing or (col.boundary_source is not None
+                           and state.d_minus(i)[0].complement() in held):
+            kept.append(col)
+            held.update(state.instantiated(i))
+    if len(kept) == len(state.columns):
+        return state
+    return Triangle(reversed(kept), state.sigma)
 
 
 # -- model extraction ---------------------------------------------------------

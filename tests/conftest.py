@@ -1,5 +1,7 @@
 """Shared fixtures and generators: the worked clause sets every suite
-exercises, plus the randomized builders the property suites drive."""
+exercises, plus the randomized builders the property suites drive and the
+reference ranking that the round builder's extension keys are checked
+against."""
 
 import pytest
 
@@ -18,6 +20,7 @@ from trisep import (
     start,
 )
 from trisep.errors import ConstructionError
+from trisep.fol import variant_key
 
 
 def fn(name, *args):
@@ -109,6 +112,46 @@ def random_instance(rng, min_vars=4, max_vars=10, min_clauses=4, max_clauses=14)
                 for name in rng.sample(names, min(width, len(names)))]
         lists.append(body)
     return clause_set(lists)
+
+
+def _placed_signature(state, index):
+    col = state.columns[index]
+    return (col.clause_id, col.source_literals.index(col.boundary_source),
+            variant_key(state.instantiated(index)))
+
+
+def reference_ranking(working, state):
+    """Every propositional extension of state as (key, placed state), least
+    key first, the ranking as it was before keys were computed on literal
+    sets: each candidate is placed as a Triangle, every clause closes it
+    for the look-ahead, and its key is read off the placed state."""
+    scored = []
+    for clause in working:
+        for idx, lit in enumerate(clause.literals):
+            if lit in state.boundary:
+                continue
+            try:
+                placed = extend(state, clause, lit)
+            except ConstructionError:
+                continue
+            new = len(placed.columns) - 1
+            if any(_placed_signature(placed, new) == _placed_signature(state, i)
+                   for i in range(new)):
+                continue
+            unit = 0 if len(clause) == 1 else 1
+            comp = sum(1 for c in working if lit.complement() in c.literal_set)
+            closings = []
+            for other in working:
+                try:
+                    closings.append(close(placed, other))
+                except ConstructionError:
+                    pass
+            look = 0 if any(not closed.csc for closed in closings) else 1
+            pref = 0 if lit in state.leftovers else 1
+            key = (unit, look, len(placed.d_plus(new)), pref, -comp, clause.id, idx)
+            scored.append((key, placed))
+    scored.sort(key=lambda item: item[0])
+    return scored
 
 
 @pytest.fixture

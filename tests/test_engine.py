@@ -147,7 +147,7 @@ def test_prove_single_unit_satisfiable_via_fallback():
 def test_a_fallback_model_that_fails_verification_ends_in_unknown(monkeypatch):
     # p | q, ~p holds only with q true; a Davis-Putnam model that makes every
     # atom false must not become a Satisfiable verdict
-    monkeypatch.setattr(engine, "_dp_model", lambda clauses, order: dict.fromkeys(order, False))
+    monkeypatch.setattr(engine, "_dp_model", lambda coded: dict.fromkeys(coded.order, False))
     s = clause_set([[pos("p"), pos("q")], [neg("p")]])
     outcome, trace = prove(s, EngineConfig(max_rounds=0, time_budget=30.0))
     assert outcome.verdict == "unknown" and outcome.model is None
@@ -311,6 +311,36 @@ def test_a_build_closes_each_state_with_each_clause_once(monkeypatch, reverse):
     builder = engine._RoundBuilder(preprocess(problem), problem, float("inf"))
     assert builder.build() is not None
     assert calls and max(calls.values()) == 1
+
+
+def test_a_propositional_build_closes_only_the_state_it_returns(monkeypatch, ex41):
+    # each state's best closing is judged on literal sets, and only the one
+    # that build returns is closed; the leftovers and width judged are the
+    # ones that closing it gives
+    closes, judged = [], []
+    real_close, real_best = engine.close, engine._RoundBuilder._best_closure
+    monkeypatch.setattr(engine, "close", lambda *args: closes.append(args) or real_close(*args))
+
+    def best_closure(self, state, scored=None):
+        best = real_best(self, state, scored)
+        judged.append(best)
+        return best
+
+    monkeypatch.setattr(engine._RoundBuilder, "_best_closure", best_closure)
+    rng = random.Random(5)
+    problems = [ex41] + [random_instance(rng) for _ in range(30)]
+    for problem in problems:
+        builder = engine._RoundBuilder(preprocess(problem), problem, float("inf"))
+        del closes[:], judged[:]
+        state = builder.build()
+        assert len(closes) == (state is not None)
+        for plus, width, make in filter(None, judged):
+            closed = make()
+            assert tuple(plus) == closed.d_plus(closed.closing_index)
+            assert width == len(closed.csc)
+    builder = engine._RoundBuilder(ex41, ex41, float("inf"))
+    del closes[:], judged[:]
+    assert len(builder.build().columns) == 4 and len(judged) == 3 and len(closes) == 1
 
 
 # -- verify_trace ----------------------------------------------------------------------

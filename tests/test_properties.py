@@ -1,17 +1,19 @@
 """Property tests: construction steps against a full rebuild, the unifier
 search against instantiating the boundary sources, the round builder's
-extension ranking against placing every candidate, the clause store against
-linear scans, the saturation fallback's resolvents against the rounds they
-stand for and the clauses it starts from, its coded propositional path
-against ordered resolution on literal sets, the closing generator against
-one that closes every seed, prove against the brute-force oracle, the
-parsers on arbitrary text, and TPTP render/parse round trips. Example counts
-stay low so the suite stays fast."""
+extension ranking against placing every candidate, one-pass column pruning
+against the fixpoint loop, the clause store against linear scans, the
+saturation fallback's resolvents against the rounds they stand for and the
+clauses it starts from, its coded propositional path against ordered
+resolution on literal sets, the closing generator against one that closes
+every seed, prove against the brute-force oracle, the parsers on arbitrary
+text, and TPTP render/parse round trips. Example counts stay low so the
+suite stays fast."""
 
 import heapq
 import random
 from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -43,6 +45,7 @@ from trisep import (
     pos,
     preprocess,
     prove,
+    prune_redundant_columns,
     rename_clause,
     render_dimacs,
     render_tptp,
@@ -58,6 +61,7 @@ from trisep.errors import ConstructionError, ParseError
 from trisep.logic import merge_duplicate_literals, variable_names
 from trisep.triangle import EMPTY_STATE, _derive_column
 from trisep.unify import EMPTY, apply_literal
+from conftest import random_closed_state, reference_ranking
 
 FEW = settings(max_examples=50, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
@@ -234,45 +238,6 @@ def test_greedy_pull_agrees_with_instantiating_the_boundary_sources():
 # -- extension ranking ---------------------------------------------------------
 
 
-def _placed_signature(state: Triangle, index: int):
-    col = state.columns[index]
-    return (col.clause_id, col.source_literals.index(col.boundary_source),
-            variant_key(state.instantiated(index)))
-
-
-def _reference_ranking(working, state):
-    """The ranking as it was before keys were computed on literal sets: each
-    candidate is placed as a Triangle and its key is read off the placed
-    state."""
-    scored = []
-    for clause in working:
-        for idx, lit in enumerate(clause.literals):
-            if lit in state.boundary:
-                continue
-            try:
-                placed = extend(state, clause, lit)
-            except ConstructionError:
-                continue
-            new = len(placed.columns) - 1
-            if any(_placed_signature(placed, new) == _placed_signature(state, i)
-                   for i in range(new)):
-                continue
-            unit = 0 if len(clause) == 1 else 1
-            comp = sum(1 for c in working if lit.complement() in c.literal_set)
-            closings = []
-            for other in working:
-                try:
-                    closings.append(close(placed, other))
-                except ConstructionError:
-                    pass
-            look = 0 if any(not closed.csc for closed in closings) else 1
-            pref = 0 if lit in state.leftovers else 1
-            key = (unit, look, len(placed.d_plus(new)), pref, -comp, clause.id, idx)
-            scored.append((key, placed))
-    scored.sort(key=lambda item: item[0])
-    return scored
-
-
 @FEW
 @given(st.lists(st.lists(_propositional_literals, min_size=1, max_size=3),
                 min_size=1, max_size=7))
@@ -282,10 +247,11 @@ def _reference_ranking(working, state):
 @example([[neg("p"), neg("q")], [neg("p"), pos("q")], [neg("q"), pos("p")]])
 def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
     """Along the states that successive winners reach, the round builder's
-    set-based ranking gives every key and the (clause id, literal) order
-    that placing every candidate gives; the winner's function builds
-    extend(state, clause, lit), and no ranked candidate completes a
-    complementary pair."""
+    set-based scan keys the least candidate that placing every candidate
+    ranks first, and every key it returns is the key placing gives that
+    candidate; each returned function builds that candidate's column, no
+    keyed candidate completes a complementary pair, and the winner's
+    function builds extend(state, clause, lit)."""
     problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
     inputs = preprocess(problem)
     if not inputs.clauses:
@@ -293,18 +259,17 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
     builder = engine._RoundBuilder(inputs, problem, float("inf"))
     state = EMPTY_STATE
     for _ in range(builder.max_columns):
-        ranked = sorted(builder._extensions(state), key=lambda item: item[0])
-        expected = _reference_ranking(builder.working, state)
-        assert [key for key, *_ in ranked] == [key for key, _ in expected]
-        built = [build() for _, build, _ in ranked]
-        assert ([(b.columns[-1].clause_id, b.columns[-1].boundary_source) for b in built]
-                == [(p.columns[-1].clause_id, p.columns[-1].boundary_source)
-                    for _, p in expected])
-        assert not any(b.columns[-1].boundary_source in state.boundary_complements
-                       for b in built)
-        if not ranked:
+        keyed = builder._extensions(state)
+        expected = dict(reference_ranking(builder.working, state))  # least key first
+        assert min((key for key, *_ in keyed), default=None) == next(iter(expected), None)
+        for key, build, _ in keyed:
+            built, placed = build(), expected[key]
+            assert ((built.columns[-1].clause_id, built.columns[-1].boundary_source)
+                    == (placed.columns[-1].clause_id, placed.columns[-1].boundary_source))
+            assert built.columns[-1].boundary_source not in state.boundary_complements
+        if not keyed:
             return
-        winner = ranked[0][1]()
+        winner = min(keyed, key=itemgetter(0))[1]()
         column = winner.columns[-1]
         clause = inputs.by_id(column.clause_id)
         reference = extend(state, clause, column.boundary_source)
@@ -615,6 +580,40 @@ def test_closings_are_the_distinct_closed_states_of_every_seed():
             covered["a repeated seed"] += len(seeds) > len(set(seeds))
         covered["fewer built"] += len(closings) < len(expected)
     assert min(covered[name] for name in ("several seeds", "a repeated seed", "fewer built")) > 0
+
+
+def _reference_prune(state: Triangle) -> Triangle:
+    """prune_redundant_columns as a fixpoint loop: drop every stair and
+    every boundary column whose boundary literal's complement no later
+    column holds, rebuild, and repeat until a pass drops nothing."""
+    current = state
+    while True:
+        drop = {i for i, col in enumerate(current.columns) if current.is_stair(i) or (
+            col.boundary_source is not None and not any(
+                current.d_minus(i)[0].complement() in current.instantiated(j)
+                for j in range(i + 1, len(current.columns))))}
+        if not drop:
+            return current
+        current = Triangle(tuple(col for i, col in enumerate(current.columns)
+                                 if i not in drop), current.sigma)
+
+
+@settings(FEW, max_examples=100)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_pruning_in_one_pass_is_the_fixpoint_of_repeated_passes(rng, first_order):
+    """On closed states of both logics (propositional ones with and without a
+    stair, first-order ones from the closing generator), one right-to-left
+    pass keeps exactly the columns that the fixpoint loop keeps, and gives
+    the same state, or the state itself when nothing is dropped."""
+    if first_order:
+        states = list(engine._closings(_random_open_state(rng), _random_clause(rng, 9)))
+    else:
+        states = [random_closed_state(rng, force_stair=rng.random() < 0.5)[0]]
+    for state in filter(None, states):
+        pruned, reference = prune_redundant_columns(state), _reference_prune(state)
+        assert (pruned is state) == (reference is state)
+        assert (pruned.columns, pruned.sigma) == (reference.columns, reference.sigma)
+        assert (pruned.parts, pruned.leftovers) == (reference.parts, reference.leftovers)
 
 
 _binary_literals = st.builds(Literal, st.booleans(), st.just("r"), st.tuples(_terms, _terms))
