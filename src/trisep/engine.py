@@ -43,7 +43,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -130,33 +130,43 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _closings(state: Triangle, clause: Clause):
-    """Closed states for one clause: the greedy close plus one per seeded
-    (clause literal, boundary complement) unifier, literal by literal, since
-    the greedy pull order can miss the useful instantiation. On ground input
-    every seed is empty, so only the greedy close remains. From a one-column
-    state these are the two-column rounds: the binary resolvents. Without a
-    seed, no instance of the clause holds a boundary complement: none is
-    tried.
+def _seeds(state: Triangle, placed: Clause) -> list:
+    """The mgu of each clause literal with each boundary complement, or None
+    where none exists: one row per boundary literal, in boundary order."""
+    return [[mgu(lit, target) for lit in placed.literals]
+            for target in [b.complement() for b in state.boundary]]
+
+
+def _closings(state: Triangle, placed: Clause, by_boundary: Optional[list] = None):
+    """Closed states for one clause, placed already renamed apart from
+    state's columns: the greedy close plus one per seeded (clause literal,
+    boundary complement) unifier, literal by literal, since the greedy pull
+    order can miss the useful instantiation. by_boundary is _seeds(state,
+    placed), computed when not given. On ground input every seed is empty,
+    so only the greedy close remains. From a one-column state these are the
+    two-column rounds: the binary resolvents. Without a seed, no instance of
+    the clause holds a boundary complement: none is tried.
 
     Each distinct seed is closed once. The greedy pull from the empty seed
     binds first the first seed met boundary by boundary, and then goes on as
     it would from that seed, since a pair that did not unify has no unifying
-    instance: the greedy close is that seed's closing. A seed equal to one
+    instance: the greedy close is that seed's closing, and is grown from it
+    (from the empty seed when every seed is empty). A seed equal to one
     tried gives the same closing again, and so does a distinct seed that
     grows to a unifier grown before. No repeat changes a ranking (min keeps
     the first of equal keys) or the fallback (it skips a variant it has
     seen), so none is built."""
-    placed = rename_clause(clause, len(state.columns) + 1)
-    by_boundary = [[mgu(lit, b.complement()) for lit in placed.literals]
-                   for b in state.boundary]
+    if by_boundary is None:
+        by_boundary = _seeds(state, placed)
     if all(seed is None for row in by_boundary for seed in row):
         return
-    # the distinct non-empty seeds, literal by literal, less the greedy close's
+    # the greedy close grows from its first seed; then the distinct other
+    # non-empty seeds, literal by literal
+    first = next(filter(None, chain.from_iterable(by_boundary)), EMPTY)
     seeds = dict.fromkeys(filter(None, chain.from_iterable(zip(*by_boundary))))
-    seeds.pop(next(filter(None, chain.from_iterable(by_boundary)), None), None)
+    seeds.pop(first, None)
     grown = set()
-    for seed in chain((EMPTY,), seeds):
+    for seed in chain((first,), seeds):
         try:
             unifier = greedy_pull(state, placed.literals, None, seed)
             if unifier in grown:
@@ -280,10 +290,20 @@ class _RoundBuilder:
     leftovers and width off those sets, and only the closing that build
     returns is built.
 
-    Each state's closings are scored once: a first-order candidate keeps the
-    least closing its look-ahead found, and build reuses it when the
-    candidate wins instead of scanning the working set again. _closings
-    builds each clause's closings once per distinct seed.
+    First-order builds share their work through caches that live as long as
+    the builder and are keyed by state identity: each placement (state,
+    clause, literal position) with its column signature, each least closing
+    (state, clause), each state's set of column signatures and each renaming
+    (clause, column). A cached placement is the state placed before, so a
+    build that takes a step an earlier build took walks the same states, and
+    the look-ahead fills the least closings that _best_closure then reads.
+    The caches are exact: a closing depends only on its state and clause;
+    the working set only grows; and the one working-set input to a placement
+    is redundancy_guard, whose answer can only turn to reject as the set
+    grows, so a cached instantiated placement is checked against the clauses
+    added since and placed again if one of them rejects it. _closings builds
+    each clause's closings once per distinct seed, and a least closing stops
+    at the least key that any closing of its clause could reach.
 
     Every build starts from the empty state. prove makes one builder per
     run, which fixes the logic once and derives the width threshold (twice
@@ -298,59 +318,136 @@ class _RoundBuilder:
         self.threshold = 2 * max(len(c) for c in clause_set.clauses)
         self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
+        # (state, clause id, position) -> (placement, guarded instance, working size)
+        self._placements: Dict[tuple, tuple] = {}
+        self._least: Dict[tuple, Optional[tuple]] = {}  # (state, clause id) -> least closing
+        self._signatures: Dict[Triangle, set] = {}
+        self._renamed: Dict[tuple, Clause] = {}  # (clause id, column) -> renamed clause
 
     # -- helpers ------------------------------------------------------------
 
-    def _place(self, state: Triangle, placed: Clause, lit: Literal) -> Optional[Triangle]:
-        """Add a clause, already renamed for its column, with lit on the boundary
-        under the greedy unifier. When that unifier breaks an invariant or
-        makes a redundant instance, the clause is placed uninstantiated."""
+    def _rename(self, clause: Clause, column: int) -> Clause:
+        """clause renamed for column (1-based)."""
+        key = clause.id, column
+        renamed = self._renamed.get(key)
+        if renamed is None:
+            renamed = self._renamed[key] = rename_clause(clause, column)
+        return renamed
+
+    def _place(self, state: Triangle, clause: Clause, idx: int) -> Optional[tuple]:
+        """state plus clause, renamed for its column, with its literal idx on
+        the boundary, as (placed state, its new column's signature), or None
+        when that literal repeats a boundary literal or no column is legal;
+        cached (see the class docstring)."""
+        key = state, clause.id, idx
+        entry = self._placements.get(key)
+        if entry is not None:
+            placement, instance, size = entry
+            if instance is None or size == len(self.working):
+                return placement
+            if not any(other.literal_set <= instance
+                       for other in islice(self.working, size, None)):
+                self._placements[key] = placement, instance, len(self.working)
+                return placement
+        placement, instance = self._placement(state, clause, idx)
+        self._placements[key] = placement, instance, len(self.working)
+        return placement
+
+    def _placement(self, state: Triangle, clause: Clause, idx: int) -> tuple:
+        """What _place caches, computed: the placement, and the literal set
+        of the instance that redundancy_guard accepted (None when the guard
+        was not asked). The clause is placed under the greedy unifier, and
+        uninstantiated when that unifier breaks an invariant or makes a
+        redundant instance."""
+        placed = self._rename(clause, len(state.columns) + 1)
+        lit = placed.literals[idx]
+        # renaming makes a non-ground literal fresh, so only a ground one can
+        # repeat a boundary literal here; a repeat that the column's unifier
+        # would create is not caught
+        if lit in state.boundary:
+            return None, None
+        result = instance = None
         try:
             searched = greedy_pull(state, placed.literals, lit)
             if searched:
                 try:
                     result = extend(state, placed, lit, searched)
-                    instance = result.instantiated(-1)
-                    if instance == placed.literals or redundancy_guard(
-                            instance, placed.id, self.working):
-                        return result
                 except ConstructionError:
                     pass
-            return extend(state, placed, lit)
+                else:
+                    if result.instantiated(-1) != placed.literals:
+                        instance = frozenset(result.instantiated(-1))
+                        if not redundancy_guard(instance, placed.id, self.working):
+                            result = instance = None
+            if result is None:
+                result = extend(state, placed, lit)
         except ConstructionError:
-            return None
+            return None, None
+        return (result, self._column_signature(result, len(result.columns) - 1)), instance
 
-    def _closures(self, state: Triangle):
-        """Every way to close state as (key, clause, closed state); the least
-        key, (leftover count, -inside count, clause id), ranks best. Propositional
-        closings are scored on literal sets, their state None until chosen."""
-        if self.prop:
-            complements = state.boundary_complements
-            for clause in self.working:
-                inside = len(clause.literal_set & complements)
-                if inside:
-                    yield (len(clause) - inside, -inside, clause.id), clause, None
-            return
+    def _least_closing(self, state: Triangle, clause: Clause) -> Optional[tuple]:
+        """The least of clause's closings of state as (key, closed state), the
+        first of equal keys, or None; the key is (leftover count, -inside
+        count, clause id). Cached per (state, clause).
+
+        The scan stops at a closing whose key is the least any could reach: a
+        literal that unifies with no boundary complement is left over in
+        every closing (merging may join such literals, so one is counted),
+        and only the literals that do can be inside."""
+        cache_key = state, clause.id
+        try:
+            return self._least[cache_key]
+        except KeyError:
+            pass
+        placed = self._rename(clause, len(state.columns) + 1)
+        by_boundary = _seeds(state, placed)
+        seeded = [any(seed is not None for seed in column) for column in zip(*by_boundary)]
+        floor = (0 if all(seeded) else 1, -sum(seeded), clause.id)
+        least = None
+        for closed in _closings(state, placed, by_boundary):
+            k = closed.closing_index
+            key = (len(closed.d_plus(k)), -len(closed.d_minus(k)), clause.id)
+            if least is None or key < least[0]:
+                least = key, closed
+                if key == floor:
+                    break
+        self._least[cache_key] = least
+        return least
+
+    def _least_closure(self, state: Triangle) -> Optional[tuple]:
+        """state's least first-order closing over the working set, as (key,
+        closed state), or None."""
+        return min(filter(None, (self._least_closing(state, clause) for clause in self.working)),
+                   key=itemgetter(0), default=None)
+
+    def _set_closures(self, state: Triangle):
+        """Propositional closings scored on literal sets, as (key, clause);
+        the least key, (leftover count, -inside count, clause id), ranks
+        best."""
+        complements = state.boundary_complements
         for clause in self.working:
-            for closed in _closings(state, clause):
-                k = closed.closing_index
-                yield (len(closed.d_plus(k)), -len(closed.d_minus(k)), clause.id), clause, closed
+            inside = len(clause.literal_set & complements)
+            if inside:
+                yield (len(clause) - inside, -inside, clause.id), clause
 
-    def _best_closure(self, state: Triangle, scored: Optional[list] = None
+    def _best_closure(self, state: Triangle
                       ) -> Optional[Tuple[Sequence[Literal], int, Callable[[], Triangle]]]:
         """state's best closing as (its closing column's leftovers, its
         separated clause's width, a function that builds the closed state),
-        or None. scored, when given, is what the look-ahead kept of state's
-        closures: the least one, if any. A propositional closing leaves the
-        clause's literals that are not boundary complements, and its
-        separated clause is state's leftovers plus those."""
-        best = min(self._closures(state) if scored is None else scored,
-                   key=itemgetter(0), default=None)
+        or None. A first-order closing is read from the least closings. A
+        propositional closing leaves the clause's literals that are not
+        boundary complements, and its separated clause is state's leftovers
+        plus those."""
+        if not self.prop:
+            least = self._least_closure(state)
+            if least is None:
+                return None
+            closed = least[1]
+            return closed.d_plus(closed.closing_index), len(closed.csc), lambda: closed
+        best = min(self._set_closures(state), key=itemgetter(0), default=None)
         if best is None:
             return None
-        _, clause, closed = best
-        if closed is not None:
-            return closed.d_plus(closed.closing_index), len(closed.csc), lambda: closed
+        clause = best[1]
         complements = state.boundary_complements
         plus = [lit for lit in clause.literals if lit not in complements]
         return plus, len(set(state.leftovers).union(plus)), partial(close, state, clause)
@@ -364,8 +461,7 @@ class _RoundBuilder:
 
     def _set_candidates(self, state: Triangle):
         """Propositional extensions, keyed on literal sets without placing a
-        clause, as (key, a function that places it, None: no closure is
-        scored), in scan order.
+        clause, as (key, a function that places it), in scan order.
 
         With lit on the boundary, a column leaves the clause's literals other
         than lit that are not boundary complements; extend raises exactly
@@ -409,51 +505,41 @@ class _RoundBuilder:
                 key = (unit, look, new_plus, pref,
                        -working.count_unifiable(lit.complement()), cid, idx)
                 least = min(least, key)
-                yield key, partial(extend, state, clause, lit), None
+                yield key, partial(extend, state, clause, lit)
 
     def _placed_candidates(self, state: Triangle):
         """First-order extensions in the shape of _set_candidates, every one
-        keyed. A key depends on the column's unifier, so each clause is
-        renamed for its column and placed here, and its function returns the
-        placed state. A candidate without leftovers has its closures scored
-        for the look-ahead, and keeps the least one (a list of at most one),
-        which build reuses if the candidate wins: the working set does not
-        change within a build."""
-        boundary, leftovers = set(state.boundary), set(state.leftovers)
-        existing_signatures = {self._column_signature(state, i)
-                               for i in range(len(state.columns))}
+        keyed. A key depends on the column's unifier, so each candidate is
+        placed here (_place), and its function returns the placed state. A
+        candidate without leftovers is keyed on its least closing, the
+        look-ahead, which _best_closure reads if the candidate wins."""
+        leftovers = set(state.leftovers)
+        signatures = self._signatures.get(state)
+        if signatures is None:
+            signatures = self._signatures[state] = {
+                self._column_signature(state, i) for i in range(len(state.columns))}
         for clause in self.working:
             unit = 0 if len(clause) == 1 else 1
-            placed = rename_clause(clause, len(state.columns) + 1)
-            for idx, (lit, placed_lit) in enumerate(zip(clause.literals, placed.literals)):
-                # renaming makes a non-ground literal fresh, so only a ground one
-                # can repeat a boundary literal here; a repeat that the column's
-                # unifier would create is not caught
-                if placed_lit in boundary:
+            for idx, lit in enumerate(clause.literals):
+                placement = self._place(state, clause, idx)
+                if placement is None or placement[1] in signatures:
                     continue
-                candidate = self._place(state, placed, placed_lit)
-                if candidate is None:
-                    continue
+                candidate = placement[0]
                 new_col = len(candidate.columns) - 1
-                if self._column_signature(candidate, new_col) in existing_signatures:
-                    continue
                 # an extension after which an empty separation is one close
                 # away: its best closing leaves nothing over
-                least = None if candidate.leftovers else heapq.nsmallest(
-                    1, self._closures(candidate), key=itemgetter(0))
-                look = 0 if least and least[0][0][0] == 0 else 1
+                least = None if candidate.leftovers else self._least_closure(candidate)
+                look = 0 if least and least[0][0] == 0 else 1
                 key = (unit, look, len(candidate.d_plus(new_col)), 0 if lit in leftovers else 1,
                        -self.working.count_unifiable(lit.complement()), clause.id, idx)
-                yield key, lambda candidate=candidate: candidate, least
+                yield key, lambda candidate=candidate: candidate
 
-    def _extensions(self, state: Triangle
-                    ) -> List[Tuple[tuple, Callable[[], Triangle], Optional[list]]]:
+    def _extensions(self, state: Triangle) -> List[Tuple[tuple, Callable[[], Triangle]]]:
         """The keyed extensions of state, in scan order, as (key, a function
-        that builds the extended state, what the look-ahead kept of its
-        closures or None). Key: (unit, look-ahead, new leftover count,
-        leftover preference, -complement count, clause id, literal position).
-        Keys are unique, and the least one ranks best; a propositional scan
-        keys only the candidates that can still be least."""
+        that builds the extended state). Key: (unit, look-ahead, new leftover
+        count, leftover preference, -complement count, clause id, literal
+        position). Keys are unique, and the least one ranks best; a
+        propositional scan keys only the candidates that can still be least."""
         return list(self._set_candidates(state) if self.prop else self._placed_candidates(state))
 
     # -- main ---------------------------------------------------------------
@@ -464,11 +550,10 @@ class _RoundBuilder:
         cap, or of the state that no extension grows. Only that closing is
         built; the deadline ends a build with None."""
         state = EMPTY_STATE
-        kept = None  # what the look-ahead kept of state's closures
         best = None  # state's best closing, None before the first column
         while time.monotonic() < self.deadline:
             if state.columns:
-                best = self._best_closure(state, kept)
+                best = self._best_closure(state)
                 if best is not None and should_stop(
                         best[0], best[1], self.threshold, self.working)[0]:
                     break
@@ -477,8 +562,7 @@ class _RoundBuilder:
             extensions = self._extensions(state)
             if not extensions:
                 break
-            _, place, kept = min(extensions)
-            state = place()
+            state = min(extensions)[1]()
         else:
             return None
         return None if best is None else best[2]()
@@ -617,20 +701,33 @@ def _proof_chain(last: int, premises: Dict[int, tuple]) -> List[int]:
     return sorted(needed & premises.keys())
 
 
-def _resolvents(given: Clause, processed: _ClauseStore, seen: set):
+def _openings(clause: Clause, cache: Dict[int, tuple]) -> tuple:
+    """clause's one-column states, one per literal, and clause renamed for a
+    second column; cache holds them per clause id, so each is built once."""
+    entry = cache.get(clause.id)
+    if entry is None:
+        first = rename_clause(clause, 1)
+        entry = cache[clause.id] = (tuple(start(first, lit) for lit in first.literals),
+                                    rename_clause(clause, 2))
+    return entry
+
+
+def _resolvents(given: Clause, processed: _ClauseStore, seen: set, openings: Dict[int, tuple]):
     """First-order two-column resolvents of given, which is already
     processed, that are neither tautologies nor variants of a clause in seen,
     as (closed state, variant key of its csc). A first-order csc depends on
     the unifier, so each round is built here by _closings, as in round
     building, from one clause's one-column state and the other clause, with
     every processed clause in processing order (given itself last, paired
-    with itself once).
+    with itself once). openings is _openings' cache, kept for the whole
+    saturation.
     """
     for other in processed:
         pairs = ((given, other),) if other is given else ((given, other), (other, given))
         for a, b in pairs:
-            a1 = rename_clause(a, 1)
-            for closed in (c for lit in a1.literals for c in _closings(start(a1, lit), b)):
+            second = _openings(b, openings)[1]
+            for closed in (c for opened in _openings(a, openings)[0]
+                           for c in _closings(opened, second)):
                 lits = closed.csc
                 if is_tautology(lits):
                     continue
@@ -755,6 +852,7 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
     heapq.heapify(heap)
     tick = len(heap)
     processed = _ClauseStore()
+    openings: Dict[int, tuple] = {}
     # (state, csc) of every round, a RoundRecord being made only for the proof chain
     rounds = {rec.csc.id: (rec.state, rec.csc) for rec in existing_rounds}
     dropped_deep = False
@@ -768,7 +866,7 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
             continue
         processed.remove_subsumed_by(given)
         processed.add(given)
-        for closed, key in _resolvents(given, processed, seen):
+        for closed, key in _resolvents(given, processed, seen, openings):
             lits = closed.csc
             if too_deep(lits):
                 dropped_deep = True

@@ -97,11 +97,12 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
     in order, passes repeat to a fixpoint, and bindings may instantiate
     earlier columns (backward propagation is the caller's concern). The
     literals must be renamed apart from the state's columns; raises
-    ConstructionError when they share a variable. The state's boundary comes
-    instantiated, and its substitution binds none of the renamed literals'
-    variables, so only the growing unifier is applied here."""
-    overlap = variable_names(literals) & variable_names(
-        lit for col in state.columns for lit in col.source_literals)
+    ConstructionError when they share a variable with the state, read off
+    its fields (Triangle.holds_variable), not off its columns. The state's
+    boundary comes instantiated, and its substitution binds none of the
+    renamed literals' variables, so only the growing unifier is applied
+    here."""
+    overlap = [name for name in variable_names(literals) if state.holds_variable(name)]
     if overlap:
         raise ConstructionError(f"clause shares variables with the state: {sorted(overlap)}")
     increment = seed

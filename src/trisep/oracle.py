@@ -96,17 +96,53 @@ def is_unsatisfiable_bruteforce(clause_set: ClauseSet,
     return find_model_bruteforce(clause_set, variable_cap) is None
 
 
+_BLOCK_BITS = 16  # assignments per block: 2**16, so each column holds 8 KiB
+
+
 def find_model_bruteforce(clause_set: ClauseSet,
                           variable_cap: int = DEFAULT_VARIABLE_CAP) -> Optional[Assignment]:
     """The first satisfying assignment in truth-table order, or None. The
-    engine never calls this."""
+    engine never calls this.
+
+    Assignment a makes variable i true when bit i of a is set. The
+    assignments are swept in blocks of at most 2**16, all of a block at
+    once: in column i, bit k is variable i's value under the block's k-th
+    assignment. A clause's column of satisfied assignments is the union of
+    its literals' columns, the set's is the intersection of its clauses',
+    and the lowest set bit of the first nonzero one is the first model.
+    The block's first assignment fixes every variable from the block size
+    up, so a clause that one of those literals satisfies drops out of the
+    block, and the others need only their low literals' columns."""
     names, masks = _propositional_masks(clause_set)
     if len(names) > variable_cap:
         raise OracleError(f"{len(names)} variables exceed the cap of {variable_cap}")
     if any(empty for _, _, empty in masks):
         return None
-    for assignment in range(1 << len(names)):
-        if all(pos & assignment or neg & ~assignment for pos, neg, _ in masks):
+    low = min(len(names), _BLOCK_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    # column i < low repeats 2**i zero bits, then 2**i one bits
+    columns = [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
+               for i in range(low)]
+    low_mask = size - 1
+    clauses = []  # (high positive mask, high negative mask, low literals' column)
+    for pos, neg, _ in masks:
+        column = 0
+        for i in range(low):
+            if pos >> i & 1:
+                column |= columns[i]
+            if neg >> i & 1:
+                column |= full ^ columns[i]
+        clauses.append((pos & ~low_mask, neg & ~low_mask, column))
+    for base in range(0, 1 << len(names), size):
+        models = full
+        for pos, neg, column in clauses:
+            if not (pos & base or neg & ~base):
+                models &= column
+                if not models:
+                    break
+        if models:
+            assignment = base + (models & -models).bit_length() - 1
             return {name: bool(assignment >> i & 1) for i, name in enumerate(names)}
     return None
 

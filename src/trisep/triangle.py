@@ -30,6 +30,7 @@ boundary), and so is when to stop growing a construction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import ConstructionError
@@ -165,6 +166,13 @@ class Triangle:
         """The global substitution restricted to this column's own variables."""
         return self.sigma.restrict(variable_names(self.columns[index].source_literals))
 
+    def holds_variable(self, name: str) -> bool:
+        """Whether the variable name is free in the instantiated literals or
+        bound by sigma. In a state grown by the construction steps, these are
+        exactly the variables of its columns' source literals (a pruned
+        state's sigma may also bind those of dropped columns)."""
+        return name in self._free or self.sigma.get(name) is not None
+
     def clause_ids(self) -> tuple:
         return tuple(col.clause_id for col in self.columns)
 
@@ -244,7 +252,9 @@ def prune_redundant_columns(state: Triangle) -> Triangle:
     and a column that survives every pass holds against them. The surviving
     columns keep their partitions, since no surviving column holds the
     complement of a removed boundary literal, and the separated clause
-    loses exactly the pruned columns' leftovers.
+    loses exactly the pruned columns' leftovers. So the pruned state is
+    assembled from the surviving columns' fields under the same sigma, not
+    derived again.
     """
     if not state.closed:
         raise ConstructionError("prune_redundant_columns expects a closed state")
@@ -254,11 +264,21 @@ def prune_redundant_columns(state: Triangle) -> Triangle:
         col = state.columns[i]
         if col.closing or (col.boundary_source is not None
                            and state.d_minus(i)[0].complement() in held):
-            kept.append(col)
+            kept.append(i)
             held.update(state.instantiated(i))
     if len(kept) == len(state.columns):
         return state
-    return Triangle(reversed(kept), state.sigma)
+    kept.reverse()
+    lits = [state.instantiated(i) for i in kept]
+    boundary = tuple(state.d_minus(i)[0] for i in kept
+                     if state.columns[i].boundary_source is not None)
+    pruned = object.__new__(Triangle)
+    pruned._set(tuple(state.columns[i] for i in kept), state.sigma, True, boundary,
+                tuple(state.parts[i] for i in kept), tuple(lits),
+                frozenset(b.complement() for b in boundary),
+                tuple(dict.fromkeys(l for i in kept for l in state.d_plus(i))),
+                variable_names(chain.from_iterable(lits)))
+    return pruned
 
 
 # -- model extraction ---------------------------------------------------------

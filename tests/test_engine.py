@@ -296,21 +296,83 @@ def test_a_clause_without_a_unifiable_boundary_complement_tries_no_close(monkeyp
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_a_build_closes_each_state_with_each_clause_once(monkeypatch, reverse):
-    # the look-ahead scores the closings of every candidate that leaves
-    # nothing over, and the winner's least one is reused, not scored again;
-    # a build's states differ in their columns
+    # over a whole run, each state that some build reaches or looks ahead to
+    # is closed with each clause once: the look-ahead's least closings serve
+    # the winner, and a later build that takes the same steps walks the same
+    # states, whose closings are cached; states with equal columns and
+    # substitution count as one (the fallback, which closes one-column
+    # states of its own, is off)
     calls = Counter()
     real = engine._closings
 
-    def counting(state, clause):
+    def counting(state, clause, *rest):
         calls[state.columns, state.sigma, clause.id] += 1
-        return real(state, clause)
+        return real(state, clause, *rest)
 
     monkeypatch.setattr(engine, "_closings", counting)
-    problem = _chain(8, reverse)
-    builder = engine._RoundBuilder(preprocess(problem), problem, float("inf"))
-    assert builder.build() is not None
+    outcome, trace = prove(_chain(8, reverse), EngineConfig(fallback_enabled=False))
+    assert len(trace.rounds) > 1
     assert calls and max(calls.values()) == 1
+
+
+def _random_first_order_set(rng):
+    """Three to six clauses of one to three literals over p/1 and q/2, with
+    terms over X, Y, Z, a, b and f of depth at most 2."""
+
+    def term(depth=0):
+        draw = rng.random()
+        if depth < 2 and draw < 0.3:
+            return fn("f", term(depth + 1))
+        return Variable(rng.choice("XYZ")) if draw < 0.65 else Constant(rng.choice("ab"))
+
+    bodies = []
+    for _ in range(rng.randint(3, 6)):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            arity = rng.choice((1, 2))
+            lit = (pos if rng.random() < 0.5 else neg)("pq"[arity - 1], *(term() for _ in range(arity)))
+            if lit not in body:
+                body.append(lit)
+        bodies.append(body)
+    return clause_set(bodies)
+
+
+def test_each_build_of_a_run_equals_a_fresh_builders_build(monkeypatch):
+    # the run's builder reuses the placements and closings of its earlier
+    # builds; a fresh builder over the same working set computes them anew,
+    # and both must build the same state; among the sets, a later separated
+    # clause makes redundancy_guard reject a cached placement, which is then
+    # placed again
+    real_build, real_placement = engine._RoundBuilder.build, engine._RoundBuilder._placement
+    builds, placed_again = Counter(), Counter()
+
+    def placement(self, state, clause, idx):
+        placed_again[(state, clause.id, idx) in self._placements] += 1
+        return real_placement(self, state, clause, idx)
+
+    def checked(self):
+        built = real_build(self)
+        fresh = engine._RoundBuilder(ClauseSet(list(self.working)), problem, float("inf"))
+        fresh.threshold, fresh.max_columns = self.threshold, self.max_columns
+        again = real_build(fresh)
+        assert (built is None) == (again is None)
+        if built is not None:
+            assert (built.columns, built.sigma, built.parts) == (again.columns, again.sigma,
+                                                                  again.parts)
+        builds[self] += 1
+        return built
+
+    monkeypatch.setattr(engine._RoundBuilder, "_placement", placement)
+    monkeypatch.setattr(engine._RoundBuilder, "build", checked)
+    rng = random.Random(27)
+    problems = [_chain(5, False), _chain(5, True), _pair_chain(3)]
+    problems += [_random_first_order_set(rng) for _ in range(40)]
+    # no deadline, so that the run's builds and the fresh ones see the same clock
+    config = EngineConfig(max_rounds=4, fallback_enabled=False, time_budget=float("inf"))
+    for problem in problems:
+        if not problem.is_propositional:
+            prove(problem, config)
+    assert max(builds.values()) > 1 and placed_again[True] > 0
 
 
 def test_a_propositional_build_closes_only_the_state_it_returns(monkeypatch, ex41):
@@ -321,8 +383,8 @@ def test_a_propositional_build_closes_only_the_state_it_returns(monkeypatch, ex4
     real_close, real_best = engine.close, engine._RoundBuilder._best_closure
     monkeypatch.setattr(engine, "close", lambda *args: closes.append(args) or real_close(*args))
 
-    def best_closure(self, state, scored=None):
-        best = real_best(self, state, scored)
+    def best_closure(self, state):
+        best = real_best(self, state)
         judged.append(best)
         return best
 

@@ -1,5 +1,7 @@
 import ast
 import random
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,49 @@ def test_bruteforce_variable_cap():
         is_unsatisfiable_bruteforce(wide)
     # raising the cap admits the sweep; all-false satisfies immediately
     assert not is_unsatisfiable_bruteforce(wide, variable_cap=30)
+
+
+def _first_model_by_enumeration(s):
+    """The first model in truth-table order: variable i, in order of first
+    occurrence, is bit i of the assignment's number."""
+    names = s.predicates()
+    for number in range(1 << len(names)):
+        model = {name: bool(number >> i & 1) for i, name in enumerate(names)}
+        if all(any(model[lit.predicate] == lit.positive for lit in clause.literals)
+               for clause in s.clauses):
+            return model
+    return None
+
+
+def test_the_bit_column_sweep_finds_the_first_model_in_truth_table_order():
+    rng = random.Random(34)
+    sets = [clause_set([]), clause_set([[]]), clause_set([[pos("p")], []])]
+    for _ in range(400):
+        names = [f"v{i}" for i in range(rng.randint(1, 10))]
+        bodies = [[(pos if rng.random() < 0.5 else neg)(name)
+                   for name in rng.sample(names, rng.randint(1, min(3, len(names))))]
+                  for _ in range(rng.randint(1, 4 * len(names)))]
+        if rng.random() < 0.05:
+            bodies.insert(rng.randrange(len(bodies) + 1), [])
+        sets.append(clause_set(bodies))
+    answers, sizes = Counter(), set()
+    for s in sets:
+        model = find_model_bruteforce(s)
+        assert model == _first_model_by_enumeration(s)
+        answers[model is None] += 1
+        sizes.add(len(s.predicates()))
+    assert answers[True] and answers[False] and sizes == set(range(11))
+
+
+def test_the_bit_column_sweep_answers_a_24_variable_set_within_a_second():
+    # satisfied only by the last assignment of the sweep: every variable true
+    names = [f"v{i}" for i in range(24)]
+    s = clause_set([[pos(name), neg(other)] for name, other in zip(names, names[1:] + names[:1])]
+                   + [[pos("v0")]])
+    started = time.perf_counter()
+    model = find_model_bruteforce(s)
+    assert time.perf_counter() - started < 1.0
+    assert model == dict.fromkeys(names, True)
 
 
 def test_verify_model_basic():

@@ -262,7 +262,7 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
         keyed = builder._extensions(state)
         expected = dict(reference_ranking(builder.working, state))  # least key first
         assert min((key for key, *_ in keyed), default=None) == next(iter(expected), None)
-        for key, build, _ in keyed:
+        for key, build in keyed:
             built, placed = build(), expected[key]
             assert ((built.columns[-1].clause_id, built.columns[-1].boundary_source)
                     == (placed.columns[-1].clause_id, placed.columns[-1].boundary_source))
@@ -568,11 +568,11 @@ def test_closings_are_the_distinct_closed_states_of_every_seed():
     for _ in range(500):
         state, clause = _random_open_state(rng), _random_clause(rng, 9)
         expected = list(_reference_closings(state, clause))
-        closings = list(engine._closings(state, clause))
+        placed = rename_clause(clause, len(state.columns) + 1)
+        closings = list(engine._closings(state, placed))
         built = [(s.columns, s.sigma) for s in closings]
         assert len(set(built)) == len(built)
         assert built == list(dict.fromkeys((s.columns, s.sigma) for s in expected))
-        placed = rename_clause(clause, len(state.columns) + 1)
         seeds = [seed for seed in (mgu(lit, b.complement()) for lit in placed.literals
                                    for b in state.boundary) if seed]
         if len(state.boundary) >= 2:
@@ -598,22 +598,40 @@ def _reference_prune(state: Triangle) -> Triangle:
                                  if i not in drop), current.sigma)
 
 
+def _random_closed_states(rng, first_order):
+    """Propositional closed states with and without a stair, or first-order
+    ones from the closing generator."""
+    if not first_order:
+        return [random_closed_state(rng, force_stair=rng.random() < 0.5)[0]]
+    state = _random_open_state(rng)
+    return list(engine._closings(state, rename_clause(_random_clause(rng, 9),
+                                                      len(state.columns) + 1)))
+
+
 @settings(FEW, max_examples=100)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_pruning_in_one_pass_is_the_fixpoint_of_repeated_passes(rng, first_order):
-    """On closed states of both logics (propositional ones with and without a
-    stair, first-order ones from the closing generator), one right-to-left
-    pass keeps exactly the columns that the fixpoint loop keeps, and gives
-    the same state, or the state itself when nothing is dropped."""
-    if first_order:
-        states = list(engine._closings(_random_open_state(rng), _random_clause(rng, 9)))
-    else:
-        states = [random_closed_state(rng, force_stair=rng.random() < 0.5)[0]]
-    for state in filter(None, states):
+    """On closed states of both logics, one right-to-left pass keeps exactly
+    the columns that the fixpoint loop keeps, and gives the same state, or
+    the state itself when nothing is dropped."""
+    for state in filter(None, _random_closed_states(rng, first_order)):
         pruned, reference = prune_redundant_columns(state), _reference_prune(state)
         assert (pruned is state) == (reference is state)
         assert (pruned.columns, pruned.sigma) == (reference.columns, reference.sigma)
         assert (pruned.parts, pruned.leftovers) == (reference.parts, reference.leftovers)
+
+
+@settings(FEW, max_examples=100)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_a_pruned_state_is_assembled_as_the_constructor_derives_it(rng, first_order):
+    """The state that pruning assembles from the surviving columns' fields
+    equals, field by field, the one the constructor derives from those
+    columns under the same substitution."""
+    for state in filter(None, _random_closed_states(rng, first_order)):
+        pruned = prune_redundant_columns(state)
+        rebuilt = Triangle(pruned.columns, pruned.sigma)
+        for name in Triangle.__slots__:
+            assert getattr(pruned, name) == getattr(rebuilt, name), name
 
 
 _binary_literals = st.builds(Literal, st.booleans(), st.just("r"), st.tuples(_terms, _terms))
@@ -637,7 +655,8 @@ def test_first_order_resolvents_are_closings_of_one_column_states(a_body, b_body
         b_body = b_body + [a_body[0].complement()]
     b = a if pairing == "self" else Clause(2, b_body)
     a1 = rename_clause(a, 1)
-    closings = [closed for lit in a1.literals for closed in engine._closings(start(a1, lit), b)]
+    b2 = rename_clause(b, 2)
+    closings = [closed for lit in a1.literals for closed in engine._closings(start(a1, lit), b2)]
     assert _first_occurrences(closings) == _first_occurrences(_reference_two_column_rounds(a, b))
 
 
