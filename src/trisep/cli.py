@@ -3,8 +3,8 @@
 Verdicts print as SZS status lines (Unsatisfiable, Satisfiable, GaveUp) with
 the trace document between SZS output markers. Exit codes: 0 a verdict was
 reached, 1 gave up, 2 input error, 3 a trace failed verification (check: the
-given trace; prove: its own trace, reported as SZS status Error instead of
-the verdict).
+given trace; prove: the machine section of the document it prints, read
+back, reported as SZS status Error instead of the verdict).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import sys
 
 from .engine import EngineConfig, prove
 from .errors import ParseError, TrisepError
-from .oracle import OracleError, is_unsatisfiable_bruteforce, propositional_shadow, verify_trace
+from .oracle import (OracleError, VerificationResult, is_unsatisfiable_bruteforce,
+                     propositional_shadow, verify_trace)
 from .logic import ClauseSet, is_ground
 from .problems import load_problem_file
 from .render import SZS_BY_VERDICT, parse_trace_document, render_trace
@@ -36,14 +37,17 @@ def _cmd_prove(args) -> int:
     config = EngineConfig(max_rounds=args.max_rounds, fallback_enabled=args.fallback == "on",
                           time_budget=args.timeout)
     outcome, trace = prove(problem, config)
-    result = verify_trace(problem, trace)
+    note = f"max-rounds={args.max_rounds} fallback={args.fallback} timeout={args.timeout}"
+    document = render_trace(trace, problem=args.problem, config_note=note, verified=True)
+    # certify the document as printed: its machine section, read back
+    try:
+        result = verify_trace(problem, parse_trace_document(document))
+    except ParseError as exc:
+        result = VerificationResult(False, f"the rendered trace does not parse: {exc}")
     if not result:
         print(f"% SZS status Error for {args.problem}")
         print(f"% verification failed: {result.diagnostic}")
         return 3
-    note = f"max-rounds={args.max_rounds} fallback={args.fallback} timeout={args.timeout}"
-    document = render_trace(trace, problem=args.problem, config_note=note,
-                            verified=True)
     if args.trace:  # written before the verdict, so an unwritable path prints none
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(document)

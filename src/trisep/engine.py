@@ -28,12 +28,11 @@ so a propositional round is the first-order one in which every unifier is
 empty: preprocessing, renaming, fall-in and variant keys all reduce to the
 identity or to plain literal sets on ground input. The logic is consulted
 only where a propositional shortcut measurably pays (ranking extension
-candidates, which keys only those that can still rank first and places only
-the winner; scoring closings and judging the best with should_stop on
-literal sets, so that only the closing a build returns is built; and the
-saturation fallback, which works on integer codes) and where only one logic
-has the notion (the atom order of ordered resolution, model extraction and
-the Davis-Putnam model).
+candidates in one pass that keys and places only the winner; scoring
+closings and judging the best with should_stop on literal sets, so that only
+the closing a build returns is built; and the saturation fallback, which
+works on integer codes) and where only one logic has the notion (the atom
+order of ordered resolution, model extraction and the Davis-Putnam model).
 """
 
 from __future__ import annotations
@@ -189,8 +188,8 @@ class _ClauseStore:
     clause whose literals are a subset of C's holds its watched literal,
     which is in C, so scanning the watches of C's literals tests every
     candidate subsumer once. Dicts keyed by clause id keep insertion order
-    and delete in O(1). count_unifiable serves the ranking and should_stop's
-    partner test; its first-order counts are memoized until the store changes.
+    and delete in O(1). count_unifiable serves only should_stop's partner
+    test; its first-order counts are memoized until the store changes.
     """
 
     def __init__(self, clauses: Iterable[Clause] = ()):
@@ -274,21 +273,18 @@ class _RoundBuilder:
 
     Selection order: unit clauses first; then extensions after which some
     clause would close fully absorbed; then extensions leaving the fewest new
-    leftovers; then literals already left above the boundary; then literals
-    whose complement occurs in more clauses; clause id and literal position
-    settle ties, so every key is unique and a build is deterministic. A
-    build stops at the first closing that should_stop accepts, which asks the
-    working set for complement partners.
+    leftovers; clause id and literal position settle ties, so every key is
+    unique and a build is deterministic. A build stops at the first closing
+    that should_stop accepts, which asks the working set for complement
+    partners.
 
     One path serves both logics: a propositional round is the case in which
     every unifier is empty. Two steps take a shortcut on propositional input,
     because the general form costs measurably more there: extension
-    candidates are ranked on literal sets, clause by clause in the order of
-    the least key each clause could reach, only those that can still beat
-    the least key seen are keyed, and only the winner is placed; closing
-    candidates are scored on literal sets, should_stop reads the best one's
-    leftovers and width off those sets, and only the closing that build
-    returns is built.
+    candidates are ranked on literal sets in one pass over the working set,
+    which keys and places only the winner; closing candidates are scored on
+    literal sets, should_stop reads the best one's leftovers and width off
+    those sets, and only the closing that build returns is built.
 
     First-order builds share their work through caches that live as long as
     the builder and are keyed by state identity: each placement (state,
@@ -460,8 +456,9 @@ class _RoundBuilder:
         return (col.clause_id, boundary_idx, variant_key(state.instantiated(index)))
 
     def _set_candidates(self, state: Triangle):
-        """Propositional extensions, keyed on literal sets without placing a
-        clause, as (key, a function that places it), in scan order.
+        """The least propositional extension, keyed on literal sets without
+        placing a clause, as (key, a function that places it); none when no
+        extension is legal.
 
         With lit on the boundary, a column leaves the clause's literals other
         than lit that are not boundary complements; extend raises exactly
@@ -470,57 +467,56 @@ class _RoundBuilder:
         empty separation is one close away exactly when nothing is left over
         and some clause lies within the boundary complements and lit's.
 
-        Only a candidate that can still beat the least key seen so far is
-        keyed. Each clause with a literal outside the boundary complements
-        gets the least (unit, look, new leftovers) its literals could reach,
-        and clauses are scanned in that order, up to the first whose bound
-        exceeds the least key; a literal is skipped when its (unit, look, new
-        leftovers, leftover preference) exceeds it, before its complement is
-        counted. Keys are unique, so the least key keyed is the least of all.
+        So every part of a key before the literal position is fixed by the
+        clause: the new leftovers are the same for each legal literal, and
+        the look-ahead can be 0 only when one literal lies outside the
+        boundary complements. One pass keeps the least (unit, look, new
+        leftovers, clause id) of the clauses with a legal literal, placed on
+        its first legal literal, and probes the look-ahead only for a clause
+        whose bound can still win.
         """
         working = self.working
-        complements, boundary, leftovers = (
-            state.boundary_complements, set(state.boundary), set(state.leftovers))
+        complements, boundary = state.boundary_complements, set(state.boundary)
         repeats = {(col.clause_id, col.boundary_source) for col in state.columns}
-        bounds = []
+        nothing_left = not state.leftovers
+        least, winner = (2,), None  # above every key
         for clause in working:
             new_plus = len(clause.literal_set - complements) - 1
-            if new_plus >= 0:
-                bounds.append((0 if len(clause.literals) == 1 else 1,
-                               1 if leftovers or new_plus else 0, new_plus, clause.id, clause))
-        bounds.sort()
-        least = (2,)  # above every key
-        for bound in bounds:
-            if bound[:3] > least:
-                return
-            unit, look_bound, new_plus, cid, clause = bound
+            if new_plus < 0:
+                continue
+            cid = clause.id
+            key = (0 if len(clause.literals) == 1 else 1,
+                   0 if nothing_left and not new_plus else 1, new_plus, cid)
+            if key > least:
+                continue
             for idx, lit in enumerate(clause.literals):
-                if lit in complements or lit in boundary or (cid, lit) in repeats:
+                if lit not in complements and lit not in boundary and (cid, lit) not in repeats:
+                    break
+            else:
+                continue
+            if not key[1] and not working.subsumes(complements | {lit.complement()}):
+                key = (key[0], 1, new_plus, cid)
+                if key > least:
                     continue
-                look = 0 if not look_bound and working.subsumes(
-                    complements | {lit.complement()}) else 1
-                pref = 0 if lit in leftovers else 1
-                if (unit, look, new_plus, pref) > least:
-                    continue
-                key = (unit, look, new_plus, pref,
-                       -working.count_unifiable(lit.complement()), cid, idx)
-                least = min(least, key)
-                yield key, partial(extend, state, clause, lit)
+            least, winner = key, (clause, idx, lit)
+        if winner is not None:
+            clause, idx, lit = winner
+            yield (*least, idx), partial(extend, state, clause, lit)
 
     def _placed_candidates(self, state: Triangle):
-        """First-order extensions in the shape of _set_candidates, every one
-        keyed. A key depends on the column's unifier, so each candidate is
-        placed here (_place), and its function returns the placed state. A
-        candidate without leftovers is keyed on its least closing, the
-        look-ahead, which _best_closure reads if the candidate wins."""
-        leftovers = set(state.leftovers)
+        """Every first-order extension, keyed, in scan order, in the shape of
+        _set_candidates. A key depends on the column's unifier, so each
+        candidate is placed here (_place), and its function returns the
+        placed state. A candidate without leftovers is keyed on its least
+        closing, the look-ahead, which _best_closure reads if the candidate
+        wins."""
         signatures = self._signatures.get(state)
         if signatures is None:
             signatures = self._signatures[state] = {
                 self._column_signature(state, i) for i in range(len(state.columns))}
         for clause in self.working:
             unit = 0 if len(clause) == 1 else 1
-            for idx, lit in enumerate(clause.literals):
+            for idx in range(len(clause)):
                 placement = self._place(state, clause, idx)
                 if placement is None or placement[1] in signatures:
                     continue
@@ -530,16 +526,14 @@ class _RoundBuilder:
                 # away: its best closing leaves nothing over
                 least = None if candidate.leftovers else self._least_closure(candidate)
                 look = 0 if least and least[0][0] == 0 else 1
-                key = (unit, look, len(candidate.d_plus(new_col)), 0 if lit in leftovers else 1,
-                       -self.working.count_unifiable(lit.complement()), clause.id, idx)
+                key = (unit, look, len(candidate.d_plus(new_col)), clause.id, idx)
                 yield key, lambda candidate=candidate: candidate
 
     def _extensions(self, state: Triangle) -> List[Tuple[tuple, Callable[[], Triangle]]]:
         """The keyed extensions of state, in scan order, as (key, a function
         that builds the extended state). Key: (unit, look-ahead, new leftover
-        count, leftover preference, -complement count, clause id, literal
-        position). Keys are unique, and the least one ranks best; a
-        propositional scan keys only the candidates that can still be least."""
+        count, clause id, literal position). Keys are unique, and the least
+        one ranks best; a propositional scan keys only the least."""
         return list(self._set_candidates(state) if self.prop else self._placed_candidates(state))
 
     # -- main ---------------------------------------------------------------

@@ -133,13 +133,17 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
 # -- in-place substitution strategies -------------------------------------------
 
 
-def fall_in(state: Triangle, max_affected: int = 2) -> Triangle:
+# fall_in rejects a pull that would instantiate more than this many other columns
+MAX_AFFECTED_COLUMNS = 2
+
+
+def fall_in(state: Triangle) -> Triangle:
     """Pull leftover literals into the contradiction by further instantiation.
 
     Greedy to a fixpoint: each accepted substitution unifies one leftover
     with a boundary complement and is applied to the whole state. A candidate
-    is rejected when it would instantiate more than max_affected other
-    columns, or when the resulting state breaks an invariant.
+    is rejected when it would instantiate more than MAX_AFFECTED_COLUMNS
+    other columns, or when the resulting state breaks an invariant.
     """
     current = state
     progress = True
@@ -156,7 +160,7 @@ def fall_in(state: Triangle, max_affected: int = 2) -> Triangle:
                     affected = sum(
                         1 for j in range(len(current.columns)) if j != i
                         and not variable_names(current.instantiated(j)).isdisjoint(unifier.domain))
-                    if affected > max_affected:
+                    if affected > MAX_AFFECTED_COLUMNS:
                         continue
                     try:
                         candidate = Triangle(current.columns,

@@ -275,17 +275,30 @@ def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
     """Certify every round of a proof trace (trisep.engine.ProofTrace, or one
     parsed by trisep.render) as a contradiction-separation step.
 
-    Checks per round: cited clauses are inputs or earlier separated clauses;
-    each column's pre-instantiation literals are a (positional) variant of the
-    cited clause; the recorded partition re-derives from the substitution and
-    is disjoint with a nonempty inside part; the inside parts pass the
-    brute-force standard-contradiction check (grounded first); the separated
-    clause is exactly the union of the leftovers, under a fresh id; and the
-    columns were placed in a legal order: each inside part holds only its own
-    boundary literal and complements of earlier columns' boundary literals.
-    Finally the verdict must be unsatisfiable, satisfiable or unknown, match
-    the last round, come with a model exactly when it is satisfiable, and
-    come with a reason only when it is unknown.
+    Checks per round, column by column: cited clauses are inputs or earlier
+    separated clauses; each column's pre-instantiation literals are a
+    (positional) variant of the cited clause; the recorded partition
+    re-derives from the substitution and is disjoint with a nonempty inside
+    part; and the column was placed in a legal order: its inside part holds
+    only its own boundary literal and complements of earlier columns'
+    boundary literals. Then the inside parts pass the brute-force
+    standard-contradiction check (grounded first), and the separated clause
+    is exactly the union of the leftovers, under a fresh id. Finally the
+    verdict must be unsatisfiable, satisfiable or unknown, match the last
+    round, come with a model exactly when it is satisfiable, and come with a
+    reason only when it is unknown.
+
+    The order check comes before the contradiction check because it bounds
+    that check's search, which is exponential on inside parts in general.
+    Lemma: if every column passes the order check and the round has a
+    closing column, which has no boundary literal, then the inside parts are
+    a standard contradiction, and the search follows one path. For take any
+    tuple: it picks some ~b_j in the closing column. Column j picked either
+    b_j, which makes a pair, or some ~b_k with k < j; descend this way, and
+    column 1 can pick only b_1. The same argument shows that each column's
+    only open choice is its own boundary literal, so every other choice is
+    pruned at once. The search is kept as the independent check of the
+    paper's definition.
     """
     registry: Dict[int, Clause] = {c.id: c for c in clause_set.clauses}
 
@@ -298,7 +311,6 @@ def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
             return fail(number, "state is not closed")
         sigma = state.sigma
         earlier = set()  # complements of the boundary literals placed so far
-        misplaced = None  # the first column whose inside part breaks the order
         for pos, col in enumerate(state.columns):
             origin = registry.get(col.clause_id)
             if origin is None:
@@ -316,8 +328,9 @@ def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
                 return fail(number, f"column {pos + 1} partition does not match the "
                                     "instantiated clause")
             own = set(_instantiate(sigma, (col.boundary_source,) if col.boundary_source else ()))
-            if misplaced is None and not d_minus <= own | earlier:
-                misplaced = pos + 1
+            if not d_minus <= own | earlier:
+                return fail(number, f"column {pos + 1} holds an inside literal that is neither "
+                                    "its boundary literal nor the complement of an earlier one")
             earlier |= {lit.complement() for lit in own}
         inside = [Clause(i + 1, state.d_minus(i)) for i in range(len(state.columns))]
         if not shadow_contradiction_check(inside):
@@ -326,9 +339,6 @@ def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
             return fail(number, "separated clause does not equal the leftover union")
         if record.csc.id in registry:
             return fail(number, f"separated clause id {record.csc.id} already used")
-        if misplaced is not None:
-            return fail(number, f"column {misplaced} holds an inside literal that is neither "
-                                "its boundary literal nor the complement of an earlier one")
         registry[record.csc.id] = record.csc
 
     if trace.model is not None and trace.verdict != SATISFIABLE:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from .dimacs import parse_dimacs
 from .logic import ClauseSet
@@ -26,14 +26,12 @@ def detect_format(text: str) -> str:
 
 @dataclass(frozen=True)
 class ProblemSource:
-    """A problem as read: the raw text, its format, the parsed clauses, and
-    the external-name -> internal-symbol table (DIMACS integers map onto the
-    x<i> predicates; TPTP names are their own symbols)."""
+    """A problem as read: the raw text, its format, the parsed clauses and
+    the path it was read from, if any."""
 
     text: str
     format: str
     clauses: ClauseSet
-    symbols: Dict[str, str]
     path: Optional[str] = None
 
 
@@ -42,13 +40,11 @@ def load_problem(text: str, fmt: str = "auto", path: Optional[str] = None) -> Pr
         fmt = detect_format(text)
     if fmt == DIMACS:
         clauses = parse_dimacs(text)
-        symbols = {name[1:]: name for name in clauses.predicates()}
     elif fmt == TPTP_CNF:
         clauses = parse_tptp_cnf(text)
-        symbols = {name: name for name in clauses.predicates()}
     else:
         raise ValueError(f"unknown problem format {fmt!r}")
-    return ProblemSource(text, fmt, clauses, symbols, path)
+    return ProblemSource(text, fmt, clauses, path)
 
 
 def load_problem_file(path: str, fmt: str = "auto") -> ProblemSource:

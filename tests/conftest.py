@@ -139,7 +139,6 @@ def reference_ranking(working, state):
                    for i in range(new)):
                 continue
             unit = 0 if len(clause) == 1 else 1
-            comp = sum(1 for c in working if lit.complement() in c.literal_set)
             closings = []
             for other in working:
                 try:
@@ -147,8 +146,7 @@ def reference_ranking(working, state):
                 except ConstructionError:
                     pass
             look = 0 if any(not closed.csc for closed in closings) else 1
-            pref = 0 if lit in state.leftovers else 1
-            key = (unit, look, len(placed.d_plus(new)), pref, -comp, clause.id, idx)
+            key = (unit, look, len(placed.d_plus(new)), clause.id, idx)
             scored.append((key, placed))
     scored.sort(key=lambda item: item[0])
     return scored

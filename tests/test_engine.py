@@ -29,6 +29,8 @@ from trisep import (
     pos,
     preprocess,
     prove,
+    render_dimacs,
+    render_tptp,
     start,
     verify_model,
     verify_trace,
@@ -224,7 +226,7 @@ def test_the_saturation_clause_cap_ends_the_fallback(monkeypatch, ex43):
     ([("p", "p")], EngineConfig(time_budget=30.0)),
     ([("p", "p")], EngineConfig(max_rounds=0, time_budget=30.0)),
     # rounds alone: the first round past the bound stalls the main loop
-    ([("p", "q"), ("q", "p")], EngineConfig(fallback_enabled=False, time_budget=30.0)),
+    ([("q", "p"), ("p", "q")], EngineConfig(fallback_enabled=False, time_budget=30.0)),
 ])
 def test_the_term_depth_bound_ends_an_infinite_chain(monkeypatch, steps, config):
     # p(a), p(f(a)), p(f(f(a))), ... never end; the engine admits no term
@@ -592,10 +594,11 @@ def _pair_chain(k):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "84b036192228204e7a712d81f6a9eda127e3c64ad41f9db13ad379395eb3380f"
+GOLDEN_TRACE_DIGEST = "d8aeb133ffc1faeeea4bd6b8e0299bb9ef27b951bf2ff26ed77761ec133987b0"
 
 
-def _golden_digest(ex51, ex52, ex53):
+def _golden_runs(ex51, ex52, ex53):
+    """The golden problems, each with its engine config."""
     rng = random.Random(4711)
     runs = [(random_instance(rng, max_vars=7, max_clauses=10),
              EngineConfig(time_budget=30.0))
@@ -612,8 +615,12 @@ def _golden_digest(ex51, ex52, ex53):
     runs += [(_pair_chain(k), fallback_only) for k in (3, 4)]
     runs += [(random_instance(rng, max_vars=7, max_clauses=10), EngineConfig(time_budget=30.0))
              for _ in range(30)]
+    return runs
+
+
+def _golden_digest(ex51, ex52, ex53):
     digest = hashlib.sha256()
-    for s, config in runs:
+    for s, config in _golden_runs(ex51, ex52, ex53):
         _, trace = prove(s, config)
         digest.update(render_trace(trace).encode("utf-8"))
     return digest.hexdigest()
@@ -621,6 +628,18 @@ def _golden_digest(ex51, ex52, ex53):
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     assert _golden_digest(ex51, ex52, ex53) == GOLDEN_TRACE_DIGEST
+
+
+def test_check_accepts_every_document_that_prove_writes_on_the_golden_problems(
+        ex51, ex52, ex53, tmp_path, capsys):
+    for number, (s, config) in enumerate(_golden_runs(ex51, ex52, ex53)):
+        problem, trace_path = tmp_path / f"{number}.in", tmp_path / f"{number}.trace"
+        problem.write_text(render_dimacs(s) if s.is_propositional else render_tptp(s))
+        cli_main(["prove", str(problem), "--quiet", "--trace", str(trace_path),
+                  "--max-rounds", str(config.max_rounds), "--timeout", str(config.time_budget)])
+        assert "SZS status Error" not in capsys.readouterr().out
+        assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
+        assert "verified" in capsys.readouterr().out
 
 
 def test_traces_do_not_depend_on_hashing(monkeypatch, request):

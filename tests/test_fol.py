@@ -22,7 +22,7 @@ from trisep import (
 )
 from trisep.engine import _ClauseStore
 from trisep.errors import ConstructionError
-from trisep.fol import variant_key
+from trisep.fol import MAX_AFFECTED_COLUMNS, variant_key
 from trisep.logic import variable_names
 from trisep.oracle import positional_variant
 from conftest import fn, pulled_close, pulled_extend
@@ -243,25 +243,32 @@ def test_fall_in_fixpoint_without_candidates(ex51):
     assert fall_in(state) is state
 
 
-def test_fall_in_respects_inverse_substitution_width():
-    # after the explicit sigmas, columns 2 and 3 share x and y with column 1;
-    # pulling ~P(a,k2,k3) onto the boundary complement binds x, touching two
-    # other columns: allowed at the default width, rejected when narrowed
+def _width_probe(sharing):
+    """P(x, y, z) on the boundary, then `sharing` columns whose explicit
+    sigmas bind their variable to x, then a column that leaves ~P(a, k2, k3)
+    over. Pulling that leftover onto ~P(x, y, z) binds x, y and z, so it
+    instantiates column 1 and every sharing column."""
     x, y, z, w = (Variable(n) for n in "xyzw")
-    a = Constant("a")
     state = start(Clause(1, [pos("P", x, y, z)]), pos("P", x, y, z))
-    state = extend(state, Clause(2, [pos("Q", Variable("u")), pos("R", Variable("u"))]),
-                   pos("Q", Variable("u")), sigma=Substitution({"u": x}))
-    state = extend(state, Clause(3, [pos("S", Variable("v")), pos("T", Variable("v"))]),
-                   pos("S", Variable("v")), sigma=Substitution({"v": x}))
-    state = extend(state, Clause(4, [pos("W", w),
-                                     neg("P", a, Variable("k2"), Variable("k3"))]),
-                   pos("W", w), sigma=Substitution())
-    assert neg("P", a, Variable("k2"), Variable("k3")) in state.d_plus(3)
-    fallen = fall_in(state, max_affected=3)
-    assert fallen.d_plus(3) == ()
-    unchanged = fall_in(state, max_affected=1)
-    assert unchanged.d_plus(3) != ()
+    for k in range(sharing):
+        u = Variable(f"u{k}")
+        state = extend(state, Clause(2 + k, [pos(f"Q{k}", u), pos(f"R{k}", u)]),
+                       pos(f"Q{k}", u), sigma=Substitution({u.name: x}))
+    leftover = neg("P", Constant("a"), Variable("k2"), Variable("k3"))
+    state = extend(state, Clause(2 + sharing, [pos("W", w), leftover]), pos("W", w),
+                   sigma=Substitution())
+    assert state.d_plus(sharing + 1) == (leftover,)
+    return state
+
+
+def test_fall_in_respects_inverse_substitution_width():
+    # a pull that touches two other columns is kept, one that touches three
+    # is rejected
+    assert MAX_AFFECTED_COLUMNS == 2
+    kept = _width_probe(1)
+    assert fall_in(kept).d_plus(2) == ()
+    rejected = _width_probe(2)
+    assert fall_in(rejected) is rejected
 
 
 def test_fall_in_never_grows_the_leftovers():

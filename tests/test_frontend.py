@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -528,6 +529,27 @@ def test_cli_prove_never_prints_a_verdict_its_own_check_rejected(tmp_path, capsy
     assert not trace_path.exists()
 
 
+@pytest.mark.parametrize("fault, diagnostic", [
+    (("VERDICT\tunsatisfiable\n", ""), "the rendered trace does not parse: "),
+    (("VERDICT\tunsatisfiable", "VERDICT\tsatisfiable"), "satisfiable verdict without a model"),
+])
+def test_cli_prove_certifies_the_document_it_prints(tmp_path, capsys, monkeypatch, fault,
+                                                    diagnostic):
+    # a rendering fault that the engine's own trace would not show: prove
+    # verifies the machine section it prints, read back
+    problem = tmp_path / "ex41.cnf"
+    problem.write_text(EX41_DIMACS)
+    trace_path = tmp_path / "out.trace"
+    monkeypatch.setattr("trisep.cli.render_trace",
+                        lambda *args, **kwargs: render_trace(*args, **kwargs).replace(*fault))
+    code = cli_main(["prove", str(problem), "--trace", str(trace_path)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert f"% SZS status Error for {problem}" in out
+    assert f"% verification failed: {diagnostic}" in out
+    assert "Unsatisfiable" not in out and not trace_path.exists()
+
+
 def test_cli_check_verifies_written_trace(tmp_path, capsys):
     problem = tmp_path / "ex41.cnf"
     problem.write_text(EX41_DIMACS)
@@ -582,6 +604,29 @@ def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, cap
     assert "verified: 1 round(s)" in capsys.readouterr().out
 
 
+def test_cli_check_rejects_a_misplaced_wide_round_before_searching_it(tmp_path, capsys):
+    # x1, k - 1 two-literal clauses on fresh atoms, and ~x1, with one round
+    # whose middle columns hold their clauses whole as inside parts: the
+    # contradiction search alone would try each of the 2^(k-1) tuples, so
+    # the construction-order check must reject column 2 first
+    k = 40
+    problem, trace_path = tmp_path / "hostile.cnf", tmp_path / "hostile.trace"
+    problem.write_text(f"p cnf {2 * k - 1} {k + 1}\n1 0\n"
+                       + "".join(f"{2 * j} {2 * j + 1} 0\n" for j in range(1, k)) + "-1 0\n")
+    columns = ["COL\t1\t1\tB\tx1\t-\tx1\tx1\t-"]
+    columns += [f"COL\t{j + 1}\t{j + 1}\tB\tx{2 * j}\t-\tx{2 * j};x{2 * j + 1}"
+                f"\tx{2 * j};x{2 * j + 1}\t-" for j in range(1, k)]
+    columns.append(f"COL\t{k + 1}\t{k + 1}\tC\t-\t-\t~x1\t~x1\t-")
+    bound = ";".join(["x1"] + [f"x{2 * j}" for j in range(1, k)])
+    trace_path.write_text(_trace_document("ROUND\t1", *columns, f"BOUND\t{bound}",
+                                          f"CSC\t{k + 2}\t-", "VERDICT\tunsatisfiable"))
+    started = time.perf_counter()
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert ("verification failed: round 1: column 2 holds an inside literal that is neither "
+            "its boundary literal nor the complement of an earlier one") in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("problem_text, records, diagnostic", [
     (UNIT_PAIR_DIMACS, _tampered(1, "COL\t1\t2\tB\tx1\t-\tx1\tx1\t-"),
      "round 1: column 1 is not a variant of clause 2"),
@@ -590,9 +635,13 @@ def test_cli_check_verifies_a_round_wider_than_the_recursion_limit(tmp_path, cap
     (UNIT_PAIR_DIMACS, _tampered(1, "COL\t1\t1\tB\tx1\t-\tx1\t-\tx1"),
      "round 1: column 1 has an empty inside part"),
     # {x1} and {x2} are consistent: the columns are well formed, yet their
-    # inside parts x1 and x2 contradict nothing
+    # inside parts x1 and x2 contradict nothing; the closing column's x2
+    # complements no boundary literal, so the order check rejects it before
+    # the contradiction search runs, and no round that passes the order
+    # check fails the search (see verify_trace)
     ("p cnf 2 2\n1 0\n2 0\n", _tampered(2, "COL\t2\t2\tC\t-\t-\tx2\tx2\t-"),
-     "round 1: inside parts are not a standard contradiction"),
+     "round 1: column 2 holds an inside literal that is neither its boundary literal nor the "
+     "complement of an earlier one"),
     (UNIT_PAIR_DIMACS, _tampered(4, "CSC\t1\t-"), "round 1: separated clause id 1 already used"),
     (UNIT_PAIR_DIMACS, ["VERDICT\tunsatisfiable"],
      "verdict unsatisfiable with no rounds and no empty input clause"),
@@ -721,13 +770,11 @@ def test_problem_source_carries_symbols(tmp_path):
     from trisep import load_problem, load_problem_file
     source = load_problem("p cnf 2 1\n1 -2 0\n")
     assert source.format == "dimacs"
-    assert source.symbols == {"1": "x1", "2": "x2"}
     path = tmp_path / "q.p"
     path.write_text("cnf(c1, axiom, (p | ~q)).")
     source = load_problem_file(str(path))
     assert source.format == "tptp-cnf"
     assert source.path == str(path)
-    assert set(source.symbols) == {"p", "q"}
 
 
 def test_scripted_round_on_parsed_tptp_clauses():

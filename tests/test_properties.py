@@ -27,6 +27,8 @@ from trisep import (
     EngineConfig,
     Function,
     Literal,
+    ProofTrace,
+    RoundRecord,
     Triangle,
     Variable,
     clause_set,
@@ -50,6 +52,7 @@ from trisep import (
     render_dimacs,
     render_tptp,
     render_trace,
+    shadow_contradiction_check,
     start,
     verify_model,
     verify_trace,
@@ -59,6 +62,7 @@ from trisep.engine import _ClauseStore, _OrderedResolution
 from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError
 from trisep.logic import merge_duplicate_literals, variable_names
+from trisep.render import RawState
 from trisep.triangle import EMPTY_STATE, _derive_column
 from trisep.unify import EMPTY, apply_literal
 from conftest import random_closed_state, reference_ranking
@@ -247,11 +251,10 @@ def test_greedy_pull_agrees_with_instantiating_the_boundary_sources():
 @example([[neg("p"), neg("q")], [neg("p"), pos("q")], [neg("q"), pos("p")]])
 def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
     """Along the states that successive winners reach, the round builder's
-    set-based scan keys the least candidate that placing every candidate
-    ranks first, and every key it returns is the key placing gives that
-    candidate; each returned function builds that candidate's column, no
-    keyed candidate completes a complementary pair, and the winner's
-    function builds extend(state, clause, lit)."""
+    set-based scan keys one candidate, the least that placing every
+    candidate ranks first, with the key placing gives it; its function
+    builds that candidate's column, which completes no complementary pair,
+    and is extend(state, clause, lit)."""
     problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
     inputs = preprocess(problem)
     if not inputs.clauses:
@@ -261,7 +264,7 @@ def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
     for _ in range(builder.max_columns):
         keyed = builder._extensions(state)
         expected = dict(reference_ranking(builder.working, state))  # least key first
-        assert min((key for key, *_ in keyed), default=None) == next(iter(expected), None)
+        assert [key for key, _ in keyed] == list(expected)[:1]
         for key, build in keyed:
             built, placed = build(), expected[key]
             assert ((built.columns[-1].clause_id, built.columns[-1].boundary_source)
@@ -720,6 +723,46 @@ def test_the_fallback_starts_from_the_admitted_clauses(bodies, config):
     # prove decided without the fallback, which max_rounds=0 allows only
     # when preprocessing leaves nothing to saturate
     assert config.max_rounds or not preprocess(problem).clauses
+
+
+# -- the trace checker ----------------------------------------------------------
+
+_ORDER_DIAGNOSTIC = ("round 1: column {} holds an inside literal that is neither its boundary "
+                     "literal nor the complement of an earlier one")
+
+
+@FEW
+@given(st.data(), st.sampled_from([_propositional_literals, _first_order_literals]))
+def test_a_round_in_construction_order_is_a_standard_contradiction(data, literals):
+    """verify_trace's lemma: when every inside part of a closed round holds
+    only its own boundary literal and complements of earlier boundary
+    literals, the inside parts are a standard contradiction, and
+    verify_trace accepts the round; with a stray literal out of that order,
+    verify_trace names the first misplaced column. Each column's input
+    clause is its inside part, under the empty substitution."""
+    boundary = data.draw(st.lists(literals, min_size=1, max_size=8))
+    complements = [lit.complement() for lit in boundary]
+    parts = [[lit] + data.draw(st.lists(st.sampled_from(complements[:j]), max_size=3))
+             if j else [lit] for j, lit in enumerate(boundary)]
+    parts.append(data.draw(st.lists(st.sampled_from(complements), min_size=1, max_size=3)))
+    for j, lit in data.draw(st.lists(st.tuples(st.integers(0, len(boundary)), literals),
+                                     max_size=2)):
+        parts[j].append(lit)
+    parts = [merge_duplicate_literals(part) for part in parts]
+    n = len(parts)
+    columns = [Column(j + 1, part, boundary[j] if j < len(boundary) else None,
+                      closing=j == len(boundary)) for j, part in enumerate(parts)]
+    state = RawState(columns, [EMPTY] * n, parts, [()] * n)
+    trace = ProofTrace((RoundRecord(state, Clause(n + 1, ())),), "unsatisfiable")
+    result = verify_trace(ClauseSet([Clause(j + 1, part) for j, part in enumerate(parts)]),
+                          trace)
+    misplaced = next((j + 1 for j, part in enumerate(parts)
+                      if not set(part) <= set(boundary[j:j + 1] + complements[:j])), None)
+    if misplaced is None:
+        assert result.ok
+        assert shadow_contradiction_check([Clause(j + 1, part) for j, part in enumerate(parts)])
+    else:
+        assert result.diagnostic == _ORDER_DIAGNOSTIC.format(misplaced)
 
 
 # -- parsers on arbitrary text -------------------------------------------------

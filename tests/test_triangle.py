@@ -319,14 +319,11 @@ def test_extract_model_ignores_stair_coverage():
 
 def ranked(state, s):
     """(clause id, boundary literal) of each extension, best first, as the
-    reference ranking places them. The round builder keys only candidates
-    that can still rank first: its least key must be the reference's first,
-    and every key it returns one of the reference's."""
+    reference ranking places them. The round builder keys only the least
+    candidate, whose key must be the reference's first."""
     builder = _RoundBuilder(s, s, float("inf"))
     expected = reference_ranking(builder.working, state)
-    keys = [key for key, *_ in builder._extensions(state)]
-    assert min(keys) == expected[0][0]
-    assert set(keys) <= {key for key, _ in expected}
+    assert [key for key, _ in builder._extensions(state)] == [expected[0][0]]
     return [(p.columns[-1].clause_id, p.columns[-1].boundary_source) for _, p in expected]
 
 
@@ -335,25 +332,14 @@ def test_select_candidates_unit_first(ex41):
     assert order[0] == (1, pos("p1"))
 
 
-def test_select_candidates_prefers_leftover_literals():
-    s = clause_set([[pos("p"), pos("y")], [pos("y"), pos("w"), pos("k")],
-                    [neg("y"), neg("w"), neg("k")]])
-    state = start(s.clauses[0], pos("p"))  # leaves y above the boundary
-    order = ranked(state, s)
-    _, literal = order[0]
-    assert literal == pos("y")
-    # and the clause-2 copy of y outranks every non-leftover literal
-    assert order.index((2, pos("y"))) < order.index((2, pos("w")))
-
-
-def test_select_candidates_tie_breaks_by_clause_id_then_complement_count():
-    s = clause_set([[pos("a"), pos("c")], [pos("a"), pos("d")], [neg("a")]])
+def test_select_candidates_tie_breaks_by_clause_id_then_position():
+    s = clause_set([[pos("c"), pos("a")], [pos("a"), pos("d")], [neg("a")]])
     order = ranked(EMPTY_STATE, s)
     assert order[0] == (3, neg("a"))  # the unit leads
     assert order.index((1, pos("a"))) < order.index((2, pos("a")))  # id tie-break
-    # ~a occurs in a clause and ~c in none: the complement count, not the
-    # literal position, puts a ahead of c
-    assert order.index((1, pos("a"))) < order.index((1, pos("c")))
+    # ~a occurs in a clause and ~c in none, yet the literal position alone
+    # puts c ahead of a
+    assert order.index((1, pos("c"))) < order.index((1, pos("a")))
 
 
 def test_select_candidates_filters_boundary_violations():
@@ -362,19 +348,6 @@ def test_select_candidates_filters_boundary_violations():
     order = ranked(state, s)
     assert all(lit != neg("p") for _, lit in order)
     assert all(lit != pos("p") for _, lit in order)  # no boundary literal repeats
-
-
-def test_select_candidates_unsat_prefers_frequent_complement():
-    s = clause_set([
-        [pos("a"), pos("b")],
-        [neg("a")],
-        [neg("a"), pos("c")],
-        [neg("b"), pos("d")],
-    ])
-    order = ranked(EMPTY_STATE, s)
-    non_unit = [(cid, lit) for cid, lit in order if len(s.by_id(cid)) > 1]
-    # ~a occurs in two clauses, ~b in one: a outranks b within clause 1
-    assert non_unit.index((1, pos("a"))) < non_unit.index((1, pos("b")))
 
 
 # -- randomized construction (generators shared via conftest) --------------------------
