@@ -178,21 +178,17 @@ class Clause:
     is what subsumption and duplicate detection want.
     """
 
-    __slots__ = ("id", "literals", "_literal_set", "_hash")
+    __slots__ = ("id", "literals", "literal_set", "_hash")
 
     def __init__(self, cid: int, literals: Iterable[Literal]):
         merged = merge_duplicate_literals(literals)
         object.__setattr__(self, "id", cid)
         object.__setattr__(self, "literals", merged)
-        object.__setattr__(self, "_literal_set", frozenset(merged))
-        object.__setattr__(self, "_hash", hash(self._literal_set))
+        object.__setattr__(self, "literal_set", frozenset(merged))
+        object.__setattr__(self, "_hash", hash(self.literal_set))
 
     def __setattr__(self, name, value):
         raise AttributeError("Clause is immutable")
-
-    @property
-    def literal_set(self) -> frozenset:
-        return self._literal_set
 
     def is_empty(self) -> bool:
         return not self.literals
@@ -209,7 +205,7 @@ class Clause:
     def __eq__(self, other):
         if not isinstance(other, Clause):
             return NotImplemented
-        return self._literal_set == other._literal_set
+        return self.literal_set == other.literal_set
 
     def __hash__(self):
         return self._hash

@@ -15,12 +15,12 @@ TPTP_CNF = "tptp-cnf"
 
 def detect_format(text: str) -> str:
     for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("c ", "%")) or stripped == "c":
+        # DIMACS comment and header lines start with the word c or p, which
+        # any whitespace may end
+        words = line.split(maxsplit=1)
+        if not words or words[0] == "c" or words[0][0] == "%":
             continue
-        if stripped.startswith("p "):
-            return DIMACS
-        return TPTP_CNF
+        return DIMACS if words[0] == "p" else TPTP_CNF
     return DIMACS
 
 

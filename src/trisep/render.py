@@ -13,12 +13,12 @@ depends on case conventions.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional
 
 from .errors import ParseError
-from .logic import (MAX_TERM_DEPTH, Clause, Constant, Function, Literal, Variable,
-                    merge_duplicate_literals, variable_names)
+from .logic import (Clause, Constant, Literal, Variable, merge_duplicate_literals,
+                    variable_names)
+from .tptp import TRACE_SPELLING, TermReader
 from .triangle import Column
 from .unify import Substitution, apply_literal
 from .engine import ProofTrace, RoundRecord
@@ -46,61 +46,10 @@ def format_literal(lit: Literal) -> str:
     return f"{'' if lit.positive else '~'}{lit.predicate}{args}"
 
 
-_NAME = re.compile(r"[A-Za-z0-9_$#@']+")
-
-
-class _TermScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message):
-        raise ParseError(f"{message} in {self.text!r} at offset {self.pos}")
-
-    def eat(self, char: str) -> bool:
-        if self.pos < len(self.text) and self.text[self.pos] == char:
-            self.pos += 1
-            return True
-        return False
-
-    def name(self) -> str:
-        match = _NAME.match(self.text, self.pos)
-        if not match:
-            self.error("expected a name")
-        self.pos = match.end()
-        return match.group()
-
-    def arguments(self, depth: int) -> tuple:
-        """The parenthesized terms after a name, at depth; () when none follow."""
-        if not self.eat("("):
-            return ()
-        args = [self.term(depth)]
-        while self.eat(","):
-            args.append(self.term(depth))
-        if not self.eat(")"):
-            self.error("expected ')'")
-        return tuple(args)
-
-    def term(self, depth: int = 1):
-        if depth > MAX_TERM_DEPTH:
-            self.error(f"term nested deeper than {MAX_TERM_DEPTH}")
-        if self.eat("?"):
-            return Variable(self.name())
-        name = self.name()
-        args = self.arguments(depth + 1)
-        return Function(name, args) if args else Constant(name)
-
-    def literal(self) -> Literal:
-        positive = not self.eat("~")
-        name = self.name()
-        return Literal(positive, name, self.arguments(1))
-
-
 def parse_literal_text(text: str) -> Literal:
-    scanner = _TermScanner(text.strip())
-    lit = scanner.literal()
-    if scanner.pos != len(scanner.text):
-        scanner.error("trailing input")
+    reader = TermReader(text.strip(), TRACE_SPELLING)
+    lit = Literal(not reader.eat("~"), reader.name(), reader.arguments(1))
+    reader.end()
     return lit
 
 
@@ -128,11 +77,9 @@ def _parse_sigma(field: str, names: frozenset) -> Substitution:
             raise ParseError(f"variable {name} bound twice in {field!r}")
         if name[1:] not in names:
             raise ParseError(f"{name} is bound, but the column's source literals do not hold it")
-        scanner = _TermScanner(text)
-        term = scanner.term()
-        if scanner.pos != len(scanner.text):
-            scanner.error("trailing input")
-        bindings[name[1:]] = term
+        reader = TermReader(text, TRACE_SPELLING)
+        bindings[name[1:]] = reader.term()
+        reader.end()
     return Substitution(bindings)
 
 

@@ -4,154 +4,164 @@ Lowercase leading letters give functors and constants, uppercase or
 underscore give variables. Roles are ignored; include directives are
 rejected. $false stands for the empty clause; every other $-prefixed
 predicate, $true among them, is rejected, as is a negated $false.
+
+TermReader reads the term grammar that these problems share with trace
+documents (see render), in either spelling.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
 
 from .errors import ParseError
 from .logic import MAX_TERM_DEPTH, Clause, ClauseSet, Constant, Function, Literal, Variable
 
-_TOKEN = re.compile(r"""
-    (?P<comment>%[^\n]*)
-  | (?P<name>[A-Za-z0-9_$]+)
-  | (?P<punct>[(),.|~])
-  | (?P<space>\s+)
-  | (?P<bad>.)
-""", re.VERBOSE)
+
+def _spelling(name: str, variable: str, blank: str) -> tuple:
+    """One spelling of terms: the patterns of a name and of a variable
+    (group 1) or name (group 2), each taking along the blanks that follow it,
+    and the pattern of those blanks, None when a spelling allows none."""
+    return (re.compile(f"({name}){blank}"), re.compile(f"(?:{variable}|({name})){blank}"),
+            re.compile(blank) if blank else None)
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
-    tokens = []
-    line = 1
-    col = 1
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line=line, column=col)
-        if kind not in ("space", "comment"):
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-    return tokens
+# blanks and % comments may separate tokens; a variable starts uppercase or '_'
+TPTP_SPELLING = _spelling(r"[A-Za-z0-9_$]+", r"([A-Z_][A-Za-z0-9_$]*)", r"(?:\s+|%[^\n]*)*")
+# no blanks; names may also hold #, @ and ' (renamed variables); a variable has a '?' sigil
+TRACE_SPELLING = _spelling(r"[A-Za-z0-9_$#@']+", r"\?([A-Za-z0-9_$#@']+)", "")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+class TermReader:
+    """Reads names, terms and punctuation from text in one spelling; pos is
+    always where the next token starts. An error in a TPTP text names the
+    line and column of that start, and an expected token the one found
+    there; one in a trace field names the field and the offset, and the
+    trace parser adds the record's line."""
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def __init__(self, text: str, spelling: tuple):
+        self.text = text
+        self.names, self.terms, self.blank = spelling
+        self.pos = self.blank.match(text).end() if self.blank else 0
 
-    def next(self):
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return token
+    def error(self, message: str, at: int = None):
+        at = self.pos if at is None else at
+        if self.blank is None:  # a trace field: one line, no blanks
+            raise ParseError(f"{message} in {self.text!r} at offset {at}")
+        raise ParseError(message, line=self.text.count("\n", 0, at) + 1,
+                         column=at - self.text.rfind("\n", 0, at))
 
-    def expect(self, value: str):
-        kind, got, line, col = self.next()
-        if got != value:
-            raise ParseError(f"expected {value!r}, found {got!r}", line=line, column=col)
+    def expected(self, what: str):
+        if self.blank is not None:  # a TPTP error also names the token it found
+            token = self.names.match(self.text, self.pos)
+            found = token[1] if token else self.text[self.pos:self.pos + 1]
+            what += f", found {found!r}" if found else ", found the end of the input"
+        self.error(f"expected {what}")
 
-    def parse_arguments(self, depth: int) -> tuple:
+    def eat(self, char: str) -> bool:
+        if self.pos < len(self.text) and self.text[self.pos] == char:
+            self.pos += 1
+            if self.blank:
+                self.pos = self.blank.match(self.text, self.pos).end()
+            return True
+        return False
+
+    def expect(self, char: str):
+        if not self.eat(char):
+            self.expected(repr(char))
+
+    def end(self):
+        if self.pos != len(self.text):
+            self.error("trailing input")
+
+    def name(self, what: str = "a name") -> str:
+        match = self.names.match(self.text, self.pos)
+        if match is None:
+            self.expected(what)
+        self.pos = match.end()
+        return match[1]
+
+    def arguments(self, depth: int) -> tuple:
         """The parenthesized terms after a name, at depth; () when none follow."""
-        token = self.peek()
-        if token is None or token[1] != "(":
+        if not self.eat("("):
             return ()
-        self.expect("(")
-        args = [self.parse_term(depth)]
-        while self.peek() is not None and self.peek()[1] == ",":
-            self.expect(",")
-            args.append(self.parse_term(depth))
+        args = [self.term(depth)]
+        while self.eat(","):
+            args.append(self.term(depth))
         self.expect(")")
         return tuple(args)
 
-    def parse_term(self, depth: int = 1):
-        kind, name, line, col = self.next()
-        if kind != "name":
-            raise ParseError(f"expected a term, found {name!r}", line=line, column=col)
+    def term(self, depth: int = 1):
         if depth > MAX_TERM_DEPTH:
-            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH}",
-                             line=line, column=col)
-        if name[0].isupper() or name[0] == "_":
-            return Variable(name)
-        args = self.parse_arguments(depth + 1)
+            self.error(f"term nested deeper than {MAX_TERM_DEPTH}")
+        match = self.terms.match(self.text, self.pos)
+        if match is None:
+            self.expected("a name")
+        self.pos = match.end()
+        variable, name = match.groups()
+        if variable is not None:
+            return Variable(variable)
+        args = self.arguments(depth + 1)
         return Function(name, args) if args else Constant(name)
 
-    def parse_literal(self):
-        positive = True
-        while self.peek() is not None and self.peek()[1] == "~":
-            self.expect("~")
-            positive = not positive
-        kind, name, line, col = self.next()
-        if kind != "name":
-            raise ParseError(f"expected a predicate, found {name!r}", line=line, column=col)
-        if name == "$false":
-            if not positive:
-                raise ParseError("negated $false is not supported", line=line, column=col)
-            return None  # contributes nothing: the empty disjunct
-        if name[0] == "$":
-            raise ParseError(f"predicate {name!r} is not supported", line=line, column=col)
-        if name[0].isupper() or name[0] == "_":
-            raise ParseError(f"predicate {name!r} must start lowercase", line=line, column=col)
-        return Literal(positive, name, self.parse_arguments(1))
 
-    def parse_disjunct(self, depth: int) -> List[Literal]:
-        if self.peek() is not None and self.peek()[1] == "(":
-            _, _, line, col = self.next()
+def _literal(reader: TermReader) -> list:
+    """A literal as a list, empty for $false; any number of '~' may precede it."""
+    positive = True
+    while reader.eat("~"):
+        positive = not positive
+    at = reader.pos
+    name = reader.name("a predicate")
+    if name == "$false":
+        if not positive:
+            reader.error("negated $false is not supported", at)
+        return []  # the empty disjunct
+    if name[0] == "$":
+        reader.error(f"predicate {name!r} is not supported", at)
+    if name[0].isupper() or name[0] == "_":
+        reader.error(f"predicate {name!r} must start lowercase", at)
+    return [Literal(positive, name, reader.arguments(1))]
+
+
+def _disjunction(reader: TermReader, depth: int = 1) -> list:
+    """Literals and parenthesized disjunctions, joined by '|'."""
+    literals = []
+    while True:
+        at = reader.pos
+        if reader.eat("("):
             if depth > MAX_TERM_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_TERM_DEPTH}",
-                                 line=line, column=col)
-            inner = self.parse_clause_body(depth + 1)
-            self.expect(")")
-            return inner
-        lit = self.parse_literal()
-        return [] if lit is None else [lit]
+                reader.error(f"parentheses nested deeper than {MAX_TERM_DEPTH}", at)
+            literals += _disjunction(reader, depth + 1)
+            reader.expect(")")
+        else:
+            literals += _literal(reader)
+        if not reader.eat("|"):
+            return literals
 
-    def parse_clause_body(self, depth: int = 1) -> List[Literal]:
-        literals = self.parse_disjunct(depth)
-        while self.peek() is not None and self.peek()[1] == "|":
-            self.expect("|")
-            literals.extend(self.parse_disjunct(depth))
-        return literals
 
-    def parse_annotated(self):
-        kind, name, line, col = self.next()
-        if name == "include":
-            raise ParseError("include directives are not supported", line=line, column=col)
-        if name != "cnf":
-            raise ParseError(f"expected 'cnf', found {name!r}", line=line, column=col)
-        self.expect("(")
-        self.next()  # clause name
-        self.expect(",")
-        self.next()  # role, ignored
-        self.expect(",")
-        literals = self.parse_clause_body()
-        self.expect(")")
-        self.expect(".")
-        return literals
-
-    def parse_problem(self) -> List[List[Literal]]:
-        out = []
-        while self.peek() is not None:
-            out.append(self.parse_annotated())
-        return out
+def _annotated(reader: TermReader) -> list:
+    at = reader.pos
+    keyword = reader.name("'cnf'")
+    if keyword == "include":
+        reader.error("include directives are not supported", at)
+    if keyword != "cnf":
+        reader.error(f"expected 'cnf', found {keyword!r}", at)
+    reader.expect("(")
+    reader.name("a clause name")
+    reader.expect(",")
+    reader.name("a role")  # ignored
+    reader.expect(",")
+    literals = _disjunction(reader)
+    reader.expect(")")
+    reader.expect(".")
+    return literals
 
 
 def parse_tptp_cnf(text: str) -> ClauseSet:
-    bodies = _Parser(text).parse_problem()
-    clauses = [Clause(i + 1, body) for i, body in enumerate(bodies)]
-    return ClauseSet(clauses)
+    reader = TermReader(text, TPTP_SPELLING)
+    bodies = []
+    while reader.pos < len(text):
+        bodies.append(_annotated(reader))
+    return ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
 
 
 _LEGAL_FUNCTOR = re.compile(r"^[a-z][A-Za-z0-9_]*$")

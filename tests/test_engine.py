@@ -642,6 +642,28 @@ def test_check_accepts_every_document_that_prove_writes_on_the_golden_problems(
         assert "verified" in capsys.readouterr().out
 
 
+def test_propositional_shortcuts_render_the_general_paths_traces(ex51, ex52, ex53, monkeypatch):
+    # _RoundBuilder ranks and closes propositional candidates on literal sets
+    # (its two self.prop branches); placing every candidate under its empty
+    # unifier, as first-order input is, must build the same rounds
+    rng = random.Random(1729)
+    runs = [(s, config) for s, config in _golden_runs(ex51, ex52, ex53)
+            if s.is_propositional and config.max_rounds]
+    runs += [(random_instance(rng, max_vars=8, max_clauses=14), FAST) for _ in range(40)]
+    shortcut = [render_trace(prove(s, config)[1]) for s, config in runs]
+    builders = []
+    init = engine._RoundBuilder.__init__
+
+    def general(self, *args):
+        init(self, *args)
+        self.prop = False
+        builders.append(self)
+
+    monkeypatch.setattr(engine._RoundBuilder, "__init__", general)
+    assert [render_trace(prove(s, config)[1]) for s, config in runs] == shortcut
+    assert len(builders) == len(runs)
+
+
 def test_traces_do_not_depend_on_hashing(monkeypatch, request):
     """The golden traces, which include fallback-only 3-SAT runs, stay the
     same when every term's hash is salted and under two string-hash seeds:

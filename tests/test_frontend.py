@@ -34,6 +34,7 @@ from trisep import (
 from trisep.cli import main as cli_main
 from trisep.errors import ArityError, ParseError
 from trisep.logic import MAX_TERM_DEPTH
+from trisep.render import parse_literal_text
 
 
 # -- DIMACS -----------------------------------------------------------------------
@@ -151,6 +152,37 @@ def test_parse_tptp_errors():
         parse_tptp_cnf("cnf(c1, axiom, (p | )).")
     with pytest.raises(ArityError):
         parse_tptp_cnf("cnf(c1, axiom, p(a)).\ncnf(c2, axiom, p(a, b)).")
+
+
+@pytest.mark.parametrize("text", ["cnf(|, axiom, p).", "cnf((, axiom, p).", "cnf(c, |, p)."])
+def test_parse_tptp_takes_only_names_as_clause_names_and_roles(text):
+    # any token used to be read there, so each of these parsed as {p}
+    with pytest.raises(ParseError):
+        parse_tptp_cnf(text)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("cnf(c1, axiom, p).\n  cnf(c2,  |, p).", "line 2, column 12"),
+    ("cnf(c1, axiom, p(a b)).", "line 1, column 20"),
+    ("cnf(c1, axiom, % a note\n   p(a b)).", "line 2, column 8"),
+    ("cnf(c1, axiom, p).\n\tfof(c2, axiom, p).", "line 2, column 2"),
+    ("cnf(c1, axiom, p(a, $oops#)).", "line 1, column 26"),
+])
+def test_parse_tptp_errors_name_where_the_offending_token_starts(text, where):
+    with pytest.raises(ParseError, match=re.escape(f"({where})")):
+        parse_tptp_cnf(text)
+
+
+def test_neither_spelling_takes_the_others_liberties():
+    # one reader reads both: a trace literal holds no blank, since it would
+    # render back without it, and a TPTP name holds no '#', '@' or "'"
+    for text in ("p( a)", "p(a, b)", "~ p", "p(?X )", "p (a)"):
+        with pytest.raises(ParseError):
+            parse_literal_text(text)
+    assert str(parse_literal_text(" p(a,?X#1) ")) == "p(a,X#1)"
+    for name in ("a#b", "a@b", "a'b"):
+        with pytest.raises(ParseError):
+            parse_tptp_cnf(f"cnf(c1, axiom, p({name})).")
 
 
 def test_tptp_round_trip(ex51):
@@ -738,6 +770,22 @@ def test_cli_format_autodetection(tmp_path, capsys):
     assert "Unsatisfiable" in capsys.readouterr().out
 
 
+def test_dimacs_comment_and_header_words_end_at_any_whitespace(tmp_path, capsys):
+    # "c<TAB>..." and "p<TAB>cnf" used to select TPTP, so prove exited 2 with
+    # "expected 'cnf'"
+    from trisep import load_problem
+    from trisep.problems import detect_format
+    text = "c\tgenerated\np cnf 1 1\n1 0\n"
+    assert load_problem(text).format == "dimacs"
+    assert load_problem("p\tcnf 1 1\n1 0\n").format == "dimacs"
+    assert detect_format("c\n% skipped\ncnf(c1, axiom, p).\n") == "tptp-cnf"
+    assert load_problem("cnf(c1, axiom, p).\n").format == "tptp-cnf"
+    problem = tmp_path / "tab.cnf"
+    problem.write_text(text)
+    assert cli_main(["prove", str(problem)]) == 0
+    assert "SZS status Satisfiable" in capsys.readouterr().out
+
+
 def test_cli_term_at_the_depth_bound_proves_and_rechecks(tmp_path, capsys):
     problem = tmp_path / "deep.p"
     deep = _nested(MAX_TERM_DEPTH)
@@ -766,7 +814,7 @@ def test_console_entry_point_installed():
 # -- problem sources -----------------------------------------------------------------
 
 
-def test_problem_source_carries_symbols(tmp_path):
+def test_problem_source_carries_its_format_and_path(tmp_path):
     from trisep import load_problem, load_problem_file
     source = load_problem("p cnf 2 1\n1 -2 0\n")
     assert source.format == "dimacs"

@@ -64,6 +64,11 @@ def test_clause_equality_ignores_literal_order_and_id():
     c2 = Clause(9, [pos("q"), pos("p")])
     assert c1 == c2 and hash(c1) == hash(c2)
     assert c1.literals == (pos("p"), pos("q"))  # rendering order is deterministic
+    # the literal set is a plain slot, and written once: hash and equality read it
+    assert c1.literal_set == frozenset([pos("p"), pos("q")])
+    with pytest.raises(AttributeError):
+        c1.literal_set = frozenset()
+    assert c1.literal_set == c2.literal_set
 
 
 def test_empty_clause_is_permitted():

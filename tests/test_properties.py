@@ -6,8 +6,8 @@ saturation fallback's resolvents against the rounds they stand for and the
 clauses it starts from, its coded propositional path against ordered
 resolution on literal sets, the closing generator against one that closes
 every seed, prove against the brute-force oracle, the parsers on arbitrary
-text, and TPTP render/parse round trips. Example counts stay low so the
-suite stays fast."""
+text, TPTP render/parse round trips, and the term reader in both
+spellings. Example counts stay low so the suite stays fast."""
 
 import heapq
 import random
@@ -60,9 +60,10 @@ from trisep import (
 from trisep import engine
 from trisep.engine import _ClauseStore, _OrderedResolution
 from trisep.fol import variant_key
-from trisep.errors import ConstructionError, ParseError
-from trisep.logic import merge_duplicate_literals, variable_names
-from trisep.render import RawState
+from trisep.errors import ConstructionError, ParseError, TrisepError
+from trisep.logic import MAX_TERM_DEPTH, merge_duplicate_literals, variable_names
+from trisep.render import RawState, format_literal, parse_literal_text
+from trisep.tptp import render_literal_tptp
 from trisep.triangle import EMPTY_STATE, _derive_column
 from trisep.unify import EMPTY, apply_literal
 from conftest import random_closed_state, reference_ranking
@@ -845,3 +846,38 @@ def test_tptp_round_trip(bodies):
     parsed = parse_tptp_cnf(render_tptp(clauses))
     assert ([(c.id, c.literals) for c in parsed.clauses]
             == [(c.id, c.literals) for c in clauses.clauses])
+
+
+_legal_functors = st.from_regex(r"[a-z][A-Za-z0-9_]{0,4}", fullmatch=True)
+_legal_terms = st.recursive(
+    st.one_of(st.builds(Constant, _legal_functors),
+              st.builds(Variable, st.from_regex(r"[A-Z_][A-Za-z0-9_]{0,4}", fullmatch=True))),
+    lambda inner: st.builds(Function, _legal_functors,
+                            st.lists(inner, min_size=1, max_size=3).map(tuple)),
+    max_leaves=6)
+_legal_literals = st.builds(Literal, st.booleans(), _legal_functors,
+                            st.lists(_legal_terms, max_size=3).map(tuple))
+
+
+@FEW
+@given(_legal_literals)
+def test_one_reader_reads_a_literal_back_in_both_spellings(lit):
+    # the trace spelling (? sigil, no blanks) and the TPTP spelling (case
+    # tells variables, blanks between tokens) read one term grammar
+    try:
+        unit = ClauseSet([Clause(1, [lit])])
+    except TrisepError:  # one name drawn at two arities, or as a variable and a constant
+        assume(False)
+    assert parse_literal_text(format_literal(lit)) == lit
+    assert parse_tptp_cnf(render_tptp(unit)).clauses[0].literals == (lit,)
+    deep = "f(" * MAX_TERM_DEPTH + "a" + ")" * MAX_TERM_DEPTH  # 129 deep as an argument
+
+    def read_tptp(text):
+        return parse_tptp_cnf(f"cnf(c1, axiom, {text}).")
+
+    for text, read in ((format_literal(lit), parse_literal_text),
+                       (render_literal_tptp(lit), read_tptp)):
+        unclosed = text[:-1] if lit.args else text + "("
+        for bad in (f"{lit.predicate}({deep})", unclosed, text + ")"):
+            with pytest.raises(ParseError):
+                read(bad)
