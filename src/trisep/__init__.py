@@ -27,6 +27,9 @@ from .logic import (
 )
 from .unify import Substitution, apply, compose, mgu, rename_apart, rename_clause
 from .oracle import (
+    Column,
+    ProofTrace,
+    RoundRecord,
     is_standard_contradiction,
     is_unsatisfiable_bruteforce,
     propositional_shadow,
@@ -37,7 +40,6 @@ from .oracle import (
     verify_trace,
 )
 from .triangle import (
-    Column,
     Triangle,
     close,
     extend,
@@ -56,8 +58,6 @@ from .engine import (
     EngineConfig,
     LinearDeduction,
     Outcome,
-    ProofTrace,
-    RoundRecord,
     linear_resolvent,
     linear_to_etc,
     prove,

@@ -61,7 +61,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_check(args) -> int:
     problem = load_problem_file(args.problem, args.format).clauses
-    with open(args.trace, "r", encoding="utf-8") as handle:
+    with open(args.trace, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
         trace = parse_trace_document(handle.read())
     result = verify_trace(problem, trace)
     if result:

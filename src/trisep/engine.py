@@ -55,7 +55,8 @@ from .logic import (
     merge_duplicate_literals,
     too_deep,
 )
-from .oracle import SATISFIABLE, UNKNOWN, UNSATISFIABLE, Assignment, complete_model, verify_model
+from .oracle import (SATISFIABLE, UNKNOWN, UNSATISFIABLE, Assignment, ProofTrace, RoundRecord,
+                     complete_model, verify_model)
 from .triangle import (
     EMPTY_STATE,
     Triangle,
@@ -90,24 +91,6 @@ class Outcome:
     @property
     def satisfiable(self):
         return self.verdict == SATISFIABLE
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    state: Triangle
-    csc: Clause
-
-    @property
-    def clause_ids_used(self) -> tuple:
-        return self.state.clause_ids()
-
-
-@dataclass(frozen=True)
-class ProofTrace:
-    rounds: tuple
-    verdict: str
-    model: Optional[Assignment] = None
-    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Independent brute-force ground truth, and the trace checker built on it.
+"""Independent brute-force ground truth, the trace records, and the trace
+checker built on them.
 
 Everything here is deliberately naive: contradiction checking enumerates
 literal tuples, satisfiability enumerates assignments, and verify_trace
 re-derives every column with this module's one term walk. None of it shares
 logic with the construction engine (this module imports only trisep.logic and
-trisep.errors), so it can certify the engine's output.
+trisep.errors), so it can certify the engine's output. The records that the
+engine writes and trisep.render reads back (Column, RoundRecord, ProofTrace)
+are defined here, so that checking a parsed trace runs no engine code.
 """
 
 from __future__ import annotations
@@ -186,16 +189,18 @@ def propositional_shadow(clauses: Iterable[Clause]) -> List[Clause]:
 
 def _replace(literals: Iterable[Literal], var: Callable[[Variable], object]) -> tuple:
     """The literals with each variable v replaced by var(v); a literal without
-    arguments passes through. This is the module's one term walk, so that no
-    fault in the engine's substitution code can reach the checks that certify
-    its rounds. It recurses: the parsers bound every source literal and every
-    binding at MAX_TERM_DEPTH, so the literals walked here, instantiated ones
-    included, are at most twice that (256 levels) deep."""
+    arguments, and a term without variables, passes through unrebuilt (a
+    term's variable names are fixed when it is built). This is the module's
+    one term walk, so that no fault in the engine's substitution code can
+    reach the checks that certify its rounds. It recurses: the parsers bound
+    every source literal and every binding at MAX_TERM_DEPTH, so the literals
+    walked here, instantiated ones included, are at most twice that (256
+    levels) deep."""
 
     def walk(term):
         if isinstance(term, Variable):
             return var(term)
-        if isinstance(term, Function):
+        if isinstance(term, Function) and term.variable_names:
             return Function(term.name, tuple(walk(a) for a in term.args))
         return term
 
@@ -251,8 +256,40 @@ def shadow_contradiction_check(clauses: Iterable[Clause]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trace verification
+# Trace records and their verification
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Column:
+    """One selected clause. boundary_source is None for stair and closing columns."""
+
+    clause_id: int
+    source_literals: tuple
+    boundary_source: Optional[Literal] = None
+    closing: bool = False
+
+
+@dataclass(frozen=True)
+class RoundRecord:
+    """One round: its closed state (a trisep.triangle.Triangle, or a
+    trisep.render.RawState read back from a trace document) and the clause
+    it separated."""
+
+    state: object
+    csc: Clause
+
+    @property
+    def clause_ids_used(self) -> tuple:
+        return tuple(col.clause_id for col in self.state.columns)
+
+
+@dataclass(frozen=True)
+class ProofTrace:
+    rounds: tuple
+    verdict: str
+    model: Optional[Assignment] = None
+    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -272,8 +309,8 @@ def complete_model(model: Assignment, clause_set: ClauseSet) -> Assignment:
 
 
 def verify_trace(clause_set: ClauseSet, trace) -> VerificationResult:
-    """Certify every round of a proof trace (trisep.engine.ProofTrace, or one
-    parsed by trisep.render) as a contradiction-separation step.
+    """Certify every round of a ProofTrace, as prove returns it or as
+    trisep.render parses it, as a contradiction-separation step.
 
     Checks per round, column by column: cited clauses are inputs or earlier
     separated clauses; each column's pre-instantiation literals are a

@@ -48,5 +48,6 @@ def load_problem(text: str, fmt: str = "auto", path: Optional[str] = None) -> Pr
 
 
 def load_problem_file(path: str, fmt: str = "auto") -> ProblemSource:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read a UTF-8 problem file; a leading byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return load_problem(handle.read(), fmt, path=path)

@@ -18,10 +18,8 @@ from typing import Dict, List, Optional
 from .errors import ParseError
 from .logic import (Clause, Constant, Literal, Variable, merge_duplicate_literals,
                     variable_names)
+from .oracle import Column, ProofTrace, RoundRecord, _instantiate
 from .tptp import TRACE_SPELLING, TermReader
-from .triangle import Column
-from .unify import Substitution, apply_literal
-from .engine import ProofTrace, RoundRecord
 
 SZS_BY_VERDICT = {
     "unsatisfiable": "Unsatisfiable",
@@ -57,17 +55,19 @@ def _format_literals(literals) -> str:
     return ";".join(format_literal(l) for l in literals) if literals else "-"
 
 
-def _format_sigma(sigma: Substitution) -> str:
-    if sigma.is_empty():
-        return "-"
-    return ";".join(f"?{name}:={format_term(term)}"
-                    for name, term in sorted(sigma.items()))
+def _format_sigma(sigma, binding="?{}:={}", term=format_term, sep=";", empty="-") -> str:
+    """A substitution (any mapping) as its bindings sorted by variable name,
+    spelled as in a COL record unless told otherwise."""
+    if not sigma:
+        return empty
+    return sep.join(binding.format(name, term(t)) for name, t in sorted(sigma.items()))
 
 
-def _parse_sigma(field: str, names: frozenset) -> Substitution:
-    """A column's substitution, which may bind only the variables in names."""
+def _parse_sigma(field: str, names: frozenset) -> dict:
+    """A column's substitution, which may bind only the variables in names;
+    an identity binding is dropped, and a cyclic one rejected."""
     if field == "-":
-        return Substitution()
+        return {}
     bindings = {}
     for part in field.split(";"):
         if ":=" not in part or not part.startswith("?"):
@@ -80,7 +80,12 @@ def _parse_sigma(field: str, names: frozenset) -> Substitution:
         reader = TermReader(text, TRACE_SPELLING)
         bindings[name[1:]] = reader.term()
         reader.end()
-    return Substitution(bindings)
+    for name, term in list(bindings.items()):
+        if isinstance(term, Variable) and term.name == name:  # binds nothing
+            del bindings[name]
+        elif name in term.variable_names:
+            raise ValueError(f"binding {name} -> {term} fails the occurs check")
+    return bindings
 
 
 # -- tabular rendering ---------------------------------------------------------
@@ -118,9 +123,10 @@ def render_round_table(state) -> str:
 
     headers = [_column_label(state, i) for i in render_order]
     sigma_row = None
-    if not state.sigma.is_empty() or any(
+    if state.sigma or any(
             a for i in columns for l in state.columns[i].source_literals for a in l.args):
-        sigma_row = [f"s={state.column_sigma(i)}" for i in render_order]
+        sigma_row = ["s={" + _format_sigma(state.column_sigma(i), "{} -> {}", str, ", ", "") + "}"
+                     for i in render_order]
     table_rows = [headers] + ([sigma_row] if sigma_row else []) + grid
     widths = [max(len(row[c]) for row in table_rows) for c in range(len(render_order))]
     lines = []
@@ -201,27 +207,28 @@ def render_trace(trace: ProofTrace, problem: str = "", config_note: str = "",
 class RawState:
     """A parsed round state: recorded partitions are authoritative, the
     contradiction and partition checks in verify_trace recompute the rest.
-    The round's substitution merges the column substitutions, each of which
-    must be that substitution restricted to its column's variables, as a
-    rendered state's are; raises ParseError otherwise."""
+    The round's substitution merges the column substitutions (mappings from
+    variable names to terms, kept as dicts), each of which must be that
+    substitution restricted to its column's variables, as a rendered state's
+    are; raises ParseError otherwise."""
 
     def __init__(self, columns, column_sigmas, d_minus_parts, d_plus_parts):
         self.columns = tuple(columns)
-        self._column_sigmas = tuple(column_sigmas)
+        self._column_sigmas = tuple(dict(sub.items()) for sub in column_sigmas)
         self._d_minus = tuple(d_minus_parts)
         self._d_plus = tuple(d_plus_parts)
         self.closed = sum(col.closing for col in self.columns) == 1
-        self.sigma = Substitution({name: term for sub in self._column_sigmas
-                                   for name, term in sub.items()})
+        self.sigma = {name: term for sub in self._column_sigmas for name, term in sub.items()}
         for pos, (col, sub) in enumerate(zip(self.columns, self._column_sigmas), start=1):
-            merged = self.sigma.restrict(variable_names(col.source_literals))
+            merged = {name: self.sigma[name] for name in variable_names(col.source_literals)
+                      if name in self.sigma}
             if merged != sub:  # two columns bind a variable they share differently
                 raise ParseError(f"COL {pos} records {_format_sigma(sub)}, but its round's "
                                  f"substitution gives {_format_sigma(merged)}")
-        self.boundary = tuple(apply_literal(self.sigma, col.boundary_source)
-                              for col in self.columns if col.boundary_source is not None)
+        self.boundary = _instantiate(self.sigma, (col.boundary_source for col in self.columns
+                                                  if col.boundary_source is not None))
 
-    def column_sigma(self, index) -> Substitution:
+    def column_sigma(self, index) -> dict:
         return self._column_sigmas[index]
 
     def d_minus(self, index):
@@ -233,9 +240,6 @@ class RawState:
     @property
     def csc(self):
         return merge_duplicate_literals(l for part in self._d_plus for l in part)
-
-    def clause_ids(self):
-        return tuple(col.clause_id for col in self.columns)
 
 
 def parse_trace_document(text: str) -> ProofTrace:
@@ -266,7 +270,7 @@ def parse_trace_document(text: str) -> ProofTrace:
     current_round = None
     state = None  # the current round's, made at its BOUND record
     columns: List[Column] = []
-    sigmas: List[Substitution] = []
+    sigmas: List[dict] = []
     d_minus_parts: List[tuple] = []
     d_plus_parts: List[tuple] = []
     verdict = None

@@ -3,7 +3,8 @@
 Lowercase leading letters give functors and constants, uppercase or
 underscore give variables. Roles are ignored; include directives are
 rejected. $false stands for the empty clause; every other $-prefixed
-predicate, $true among them, is rejected, as is a negated $false.
+predicate, $true among them, is rejected, as is a negated $false, and so
+are equality literals (s = t and s != t).
 
 TermReader reads the term grammar that these problems share with trace
 documents (see render), in either spelling.
@@ -117,9 +118,13 @@ def _literal(reader: TermReader) -> list:
         return []  # the empty disjunct
     if name[0] == "$":
         reader.error(f"predicate {name!r} is not supported", at)
+    args = reader.arguments(1)
+    # before the lowercase rule, which X = a breaks too
+    if reader.text.startswith(("=", "!="), reader.pos):
+        reader.error("equality is not supported")
     if name[0].isupper() or name[0] == "_":
         reader.error(f"predicate {name!r} must start lowercase", at)
-    return [Literal(positive, name, reader.arguments(1))]
+    return [Literal(positive, name, args)]
 
 
 def _disjunction(reader: TermReader, depth: int = 1) -> list:

@@ -29,24 +29,13 @@ boundary), and so is when to stop growing a construction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import ConstructionError
 from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals, variable_names
-from .oracle import Assignment
+from .oracle import Assignment, Column
 from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose
-
-
-@dataclass(frozen=True)
-class Column:
-    """One selected clause. boundary_source is None for stair and closing columns."""
-
-    clause_id: int
-    source_literals: tuple
-    boundary_source: Optional[Literal] = None
-    closing: bool = False
 
 
 def _derive_column(pos: int, col: Column, sigma: Substitution, complements, closed: bool):

@@ -642,6 +642,31 @@ def test_check_accepts_every_document_that_prove_writes_on_the_golden_problems(
         assert "verified" in capsys.readouterr().out
 
 
+def test_checking_a_parsed_trace_runs_no_prover_code(ex51, ex52, ex53):
+    # the de Bruijn criterion: the checker must not trust the code whose
+    # output it certifies, so no call made while parsing and verifying a
+    # document may land in a module that builds rounds
+    documents = [(s, render_trace(prove(s, config)[1]))
+                 for s, config in _golden_runs(ex51, ex52, ex53)]
+    assert any(not s.is_propositional and ":=" in text and "VERDICT\tunsatisfiable" in text
+               for s, text in documents)  # a first-order refutation that binds a variable
+    prover = {"trisep.engine", "trisep.triangle", "trisep.fol", "trisep.unify"}
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") in prover:
+            entered[frame.f_globals["__name__"], frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        results = [verify_trace(s, parse_trace_document(text)) for s, text in documents]
+    finally:
+        sys.setprofile(previous)
+    assert all(results)
+    assert not entered
+
+
 def test_propositional_shortcuts_render_the_general_paths_traces(ex51, ex52, ex53, monkeypatch):
     # _RoundBuilder ranks and closes propositional candidates on literal sets
     # (its two self.prop branches); placing every candidate under its empty

@@ -154,6 +154,22 @@ def test_parse_tptp_errors():
         parse_tptp_cnf("cnf(c1, axiom, p(a)).\ncnf(c2, axiom, p(a, b)).")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("cnf(a, axiom, a = b).", "line 1, column 17"),
+    ("cnf(a, axiom, p(X) | f(X) != a).", "line 1, column 27"),
+    ("cnf(a, axiom,\n    ~ X = Y).", "line 2, column 9"),
+], ids=["equal", "not-equal", "variables"])
+def test_parse_tptp_says_equality_is_unsupported_where_it_stands(tmp_path, capsys, text, where):
+    # it used to read "expected ')', found '='"
+    with pytest.raises(ParseError, match=re.escape(f"equality is not supported ({where})")):
+        parse_tptp_cnf(text)
+    problem = tmp_path / "equality.p"
+    problem.write_text(text)
+    assert cli_main(["prove", str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert "SZS status" not in captured.out and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("text", ["cnf(|, axiom, p).", "cnf((, axiom, p).", "cnf(c, |, p)."])
 def test_parse_tptp_takes_only_names_as_clause_names_and_roles(text):
     # any token used to be read there, so each of these parsed as {p}
@@ -417,6 +433,23 @@ def test_trace_parser_rejects_columns_that_bind_a_shared_variable_differently(tm
     # columns that agree on the variable they share still verify
     trace_path.write_text(_shared_variable_refutation("?X:=a"))
     assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
+
+
+CHAIN_TPTP = ("cnf(c1, axiom, p(a)).\ncnf(c2, axiom, ~p(X) | p(f(X))).\n"
+              "cnf(c3, axiom, ~p(f(f(a)))).\n")
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ("?X#3:=f(?X#3)", "malformed COL record: binding X#3 -> f(X#3) fails the occurs check"),
+    ("?X#3:=?X#3", "BOUND record other than its round's boundary literals"),
+], ids=["cyclic", "identity"])
+def test_trace_parser_rejects_a_cyclic_binding_and_drops_an_identity_one(sigma, message):
+    # an identity binding is no binding, so column 3's boundary literal stays
+    # ~p(?X#3), which the BOUND record does not list
+    document = render_trace(prove(parse_tptp_cnf(CHAIN_TPTP))[1])
+    assert "\t?X#3:=f(a)\t" in document
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_trace_document(document.replace("\t?X#3:=f(a)\t", f"\t{sigma}\t"))
 
 
 @pytest.mark.parametrize("column, message", [
@@ -823,6 +856,22 @@ def test_problem_source_carries_its_format_and_path(tmp_path):
     source = load_problem_file(str(path))
     assert source.format == "tptp-cnf"
     assert source.path == str(path)
+
+
+@pytest.mark.parametrize("text", ["cnf(c1, axiom, p).\ncnf(c2, axiom, ~p).\n", UNIT_PAIR_DIMACS],
+                         ids=["tptp", "dimacs"])
+def test_a_byte_order_mark_before_a_problem_or_a_trace_is_dropped(tmp_path, capsys, text):
+    # U+FEFF used to be read as the problem's first character, and as part of
+    # a bare machine section's TRACE BEGIN record; both exited 2
+    problem, trace_path = tmp_path / "bom.in", tmp_path / "bom.trace"
+    problem.write_text("\ufeff" + text, encoding="utf-8")
+    assert cli_main(["prove", str(problem), "--quiet", "--trace", str(trace_path)]) == 0
+    assert "SZS status Unsatisfiable" in capsys.readouterr().out
+    document = trace_path.read_text(encoding="utf-8")
+    machine = document[document.index("TRACE\tBEGIN"):]
+    trace_path.write_text("\ufeff" + machine, encoding="utf-8")
+    assert cli_main(["check", str(problem), "--trace", str(trace_path)]) == 0
+    assert "verified" in capsys.readouterr().out
 
 
 def test_scripted_round_on_parsed_tptp_clauses():

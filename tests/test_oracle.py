@@ -249,19 +249,33 @@ def test_verify_trace_rejects_a_trace_built_with_faulty_substitution_code(monkey
     assert not result and "partition does not match" in result.diagnostic
 
 
-def test_the_oracle_imports_only_logic_and_errors():
-    # so it imports nothing from unify, fol, triangle or engine, whose code
-    # builds the rounds it certifies
+def _package_imports(module) -> set:
+    """The trisep modules that module's source imports, as '.name'."""
     imported = set()
-    for node in ast.walk(ast.parse(Path(trisep.oracle.__file__).read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
             imported |= ({base} if node.module else {base + a.name for a in node.names})
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
-    local = {name.replace("trisep.", ".") for name in imported
-             if name.startswith((".", "trisep."))}
-    assert local <= {".logic", ".errors"}
+    return {name.replace("trisep.", ".") for name in imported
+            if name.startswith((".", "trisep."))}
+
+
+def test_the_oracle_imports_only_logic_and_errors():
+    # so it imports nothing from unify, fol, triangle or engine, whose code
+    # builds the rounds it certifies
+    assert _package_imports(trisep.oracle) <= {".logic", ".errors"}
+
+
+def test_the_checker_imports_only_its_trusted_base():
+    # trisep check reads a trace with render, whose terms tptp reads, and
+    # verifies it with the oracle; none of them may reach the prover, even
+    # on a path that no profiled check happens to call
+    from trisep import render, tptp
+    trusted = {".errors", ".logic", ".tptp", ".oracle"}
+    for module in (trisep.oracle, render, tptp):
+        assert _package_imports(module) <= trusted, module.__name__
 
 
 def test_substitution_invariance_of_standard_contradictions():
