@@ -1,9 +1,10 @@
 """DIMACS CNF reading and writing.
 
 Variable i maps to the 0-ary predicate x<i>; negative integers give negative
-literals; duplicate literals within a clause merge. A line starting with %
-ends the clause data (the SATLIB trailer "%" / "0" follows it), and the
-clause count must equal the header's.
+literals; duplicate literals within a clause merge. A comment line's first
+word is c (is_comment); a line starting with % ends the clause data (the
+SATLIB trailer "%" / "0" follows it), and the clause count must equal the
+header's.
 """
 
 from __future__ import annotations
@@ -15,13 +16,20 @@ from .errors import ParseError
 from .logic import Clause, ClauseSet, Literal
 
 
+def is_comment(line: str) -> bool:
+    """Whether line is a DIMACS comment: its first word is c, which any
+    whitespace may end. A line such as "comment" or "cnf(...)" is not one,
+    so a TPTP clause is never skipped as a comment."""
+    return line.lstrip()[:2].rstrip() == "c"
+
+
 def parse_dimacs(text: str) -> ClauseSet:
     header = None
     clauses: List[Clause] = []
     pending: List[Literal] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or is_comment(line):
             continue
         if line.startswith("%"):
             break

@@ -8,20 +8,23 @@ that stalls (no closed state, or a separated clause that is a known variant,
 a tautology or subsumed by the working set) ends the loop: a two-column
 saturation (binary resolution as the k=2 special case, with subsumption)
 continues from the admitted clauses, settles propositional inputs and makes
-a bounded best effort on first-order ones. On propositional input it is
-ordered resolution: a pair is resolved only on the atom that comes first in
-both clauses under one atom order, along which the Davis-Putnam model is then
-built. It runs on integer-coded clauses (bitmasks of positive and negative
+a bounded best effort on first-order ones. Both logics run its one
+given-clause loop, _saturate, which holds the selection, the deadline, the
+clause cap, subsumption and the proof chain; a store per logic holds the
+clause form and the resolution rule. The propositional store runs ordered
+resolution: a pair is resolved only on the atom that comes first in both
+clauses under one atom order, along which the Davis-Putnam model is then
+built. It works on integer-coded clauses (bitmasks of positive and negative
 atoms, and codes in literal order), and builds clauses and closed states only
-for the rounds of a refutation and for the model. Its first-order resolvents
-are the closings of one-column states, made by the same closing generator as
-the main loop's rounds. A trace is the ordered list of its rounds, so a
-round's number is its position there, and derived clause ids grow in round
-order. One deadline serves the whole run: reaching it ends the run without a
-verdict, so the clock never shapes the trace of a run that finishes. No
-derived clause that holds a term deeper than the parsers accept is admitted:
-such a separated clause stalls the main loop, and such a resolvent is
-dropped.
+for the rounds of a refutation and for the model. The first-order store's
+resolvents are the closings of one-column states, made by the same closing
+generator as the main loop's rounds. A trace is the ordered list of its
+rounds, so a round's number is its position there, and derived clause ids
+grow in round order. One deadline serves the whole run: reaching it ends the
+run without a verdict, so the clock never shapes the trace of a run that
+finishes. No derived clause that holds a term deeper than the parsers accept
+is admitted: such a separated clause stalls the main loop, and such a
+resolvent is dropped.
 
 Both logics take the same path. A propositional atom is a 0-ary predicate,
 so a propositional round is the first-order one in which every unifier is
@@ -30,9 +33,10 @@ identity or to plain literal sets on ground input. The logic is consulted
 only where a propositional shortcut measurably pays (ranking extension
 candidates in one pass that keys and places only the winner; scoring
 closings and judging the best with should_stop on literal sets, so that only
-the closing a build returns is built; and the saturation fallback, which
-works on integer codes) and where only one logic has the notion (the atom
-order of ordered resolution, model extraction and the Davis-Putnam model).
+the closing a build returns is built; and the saturation fallback's store,
+which works on integer codes) and where only one logic has the notion (the
+atom order of ordered resolution, model extraction and the Davis-Putnam
+model).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
 from .logic import (
@@ -559,13 +563,16 @@ def _first_code(p: int, n: int) -> int:
 
 
 class _OrderedResolution:
-    """Ordered binary resolution on integer-coded propositional clauses.
+    """_saturate's store for propositional input: ordered binary resolution
+    on integer-coded clauses.
 
-    atoms fixes the atom order: the atom at position i is coded i + 1 and its
-    negation -(i + 1). A clause is held as (p, n, codes): the bitmasks of
-    its positive and negative atoms, bit i for position i, and its codes in
-    literal order. Its pivot is its lowest atom, so its first code; it is a
-    tautology exactly when p & n; (p, n) is its variant key; and D subsumes
+    atoms fixes the atom order, by default fewer occurrences in inputs
+    first, ties broken by name: the atom at position i is coded i + 1 and
+    its negation -(i + 1). A clause is held as (p, n, codes): the bitmasks
+    of its positive and negative atoms, bit i for position i, and its codes
+    in literal order. Its pivot is its lowest atom, so its first code; it is
+    a tautology exactly when p & n; (p, n) is its variant key, and seen
+    holds the keys of the inputs and of every kept resolvent; and D subsumes
     C exactly when D's masks lie within C's.
 
     The processed clauses are indexed by their first code, in insertion
@@ -577,23 +584,27 @@ class _OrderedResolution:
     refutation, each clause once; the Davis-Putnam model reads the masks.
     """
 
-    def __init__(self, atoms: Sequence[str], inputs: Iterable[Clause]):
+    def __init__(self, inputs: Sequence[Clause], atoms: Optional[Sequence[str]] = None):
+        if atoms is None:
+            counts = Counter(lit.predicate for clause in inputs for lit in clause.literals)
+            atoms = sorted(counts, key=lambda n: (counts[n], n))
         self.order = order = {name: i for i, name in enumerate(atoms)}
         # the clause of each id that clause has met, the inputs' from the start
         self.clauses = {clause.id: clause for clause in inputs}
         # the literal of each code; every literal the saturation meets is an input's
         self.literal = {(order[lit.predicate] + 1) * (1 if lit.positive else -1): lit
-                        for clause in self.clauses.values() for lit in clause.literals}
+                        for clause in inputs for lit in clause.literals}
+        self.seen = set()
         self.derived: Dict[int, tuple] = {}  # derived clause id -> codes
         self.processed: Dict[int, tuple] = {}  # id -> codes, in insertion order
         self._first: Dict[int, Dict[int, Tuple[int, int]]] = {}
         self._occurrences: Dict[int, Dict[int, Tuple[int, int]]] = {}
 
-    def encode(self, literals: Iterable[Literal]) -> Tuple[int, int, tuple]:
-        """The clause of literals as (p, n, codes)."""
+    def encode(self, clause: Clause) -> Tuple[int, int, tuple]:
+        """The input clause as (p, n, codes); its key joins seen."""
         p = n = 0
         codes = []
-        for lit in literals:
+        for lit in clause.literals:
             i = self.order[lit.predicate]
             if lit.positive:
                 p |= 1 << i
@@ -601,10 +612,12 @@ class _OrderedResolution:
             else:
                 n |= 1 << i
                 codes.append(-i - 1)
+        self.seen.add((p, n))
         return p, n, tuple(codes)
 
-    def subsumes(self, p: int, n: int, codes: tuple) -> bool:
-        """Whether some processed clause subsumes the clause (p, n, codes)."""
+    def subsumes(self, coded: tuple) -> bool:
+        """Whether some processed clause subsumes the clause coded."""
+        p, n, codes = coded
         first, np_, nn = self._first, ~p, ~n
         for code in codes:
             for dp, dn in first.get(code, {}).values():
@@ -612,8 +625,9 @@ class _OrderedResolution:
                     return True
         return False
 
-    def remove_subsumed_by(self, p: int, n: int, codes: tuple) -> None:
-        """Drop every processed clause that strictly contains (p, n, codes)."""
+    def remove_subsumed_by(self, coded: tuple) -> None:
+        """Drop every processed clause that strictly contains the clause coded."""
+        p, n, codes = coded
         occurrences = self._occurrences
         fewest = min((occurrences.get(code, {}) for code in codes), key=len)
         contained = [(cid, masks) for cid, masks in fewest.items()
@@ -623,31 +637,41 @@ class _OrderedResolution:
                 del occurrences[code][cid]
             del self._first[_first_code(*masks)][cid]
 
-    def add(self, cid: int, p: int, n: int, codes: tuple) -> None:
+    def add(self, cid: int, coded: tuple) -> None:
+        p, n, codes = coded
         masks = (p, n)
         self.processed[cid] = codes
         self._first.setdefault(_first_code(p, n), {})[cid] = masks
         for code in codes:
             self._occurrences.setdefault(code, {})[cid] = masks
 
-    def resolvents(self, p: int, n: int, codes: tuple, seen: set):
-        """Resolvents of the processed clause (p, n, codes) on its pivot c
-        with each processed clause whose first code is -c, in processing
-        order, that are neither tautologies nor have a key in seen, as (p, n,
-        codes, partner id). A resolvent's codes are the clause's without c,
-        then the partner's new ones: the csc order of close(start(clause, c),
+    def resolvents(self, coded: tuple):
+        """Resolvents of the processed clause coded on its pivot c with each
+        processed clause whose first code is -c, in processing order, that
+        are neither tautologies nor have a key in seen, as ((p, n, codes),
+        partner id). A resolvent's codes are the clause's without c, then the
+        partner's new ones: the csc order of close(start(clause, c),
         partner)."""
+        p, n, codes = coded
         c = _first_code(p, n)
         keep = ~(1 << (abs(c) - 1))
         head = tuple(code for code in codes if code != c)
         old = {*codes, -c}
         p, n = p & keep, n & keep
+        seen = self.seen
         for other, (op, on) in self._first.get(-c, {}).items():
             rp, rn = p | (op & keep), n | (on & keep)
             if rp & rn or (rp, rn) in seen:
                 continue
-            yield rp, rn, head + tuple(code for code in self.processed[other]
-                                       if code not in old), other
+            yield (rp, rn, head + tuple(code for code in self.processed[other]
+                                        if code not in old)), other
+
+    def keep(self, cid: int, coded: tuple) -> tuple:
+        """Keep the resolvent coded as clause cid; (its length, its heap item)."""
+        p, n, codes = coded
+        self.derived[cid] = codes
+        self.seen.add((p, n))
+        return len(codes), coded
 
     def clause(self, cid: int) -> Clause:
         """The clause cid, built once per saturation: chain rounds share premises."""
@@ -664,6 +688,96 @@ class _OrderedResolution:
         pivot = min(given.literals, key=lambda lit: self.order[lit.predicate])
         return RoundRecord(close(start(given, pivot), other), self.clause(cid))
 
+    def saturated(self):
+        """_saturate's answer once no clause is left: the Davis-Putnam model."""
+        return SATISFIABLE, [], _dp_model(self), None
+
+
+class _Resolvent(NamedTuple):
+    """A first-order resolvent: its literal set, its closed state and the
+    variant key of its csc."""
+    literal_set: frozenset
+    closed: Triangle
+    key: frozenset
+
+
+class _FirstOrderResolution:
+    """_saturate's store for first-order input: binary resolution through
+    closings, on Clause objects.
+
+    The processed clauses are a clause store, like the round builder's
+    working set, whose literal index finds forward and backward subsumption.
+    seen is prove's set of variant keys, which every kept resolvent's key
+    joins. A first-order csc depends on the unifier, so each resolvent is
+    built as a round, as in round building: _closings closes one clause's
+    one-column state with the other clause, renamed for a second column;
+    each clause's one-column states, one per literal, and its renaming are
+    built once, as it is processed. A kept resolvent's round is held until the
+    saturation ends, to be returned if it lies on the proof chain. A
+    resolvent holding a term nested deeper than the parsers accept is
+    dropped, so the saturation is then incomplete.
+    """
+
+    def __init__(self, seen: set):
+        self.seen = seen
+        self.processed = _ClauseStore()
+        self.rounds: Dict[int, tuple] = {}  # kept resolvent id -> (closed state, csc)
+        self._openings: Dict[int, tuple] = {}  # clause id -> (one-column states, renaming)
+        self.dropped_deep = False
+
+    def encode(self, clause: Clause) -> Clause:
+        return clause
+
+    def subsumes(self, clause) -> bool:
+        """Whether a processed clause subsumes clause, a Clause or a
+        _Resolvent: both carry their literal set."""
+        return self.processed.subsumes(clause.literal_set)
+
+    def remove_subsumed_by(self, clause: Clause) -> None:
+        self.processed.remove_subsumed_by(clause)
+
+    def add(self, cid: int, clause: Clause) -> None:
+        self.processed.add(clause)
+        first = rename_clause(clause, 1)
+        self._openings[cid] = (tuple(start(first, lit) for lit in first.literals),
+                               rename_clause(clause, 2))
+
+    def resolvents(self, given: Clause):
+        """Two-column resolvents of given, which is already processed, with
+        every processed clause in processing order (given itself last,
+        paired with itself once), each pair both ways, that are neither
+        tautologies, nor variants of a clause in seen, nor too deep, as
+        (_Resolvent, partner id)."""
+        for other in self.processed:
+            pairs = ((given, other),) if other is given else ((given, other), (other, given))
+            for a, b in pairs:
+                second = self._openings[b.id][1]
+                for closed in (c for opened in self._openings[a.id][0]
+                               for c in _closings(opened, second)):
+                    lits = closed.csc
+                    if is_tautology(lits) or (key := variant_key(lits)) in self.seen:
+                        continue
+                    if too_deep(lits):
+                        self.dropped_deep = True
+                    else:
+                        yield _Resolvent(frozenset(lits), closed, key), other.id
+
+    def keep(self, cid: int, resolvent: _Resolvent) -> tuple:
+        """Keep the resolvent as clause cid; (its length, its heap item)."""
+        _, closed, key = resolvent
+        csc = Clause(cid, closed.csc)
+        self.rounds[cid] = closed, csc
+        self.seen.add(key)
+        return len(closed.csc), csc
+
+    def round(self, cid: int, ids: tuple) -> RoundRecord:
+        return RoundRecord(*self.rounds[cid])
+
+    def saturated(self):
+        """_saturate's answer once no clause is left: none."""
+        return UNKNOWN, [], None, (DEPTH_BOUND_REACHED if self.dropped_deep else
+                                   "first-order saturation completed without the empty clause")
+
 
 def _proof_chain(last: int, premises: Dict[int, tuple]) -> List[int]:
     """The ids of the rounds that derive clause last, its own included, in id
@@ -676,41 +790,6 @@ def _proof_chain(last: int, premises: Dict[int, tuple]) -> List[int]:
                 needed.add(used)
                 frontier.append(used)
     return sorted(needed & premises.keys())
-
-
-def _openings(clause: Clause, cache: Dict[int, tuple]) -> tuple:
-    """clause's one-column states, one per literal, and clause renamed for a
-    second column; cache holds them per clause id, so each is built once."""
-    entry = cache.get(clause.id)
-    if entry is None:
-        first = rename_clause(clause, 1)
-        entry = cache[clause.id] = (tuple(start(first, lit) for lit in first.literals),
-                                    rename_clause(clause, 2))
-    return entry
-
-
-def _resolvents(given: Clause, processed: _ClauseStore, seen: set, openings: Dict[int, tuple]):
-    """First-order two-column resolvents of given, which is already
-    processed, that are neither tautologies nor variants of a clause in seen,
-    as (closed state, variant key of its csc). A first-order csc depends on
-    the unifier, so each round is built here by _closings, as in round
-    building, from one clause's one-column state and the other clause, with
-    every processed clause in processing order (given itself last, paired
-    with itself once). openings is _openings' cache, kept for the whole
-    saturation.
-    """
-    for other in processed:
-        pairs = ((given, other),) if other is given else ((given, other), (other, given))
-        for a, b in pairs:
-            second = _openings(b, openings)[1]
-            for closed in (c for opened in _openings(a, openings)[0]
-                           for c in _closings(opened, second)):
-                lits = closed.csc
-                if is_tautology(lits):
-                    continue
-                key = variant_key(lits)
-                if key not in seen:
-                    yield closed, key
 
 
 def _dp_model(coded: _OrderedResolution) -> Assignment:
@@ -745,47 +824,6 @@ def _dp_model(coded: _OrderedResolution) -> Assignment:
     return {name: bool(true >> i & 1) for name, i in reversed(coded.order.items())}
 
 
-def _ordered_saturation(working: Sequence[Clause], next_id: int, deadline: float,
-                        existing_rounds: Sequence[RoundRecord]):
-    """_saturate on propositional input, on integer-coded clauses."""
-    counts = Counter(lit.predicate for clause in working for lit in clause.literals)
-    coded = _OrderedResolution(sorted(counts, key=lambda n: (counts[n], n)), working)
-    heap = [(len(clause), tick, clause.id, *coded.encode(clause.literals))
-            for tick, clause in enumerate(working)]
-    keys = {(p, n) for _, _, _, p, n, _ in heap}
-    heapq.heapify(heap)
-    tick = len(heap)
-    existing = {rec.csc.id: rec for rec in existing_rounds}
-    premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
-    while heap:
-        if time.monotonic() > deadline:
-            return UNKNOWN, [], None, "time budget exhausted during saturation"
-        if len(coded.processed) > _SATURATION_CLAUSE_CAP:
-            return UNKNOWN, [], None, "saturation clause cap exceeded"
-        _, _, cid, p, n, codes = heapq.heappop(heap)
-        if coded.subsumes(p, n, codes):
-            continue
-        coded.remove_subsumed_by(p, n, codes)
-        coded.add(cid, p, n, codes)
-        for rp, rn, lits, other in coded.resolvents(p, n, codes, keys):
-            if coded.subsumes(rp, rn, lits):
-                continue
-            premises[next_id] = (cid, other)
-            coded.derived[next_id] = lits
-            if not lits:
-                # one fresh record per chain round, the main loop's included, as on
-                # first-order input: the fallback records exactly the rounds it returns
-                rounds = [RoundRecord(existing[i].state, existing[i].csc) if i in existing
-                          else coded.round(i, premises[i])
-                          for i in _proof_chain(next_id, premises)]
-                return UNSATISFIABLE, rounds, None, None
-            keys.add((rp, rn))
-            heapq.heappush(heap, (len(lits), tick, next_id, rp, rn, lits))
-            tick += 1
-            next_id += 1
-    return SATISFIABLE, [], _dp_model(coded), None
-
-
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
     """Exhaustive two-column rounds with subsumption, smallest clauses first:
@@ -794,75 +832,67 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
 
     Continues from the clauses prove admitted: working holds no tautology
     and no two variants, seen holds their variant keys, and existing_rounds
-    are the main loop's rounds, which the fallback's rounds follow. Both
-    logics run the same given-clause loop: the clause of least (length,
-    arrival) is selected, dropped if a processed clause subsumes it, and
-    otherwise drops the processed clauses it strictly subsumes, joins them
-    and is resolved with them; a resolvent that is a tautology, a variant
-    of a clause seen or subsumed by a processed clause is not kept. The
-    logic is the input's (preprocessing can leave first-order input 0-ary).
+    are the main loop's rounds, which the fallback's rounds follow.
 
-    On propositional input the loop runs on integer codes
-    (_OrderedResolution), and seen, coded, is read from working's clauses,
-    whose keys it holds. The atom order is fixed once, from the clauses the
-    saturation starts from: fewer occurrences first, ties broken by name. A
-    pair is resolved only on the atom that comes first in both clauses, and
-    the Davis-Putnam model is built along the same order. Only the rounds on
-    the empty clause's ancestor chain are built, and a resolvent's literals
-    keep the order of its round's csc.
+    This is the one given-clause loop of both logics. The clause of least
+    (length, arrival) is selected; it is dropped if a processed clause
+    subsumes it, and otherwise drops the processed clauses it strictly
+    subsumes, joins them and is resolved with them. A resolvent that is a
+    tautology, a variant of a clause seen or subsumed by a processed clause
+    is not kept. The loop ends at the deadline, past the clause cap, at the
+    empty clause or when no clause is left to select.
 
-    On first-order input the processed clauses are a clause store, like the
-    round builder's working set, whose literal index finds forward and
-    backward subsumption; every kept resolvent's variant key joins seen, and
-    its round is kept to be returned if it lies on the proof chain. A
-    resolvent holding a term nested deeper than the parsers accept is
-    dropped, so the saturation is then incomplete.
+    What differs between the logics lies behind one store protocol, which
+    _OrderedResolution (propositional input, on integer codes) and
+    _FirstOrderResolution (first-order input, on clauses) implement; the
+    logic is the input's, since preprocessing can leave first-order input
+    0-ary. encode gives an input clause's heap item; subsumes,
+    remove_subsumed_by and add act on a selected clause; resolvents yields a
+    processed clause's resolvents that are neither tautologies nor seen
+    (nor, first-order, too deep), each with its partner's id; subsumes also
+    takes a resolvent; keep keeps one, as (length, heap item); round builds
+    a chain round from its clause id and premise ids; processed is the
+    processed clauses, whose count the cap bounds; and saturated is the
+    answer once no clause is left. The propositional store reads seen from
+    working's clauses, coded.
 
     Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with
     the derivation chain, SATISFIABLE with a Davis-Putnam model
     (propositional saturation only), or UNKNOWN on budget or cap
     exhaustion, or when first-order saturation ends without the empty clause.
     """
-    if prop:
-        return _ordered_saturation(list(working), next_id, deadline, existing_rounds)
-    heap = [(len(clause), tick, clause) for tick, clause in enumerate(working)]
+    working = list(working)
+    store = _OrderedResolution(working) if prop else _FirstOrderResolution(seen)
+    heap = [(len(c), tick, c.id, store.encode(c)) for tick, c in enumerate(working)]
     heapq.heapify(heap)
     tick = len(heap)
-    processed = _ClauseStore()
-    openings: Dict[int, tuple] = {}
-    # (state, csc) of every round, a RoundRecord being made only for the proof chain
-    rounds = {rec.csc.id: (rec.state, rec.csc) for rec in existing_rounds}
-    dropped_deep = False
+    existing = {rec.csc.id: rec for rec in existing_rounds}
+    premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
     while heap:
         if time.monotonic() > deadline:
             return UNKNOWN, [], None, "time budget exhausted during saturation"
-        if len(processed) > _SATURATION_CLAUSE_CAP:
+        if len(store.processed) > _SATURATION_CLAUSE_CAP:
             return UNKNOWN, [], None, "saturation clause cap exceeded"
-        _, _, given = heapq.heappop(heap)
-        if processed.subsumes(given.literal_set):
+        _, _, cid, given = heapq.heappop(heap)
+        if store.subsumes(given):
             continue
-        processed.remove_subsumed_by(given)
-        processed.add(given)
-        for closed, key in _resolvents(given, processed, seen, openings):
-            lits = closed.csc
-            if too_deep(lits):
-                dropped_deep = True
+        store.remove_subsumed_by(given)
+        store.add(cid, given)
+        for resolvent, other in store.resolvents(given):
+            if store.subsumes(resolvent):
                 continue
-            if processed.subsumes(frozenset(lits)):
-                continue
-            csc = Clause(next_id, lits)
-            rounds[next_id] = closed, csc
-            next_id += 1
-            if not lits:
-                premises = {i: state.clause_ids() for i, (state, _) in rounds.items()}
-                chain_ids = _proof_chain(csc.id, premises)
-                return UNSATISFIABLE, [RoundRecord(*rounds[i]) for i in chain_ids], None, None
-            seen.add(key)
-            heapq.heappush(heap, (len(lits), tick, csc))
+            premises[next_id] = cid, other
+            length, item = store.keep(next_id, resolvent)
+            if not length:
+                # one fresh record per chain round, the main loop's included:
+                # the fallback records exactly the rounds it returns
+                return UNSATISFIABLE, [RoundRecord(existing[i].state, existing[i].csc)
+                                       if i in existing else store.round(i, premises[i])
+                                       for i in _proof_chain(next_id, premises)], None, None
+            heapq.heappush(heap, (length, tick, next_id, item))
             tick += 1
-    if dropped_deep:
-        return UNKNOWN, [], None, DEPTH_BOUND_REACHED
-    return UNKNOWN, [], None, "first-order saturation completed without the empty clause"
+            next_id += 1
+    return store.saturated()
 
 
 # ---------------------------------------------------------------------------

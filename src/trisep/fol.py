@@ -137,44 +137,41 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
 MAX_AFFECTED_COLUMNS = 2
 
 
+def _pulls(state: Triangle):
+    """The states one pull makes from state, in scan order: column, then
+    leftover, then boundary literal. A pull unifies one leftover with a
+    boundary complement and applies the unifier to the whole state; none is
+    made that would instantiate more than MAX_AFFECTED_COLUMNS other
+    columns or that breaks an invariant."""
+    for i in range(len(state.columns)):
+        for lit in state.d_plus(i):
+            if not lit.args:  # a 0-ary leftover unifies under the empty unifier only
+                continue
+            for b in state.boundary:
+                unifier = mgu(lit, b.complement())
+                if unifier is None or unifier.is_empty():
+                    continue
+                affected = sum(
+                    1 for j in range(len(state.columns)) if j != i
+                    and not variable_names(state.instantiated(j)).isdisjoint(unifier.domain))
+                if affected > MAX_AFFECTED_COLUMNS:
+                    continue
+                try:
+                    pulled = Triangle(state.columns, compose(unifier, state.sigma))
+                except ConstructionError:
+                    continue
+                yield pulled
+
+
 def fall_in(state: Triangle) -> Triangle:
     """Pull leftover literals into the contradiction by further instantiation.
 
-    Greedy to a fixpoint: each accepted substitution unifies one leftover
-    with a boundary complement and is applied to the whole state. A candidate
-    is rejected when it would instantiate more than MAX_AFFECTED_COLUMNS
-    other columns, or when the resulting state breaks an invariant.
+    Greedy to a fixpoint: each step takes the first state that one pull
+    makes (_pulls), until no pull is left; state itself when none is made.
     """
-    current = state
-    progress = True
-    while progress:
-        progress = False
-        for i in range(len(current.columns)):
-            for lit in current.d_plus(i):
-                if not lit.args:  # a 0-ary leftover unifies under the empty unifier only
-                    continue
-                for b in current.boundary:
-                    unifier = mgu(lit, b.complement())
-                    if unifier is None or unifier.is_empty():
-                        continue
-                    affected = sum(
-                        1 for j in range(len(current.columns)) if j != i
-                        and not variable_names(current.instantiated(j)).isdisjoint(unifier.domain))
-                    if affected > MAX_AFFECTED_COLUMNS:
-                        continue
-                    try:
-                        candidate = Triangle(current.columns,
-                                             compose(unifier, current.sigma))
-                    except ConstructionError:
-                        continue
-                    current = candidate
-                    progress = True
-                    break
-                if progress:
-                    break
-            if progress:
-                break
-    return current
+    while (pulled := next(_pulls(state), None)) is not None:
+        state = pulled
+    return state
 
 
 def redundancy_guard(instance: Iterable[Literal], clause_id: int,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dimacs import parse_dimacs
+from .dimacs import is_comment, parse_dimacs
 from .logic import ClauseSet
 from .tptp import parse_tptp_cnf
 
@@ -15,10 +15,10 @@ TPTP_CNF = "tptp-cnf"
 
 def detect_format(text: str) -> str:
     for line in text.splitlines():
-        # DIMACS comment and header lines start with the word c or p, which
-        # any whitespace may end
+        # a DIMACS header line starts with the word p, which any whitespace
+        # may end
         words = line.split(maxsplit=1)
-        if not words or words[0] == "c" or words[0][0] == "%":
+        if not words or is_comment(line) or words[0][0] == "%":
             continue
         return DIMACS if words[0] == "p" else TPTP_CNF
     return DIMACS

@@ -199,7 +199,9 @@ def test_a_slow_clock_leaves_the_trace_of_a_finished_run_unchanged(monkeypatch, 
     assert clock.now < budget
 
 
-def test_the_budget_running_out_during_the_fallback_ends_it(monkeypatch, ex43):
+@pytest.mark.parametrize("name", ["ex43", "ex51"])
+def test_the_budget_running_out_during_the_fallback_ends_it(monkeypatch, request, name):
+    problem = request.getfixturevalue(name)
     clock = _SlowClock()
     monkeypatch.setattr(engine, "time", clock)
     saturate = engine._saturate
@@ -209,17 +211,46 @@ def test_the_budget_running_out_during_the_fallback_ends_it(monkeypatch, ex43):
         return saturate(*args)
 
     monkeypatch.setattr(engine, "_saturate", late)
-    outcome, trace = prove(ex43, EngineConfig(max_rounds=0, time_budget=30.0))
+    outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=30.0))
     assert outcome.reason == "time budget exhausted during saturation"
-    assert verify_trace(ex43, trace)
+    assert verify_trace(problem, trace)
 
 
-def test_the_saturation_clause_cap_ends_the_fallback(monkeypatch, ex43):
+@pytest.mark.parametrize("name", ["ex43", "ex51"])
+def test_the_saturation_clause_cap_ends_the_fallback(monkeypatch, request, name):
+    problem = request.getfixturevalue(name)
     monkeypatch.setattr(engine, "_SATURATION_CLAUSE_CAP", 0)
-    outcome, trace = prove(ex43, EngineConfig(max_rounds=0, time_budget=30.0))
+    outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=30.0))
     assert outcome.verdict == "unknown"
     assert outcome.reason == "saturation clause cap exceeded"
-    assert verify_trace(ex43, trace)
+    assert verify_trace(problem, trace)
+
+
+def test_the_first_order_fallback_skips_subsumed_clauses(monkeypatch):
+    # q(a) | r(b) waits on the heap behind the unit r(b), which subsumes it
+    # once processed; q(a), resolved from p(a) and ~p(X) | q(X), subsumes the
+    # resolvent q(a) | r(a) of p(a) and ~p(Y) | q(Y) | r(Y)
+    a, b, x, y, z = Constant("a"), Constant("b"), Variable("X"), Variable("Y"), Variable("Z")
+    problem = clause_set([
+        [pos("p", a)], [neg("p", x), pos("q", x)], [pos("q", a), pos("r", b)],
+        [neg("p", y), pos("q", y), pos("r", y)], [neg("r", z), pos("s", z), pos("t", z)],
+        [pos("r", b)], [neg("s", b), neg("q", a)], [neg("t", b)]])
+    subsumed = []
+    subsumes = engine._ClauseStore.subsumes
+
+    def recording(store, literal_set):
+        found = subsumes(store, literal_set)
+        if found:
+            subsumed.append(literal_set)
+        return found
+
+    monkeypatch.setattr(engine._ClauseStore, "subsumes", recording)
+    outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=30.0))
+    assert outcome.unsatisfiable
+    assert {pos("q", a), pos("r", b)} in subsumed
+    assert {pos("q", a), pos("r", a)} in subsumed
+    assert verify_trace(problem, trace)
+    assert verify_trace(problem, parse_trace_document(render_trace(trace)))
 
 
 @pytest.mark.parametrize("steps, config", [

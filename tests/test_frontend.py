@@ -819,6 +819,26 @@ def test_dimacs_comment_and_header_words_end_at_any_whitespace(tmp_path, capsys)
     assert "SZS status Satisfiable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("first, comment", [
+    ("c", True), ("c\tx", True), ("comment", False), ("cnf(c1, axiom, p).", False)])
+def test_both_dimacs_readers_take_a_comment_to_be_the_word_c(tmp_path, capsys, first, comment):
+    # parse_dimacs used to skip every line starting with c, so "comment" was
+    # read as DIMACS under --format dimacs, yet selected TPTP under auto
+    from trisep.problems import detect_format
+    text = f"{first}\np cnf 1 1\n1 0\n"
+    assert detect_format(text) == ("dimacs" if comment else "tptp-cnf")
+    if comment:
+        assert [str(c) for c in parse_dimacs(text).clauses] == ["x1"]
+    else:
+        with pytest.raises(ParseError, match="before the 'p cnf' header"):
+            parse_dimacs(text)
+    problem = tmp_path / "first-line.cnf"
+    problem.write_text(text)
+    for fmt in ("auto", "dimacs"):
+        assert cli_main(["prove", str(problem), "--format", fmt, "--quiet"]) == (0 if comment else 2)
+    capsys.readouterr()
+
+
 def test_cli_term_at_the_depth_bound_proves_and_rechecks(tmp_path, capsys):
     problem = tmp_path / "deep.p"
     deep = _nested(MAX_TERM_DEPTH)

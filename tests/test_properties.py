@@ -330,10 +330,11 @@ _propositional_clauses = st.lists(_propositional_literals, min_size=1, max_size=
 
 def _coded(atoms, clauses):
     """An _OrderedResolution under the atom order atoms, with clauses processed
-    in order."""
-    coded = _OrderedResolution(atoms, clauses)
+    in order and no variant key seen."""
+    coded = _OrderedResolution(clauses, atoms)
     for clause in clauses:
-        coded.add(clause.id, *coded.encode(clause.literals))
+        coded.add(clause.id, coded.encode(clause))
+    coded.seen.clear()
     return coded
 
 
@@ -366,10 +367,10 @@ def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, part
             state = close(start(given_clause, lit), other)
             if not is_tautology(state.csc):
                 expected.append(state)
-    yielded = list(coded.resolvents(*coded.encode(given_clause.literals), set()))
+    yielded = list(coded.resolvents(coded.encode(given_clause)))
     assert len(yielded) == len(expected)
-    for cid, ((p, n, codes, other), state) in enumerate(zip(yielded, expected),
-                                                         start=given_clause.id + 1):
+    for cid, (((p, n, codes), other), state) in enumerate(zip(yielded, expected),
+                                                          start=given_clause.id + 1):
         assert tuple(coded.literal[code] for code in codes) == state.csc
         assert (p, n) == masks(state.csc)
         assert (given_clause.id, other) == state.clause_ids()
@@ -389,9 +390,9 @@ def test_a_propositional_pair_is_resolved_only_on_an_atom_first_in_both():
                 Clause(3, [neg("q"), pos("r")])]
     given_clause = Clause(4, [pos("q"), pos("r")])
     coded = _coded("pqr", partners + [given_clause])
-    yielded = coded.resolvents(*coded.encode(given_clause.literals), set())
+    yielded = coded.resolvents(coded.encode(given_clause))
     assert [(tuple(coded.literal[code] for code in codes), other)
-            for _, _, codes, other in yielded] == [((pos("r"),), 3)]
+            for (_, _, codes), other in yielded] == [((pos("r"),), 3)]
 
 
 def _reference_ordered_resolution(clauses):
