@@ -5,45 +5,42 @@ feeds it back into the working set. An empty separated clause refutes the
 input. A propositional round that covers every input clause and keeps a
 leftover in its closing column yields a model instead. The first round
 that stalls (no closed state, or a separated clause that is a known variant,
-a tautology or subsumed by the working set) ends the loop: a two-column
-saturation (binary resolution as the k=2 special case, with subsumption)
-continues from the admitted clauses, settles propositional inputs and makes
-a bounded best effort on first-order ones. Both logics run its one
-given-clause loop, _saturate, which holds the selection, the deadline, the
-clause cap, subsumption and the proof chain; a store per logic holds the
-clause form and the resolution rule. The propositional store runs ordered
-resolution: a pair is resolved only on the atom that comes first in both
-clauses under one atom order, along which the Davis-Putnam model is then
-built. It works on integer-coded clauses (bitmasks of positive and negative
-atoms, and codes in literal order), and builds clauses and closed states only
-for the rounds of a refutation and for the model. The first-order store's
+a tautology or subsumed by the working set) ends the loop, and the fallback,
+_saturate, continues from the admitted clauses. It settles propositional
+input by conflict-driven clause learning on integer-coded clauses: each
+learned clause is the separated clause of one round whose columns are the
+reasons of the literals its conflict analysis resolves, in trail order, and
+whose closing column is the conflict clause, so a refutation's trace holds
+one round per learned clause that the empty clause depends on,
+and a satisfiable answer is the full trail. Clauses and closed states are
+built only for those rounds, through the linear deduction bridge. On
+first-order input it makes a bounded best effort by two-column saturation
+(binary resolution as the k=2 special case, with subsumption), whose
 resolvents are the closings of one-column states, made by the same closing
-generator as the main loop's rounds. A trace is the ordered list of its
-rounds, so a round's number is its position there, and derived clause ids
-grow in round order. One deadline serves the whole run: reaching it ends the
-run without a verdict, so the clock never shapes the trace of a run that
-finishes. No derived clause that holds a term deeper than the parsers accept
-is admitted: such a separated clause stalls the main loop, and such a
-resolvent is dropped.
+generator as the main loop's rounds. Both poll one deadline and one clause
+cap, and both build the proof chain in one place. A trace is the ordered
+list of its rounds, so a round's number is its position there, and derived
+clause ids grow in round order. One deadline serves the whole run: reaching
+it ends the run without a verdict, so the clock never shapes the trace of a
+run that finishes. No derived clause that holds a term deeper than the
+parsers accept is admitted: such a separated clause stalls the main loop,
+and such a resolvent is dropped.
 
-Both logics take the same path. A propositional atom is a 0-ary predicate,
-so a propositional round is the first-order one in which every unifier is
-empty: preprocessing, renaming, fall-in and variant keys all reduce to the
-identity or to plain literal sets on ground input. The logic is consulted
-only where a propositional shortcut measurably pays (ranking extension
-candidates in one pass that keys and places only the winner; scoring
-closings and judging the best with should_stop on literal sets, so that only
-the closing a build returns is built; and the saturation fallback's store,
-which works on integer codes) and where only one logic has the notion (the
-atom order of ordered resolution, model extraction and the Davis-Putnam
-model).
+Both logics take the same path through the main loop. A propositional atom
+is a 0-ary predicate, so a propositional round is the first-order one in
+which every unifier is empty: preprocessing, renaming, fall-in and variant
+keys all reduce to the identity or to plain literal sets on ground input.
+The logic is consulted only where a propositional shortcut measurably pays
+(ranking extension candidates in one pass that keys and places only the
+winner; scoring closings and judging the best with should_stop on literal
+sets, so that only the closing a build returns is built) and where only one
+logic has the notion (model extraction and the fallback's procedure).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -167,7 +164,7 @@ def _closings(state: Triangle, placed: Clause, by_boundary: Optional[list] = Non
 class _ClauseStore:
     """A growing clause set in insertion order, indexed by literal: the round
     builder's working set and the first-order saturation's processed clauses
-    (the propositional saturation holds its own, integer-coded).
+    (the propositional fallback holds its own clauses, integer-coded).
     Subsumption is syntactic literal-set inclusion in both logics.
 
     Each literal maps to the clauses that hold it. Each clause is also
@@ -550,147 +547,199 @@ class _RoundBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Two-column saturation fallback
+# Saturation fallback
 # ---------------------------------------------------------------------------
 
 _SATURATION_CLAUSE_CAP = 20000
 
 
-def _first_code(p: int, n: int) -> int:
-    """The first code of a coded clause: the code of its lowest atom."""
-    low = (p | n) & -(p | n)
-    return low.bit_length() if p & low else -low.bit_length()
+def _spent(deadline: float, held: int) -> Optional[str]:
+    """Why the fallback must end with held clauses, or None."""
+    if time.monotonic() > deadline:
+        return "time budget exhausted during saturation"
+    return "saturation clause cap exceeded" if held > _SATURATION_CLAUSE_CAP else None
 
 
-class _OrderedResolution:
-    """_saturate's store for propositional input: ordered binary resolution
-    on integer-coded clauses.
+def _proof_chain(last: int, premises: Dict[int, tuple], existing: Dict[int, RoundRecord],
+                 derived: Callable[[int], RoundRecord]) -> List[RoundRecord]:
+    """The rounds that derive clause last, its own included, in id order.
+    premises maps each round's clause id to the ids of the clauses it used;
+    ids grow in derivation order, so each round follows its premises. A main
+    loop round (existing maps its clause id to it) is recorded afresh, and
+    derived(id) records a fallback round: the fallback records exactly the
+    rounds it returns."""
+    needed, frontier = {last}, [last]
+    while frontier:
+        for used in premises.get(frontier.pop(), ()):
+            if used not in needed:
+                needed.add(used)
+                frontier.append(used)
+    return [RoundRecord(existing[i].state, existing[i].csc) if i in existing else derived(i)
+            for i in sorted(needed & premises.keys())]
 
-    atoms fixes the atom order, by default fewer occurrences in inputs
-    first, ties broken by name: the atom at position i is coded i + 1 and
-    its negation -(i + 1). A clause is held as (p, n, codes): the bitmasks
-    of its positive and negative atoms, bit i for position i, and its codes
-    in literal order. Its pivot is its lowest atom, so its first code; it is
-    a tautology exactly when p & n; (p, n) is its variant key, and seen
-    holds the keys of the inputs and of every kept resolvent; and D subsumes
-    C exactly when D's masks lie within C's.
 
-    The processed clauses are indexed by their first code, in insertion
-    order. That index gives the partners of a pivot c, the clauses whose
-    first code is -c, and it answers forward subsumption, since a subsumer's
-    first code lies in the clause. A per-code occurrence index finds the
-    clauses that a new clause subsumes; a removal reaches both indexes.
-    Clause and Triangle objects are built only for the rounds of a
-    refutation, each clause once; the Davis-Putnam model reads the masks.
-    """
+def _trail_model(names: Sequence[str], value: List[int]) -> Assignment:
+    """The model that a full trail without a conflict gives: each atom's
+    value, where atom i's positive literal is coded 2i."""
+    return {name: value[2 * i] > 0 for i, name in enumerate(names)}
 
-    def __init__(self, inputs: Sequence[Clause], atoms: Optional[Sequence[str]] = None):
-        if atoms is None:
-            counts = Counter(lit.predicate for clause in inputs for lit in clause.literals)
-            atoms = sorted(counts, key=lambda n: (counts[n], n))
-        self.order = order = {name: i for i, name in enumerate(atoms)}
-        # the clause of each id that clause has met, the inputs' from the start
-        self.clauses = {clause.id: clause for clause in inputs}
-        # the literal of each code; every literal the saturation meets is an input's
-        self.literal = {(order[lit.predicate] + 1) * (1 if lit.positive else -1): lit
-                        for clause in inputs for lit in clause.literals}
-        self.seen = set()
-        self.derived: Dict[int, tuple] = {}  # derived clause id -> codes
-        self.processed: Dict[int, tuple] = {}  # id -> codes, in insertion order
-        self._first: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        self._occurrences: Dict[int, Dict[int, Tuple[int, int]]] = {}
 
-    def encode(self, clause: Clause) -> Tuple[int, int, tuple]:
-        """The input clause as (p, n, codes); its key joins seen."""
-        p = n = 0
-        codes = []
-        for lit in clause.literals:
-            i = self.order[lit.predicate]
-            if lit.positive:
-                p |= 1 << i
-                codes.append(i + 1)
-            else:
-                n |= 1 << i
-                codes.append(-i - 1)
-        self.seen.add((p, n))
-        return p, n, tuple(codes)
+def _conflict_driven(working: List[Clause], next_id: int, deadline: float,
+                     existing: Dict[int, RoundRecord]):
+    """_saturate on propositional input: conflict-driven clause learning,
+    with the 1-UIP learning and backjumping of GRASP (Marques-Silva and
+    Sakallah, 1999) and the two watched literals of Chaff (Moskewicz et al.,
+    2001), on integer-coded clauses.
 
-    def subsumes(self, coded: tuple) -> bool:
-        """Whether some processed clause subsumes the clause coded."""
-        p, n, codes = coded
-        first, np_, nn = self._first, ~p, ~n
-        for code in codes:
-            for dp, dn in first.get(code, {}).values():
-                if not (dp & np_ or dn & nn):
-                    return True
-        return False
+    Atom i, in name order, is coded 2i positive and 2i + 1 negative, so a
+    code's complement is code ^ 1; value holds 1 (true), -1 (false) or 0
+    (free) per code. A clause is a list of codes, watched by its first two
+    when it has two or more; a unit clause is put on the trail at level 0.
+    A decision sets the first free atom in name order true; there are no
+    restarts and no clause deletion.
 
-    def remove_subsumed_by(self, coded: tuple) -> None:
-        """Drop every processed clause that strictly contains the clause coded."""
-        p, n, codes = coded
-        occurrences = self._occurrences
-        fewest = min((occurrences.get(code, {}) for code in codes), key=len)
-        contained = [(cid, masks) for cid, masks in fewest.items()
-                     if not (p & ~masks[0] or n & ~masks[1]) and masks != (p, n)]
-        for cid, masks in contained:
-            for code in self.processed.pop(cid):
-                del occurrences[code][cid]
-            del self._first[_first_code(*masks)][cid]
+    A conflict resolves the conflict clause with the reasons of its literals
+    of the current level, latest first, until one is left (at level 0, until
+    none is). That resolves each atom at most once, so the learned clause's
+    derivation is one round: its columns are the reasons in trail order,
+    each with its implied literal on the boundary, and its closing column is
+    the conflict clause. Each learned clause takes the next id and keeps its
+    derivation, (conflict clause index, [(reason index, implied code), ...]);
+    once the empty clause is learned, the rounds it depends on are built
+    through linear_to_etc."""
+    names = sorted({lit.predicate for clause in working for lit in clause.literals})
+    atom = {name: i for i, name in enumerate(names)}
+    literal = {2 * atom[lit.predicate] + (not lit.positive): lit
+               for clause in working for lit in clause.literals}
+    lits = [[2 * atom[lit.predicate] + (not lit.positive) for lit in clause.literals]
+            for clause in working]
+    ids = [clause.id for clause in working]
+    value = [0] * (2 * len(names))
+    level, reason = [0] * len(names), [0] * len(names)
+    watches = [[] for _ in value]
+    trail, starts = [], []  # starts[k]: where level k + 1 begins on the trail
+    derivations: Dict[int, tuple] = {}
+    qhead = free = 0  # no atom before free is free
 
-    def add(self, cid: int, coded: tuple) -> None:
-        p, n, codes = coded
-        masks = (p, n)
-        self.processed[cid] = codes
-        self._first.setdefault(_first_code(p, n), {})[cid] = masks
-        for code in codes:
-            self._occurrences.setdefault(code, {})[cid] = masks
+    def assign(code: int, why: Optional[int]) -> None:
+        value[code], value[code ^ 1] = 1, -1
+        level[code >> 1], reason[code >> 1] = len(starts), why
+        trail.append(code)
 
-    def resolvents(self, coded: tuple):
-        """Resolvents of the processed clause coded on its pivot c with each
-        processed clause whose first code is -c, in processing order, that
-        are neither tautologies nor have a key in seen, as ((p, n, codes),
-        partner id). A resolvent's codes are the clause's without c, then the
-        partner's new ones: the csc order of close(start(clause, c),
-        partner)."""
-        p, n, codes = coded
-        c = _first_code(p, n)
-        keep = ~(1 << (abs(c) - 1))
-        head = tuple(code for code in codes if code != c)
-        old = {*codes, -c}
-        p, n = p & keep, n & keep
-        seen = self.seen
-        for other, (op, on) in self._first.get(-c, {}).items():
-            rp, rn = p | (op & keep), n | (on & keep)
-            if rp & rn or (rp, rn) in seen:
+    def propagate() -> Optional[int]:
+        """Unit propagation from qhead; a conflict clause's index or None."""
+        nonlocal qhead
+        while qhead < len(trail):
+            false = trail[qhead] ^ 1
+            qhead += 1
+            watching, kept = watches[false], []
+            for k, ci in enumerate(watching):
+                codes = lits[ci]
+                if codes[0] == false:
+                    codes[0], codes[1] = codes[1], false
+                other = codes[0]
+                if value[other] > 0:
+                    kept.append(ci)
+                    continue
+                for m in range(2, len(codes)):
+                    if value[codes[m]] >= 0:
+                        codes[1], codes[m] = codes[m], false
+                        watches[codes[1]].append(ci)
+                        break
+                else:
+                    kept.append(ci)
+                    if value[other]:
+                        watches[false] = kept + watching[k + 1:]
+                        return ci
+                    assign(other, ci)
+            watches[false] = kept
+        return None
+
+    def analyze(conflict: int) -> tuple:
+        """The learned clause's codes, its asserting code first, and its
+        derivation's steps, latest first."""
+        current = len(starts)
+        marked, learned, steps = set(), [], []
+        pending, codes, i = 0, lits[conflict], len(trail)
+        while True:
+            for code in codes:
+                if code >> 1 not in marked:
+                    marked.add(code >> 1)
+                    if level[code >> 1] == current:
+                        pending += 1
+                    else:
+                        learned.append(code)
+            if not pending:  # level 0: every literal is resolved
+                return learned, steps
+            i -= 1
+            while trail[i] >> 1 not in marked:
+                i -= 1
+            implied = trail[i]
+            pending -= 1
+            if current and not pending:  # the first unique implication point
+                return [implied ^ 1] + learned, steps
+            steps.append((reason[implied >> 1], implied))
+            codes = lits[reason[implied >> 1]]
+
+    conflict = None
+    for ci, codes in enumerate(lits):
+        if len(codes) > 1:
+            watches[codes[0]].append(ci)
+            watches[codes[1]].append(ci)
+        elif conflict is None and value[codes[0]] < 0:
+            conflict = ci
+        elif not value[codes[0]]:
+            assign(codes[0], ci)
+    while True:
+        if conflict is None:
+            conflict = propagate()
+            if conflict is None:  # decide
+                while free < len(names) and value[2 * free]:
+                    free += 1
+                if free == len(names):
+                    return SATISFIABLE, [], _trail_model(names, value), None
+                starts.append(len(trail))
+                assign(2 * free, None)
                 continue
-            yield (rp, rn, head + tuple(code for code in self.processed[other]
-                                        if code not in old)), other
+        if spent := _spent(deadline, len(derivations) + 1):
+            return UNKNOWN, [], None, spent
+        learned, steps = analyze(conflict)
+        derivations[next_id] = conflict, steps
+        if not learned:
+            break
+        back = 0
+        if len(learned) > 1:  # watch the literal of the highest level below
+            j = max(range(1, len(learned)), key=lambda k: level[learned[k] >> 1])
+            learned[1], learned[j] = learned[j], learned[1]
+            back = level[learned[1] >> 1]
+            watches[learned[0]].append(len(lits))
+            watches[learned[1]].append(len(lits))
+        undone = trail[starts[back]:]
+        for code in undone:
+            value[code] = value[code ^ 1] = 0
+        free = min(free, min(code >> 1 for code in undone))
+        qhead = starts[back]
+        del trail[qhead:], starts[back:]
+        lits.append(learned)
+        ids.append(next_id)
+        assign(learned[0], len(lits) - 1)
+        next_id += 1
+        conflict = None
 
-    def keep(self, cid: int, coded: tuple) -> tuple:
-        """Keep the resolvent coded as clause cid; (its length, its heap item)."""
-        p, n, codes = coded
-        self.derived[cid] = codes
-        self.seen.add((p, n))
-        return len(codes), coded
+    premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
+    premises.update((cid, (ids[top], *(ids[r] for r, _ in steps)))
+                    for cid, (top, steps) in derivations.items())
+    clauses = {clause.id: clause for clause in working}
 
-    def clause(self, cid: int) -> Clause:
-        """The clause cid, built once per saturation: chain rounds share premises."""
-        clause = self.clauses.get(cid)
-        if clause is None:
-            clause = self.clauses[cid] = Clause(
-                cid, (self.literal[code] for code in self.derived[cid]))
-        return clause
+    def derived(cid: int) -> RoundRecord:
+        top, steps = derivations[cid]
+        record, = linear_to_etc(LinearDeduction(
+            clauses[ids[top]], tuple(clauses[ids[r]] for r, _ in steps),
+            tuple(literal[code] for _, code in steps)), cid)
+        clauses[cid] = record.csc
+        return record
 
-    def round(self, cid: int, ids: tuple) -> RoundRecord:
-        """The round that derived clause cid from the clauses ids: the first,
-        opened on its pivot, closed by the second."""
-        given, other = map(self.clause, ids)
-        pivot = min(given.literals, key=lambda lit: self.order[lit.predicate])
-        return RoundRecord(close(start(given, pivot), other), self.clause(cid))
-
-    def saturated(self):
-        """_saturate's answer once no clause is left: the Davis-Putnam model."""
-        return SATISFIABLE, [], _dp_model(self), None
+    return UNSATISFIABLE, _proof_chain(next_id, premises, existing, derived), None, None
 
 
 class _Resolvent(NamedTuple):
@@ -702,8 +751,8 @@ class _Resolvent(NamedTuple):
 
 
 class _FirstOrderResolution:
-    """_saturate's store for first-order input: binary resolution through
-    closings, on Clause objects.
+    """_saturate's processed clauses and resolution rule on first-order
+    input: binary resolution through closings, on Clause objects.
 
     The processed clauses are a clause store, like the round builder's
     working set, whose literal index finds forward and backward subsumption.
@@ -725,22 +774,14 @@ class _FirstOrderResolution:
         self._openings: Dict[int, tuple] = {}  # clause id -> (one-column states, renaming)
         self.dropped_deep = False
 
-    def encode(self, clause: Clause) -> Clause:
-        return clause
-
-    def subsumes(self, clause) -> bool:
-        """Whether a processed clause subsumes clause, a Clause or a
-        _Resolvent: both carry their literal set."""
-        return self.processed.subsumes(clause.literal_set)
-
-    def remove_subsumed_by(self, clause: Clause) -> None:
+    def add(self, clause: Clause) -> None:
+        """Process clause: drop the processed clauses it strictly subsumes,
+        and open it."""
         self.processed.remove_subsumed_by(clause)
-
-    def add(self, cid: int, clause: Clause) -> None:
         self.processed.add(clause)
         first = rename_clause(clause, 1)
-        self._openings[cid] = (tuple(start(first, lit) for lit in first.literals),
-                               rename_clause(clause, 2))
+        self._openings[clause.id] = (tuple(start(first, lit) for lit in first.literals),
+                                     rename_clause(clause, 2))
 
     def resolvents(self, given: Clause):
         """Two-column resolvents of given, which is already processed, with
@@ -762,137 +803,73 @@ class _FirstOrderResolution:
                     else:
                         yield _Resolvent(frozenset(lits), closed, key), other.id
 
-    def keep(self, cid: int, resolvent: _Resolvent) -> tuple:
-        """Keep the resolvent as clause cid; (its length, its heap item)."""
+    def keep(self, cid: int, resolvent: _Resolvent) -> Clause:
+        """Keep the resolvent as clause cid, its round held in rounds."""
         _, closed, key = resolvent
         csc = Clause(cid, closed.csc)
         self.rounds[cid] = closed, csc
         self.seen.add(key)
-        return len(closed.csc), csc
-
-    def round(self, cid: int, ids: tuple) -> RoundRecord:
-        return RoundRecord(*self.rounds[cid])
-
-    def saturated(self):
-        """_saturate's answer once no clause is left: none."""
-        return UNKNOWN, [], None, (DEPTH_BOUND_REACHED if self.dropped_deep else
-                                   "first-order saturation completed without the empty clause")
-
-
-def _proof_chain(last: int, premises: Dict[int, tuple]) -> List[int]:
-    """The ids of the rounds that derive clause last, its own included, in id
-    order. premises maps each round's clause id to the ids of the clauses it
-    used; ids grow in derivation order, so each round follows its premises."""
-    needed, frontier = {last}, [last]
-    while frontier:
-        for used in premises.get(frontier.pop(), ()):
-            if used not in needed:
-                needed.add(used)
-                frontier.append(used)
-    return sorted(needed & premises.keys())
-
-
-def _dp_model(coded: _OrderedResolution) -> Assignment:
-    """Model of a propositional set that ordered resolution has saturated
-    without deriving the empty clause: coded's processed clauses, under its
-    atom order.
-
-    Each clause goes to the bucket of its first atom, and the atoms are
-    assigned backward along the order (the backward pass of Davis-Putnam
-    elimination): an atom is true iff some clause in its bucket holds it
-    positively and every other literal, whose atom is later and so already
-    assigned, is false. Every clause then holds. By induction from the
-    last atom, suppose every clause whose first atom is later holds, and a
-    clause ~x | D in x's bucket fails: D is false and x was made true by some
-    x | C with C false. Both clauses have x first, so their resolvent C | D
-    was derived, or a clause that subsumes it was kept. That clause is not
-    empty, since the empty clause was not derived, and not a tautology, since
-    all its literals are false; so its first atom is later than x and it is
-    false, which the induction hypothesis excludes. A clause dropped as
-    subsumed holds because its subsumer does.
-
-    Only a clause whose first code is x's positive one can make x true, and
-    it does when no other positive atom of it is true and every negative
-    atom of it is: true is the bitmask of the atoms made true so far.
-    """
-    first = coded._first
-    true = 0
-    for i in reversed(range(len(coded.order))):
-        bit = 1 << i
-        if any(not (p & ~bit & true or n & ~true) for p, n in first.get(i + 1, {}).values()):
-            true |= bit
-    return {name: bool(true >> i & 1) for name, i in reversed(coded.order.items())}
+        return csc
 
 
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
-    """Exhaustive two-column rounds with subsumption, smallest clauses first:
-    ordered binary resolution on propositional input, binary resolution
-    through closings on first-order input.
+    """The fallback: conflict-driven clause learning (_conflict_driven) on
+    propositional input, exhaustive two-column rounds with subsumption,
+    smallest clauses first, on first-order input. The logic is the input's,
+    since preprocessing can leave first-order input 0-ary.
 
     Continues from the clauses prove admitted: working holds no tautology
     and no two variants, seen holds their variant keys, and existing_rounds
-    are the main loop's rounds, which the fallback's rounds follow.
+    are the main loop's rounds, which the fallback's rounds follow. Both
+    procedures poll the deadline and the clause cap through _spent: the
+    propositional one at each conflict, before its clause is learned, with
+    the cap on learned clauses; the first-order one at each selection, with
+    the cap on processed clauses. Both return the rounds that the empty
+    clause depends on, through _proof_chain.
 
-    This is the one given-clause loop of both logics. The clause of least
-    (length, arrival) is selected; it is dropped if a processed clause
-    subsumes it, and otherwise drops the processed clauses it strictly
-    subsumes, joins them and is resolved with them. A resolvent that is a
-    tautology, a variant of a clause seen or subsumed by a processed clause
-    is not kept. The loop ends at the deadline, past the clause cap, at the
-    empty clause or when no clause is left to select.
-
-    What differs between the logics lies behind one store protocol, which
-    _OrderedResolution (propositional input, on integer codes) and
-    _FirstOrderResolution (first-order input, on clauses) implement; the
-    logic is the input's, since preprocessing can leave first-order input
-    0-ary. encode gives an input clause's heap item; subsumes,
-    remove_subsumed_by and add act on a selected clause; resolvents yields a
-    processed clause's resolvents that are neither tautologies nor seen
-    (nor, first-order, too deep), each with its partner's id; subsumes also
-    takes a resolvent; keep keeps one, as (length, heap item); round builds
-    a chain round from its clause id and premise ids; processed is the
-    processed clauses, whose count the cap bounds; and saturated is the
-    answer once no clause is left. The propositional store reads seen from
-    working's clauses, coded.
+    The first-order loop selects the clause of least (length, arrival); it
+    is dropped if a processed clause subsumes it, and otherwise drops the
+    processed clauses it strictly subsumes, joins them and is resolved with
+    them (_FirstOrderResolution). A resolvent that is a tautology, a variant
+    of a clause seen, too deep or subsumed by a processed clause is not
+    kept. The loop ends at the deadline, past the clause cap, at the empty
+    clause or when no clause is left to select.
 
     Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with
-    the derivation chain, SATISFIABLE with a Davis-Putnam model
-    (propositional saturation only), or UNKNOWN on budget or cap
-    exhaustion, or when first-order saturation ends without the empty clause.
+    the derivation chain, SATISFIABLE with the model of a full trail
+    (propositional input only), or UNKNOWN on budget or cap exhaustion, or
+    when first-order saturation ends without the empty clause.
     """
     working = list(working)
-    store = _OrderedResolution(working) if prop else _FirstOrderResolution(seen)
-    heap = [(len(c), tick, c.id, store.encode(c)) for tick, c in enumerate(working)]
+    existing = {rec.csc.id: rec for rec in existing_rounds}
+    if prop:
+        return _conflict_driven(working, next_id, deadline, existing)
+    store = _FirstOrderResolution(seen)
+    heap = [(len(c), tick, c) for tick, c in enumerate(working)]
     heapq.heapify(heap)
     tick = len(heap)
-    existing = {rec.csc.id: rec for rec in existing_rounds}
     premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
     while heap:
-        if time.monotonic() > deadline:
-            return UNKNOWN, [], None, "time budget exhausted during saturation"
-        if len(store.processed) > _SATURATION_CLAUSE_CAP:
-            return UNKNOWN, [], None, "saturation clause cap exceeded"
-        _, _, cid, given = heapq.heappop(heap)
-        if store.subsumes(given):
+        if spent := _spent(deadline, len(store.processed)):
+            return UNKNOWN, [], None, spent
+        given = heapq.heappop(heap)[2]
+        if store.processed.subsumes(given.literal_set):
             continue
-        store.remove_subsumed_by(given)
-        store.add(cid, given)
+        store.add(given)
         for resolvent, other in store.resolvents(given):
-            if store.subsumes(resolvent):
+            if store.processed.subsumes(resolvent.literal_set):
                 continue
-            premises[next_id] = cid, other
-            length, item = store.keep(next_id, resolvent)
-            if not length:
-                # one fresh record per chain round, the main loop's included:
-                # the fallback records exactly the rounds it returns
-                return UNSATISFIABLE, [RoundRecord(existing[i].state, existing[i].csc)
-                                       if i in existing else store.round(i, premises[i])
-                                       for i in _proof_chain(next_id, premises)], None, None
-            heapq.heappush(heap, (length, tick, next_id, item))
+            premises[next_id] = given.id, other
+            csc = store.keep(next_id, resolvent)
+            if csc.is_empty():
+                return UNSATISFIABLE, _proof_chain(
+                    next_id, premises, existing, lambda i: RoundRecord(*store.rounds[i])), None, None
+            heapq.heappush(heap, (len(csc), tick, csc))
             tick += 1
             next_id += 1
-    return store.saturated()
+    return UNKNOWN, [], None, (DEPTH_BOUND_REACHED if store.dropped_deep else
+                               "first-order saturation completed without the empty clause")
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,10 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
     """Deletion strategy plus renaming: drop tautologies and alphabetic
     duplicates, then rename the survivors apart. Ids are preserved. The
     result's mode follows the survivors, which on first-order input may be
-    all 0-ary (or none at all). When nothing is dropped or renamed, the
-    result is clause_set itself, whose symbol tables were checked when it
-    was built."""
+    all 0-ary (or none at all). When nothing is renamed, the result is
+    clause_set itself, or the subset of its clauses that survive, whose
+    symbol tables were checked when clause_set was built; only renamed
+    clauses are checked again."""
     kept = []
     seen = set()
     for clause in clause_set.clauses:
@@ -81,10 +82,9 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
         seen.add(key)
         kept.append(clause)
     renamed = rename_apart(kept)
-    if len(renamed) == len(clause_set.clauses) and all(
-            new is old for new, old in zip(renamed, clause_set.clauses)):
-        return clause_set
-    return ClauseSet(renamed)
+    if any(new is not old for new, old in zip(renamed, kept)):
+        return ClauseSet(renamed)
+    return clause_set if len(kept) == len(clause_set.clauses) else clause_set._subset(kept)
 
 
 # -- unifier search -------------------------------------------------------------

@@ -114,6 +114,13 @@ def random_instance(rng, min_vars=4, max_vars=10, min_clauses=4, max_clauses=14)
     return clause_set(lists)
 
 
+def three_sat(rng, n_vars, n_clauses):
+    """Random 3-SAT: n_clauses clauses of three distinct atoms x1..x<n_vars>."""
+    names = [f"x{i}" for i in range(1, n_vars + 1)]
+    return clause_set([[(pos if rng.random() < 0.5 else neg)(name)
+                        for name in rng.sample(names, 3)] for _ in range(n_clauses)])
+
+
 def _placed_signature(state, index):
     col = state.columns[index]
     return (col.clause_id, col.source_literals.index(col.boundary_source),

@@ -39,7 +39,7 @@ from trisep import engine, logic
 from trisep.cli import main as cli_main
 from trisep.errors import ConstructionError
 from trisep.render import RawState, parse_trace_document, render_trace
-from conftest import fn, random_instance
+from conftest import fn, random_instance, three_sat
 
 FAST = EngineConfig(time_budget=30.0)
 
@@ -147,9 +147,9 @@ def test_prove_single_unit_satisfiable_via_fallback():
 
 
 def test_a_fallback_model_that_fails_verification_ends_in_unknown(monkeypatch):
-    # p | q, ~p holds only with q true; a Davis-Putnam model that makes every
-    # atom false must not become a Satisfiable verdict
-    monkeypatch.setattr(engine, "_dp_model", lambda coded: dict.fromkeys(coded.order, False))
+    # p | q, ~p holds only with q true; a trail model that makes every atom
+    # false must not become a Satisfiable verdict
+    monkeypatch.setattr(engine, "_trail_model", lambda names, value: dict.fromkeys(names, False))
     s = clause_set([[pos("p"), pos("q")], [neg("p")]])
     outcome, trace = prove(s, EngineConfig(max_rounds=0, time_budget=30.0))
     assert outcome.verdict == "unknown" and outcome.model is None
@@ -214,6 +214,22 @@ def test_the_budget_running_out_during_the_fallback_ends_it(monkeypatch, request
     outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=30.0))
     assert outcome.reason == "time budget exhausted during saturation"
     assert verify_trace(problem, trace)
+
+
+def test_the_propositional_fallback_polls_the_deadline_at_each_conflict(monkeypatch):
+    # prove reads the clock twice before the fallback starts, and the fallback
+    # once per conflict, before it learns a clause: with a 4.5 ms budget on a
+    # clock that advances 1 ms per reading, the fourth of the five conflicts
+    # that refute the set ends the run
+    problem = three_sat(random.Random(5), 8, 40)
+    config = EngineConfig(max_rounds=0, time_budget=30.0)
+    assert prove(problem, config)[0].unsatisfiable
+    clock = _SlowClock()
+    monkeypatch.setattr(engine, "time", clock)
+    outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=0.0045))
+    assert outcome.reason == "time budget exhausted during saturation"
+    assert trace.rounds == () and verify_trace(problem, trace)
+    assert round(clock.now * 1000) == 6
 
 
 @pytest.mark.parametrize("name", ["ex43", "ex51"])
@@ -594,12 +610,6 @@ def test_oracle_unsat_instances_all_refuted():
     assert refuted == 40
 
 
-def _three_sat(rng, n_vars, n_clauses):
-    names = [f"x{i}" for i in range(1, n_vars + 1)]
-    return clause_set([[(pos if rng.random() < 0.5 else neg)(name)
-                        for name in rng.sample(names, 3)] for _ in range(n_clauses)])
-
-
 def _chain(k, reverse=False):
     """P(a), ~P(X) | P(f(X)), ~P(f^k(a)), in that clause order or reversed."""
     goal = Constant("a")
@@ -625,7 +635,7 @@ def _pair_chain(k):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "d8aeb133ffc1faeeea4bd6b8e0299bb9ef27b951bf2ff26ed77761ec133987b0"
+GOLDEN_TRACE_DIGEST = "c2a1b06f62edfca771a4c1db318469b3b29cd2b674a65086fa01ed4b67e22e25"
 
 
 def _golden_runs(ex51, ex52, ex53):
@@ -638,9 +648,9 @@ def _golden_runs(ex51, ex52, ex53):
     runs += [(_chain(k, reverse), FAST) for k in range(3, 7) for reverse in (False, True)]
     runs += [(_pair_chain(k), FAST) for k in (3, 4)]
     fallback_only = EngineConfig(max_rounds=0, time_budget=30.0)
-    runs.append((_three_sat(random.Random(5), 8, 40), fallback_only))
+    runs.append((three_sat(random.Random(5), 8, 40), fallback_only))
     three_sat_rng = random.Random(6)
-    runs += [(_three_sat(three_sat_rng, 10, 43), fallback_only) for _ in range(8)]
+    runs += [(three_sat(three_sat_rng, 10, 43), fallback_only) for _ in range(8)]
     runs += [(_chain(k, reverse), fallback_only) for k in range(3, 7) for reverse in (False, True)]
     runs += [(s, fallback_only) for s in (ex51, ex52, ex53)]
     runs += [(_pair_chain(k), fallback_only) for k in (3, 4)]

@@ -20,6 +20,7 @@ from trisep import (
     shadow_contradiction_check,
     start,
 )
+from trisep import logic
 from trisep.engine import _ClauseStore
 from trisep.errors import ConstructionError
 from trisep.fol import MAX_AFFECTED_COLUMNS, variant_key
@@ -68,6 +69,30 @@ def test_preprocess_renames_shared_variables_apart():
     cleaned = preprocess(s)
     names = [variable_names(clause.literals) for clause in cleaned.clauses]
     assert not names[0] & names[1]
+
+
+def test_preprocess_checks_symbol_tables_again_only_for_renamed_clauses(monkeypatch):
+    # a subset of a checked set needs no second check, and its mode follows
+    # the survivors; a renamed clause is checked again
+    x = Variable("x")
+    dropping = ClauseSet([Clause(1, [pos("P", x), neg("P", x)]), Clause(2, [pos("q")]),
+                          Clause(3, [neg("q"), pos("r")]), Clause(4, [pos("r"), neg("q")])])
+    renaming = ClauseSet([Clause(1, [pos("P", x)]), Clause(2, [neg("P", x), pos("Q", x)])])
+    checked = []
+    check = logic._check_symbol_tables
+
+    def counting(clauses):
+        checked.append([c.id for c in clauses])
+        return check(clauses)
+
+    monkeypatch.setattr(logic, "_check_symbol_tables", counting)
+    cleaned = preprocess(dropping)
+    assert [c.id for c in cleaned] == [2, 3]
+    assert all(c is dropping.by_id(c.id) for c in cleaned)
+    assert cleaned.is_propositional and not dropping.is_propositional
+    assert checked == []
+    assert [c.id for c in preprocess(renaming)] == [1, 2]
+    assert checked == [[1, 2]]
 
 
 # -- scripted construction: the one-variable chain (Table 5.1 shape) ---------------

@@ -3,13 +3,12 @@ search against instantiating the boundary sources, the round builder's
 extension ranking against placing every candidate, one-pass column pruning
 against the fixpoint loop, the clause store against linear scans, the
 saturation fallback's resolvents against the rounds they stand for and the
-clauses it starts from, its coded propositional path against ordered
-resolution on literal sets, the closing generator against one that closes
+clauses it starts from, its conflict-driven propositional path against the
+truth table, the closing generator against one that closes
 every seed, prove against the brute-force oracle, the parsers on arbitrary
 text, TPTP render/parse round trips, and the term reader in both
 spellings. Example counts stay low so the suite stays fast."""
 
-import heapq
 import random
 from collections import Counter
 from itertools import chain
@@ -38,6 +37,7 @@ from trisep import (
     greedy_pull,
     is_tautology,
     is_unsatisfiable_bruteforce,
+    linear_to_etc,
     load_problem,
     mgu,
     neg,
@@ -58,7 +58,7 @@ from trisep import (
     verify_trace,
 )
 from trisep import engine
-from trisep.engine import _ClauseStore, _OrderedResolution
+from trisep.engine import _ClauseStore
 from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError, TrisepError
 from trisep.logic import MAX_TERM_DEPTH, merge_duplicate_literals, variable_names
@@ -66,7 +66,7 @@ from trisep.render import RawState, format_literal, parse_literal_text
 from trisep.tptp import render_literal_tptp
 from trisep.triangle import EMPTY_STATE, _derive_column
 from trisep.unify import EMPTY, apply_literal
-from conftest import random_closed_state, reference_ranking
+from conftest import random_closed_state, random_instance, reference_ranking, three_sat
 
 FEW = settings(max_examples=50, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
@@ -324,165 +324,43 @@ def test_the_clause_store_answers_as_linear_scans_do(operations):
 
 # -- the saturation fallback ---------------------------------------------------
 
-_propositional_clauses = st.lists(_propositional_literals, min_size=1, max_size=4).filter(
-    lambda body: not is_tautology(Clause(0, body)))
 
+def test_the_conflict_driven_fallback_agrees_with_the_truth_table(monkeypatch):
+    """Under the fallback alone, on seeded random 3-SAT sets of 8 to 14 atoms
+    near the threshold ratio and on criterion 9's random sets: every verdict
+    is the truth table's, every model satisfies its set, and every
+    refutation's trace verifies as produced and after a render/parse round
+    trip. Each learned clause that a refutation needs is built as one round,
+    with one column per resolution step of its derivation and a closing
+    column, and the trace is exactly those rounds."""
+    built = []
 
-def _coded(atoms, clauses):
-    """An _OrderedResolution under the atom order atoms, with clauses processed
-    in order and no variant key seen."""
-    coded = _OrderedResolution(clauses, atoms)
-    for clause in clauses:
-        coded.add(clause.id, coded.encode(clause))
-    coded.seen.clear()
-    return coded
+    def one_round(ld, start_id=None):
+        rounds = linear_to_etc(ld, start_id)
+        assert len(rounds) == 1
+        assert len(rounds[0].state.columns) == len(ld.side_clauses) + 1
+        built.append(rounds[0])
+        return rounds
 
-
-@FEW
-@given(_propositional_clauses, st.lists(_propositional_clauses, min_size=1, max_size=3),
-       st.permutations("pqrs"))
-def test_propositional_resolvents_are_the_rounds_they_stand_for(given_body, partner_bodies,
-                                                                names):
-    """Each resolvent is yielded as codes, without building its round, yet its
-    literals, variant key, clause ids and round are those of
-    close(start(given, lit), other), where lit is given's first literal in
-    the atom order and other's first literal is lit's complement, partners
-    taken in processing order."""
-    order = {name: i for i, name in enumerate(names)}
-    partners = [Clause(i, body) for i, body in enumerate(partner_bodies, start=1)]
-    given_clause = Clause(len(partners) + 1, given_body)
-    coded = _coded(names, partners + [given_clause])
-
-    def first(clause):
-        return min(clause.literals, key=lambda lit: order[lit.predicate])
-
-    def masks(literals):
-        return tuple(sum(1 << order[lit.predicate] for lit in literals if lit.positive == sign)
-                     for sign in (True, False))
-
-    lit = first(given_clause)
-    expected = []
-    for other in partners:
-        if first(other) == lit.complement():
-            state = close(start(given_clause, lit), other)
-            if not is_tautology(state.csc):
-                expected.append(state)
-    yielded = list(coded.resolvents(coded.encode(given_clause)))
-    assert len(yielded) == len(expected)
-    for cid, (((p, n, codes), other), state) in enumerate(zip(yielded, expected),
-                                                          start=given_clause.id + 1):
-        assert tuple(coded.literal[code] for code in codes) == state.csc
-        assert (p, n) == masks(state.csc)
-        assert (given_clause.id, other) == state.clause_ids()
-        coded.derived[cid] = codes
-        record = coded.round(cid, (given_clause.id, other))
-        assert record.state.columns == state.columns
-        assert record.state.parts == state.parts
-        assert record.state.csc == state.csc
-        assert (record.csc.id, record.csc.literals) == (cid, state.csc)
-
-
-def test_a_propositional_pair_is_resolved_only_on_an_atom_first_in_both():
-    """Under the order p < q < r, given q | r resolves with ~q | r on q, which
-    is first in both; not with p | ~q, whose first atom is p, nor with ~r,
-    because r is not given's first atom."""
-    partners = [Clause(1, [pos("p"), neg("q")]), Clause(2, [neg("r")]),
-                Clause(3, [neg("q"), pos("r")])]
-    given_clause = Clause(4, [pos("q"), pos("r")])
-    coded = _coded("pqr", partners + [given_clause])
-    yielded = coded.resolvents(coded.encode(given_clause))
-    assert [(tuple(coded.literal[code] for code in codes), other)
-            for (_, _, codes), other in yielded] == [((pos("r"),), 3)]
-
-
-def _reference_ordered_resolution(clauses):
-    """Ordered resolution on literal sets, as the fallback ran it on Literal
-    and Clause objects: the atom order puts fewer occurrences first, ties
-    broken by name; the clause of least (length, arrival) is selected,
-    dropped if a processed clause is a subset of it, and otherwise drops the
-    processed clauses that strictly contain it and is resolved on its first
-    atom with each processed clause whose first literal is its pivot's
-    complement; a resolvent that is a tautology, a seen literal set or
-    subsumed is not kept. Returns (verdict, rounds as (id, ids used, csc
-    literals), Davis-Putnam model)."""
-    counts = Counter(lit.predicate for clause in clauses for lit in clause.literals)
-    order = {name: i for i, name in enumerate(sorted(counts, key=lambda n: (counts[n], n)))}
-
-    def first(literals):
-        return min(literals, key=lambda lit: order[lit.predicate])
-
-    def subsumed(literal_set):
-        return any(frozenset(other) <= literal_set for other in processed.values())
-
-    heap = [(len(clause), tick, clause.id, clause.literals) for tick, clause in enumerate(clauses)]
-    heapq.heapify(heap)
-    tick, next_id = len(heap), max(clause.id for clause in clauses) + 1
-    seen = {frozenset(clause.literals) for clause in clauses}
-    processed, derived = {}, {}
-    while heap:
-        _, _, cid, literals = heapq.heappop(heap)
-        given_set = frozenset(literals)
-        if subsumed(given_set):
+    monkeypatch.setattr(engine, "linear_to_etc", one_round)
+    rng = random.Random(4026)
+    problems = [three_sat(rng, n, round(4.26 * n)) for n in range(8, 15) for _ in range(12)]
+    problems += [random_instance(rng) for _ in range(120)]
+    verdicts = Counter()
+    for problem in problems:
+        built.clear()
+        outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=30.0))
+        assert outcome.verdict != "unknown", outcome.reason
+        assert outcome.unsatisfiable == is_unsatisfiable_bruteforce(problem)
+        verdicts[outcome.verdict] += 1
+        if outcome.satisfiable:
+            assert verify_model(problem, outcome.model)
             continue
-        processed = {i: other for i, other in processed.items()
-                     if not given_set < frozenset(other)}
-        processed[cid] = literals
-        pivot = first(literals)
-        for other_id, other in processed.items():
-            if first(other) != pivot.complement():
-                continue
-            resolvent = tuple(lit for lit in literals if lit != pivot) + tuple(
-                lit for lit in other if lit != pivot.complement() and lit not in given_set)
-            key = frozenset(resolvent)
-            if is_tautology(resolvent) or key in seen or subsumed(key):
-                continue
-            derived[next_id] = ((cid, other_id), resolvent)
-            if not resolvent:
-                needed, frontier = {next_id}, [next_id]
-                while frontier:
-                    for used in derived.get(frontier.pop(), ((), ()))[0]:
-                        if used not in needed:
-                            needed.add(used)
-                            frontier.append(used)
-                return "unsatisfiable", [(i, *derived[i]) for i in sorted(needed & derived.keys())
-                                         ], None
-            seen.add(key)
-            heapq.heappush(heap, (len(resolvent), tick, next_id, resolvent))
-            tick, next_id = tick + 1, next_id + 1
-    model = {}
-    for name in sorted(order, key=order.get, reverse=True):
-        model[name] = any(
-            first(other).predicate == name and all(
-                lit.positive if lit.predicate == name else model[lit.predicate] != lit.positive
-                for lit in other)
-            for other in processed.values())
-    return "satisfiable", [], model
-
-
-_six_atom_literals = st.builds(Literal, st.booleans(), st.sampled_from("abcdef"))
-
-
-@settings(FEW, max_examples=200)
-@given(st.one_of(
-    st.lists(st.lists(_six_atom_literals, min_size=1, max_size=4), min_size=1, max_size=16),
-    # 3-SAT-like sets derive short clauses after long ones were processed, so
-    # they subsume processed clauses backward
-    st.lists(st.lists(_six_atom_literals, min_size=3, max_size=3), min_size=8, max_size=24)))
-# ~d, resolved from ~d | a and ~a, subsumes ~e | ~d backward; were ~e | ~d
-# left among the partners of pivot d, it would stand in for ~d in the proof
-@example([[neg("e"), pos("b")], [neg("e"), neg("d")], [neg("d"), pos("a")], [pos("e"), pos("a")],
-          [neg("a")], [pos("d"), neg("b")]])
-def test_the_coded_saturation_is_ordered_resolution_on_literal_sets(bodies):
-    """On random propositional sets of at most 6 atoms, the fallback gives the
-    verdict, the rounds (ids, premise ids and csc literals) and the model of
-    ordered resolution run on literal sets."""
-    clauses = preprocess(ClauseSet(Clause(i, body) for i, body in enumerate(bodies, start=1)))
-    assume(clauses.clauses)
-    verdict, rounds, model, _ = engine._saturate(
-        clauses.clauses, {frozenset(clause.literals) for clause in clauses}, clauses.next_id(),
-        True, float("inf"), ())
-    assert (verdict, [(r.csc.id, r.clause_ids_used, r.csc.literals) for r in rounds], model
-            ) == _reference_ordered_resolution(clauses.clauses)
+        assert len(trace.rounds) == len(built) and trace.rounds[-1].csc.is_empty()
+        assert all(a is b for a, b in zip(trace.rounds, built))
+        assert verify_trace(problem, trace)
+        assert verify_trace(problem, parse_trace_document(render_trace(trace)))
+    assert min(verdicts["satisfiable"], verdicts["unsatisfiable"]) >= 50
 
 
 def _reference_two_column_rounds(a: Clause, b: Clause):
