@@ -2,9 +2,9 @@
 
 When every clause of a propositional set sits in some column and the closing
 clause keeps a leftover literal, the boundary literals plus that leftover
-form a satisfying assignment. The engine checks this after every
-propositional round and certifies every model against the truth-table oracle
-before claiming anything.
+form a satisfying assignment. The engine reads its propositional models off
+the full trail of its conflict-driven search instead; both kinds of model are
+certified here against the truth-table oracle.
 """
 
 from trisep import (
@@ -32,7 +32,7 @@ print("extracted model:", model)
 print("oracle verify_model:", verify_model(s, model))
 print()
 
-# the engine route: prove tries the same extraction after every round
+# the engine route: prove reads the model off its search's full trail
 outcome, _ = prove(s)
 print("engine verdict:", outcome.verdict, "model:", outcome.model)
 print()
@@ -44,7 +44,7 @@ print("contradictory pair:", contradictory, "->", outcome.verdict,
       "in", len(trace.rounds), "round(s)")
 print()
 
-# larger mixed example: the fallback covers anything the rounds miss
+# larger mixed example
 bigger = clause_set([
     [pos("a"), pos("b")],
     [neg("a"), pos("c")],

@@ -96,8 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prove = sub.add_parser("prove", help="decide a clause set and emit a trace")
     common(p_prove)
-    p_prove.add_argument("--max-rounds", type=int, default=40)
-    p_prove.add_argument("--fallback", choices=["on", "off"], default="on")
+    p_prove.add_argument("--max-rounds", type=int, default=40,
+                         help="round cap of the main loop on first-order input; propositional "
+                              "input runs conflict-driven learning and ignores it")
+    p_prove.add_argument("--fallback", choices=["on", "off"], default="on",
+                         help="on first-order input, whether a stalled round or the round cap "
+                              "hands the run to saturation; propositional input always runs "
+                              "conflict-driven learning and ignores it")
     p_prove.add_argument("--timeout", type=_seconds, default=10.0,
                          help="time budget in seconds")
     p_prove.add_argument("--trace", default=None, help="write the trace document here")

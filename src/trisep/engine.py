@@ -1,40 +1,33 @@
 """The outer deduction loop and the bridge from linear resolution.
 
-One round builds one closed construction, separates its leftover clause, and
-feeds it back into the working set. An empty separated clause refutes the
-input. A propositional round that covers every input clause and keeps a
-leftover in its closing column yields a model instead. The first round
-that stalls (no closed state, or a separated clause that is a known variant,
-a tautology or subsumed by the working set) ends the loop, and the fallback,
-_saturate, continues from the admitted clauses. It settles propositional
-input by conflict-driven clause learning on integer-coded clauses: each
+Propositional input goes from preprocessing straight to _saturate, which
+settles it by conflict-driven clause learning on integer-coded clauses: each
 learned clause is the separated clause of one round whose columns are the
 reasons of the literals its conflict analysis resolves, in trail order, and
 whose closing column is the conflict clause, so a refutation's trace holds
-one round per learned clause that the empty clause depends on,
-and a satisfiable answer is the full trail. Clauses and closed states are
-built only for those rounds, through the linear deduction bridge. On
-first-order input it makes a bounded best effort by two-column saturation
-(binary resolution as the k=2 special case, with subsumption), whose
-resolvents are the closings of one-column states, made by the same closing
-generator as the main loop's rounds. Both poll one deadline and one clause
-cap, and both build the proof chain in one place. A trace is the ordered
-list of its rounds, so a round's number is its position there, and derived
-clause ids grow in round order. One deadline serves the whole run: reaching
-it ends the run without a verdict, so the clock never shapes the trace of a
-run that finishes. No derived clause that holds a term deeper than the
-parsers accept is admitted: such a separated clause stalls the main loop,
-and such a resolvent is dropped.
+one round per learned clause that the empty clause depends on, and a
+satisfiable answer is the full trail. Clauses and closed states are built
+only for those rounds, through the linear deduction bridge.
 
-Both logics take the same path through the main loop. A propositional atom
-is a 0-ary predicate, so a propositional round is the first-order one in
-which every unifier is empty: preprocessing, renaming, fall-in and variant
-keys all reduce to the identity or to plain literal sets on ground input.
-The logic is consulted only where a propositional shortcut measurably pays
-(ranking extension candidates in one pass that keys and places only the
-winner; scoring closings and judging the best with should_stop on literal
-sets, so that only the closing a build returns is built) and where only one
-logic has the notion (model extraction and the fallback's procedure).
+First-order input runs the main loop first. One round builds one closed
+construction, separates its leftover clause, and feeds it back into the
+working set. An empty separated clause refutes the input. The first round
+that stalls (no closed state, or a separated clause that is a known variant,
+a tautology or subsumed by the working set) ends the loop, and _saturate
+continues from the admitted clauses with a bounded best effort by two-column
+saturation (binary resolution as the k=2 special case, with subsumption),
+whose resolvents are the closings of one-column states, made by the same
+closing generator as the main loop's rounds. Ground first-order input takes
+the same path: its rounds are those in which every unifier is empty.
+
+Both procedures of _saturate poll one deadline and one clause cap, and both
+build the proof chain in one place. A trace is the ordered list of its
+rounds, so a round's number is its position there, and derived clause ids
+grow in round order. One deadline serves the whole run: reaching it ends the
+run without a verdict, so the clock never shapes the trace of a run that
+finishes. No derived clause that holds a term deeper than the parsers accept
+is admitted: such a separated clause stalls the main loop, and such a
+resolvent is dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -63,7 +55,6 @@ from .triangle import (
     Triangle,
     close,
     extend,
-    extract_model,
     prune_redundant_columns,
     start,
 )
@@ -96,8 +87,8 @@ class Outcome:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    max_rounds: int = 40
-    fallback_enabled: bool = True
+    max_rounds: int = 40  # the main loop's round cap; first-order input only
+    fallback_enabled: bool = True  # first-order input only
     time_budget: float = 10.0
 
     def __post_init__(self):
@@ -164,8 +155,8 @@ def _closings(state: Triangle, placed: Clause, by_boundary: Optional[list] = Non
 class _ClauseStore:
     """A growing clause set in insertion order, indexed by literal: the round
     builder's working set and the first-order saturation's processed clauses
-    (the propositional fallback holds its own clauses, integer-coded).
-    Subsumption is syntactic literal-set inclusion in both logics.
+    (propositional input never reaches it: _conflict_driven holds its own
+    clauses, integer-coded). Subsumption is syntactic literal-set inclusion.
 
     Each literal maps to the clauses that hold it. Each clause is also
     watched under its first literal (a stored clause is never empty): a
@@ -173,7 +164,7 @@ class _ClauseStore:
     which is in C, so scanning the watches of C's literals tests every
     candidate subsumer once. Dicts keyed by clause id keep insertion order
     and delete in O(1). count_unifiable serves only should_stop's partner
-    test; its first-order counts are memoized until the store changes.
+    test; its counts are memoized until the store changes.
     """
 
     def __init__(self, clauses: Iterable[Clause] = ()):
@@ -200,8 +191,6 @@ class _ClauseStore:
 
     def count_unifiable(self, literal: Literal) -> int:
         """How many clauses hold a literal that unifies with literal."""
-        if not literal.args:  # a 0-ary literal unifies only with itself
-            return len(self._occurrences.get(literal, ()))
         n = self._unifiable.get(literal)
         if n is None:
             n = self._unifiable[literal] = sum(
@@ -232,22 +221,22 @@ class _ClauseStore:
         self._unifiable.clear()
 
 
-def should_stop(closing_plus: Sequence[Literal], width: int, threshold: Optional[int],
+def should_stop(closed: Triangle, threshold: Optional[int],
                 working: _ClauseStore) -> Tuple[bool, Optional[str]]:
-    """Whether a closing is an acceptable stopping point, read from its
-    closing column's leftovers and its separated clause's width, so that a
-    closing need not be built to be judged.
+    """Whether a closed state is an acceptable stopping point, read from its
+    closing column's leftovers and its separated clause's width.
 
     Reasons, strongest first: the closing column absorbed its whole clause
     (empty_dplus); no clause of working holds a literal that unifies with the
     complement of some closing leftover (no_complement_partner); the
     separated clause is wider than threshold, None for no cap (threshold).
     """
+    closing_plus = closed.d_plus(closed.closing_index)
     if not closing_plus:
         return True, "empty_dplus"
     if any(working.count_unifiable(lit.complement()) == 0 for lit in closing_plus):
         return True, "no_complement_partner"
-    if threshold is not None and width > threshold:
+    if threshold is not None and len(closed.csc) > threshold:
         return True, "threshold"
     return False, None
 
@@ -262,39 +251,33 @@ class _RoundBuilder:
     that should_stop accepts, which asks the working set for complement
     partners.
 
-    One path serves both logics: a propositional round is the case in which
-    every unifier is empty. Two steps take a shortcut on propositional input,
-    because the general form costs measurably more there: extension
-    candidates are ranked on literal sets in one pass over the working set,
-    which keys and places only the winner; closing candidates are scored on
-    literal sets, should_stop reads the best one's leftovers and width off
-    those sets, and only the closing that build returns is built.
+    It serves first-order input only (propositional input goes straight to
+    _saturate); ground input is the case in which every unifier is empty.
 
-    First-order builds share their work through caches that live as long as
-    the builder and are keyed by state identity: each placement (state,
-    clause, literal position) with its column signature, each least closing
-    (state, clause), each state's set of column signatures and each renaming
-    (clause, column). A cached placement is the state placed before, so a
-    build that takes a step an earlier build took walks the same states, and
-    the look-ahead fills the least closings that _best_closure then reads.
-    The caches are exact: a closing depends only on its state and clause;
-    the working set only grows; and the one working-set input to a placement
-    is redundancy_guard, whose answer can only turn to reject as the set
-    grows, so a cached instantiated placement is checked against the clauses
-    added since and placed again if one of them rejects it. _closings builds
-    each clause's closings once per distinct seed, and a least closing stops
-    at the least key that any closing of its clause could reach.
+    Builds share their work through caches that live as long as the builder
+    and are keyed by state identity: each placement (state, clause, literal
+    position) with its column signature, each least closing (state, clause),
+    each state's set of column signatures and each renaming (clause, column).
+    A cached placement is the state placed before, so a build that takes a
+    step an earlier build took walks the same states, and the look-ahead fills
+    the least closings that _best_closure then reads. The caches are exact: a
+    closing depends only on its state and clause; the working set only grows;
+    and the one working-set input to a placement is redundancy_guard, whose
+    answer can only turn to reject as the set grows, so a cached instantiated
+    placement is checked against the clauses added since and placed again if
+    one of them rejects it. _closings builds each clause's closings once per
+    distinct seed, and a least closing stops at the least key that any closing
+    of its clause could reach.
 
-    Every build starts from the empty state. prove makes one builder per
-    run, which fixes the logic once and derives the width threshold (twice
-    the widest input clause) and the column cap from the input before
-    preprocessing. The working set is a clause store, to which prove adds
-    each kept separated clause.
+    Every build starts from the empty state. prove makes one builder for a run
+    whose main loop runs (first-order input, max_rounds > 0), and it derives
+    the width threshold (twice the widest input clause) and the column cap
+    from the input before preprocessing. The working set is a clause store, to
+    which prove adds each kept separated clause.
     """
 
     def __init__(self, inputs: ClauseSet, clause_set: ClauseSet, deadline: float):
         self.working = _ClauseStore(inputs.clauses)
-        self.prop = inputs.is_propositional
         self.threshold = 2 * max(len(c) for c in clause_set.clauses)
         self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
@@ -394,43 +377,12 @@ class _RoundBuilder:
         self._least[cache_key] = least
         return least
 
-    def _least_closure(self, state: Triangle) -> Optional[tuple]:
-        """state's least first-order closing over the working set, as (key,
-        closed state), or None."""
-        return min(filter(None, (self._least_closing(state, clause) for clause in self.working)),
-                   key=itemgetter(0), default=None)
-
-    def _set_closures(self, state: Triangle):
-        """Propositional closings scored on literal sets, as (key, clause);
-        the least key, (leftover count, -inside count, clause id), ranks
-        best."""
-        complements = state.boundary_complements
-        for clause in self.working:
-            inside = len(clause.literal_set & complements)
-            if inside:
-                yield (len(clause) - inside, -inside, clause.id), clause
-
-    def _best_closure(self, state: Triangle
-                      ) -> Optional[Tuple[Sequence[Literal], int, Callable[[], Triangle]]]:
-        """state's best closing as (its closing column's leftovers, its
-        separated clause's width, a function that builds the closed state),
-        or None. A first-order closing is read from the least closings. A
-        propositional closing leaves the clause's literals that are not
-        boundary complements, and its separated clause is state's leftovers
-        plus those."""
-        if not self.prop:
-            least = self._least_closure(state)
-            if least is None:
-                return None
-            closed = least[1]
-            return closed.d_plus(closed.closing_index), len(closed.csc), lambda: closed
-        best = min(self._set_closures(state), key=itemgetter(0), default=None)
-        if best is None:
-            return None
-        clause = best[1]
-        complements = state.boundary_complements
-        plus = [lit for lit in clause.literals if lit not in complements]
-        return plus, len(set(state.leftovers).union(plus)), partial(close, state, clause)
+    def _best_closure(self, state: Triangle) -> Optional[Triangle]:
+        """state's best closing over the working set: the closed state of
+        least key among the least closings of its clauses, or None."""
+        least = min(filter(None, (self._least_closing(state, clause) for clause in self.working)),
+                    key=itemgetter(0), default=None)
+        return None if least is None else least[1]
 
     def _column_signature(self, state: Triangle, index: int):
         col = state.columns[index]
@@ -439,65 +391,18 @@ class _RoundBuilder:
             boundary_idx = col.source_literals.index(col.boundary_source)
         return (col.clause_id, boundary_idx, variant_key(state.instantiated(index)))
 
-    def _set_candidates(self, state: Triangle):
-        """The least propositional extension, keyed on literal sets without
-        placing a clause, as (key, a function that places it); none when no
-        extension is legal.
-
-        With lit on the boundary, a column leaves the clause's literals other
-        than lit that are not boundary complements; extend raises exactly
-        when lit is a boundary complement; a column repeats an earlier one
-        exactly when it has the same clause and boundary literal; and an
-        empty separation is one close away exactly when nothing is left over
-        and some clause lies within the boundary complements and lit's.
-
-        So every part of a key before the literal position is fixed by the
-        clause: the new leftovers are the same for each legal literal, and
-        the look-ahead can be 0 only when one literal lies outside the
-        boundary complements. One pass keeps the least (unit, look, new
-        leftovers, clause id) of the clauses with a legal literal, placed on
-        its first legal literal, and probes the look-ahead only for a clause
-        whose bound can still win.
-        """
-        working = self.working
-        complements, boundary = state.boundary_complements, set(state.boundary)
-        repeats = {(col.clause_id, col.boundary_source) for col in state.columns}
-        nothing_left = not state.leftovers
-        least, winner = (2,), None  # above every key
-        for clause in working:
-            new_plus = len(clause.literal_set - complements) - 1
-            if new_plus < 0:
-                continue
-            cid = clause.id
-            key = (0 if len(clause.literals) == 1 else 1,
-                   0 if nothing_left and not new_plus else 1, new_plus, cid)
-            if key > least:
-                continue
-            for idx, lit in enumerate(clause.literals):
-                if lit not in complements and lit not in boundary and (cid, lit) not in repeats:
-                    break
-            else:
-                continue
-            if not key[1] and not working.subsumes(complements | {lit.complement()}):
-                key = (key[0], 1, new_plus, cid)
-                if key > least:
-                    continue
-            least, winner = key, (clause, idx, lit)
-        if winner is not None:
-            clause, idx, lit = winner
-            yield (*least, idx), partial(extend, state, clause, lit)
-
-    def _placed_candidates(self, state: Triangle):
-        """Every first-order extension, keyed, in scan order, in the shape of
-        _set_candidates. A key depends on the column's unifier, so each
-        candidate is placed here (_place), and its function returns the
-        placed state. A candidate without leftovers is keyed on its least
-        closing, the look-ahead, which _best_closure reads if the candidate
-        wins."""
+    def _extensions(self, state: Triangle) -> List[Tuple[tuple, Triangle]]:
+        """Every extension of state, in scan order, as (key, the extended
+        state). Key: (unit, look-ahead, new leftover count, clause id, literal
+        position); keys are unique, and the least one ranks best. A key
+        depends on the column's unifier, so each candidate is placed here
+        (_place). A candidate without leftovers is keyed on its best closing,
+        the look-ahead, which build reads if the candidate wins."""
         signatures = self._signatures.get(state)
         if signatures is None:
             signatures = self._signatures[state] = {
                 self._column_signature(state, i) for i in range(len(state.columns))}
+        extensions = []
         for clause in self.working:
             unit = 0 if len(clause) == 1 else 1
             for idx in range(len(clause)):
@@ -507,43 +412,36 @@ class _RoundBuilder:
                 candidate = placement[0]
                 new_col = len(candidate.columns) - 1
                 # an extension after which an empty separation is one close
-                # away: its best closing leaves nothing over
-                least = None if candidate.leftovers else self._least_closure(candidate)
-                look = 0 if least and least[0][0] == 0 else 1
-                key = (unit, look, len(candidate.d_plus(new_col)), clause.id, idx)
-                yield key, lambda candidate=candidate: candidate
-
-    def _extensions(self, state: Triangle) -> List[Tuple[tuple, Callable[[], Triangle]]]:
-        """The keyed extensions of state, in scan order, as (key, a function
-        that builds the extended state). Key: (unit, look-ahead, new leftover
-        count, clause id, literal position). Keys are unique, and the least
-        one ranks best; a propositional scan keys only the least."""
-        return list(self._set_candidates(state) if self.prop else self._placed_candidates(state))
+                # away: its best closing separates the empty clause
+                closed = None if candidate.leftovers else self._best_closure(candidate)
+                look = 0 if closed is not None and not closed.csc else 1
+                extensions.append(((unit, look, len(candidate.d_plus(new_col)), clause.id, idx),
+                                   candidate))
+        return extensions
 
     # -- main ---------------------------------------------------------------
 
     def build(self) -> Optional[Triangle]:
         """One closed state, or None: the best closing of the first state
         whose best closing should_stop accepts, of the state at the column
-        cap, or of the state that no extension grows. Only that closing is
-        built; the deadline ends a build with None."""
+        cap, or of the state that no extension grows; the deadline ends a
+        build with None."""
         state = EMPTY_STATE
         best = None  # state's best closing, None before the first column
         while time.monotonic() < self.deadline:
             if state.columns:
                 best = self._best_closure(state)
-                if best is not None and should_stop(
-                        best[0], best[1], self.threshold, self.working)[0]:
+                if best is not None and should_stop(best, self.threshold, self.working)[0]:
                     break
                 if len(state.columns) >= self.max_columns:
                     break
             extensions = self._extensions(state)
             if not extensions:
                 break
-            state = min(extensions)[1]()
+            state = min(extensions)[1]
         else:
             return None
-        return None if best is None else best[2]()
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -815,18 +713,19 @@ class _FirstOrderResolution:
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
     """The fallback: conflict-driven clause learning (_conflict_driven) on
-    propositional input, exhaustive two-column rounds with subsumption,
-    smallest clauses first, on first-order input. The logic is the input's,
-    since preprocessing can leave first-order input 0-ary.
+    propositional input, which prove hands over straight from preprocessing,
+    and exhaustive two-column rounds with subsumption, smallest clauses
+    first, on first-order input, after the main loop. The logic is the
+    input's, since preprocessing can leave first-order input 0-ary.
 
-    Continues from the clauses prove admitted: working holds no tautology
-    and no two variants, seen holds their variant keys, and existing_rounds
-    are the main loop's rounds, which the fallback's rounds follow. Both
-    procedures poll the deadline and the clause cap through _spent: the
-    propositional one at each conflict, before its clause is learned, with
-    the cap on learned clauses; the first-order one at each selection, with
-    the cap on processed clauses. Both return the rounds that the empty
-    clause depends on, through _proof_chain.
+    Continues from the clauses prove admitted: working holds no tautology and
+    no two variants, seen holds their variant keys, and existing_rounds are
+    the main loop's rounds (none on propositional input), which the fallback's
+    rounds follow. Both procedures poll the deadline and the clause cap
+    through _spent: the propositional one at each conflict, before its clause
+    is learned, with the cap on learned clauses; the first-order one at each
+    selection, with the cap on processed clauses. Both return the rounds that
+    the empty clause depends on, through _proof_chain.
 
     The first-order loop selects the clause of least (length, arrival); it
     is dropped if a processed clause subsumes it, and otherwise drops the
@@ -898,41 +797,37 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             return _finish((), SATISFIABLE, complete_model({}, clause_set))
         return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
 
-    builder = _RoundBuilder(inputs, clause_set, deadline)
-    working = builder.working
     # a clause that preprocessing deleted may hold the highest input id
     next_id = clause_set.next_id()
+    working = inputs.clauses
     known = {variant_key(c.literals) for c in working}
     rounds: List[RoundRecord] = []
     deep = False
 
-    # the first stalled round hands the admitted clauses to the fallback; a
-    # build at the deadline returns None
-    while len(rounds) < config.max_rounds:
-        state = builder.build()
-        if state is None:
-            break
-        raw_state = fall_in(state)
-        state = prune_redundant_columns(raw_state)
-        csc = Clause(next_id, state.csc)
-        if csc.is_empty():
-            return _finish(rounds + [RoundRecord(state, csc)], UNSATISFIABLE)
-        if prop:
-            model = extract_model(raw_state, inputs)
-            if model is not None:
-                model = complete_model(model, clause_set)
-                if verify_model(clause_set, model):
-                    return _finish(rounds, SATISFIABLE, model)
-        key = variant_key(csc.literals)
-        deep = too_deep(csc.literals)
-        if deep or key in known or is_tautology(csc) or working.subsumes(csc.literal_set):
-            break
-        rounds.append(RoundRecord(state, csc))
-        known.add(key)
-        working.add(csc)
-        next_id += 1
+    # propositional input goes straight to the fallback; on first-order input
+    # the first stalled round hands the admitted clauses to it, and a build at
+    # the deadline returns None
+    if not prop and config.max_rounds:
+        builder = _RoundBuilder(inputs, clause_set, deadline)
+        working = builder.working
+        while len(rounds) < config.max_rounds:
+            state = builder.build()
+            if state is None:
+                break
+            state = prune_redundant_columns(fall_in(state))
+            csc = Clause(next_id, state.csc)
+            if csc.is_empty():
+                return _finish(rounds + [RoundRecord(state, csc)], UNSATISFIABLE)
+            key = variant_key(csc.literals)
+            deep = too_deep(csc.literals)
+            if deep or key in known or is_tautology(csc) or working.subsumes(csc.literal_set):
+                break
+            rounds.append(RoundRecord(state, csc))
+            known.add(key)
+            working.add(csc)
+            next_id += 1
 
-    if config.fallback_enabled and time.monotonic() < deadline:
+    if (prop or config.fallback_enabled) and time.monotonic() < deadline:
         verdict, fb_rounds, model, reason = _saturate(
             working, known, next_id, prop, deadline, rounds)
         if verdict == SATISFIABLE:

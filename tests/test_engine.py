@@ -26,8 +26,8 @@ from trisep import (
     linear_resolvent,
     linear_to_etc,
     neg,
+    parse_dimacs,
     pos,
-    preprocess,
     prove,
     render_dimacs,
     render_tptp,
@@ -159,7 +159,7 @@ def test_a_fallback_model_that_fails_verification_ends_in_unknown(monkeypatch):
 
 
 def test_prove_fallback_disabled_gives_up():
-    s = clause_set([[pos("p")]])
+    s = clause_set([[pos("p", Constant("a"))]])
     outcome, trace = prove(s, EngineConfig(fallback_enabled=False, time_budget=5.0))
     assert outcome.verdict == "unknown"
     assert trace.reason
@@ -424,36 +424,6 @@ def test_each_build_of_a_run_equals_a_fresh_builders_build(monkeypatch):
     assert max(builds.values()) > 1 and placed_again[True] > 0
 
 
-def test_a_propositional_build_closes_only_the_state_it_returns(monkeypatch, ex41):
-    # each state's best closing is judged on literal sets, and only the one
-    # that build returns is closed; the leftovers and width judged are the
-    # ones that closing it gives
-    closes, judged = [], []
-    real_close, real_best = engine.close, engine._RoundBuilder._best_closure
-    monkeypatch.setattr(engine, "close", lambda *args: closes.append(args) or real_close(*args))
-
-    def best_closure(self, state):
-        best = real_best(self, state)
-        judged.append(best)
-        return best
-
-    monkeypatch.setattr(engine._RoundBuilder, "_best_closure", best_closure)
-    rng = random.Random(5)
-    problems = [ex41] + [random_instance(rng) for _ in range(30)]
-    for problem in problems:
-        builder = engine._RoundBuilder(preprocess(problem), problem, float("inf"))
-        del closes[:], judged[:]
-        state = builder.build()
-        assert len(closes) == (state is not None)
-        for plus, width, make in filter(None, judged):
-            closed = make()
-            assert tuple(plus) == closed.d_plus(closed.closing_index)
-            assert width == len(closed.csc)
-    builder = engine._RoundBuilder(ex41, ex41, float("inf"))
-    del closes[:], judged[:]
-    assert len(builder.build().columns) == 4 and len(judged) == 3 and len(closes) == 1
-
-
 # -- verify_trace ----------------------------------------------------------------------
 
 
@@ -579,10 +549,10 @@ def test_random_instances_agree_with_oracle():
 
 def test_the_fallback_alone_and_the_default_run_agree_with_the_truth_table():
     """600 seeded random sets of 3-8 atoms and 3-14 clauses of width 1-3, each
-    proved by the saturation fallback alone and with the default config. Every
-    verdict is the truth table's, every model satisfies its set and every
-    trace verifies. An atom order in the Davis-Putnam model other than the
-    resolution's gives models that fail here."""
+    proved with max_rounds=0 and with the default config, both of which hand
+    propositional input straight to conflict-driven learning. Every verdict
+    is the truth table's, every model, read off a full trail, satisfies its
+    set and every trace verifies."""
     rng = random.Random(2026)
     configs = (EngineConfig(max_rounds=0), EngineConfig())
     for _ in range(600):
@@ -635,7 +605,7 @@ def _pair_chain(k):
 
 # sha256 of the rendered traces below; any change to round construction,
 # candidate ranking or the saturation fallback shows up here
-GOLDEN_TRACE_DIGEST = "c2a1b06f62edfca771a4c1db318469b3b29cd2b674a65086fa01ed4b67e22e25"
+GOLDEN_TRACE_DIGEST = "0220c726f46069b935552c848b08b9f64adaf8be50d06c6d16d0022cde57fdd0"
 
 
 def _golden_runs(ex51, ex52, ex53):
@@ -708,28 +678,6 @@ def test_checking_a_parsed_trace_runs_no_prover_code(ex51, ex52, ex53):
     assert not entered
 
 
-def test_propositional_shortcuts_render_the_general_paths_traces(ex51, ex52, ex53, monkeypatch):
-    # _RoundBuilder ranks and closes propositional candidates on literal sets
-    # (its two self.prop branches); placing every candidate under its empty
-    # unifier, as first-order input is, must build the same rounds
-    rng = random.Random(1729)
-    runs = [(s, config) for s, config in _golden_runs(ex51, ex52, ex53)
-            if s.is_propositional and config.max_rounds]
-    runs += [(random_instance(rng, max_vars=8, max_clauses=14), FAST) for _ in range(40)]
-    shortcut = [render_trace(prove(s, config)[1]) for s, config in runs]
-    builders = []
-    init = engine._RoundBuilder.__init__
-
-    def general(self, *args):
-        init(self, *args)
-        self.prop = False
-        builders.append(self)
-
-    monkeypatch.setattr(engine._RoundBuilder, "__init__", general)
-    assert [render_trace(prove(s, config)[1]) for s, config in runs] == shortcut
-    assert len(builders) == len(runs)
-
-
 def test_traces_do_not_depend_on_hashing(monkeypatch, request):
     """The golden traces, which include fallback-only 3-SAT runs, stay the
     same when every term's hash is salted and under two string-hash seeds:
@@ -781,6 +729,48 @@ def test_the_first_stalled_round_hands_the_run_to_the_fallback(monkeypatch, reve
     assert outcome.unsatisfiable
     assert len(trace.rounds) == 6
     assert verify_trace(problem, trace)
+
+
+def test_propositional_input_builds_no_round_builder(monkeypatch, ex43, ex51):
+    # propositional input goes from preprocessing straight to the fallback,
+    # whatever max_rounds is; first-order input builds a round builder only
+    # when its main loop runs
+    built = []
+    init = engine._RoundBuilder.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(engine._RoundBuilder, "__init__", spy)
+    rng = random.Random(11)
+    problems = [ex43] + [random_instance(rng) for _ in range(20)]
+    for config in (EngineConfig(), EngineConfig(max_rounds=0)):
+        for problem in problems:
+            outcome, trace = prove(problem, config)
+            assert outcome.verdict in ("satisfiable", "unsatisfiable")
+            assert verify_trace(problem, trace)
+    assert built == []
+    assert prove(ex51, EngineConfig(max_rounds=0))[0].unsatisfiable
+    assert built == []
+    assert prove(ex51, EngineConfig())[0].unsatisfiable
+    assert len(built) == 1
+
+
+def test_the_wide_chain_is_refuted_in_one_round_by_default():
+    # x1, ~x1 | x2, ..., ~x1199 | x1200, ~x1200: one conflict at level 0,
+    # whose derivation resolves every reason once, gives one round of 1 201
+    # columns
+    n = 1200
+    lines = [f"p cnf {n} {n + 1}", "1 0"]
+    lines += [f"-{k} {k + 1} 0" for k in range(1, n)] + [f"-{n} 0"]
+    problem = parse_dimacs("\n".join(lines) + "\n")
+    outcome, trace = prove(problem, EngineConfig())
+    assert outcome.unsatisfiable
+    assert len(trace.rounds) == 1 and len(trace.rounds[0].state.columns) == n + 1
+    assert trace.rounds[0].csc.is_empty()
+    assert verify_trace(problem, trace)
+    assert verify_trace(problem, parse_trace_document(render_trace(trace)))
 
 
 # -- linear deduction bridge ---------------------------------------------------------

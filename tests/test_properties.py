@@ -12,7 +12,6 @@ spellings. Example counts stay low so the suite stays fast."""
 import random
 from collections import Counter
 from itertools import chain
-from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -66,7 +65,7 @@ from trisep.render import RawState, format_literal, parse_literal_text
 from trisep.tptp import render_literal_tptp
 from trisep.triangle import EMPTY_STATE, _derive_column
 from trisep.unify import EMPTY, apply_literal
-from conftest import random_closed_state, random_instance, reference_ranking, three_sat
+from conftest import random_closed_state, random_instance, three_sat
 
 FEW = settings(max_examples=50, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
@@ -238,49 +237,6 @@ def test_greedy_pull_agrees_with_instantiating_the_boundary_sources():
                         == _reference_greedy_pull(state, placed.literals, exclude, seed))
                 compared += 1
     assert rewrites > 20 and compared > 1000
-
-
-# -- extension ranking ---------------------------------------------------------
-
-
-@FEW
-@given(st.lists(st.lists(_propositional_literals, min_size=1, max_size=3),
-                min_size=1, max_size=7))
-# the opening column leaves ~p over; two candidates for the next one absorb
-# their whole clause with a clause that closes fully after them, but ~p keeps
-# the separation nonempty, so their look-ahead stays 1
-@example([[neg("p"), neg("q")], [neg("p"), pos("q")], [neg("q"), pos("p")]])
-def test_extensions_rank_on_literal_sets_as_placed_candidates_would(bodies):
-    """Along the states that successive winners reach, the round builder's
-    set-based scan keys one candidate, the least that placing every
-    candidate ranks first, with the key placing gives it; its function
-    builds that candidate's column, which completes no complementary pair,
-    and is extend(state, clause, lit)."""
-    problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
-    inputs = preprocess(problem)
-    if not inputs.clauses:
-        return
-    builder = engine._RoundBuilder(inputs, problem, float("inf"))
-    state = EMPTY_STATE
-    for _ in range(builder.max_columns):
-        keyed = builder._extensions(state)
-        expected = dict(reference_ranking(builder.working, state))  # least key first
-        assert [key for key, _ in keyed] == list(expected)[:1]
-        for key, build in keyed:
-            built, placed = build(), expected[key]
-            assert ((built.columns[-1].clause_id, built.columns[-1].boundary_source)
-                    == (placed.columns[-1].clause_id, placed.columns[-1].boundary_source))
-            assert built.columns[-1].boundary_source not in state.boundary_complements
-        if not keyed:
-            return
-        winner = min(keyed, key=itemgetter(0))[1]()
-        column = winner.columns[-1]
-        clause = inputs.by_id(column.clause_id)
-        reference = extend(state, clause, column.boundary_source)
-        assert winner.columns == reference.columns
-        assert winner.parts == reference.parts
-        assert winner.leftovers == reference.leftovers
-        state = winner
 
 
 # -- the clause store -----------------------------------------------------------

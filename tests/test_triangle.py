@@ -121,15 +121,10 @@ def test_boundary_repeats_are_legal_at_this_level(ex61):
 # -- stop conditions -------------------------------------------------------------
 
 
-def stops(state, threshold, working):
-    """should_stop on a closed state's closing leftovers and separated clause width."""
-    return should_stop(state.d_plus(state.closing_index), len(state.csc), threshold, working)
-
-
 def test_should_stop_empty_leftover(ex41):
     c1, c2, c3, c4 = ex41.clauses
     state = close(extend(extend(start(c1, pos("p1")), c2, pos("p4")), c3, pos("p3")), c4)
-    stop, reason = stops(state, None, _ClauseStore(ex41.clauses))
+    stop, reason = should_stop(state, None, _ClauseStore(ex41.clauses))
     assert stop and reason == "empty_dplus"
 
 
@@ -137,7 +132,7 @@ def test_should_stop_no_complement_partner():
     s = clause_set([[pos("p")], [neg("p"), pos("q")]])
     state = close(start(s.clauses[0], pos("p")), s.clauses[1])
     # leftover q has no clause holding ~q anywhere in the set
-    stop, reason = stops(state, None, _ClauseStore(s.clauses))
+    stop, reason = should_stop(state, None, _ClauseStore(s.clauses))
     assert stop and reason == "no_complement_partner"
 
 
@@ -148,10 +143,10 @@ def test_should_stop_asks_for_a_unifiable_partner_on_first_order_input():
     assert state.csc == (pos("q", a),)
     # ~q(X) unifies with ~q(a), the complement of the closing leftover
     partnered = _ClauseStore([top, step, Clause(3, [neg("q", x)])])
-    assert stops(state, None, partnered) == (False, None)
+    assert should_stop(state, None, partnered) == (False, None)
     # ~q(b) does not, so q(a) has no partner
     unpartnered = _ClauseStore([top, step, Clause(3, [neg("q", b)])])
-    assert stops(state, None, unpartnered) == (True, "no_complement_partner")
+    assert should_stop(state, None, unpartnered) == (True, "no_complement_partner")
 
 
 def test_should_stop_threshold():
@@ -162,9 +157,9 @@ def test_should_stop_threshold():
     ])
     state = close(start(s.clauses[0], pos("p")), s.clauses[1])
     working = _ClauseStore(s.clauses)
-    stop, reason = stops(state, 2, working)
+    stop, reason = should_stop(state, 2, working)
     assert stop and reason == "threshold"
-    keep_going, _ = stops(state, 10, working)
+    keep_going, _ = should_stop(state, 10, working)
     assert not keep_going
 
 
@@ -319,11 +314,11 @@ def test_extract_model_ignores_stair_coverage():
 
 def ranked(state, s):
     """(clause id, boundary literal) of each extension, best first, as the
-    reference ranking places them. The round builder keys only the least
-    candidate, whose key must be the reference's first."""
+    reference ranking places them. The round builder's least key must be
+    the reference's first."""
     builder = _RoundBuilder(s, s, float("inf"))
     expected = reference_ranking(builder.working, state)
-    assert [key for key, _ in builder._extensions(state)] == [expected[0][0]]
+    assert min(builder._extensions(state))[0] == expected[0][0]
     return [(p.columns[-1].clause_id, p.columns[-1].boundary_source) for _, p in expected]
 
 
