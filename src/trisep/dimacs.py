@@ -1,16 +1,17 @@
 """DIMACS CNF reading and writing.
 
 Variable i maps to the 0-ary predicate x<i>; negative integers give negative
-literals; duplicate literals within a clause merge. A comment line's first
-word is c (is_comment); a line starting with % ends the clause data (the
-SATLIB trailer "%" / "0" follows it), and the clause count must equal the
-header's.
+literals; duplicate literals within a clause merge. Each distinct token is
+read once per problem, so every occurrence of it is one Literal. A comment
+line's first word is c (is_comment); a line starting with % ends the clause
+data (the SATLIB trailer "%" / "0" follows it), and the clause count must
+equal the header's.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import Dict, List, Optional
 
 from .errors import ParseError
 from .logic import Clause, ClauseSet, Literal
@@ -27,6 +28,7 @@ def parse_dimacs(text: str) -> ClauseSet:
     header = None
     clauses: List[Clause] = []
     pending: List[Literal] = []
+    interned: Dict[str, Optional[Literal]] = {}  # token -> its literal, None for a 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or is_comment(line):
@@ -49,19 +51,21 @@ def parse_dimacs(text: str) -> ClauseSet:
         if header is None:
             raise ParseError("clause data before the 'p cnf' header", line=line_no)
         for token in line.split():
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"unexpected token {token!r}", line=line_no) from None
-            if value == 0:
+            if token not in interned:
+                try:
+                    value = int(token)
+                except ValueError:
+                    raise ParseError(f"unexpected token {token!r}", line=line_no) from None
+                if abs(value) > header[0]:
+                    raise ParseError(
+                        f"literal {value} exceeds the declared {header[0]} variables",
+                        line=line_no)
+                interned[token] = Literal(value > 0, f"x{abs(value)}") if value else None
+            if interned[token] is None:
                 clauses.append(Clause(len(clauses) + 1, pending))
                 pending = []
-                continue
-            if abs(value) > header[0]:
-                raise ParseError(
-                    f"literal {value} exceeds the declared {header[0]} variables",
-                    line=line_no)
-            pending.append(Literal(value > 0, f"x{abs(value)}"))
+            else:
+                pending.append(interned[token])
     if header is None:
         raise ParseError("missing 'p cnf' header")
     if pending:

@@ -1,13 +1,14 @@
 """The outer deduction loop and the bridge from linear resolution.
 
-Propositional input goes from preprocessing straight to _saturate, which
-settles it by conflict-driven clause learning on integer-coded clauses: each
-learned clause is the separated clause of one round whose columns are the
-reasons of the literals its conflict analysis resolves, in trail order, and
-whose closing column is the conflict clause, so a refutation's trace holds
-one round per learned clause that the empty clause depends on, and a
-satisfiable answer is the full trail. Clauses and closed states are built
-only for those rounds, through the linear deduction bridge.
+Propositional input goes as parsed straight to _saturate, which drops its
+tautologies and repeated clauses and settles it by conflict-driven clause
+learning on integer-coded clauses: each learned clause is the separated
+clause of one round whose columns are the reasons of the literals its
+conflict analysis resolves, in trail order, and whose closing column is the
+conflict clause, so a refutation's trace holds one round per learned clause
+that the empty clause depends on, and a satisfiable answer is the full
+trail. Clauses and closed states are built only for those rounds, straight
+from their derivations.
 
 First-order input runs the main loop first. One round builds one closed
 construction, separates its leftover clause, and feeds it back into the
@@ -276,8 +277,8 @@ class _RoundBuilder:
     which prove adds each kept separated clause.
     """
 
-    def __init__(self, inputs: ClauseSet, clause_set: ClauseSet, deadline: float):
-        self.working = _ClauseStore(inputs.clauses)
+    def __init__(self, inputs: Iterable[Clause], clause_set: ClauseSet, deadline: float):
+        self.working = _ClauseStore(inputs)
         self.threshold = 2 * max(len(c) for c in clause_set.clauses)
         self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
@@ -482,19 +483,21 @@ def _trail_model(names: Sequence[str], value: List[int]) -> Assignment:
     return {name: value[2 * i] > 0 for i, name in enumerate(names)}
 
 
-def _conflict_driven(working: List[Clause], next_id: int, deadline: float,
-                     existing: Dict[int, RoundRecord]):
+def _conflict_driven(working: Sequence[Clause], next_id: int, deadline: float):
     """_saturate on propositional input: conflict-driven clause learning,
     with the 1-UIP learning and backjumping of GRASP (Marques-Silva and
     Sakallah, 1999) and the two watched literals of Chaff (Moskewicz et al.,
     2001), on integer-coded clauses.
 
-    Atom i, in name order, is coded 2i positive and 2i + 1 negative, so a
-    code's complement is code ^ 1; value holds 1 (true), -1 (false) or 0
-    (free) per code. A clause is a list of codes, watched by its first two
-    when it has two or more; a unit clause is put on the trail at level 0.
-    A decision sets the first free atom in name order true; there are no
-    restarts and no clause deletion.
+    working is the input as parsed. Coding drops, in input order, each
+    tautology (two literals on one atom) and each clause whose literal set
+    came before, which is what preprocess drops from ground input. Atom i of
+    the kept clauses, in name order, is coded 2i positive and 2i + 1
+    negative, so a code's complement is code ^ 1; value holds 1 (true), -1
+    (false) or 0 (free) per code. A clause is a list of codes, watched by its
+    first two when it has two or more; a unit clause is put on the trail at
+    level 0. A decision sets the first free atom in name order true; there
+    are no restarts and no clause deletion.
 
     A conflict resolves the conflict clause with the reasons of its literals
     of the current level, latest first, until one is left (at level 0, until
@@ -504,14 +507,19 @@ def _conflict_driven(working: List[Clause], next_id: int, deadline: float,
     the conflict clause. Each learned clause takes the next id and keeps its
     derivation, (conflict clause index, [(reason index, implied code), ...]);
     once the empty clause is learned, the rounds it depends on are built
-    through linear_to_etc."""
-    names = sorted({lit.predicate for clause in working for lit in clause.literals})
-    atom = {name: i for i, name in enumerate(names)}
-    literal = {2 * atom[lit.predicate] + (not lit.positive): lit
-               for clause in working for lit in clause.literals}
-    lits = [[2 * atom[lit.predicate] + (not lit.positive) for lit in clause.literals]
-            for clause in working]
-    ids = [clause.id for clause in working]
+    from their derivations, one extend per reason and one close, which is
+    the round that linear_to_etc makes of the same complement-free chain."""
+    first: Dict[frozenset, Clause] = {}  # literal set -> the first clause that holds it
+    for clause in working:
+        if len({lit.predicate for lit in clause.literals}) == len(clause.literals):
+            first.setdefault(clause.literal_set, clause)
+    # id -> clause: the kept input clauses, then each derived round's csc
+    clauses = {clause.id: clause for clause in first.values()}
+    names = sorted({lit.predicate for clause in clauses.values() for lit in clause.literals})
+    atom = {name: 2 * i for i, name in enumerate(names)}
+    lits = [[atom[lit.predicate] + (not lit.positive) for lit in clause.literals]
+            for clause in clauses.values()]
+    ids = list(clauses)
     value = [0] * (2 * len(names))
     level, reason = [0] * len(names), [0] * len(names)
     watches = [[] for _ in value]
@@ -624,20 +632,19 @@ def _conflict_driven(working: List[Clause], next_id: int, deadline: float,
         next_id += 1
         conflict = None
 
-    premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
-    premises.update((cid, (ids[top], *(ids[r] for r, _ in steps)))
-                    for cid, (top, steps) in derivations.items())
-    clauses = {clause.id: clause for clause in working}
+    premises = {cid: (ids[top], *(ids[r] for r, _ in steps))
+                for cid, (top, steps) in derivations.items()}
 
     def derived(cid: int) -> RoundRecord:
         top, steps = derivations[cid]
-        record, = linear_to_etc(LinearDeduction(
-            clauses[ids[top]], tuple(clauses[ids[r]] for r, _ in steps),
-            tuple(literal[code] for _, code in steps)), cid)
-        clauses[cid] = record.csc
-        return record
+        state = EMPTY_STATE
+        for r, code in reversed(steps):
+            state = extend(state, clauses[ids[r]], Literal(not code & 1, names[code >> 1]))
+        state = close(state, clauses[ids[top]])
+        clauses[cid] = Clause(cid, state.csc)
+        return RoundRecord(state, clauses[cid])
 
-    return UNSATISFIABLE, _proof_chain(next_id, premises, existing, derived), None, None
+    return UNSATISFIABLE, _proof_chain(next_id, premises, {}, derived), None, None
 
 
 class _Resolvent(NamedTuple):
@@ -713,17 +720,19 @@ class _FirstOrderResolution:
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
     """The fallback: conflict-driven clause learning (_conflict_driven) on
-    propositional input, which prove hands over straight from preprocessing,
-    and exhaustive two-column rounds with subsumption, smallest clauses
-    first, on first-order input, after the main loop. The logic is the
-    input's, since preprocessing can leave first-order input 0-ary.
+    propositional input, which prove hands over as parsed, and exhaustive
+    two-column rounds with subsumption, smallest clauses first, on
+    first-order input, after the main loop. The logic is the input's, since
+    preprocessing can leave first-order input 0-ary.
 
-    Continues from the clauses prove admitted: working holds no tautology and
-    no two variants, seen holds their variant keys, and existing_rounds are
-    the main loop's rounds (none on propositional input), which the fallback's
-    rounds follow. Both procedures poll the deadline and the clause cap
-    through _spent: the propositional one at each conflict, before its clause
-    is learned, with the cap on learned clauses; the first-order one at each
+    On first-order input it continues from the clauses prove admitted:
+    working holds no tautology and no two variants, seen holds their variant
+    keys, and existing_rounds are the main loop's rounds, which the
+    fallback's rounds follow. Propositional input comes with neither keys
+    nor rounds; _conflict_driven drops its tautologies and repeated clauses
+    itself. Both procedures poll the deadline and the clause cap through
+    _spent: the propositional one at each conflict, before its clause is
+    learned, with the cap on learned clauses; the first-order one at each
     selection, with the cap on processed clauses. Both return the rounds that
     the empty clause depends on, through _proof_chain.
 
@@ -740,10 +749,9 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
     (propositional input only), or UNKNOWN on budget or cap exhaustion, or
     when first-order saturation ends without the empty clause.
     """
-    working = list(working)
-    existing = {rec.csc.id: rec for rec in existing_rounds}
     if prop:
-        return _conflict_driven(working, next_id, deadline, existing)
+        return _conflict_driven(working, next_id, deadline)
+    existing = {rec.csc.id: rec for rec in existing_rounds}
     store = _FirstOrderResolution(seen)
     heap = [(len(c), tick, c) for tick, c in enumerate(working)]
     heapq.heapify(heap)
@@ -790,25 +798,23 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
     if any(c.is_empty() for c in clause_set.clauses):
         return _finish((), UNSATISFIABLE)
 
-    inputs = preprocess(clause_set)
-    if not inputs.clauses:
-        # every input clause was a tautology
-        if prop:
-            return _finish((), SATISFIABLE, complete_model({}, clause_set))
-        return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
-
-    # a clause that preprocessing deleted may hold the highest input id
+    # a clause dropped before the fallback may hold the highest input id
     next_id = clause_set.next_id()
-    working = inputs.clauses
-    known = {variant_key(c.literals) for c in working}
+    working, known = clause_set.clauses, set()
     rounds: List[RoundRecord] = []
     deep = False
 
-    # propositional input goes straight to the fallback; on first-order input
-    # the first stalled round hands the admitted clauses to it, and a build at
-    # the deadline returns None
+    # propositional input goes straight to the fallback, which drops its
+    # tautologies and repeated clauses; on first-order input the first
+    # stalled round hands the admitted clauses to it, and a build at the
+    # deadline returns None
+    if not prop:
+        working = preprocess(clause_set).clauses
+        if not working:
+            return _finish((), UNKNOWN, reason="all clauses deleted in preprocessing")
+        known = {variant_key(c.literals) for c in working}
     if not prop and config.max_rounds:
-        builder = _RoundBuilder(inputs, clause_set, deadline)
+        builder = _RoundBuilder(working, clause_set, deadline)
         working = builder.working
         while len(rounds) < config.max_rounds:
             state = builder.build()
@@ -899,7 +905,9 @@ def linear_to_etc(ld: LinearDeduction, start_id: Optional[int] = None) -> List[R
     Complement-free pivots give a single round whose separated clause is the
     final resolvent. Otherwise the chain splits into maximal complement-free
     pivot segments, scanned from the top end; each segment becomes one round
-    whose separated clause feeds the next as its top clause.
+    whose separated clause feeds the next as its top clause. The engine
+    builds the same one round for each learned clause's complement-free
+    chain directly (_conflict_driven), without validating the chain again.
     """
     linear_resolvent(ld)  # validates every step
     top, sides, pivots = _instantiate_linear(ld)
@@ -907,13 +915,9 @@ def linear_to_etc(ld: LinearDeduction, start_id: Optional[int] = None) -> List[R
         start_id = max([top.id] + [c.id for c in sides]) + 1
     rounds: List[RoundRecord] = []
     while sides:
-        seen = set()
-        seg = 0
-        while seg < len(pivots):
-            pivot = pivots[seg]
-            if pivot.complement() in seen:
-                break
-            seen.add(pivot)
+        seen, seg = set(), 0
+        while seg < len(pivots) and pivots[seg].complement() not in seen:
+            seen.add(pivots[seg])
             seg += 1
         state = EMPTY_STATE
         for j in range(seg - 1, -1, -1):

@@ -65,7 +65,9 @@ def variant_key(literals: Collection[Literal]) -> frozenset:
 
 def preprocess(clause_set: ClauseSet) -> ClauseSet:
     """Deletion strategy plus renaming: drop tautologies and alphabetic
-    duplicates, then rename the survivors apart. Ids are preserved. The
+    duplicates, then rename the survivors apart. Ids are preserved. prove
+    calls it on first-order input only: propositional input goes as parsed to
+    conflict-driven learning, which drops the same clauses as it codes them. The
     result's mode follows the survivors, which on first-order input may be
     all 0-ary (or none at all). When nothing is renamed, the result is
     clause_set itself, or the subset of its clauses that survive, whose

@@ -105,9 +105,10 @@ def test_prove_short_circuits_on_empty_input_clause():
 
 
 def test_prove_all_tautologies_is_satisfiable():
-    s = clause_set([[pos("p"), neg("p")]])
-    outcome, _ = prove(s, FAST)
-    assert outcome.satisfiable
+    s = clause_set([[pos("p"), neg("p")], [pos("q"), pos("r"), neg("q")]])
+    outcome, trace = prove(s, FAST)
+    assert outcome.satisfiable and trace.rounds == ()
+    assert outcome.model == {"p": False, "q": False, "r": False}
     assert verify_model(s, outcome.model)
 
 

@@ -51,6 +51,23 @@ def test_parse_dimacs_merges_duplicates():
     assert [str(l) for l in s.clauses[0].literals] == ["x1"]
 
 
+def test_parse_dimacs_reads_each_distinct_token_once():
+    # a repeated token is one Literal; -0 and 00 end a clause as 0 does, and
+    # +2 reads as 2
+    s = parse_dimacs("p cnf 3 4\n1 -2 0\n-2 3 -0\n+2 1 00\n1 0\n")
+    first, second, third, fourth = s.clauses
+    assert first.literals[0] is third.literals[1] is fourth.literals[0]
+    assert first.literals[1] is second.literals[0]
+    assert [[str(l) for l in c.literals] for c in s.clauses] == [
+        ["x1", "~x2"], ["~x2", "x3"], ["x2", "x1"], ["x1"]]
+    # an out-of-range literal fails at its first line, with the same message
+    # each time it is read
+    for text in ("p cnf 2 3\n1 0\n-3 2 0\n-3 0\n", "p cnf 2 3\n1 0\n-3 2 0\n1 -3 0\n"):
+        with pytest.raises(ParseError, match=r"^literal -3 exceeds the declared 2 variables "
+                                             r"\(line 3\)$"):
+            parse_dimacs(text)
+
+
 def test_parse_dimacs_comments_and_multiline_clauses():
     s = parse_dimacs("c header comment\np cnf 3 1\n1 -2\n3 0\n")
     assert len(s.clauses) == 1

@@ -11,6 +11,7 @@ spellings. Example counts stay low so the suite stays fast."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from trisep import (
     Constant,
     EngineConfig,
     Function,
+    LinearDeduction,
     Literal,
     ProofTrace,
     RoundRecord,
@@ -60,6 +62,7 @@ from trisep import engine
 from trisep.engine import _ClauseStore
 from trisep.fol import variant_key
 from trisep.errors import ConstructionError, ParseError, TrisepError
+from trisep.oracle import complete_model
 from trisep.logic import MAX_TERM_DEPTH, merge_duplicate_literals, variable_names
 from trisep.render import RawState, format_literal, parse_literal_text
 from trisep.tptp import render_literal_tptp
@@ -281,30 +284,23 @@ def test_the_clause_store_answers_as_linear_scans_do(operations):
 # -- the saturation fallback ---------------------------------------------------
 
 
-def test_the_conflict_driven_fallback_agrees_with_the_truth_table(monkeypatch):
+def test_the_conflict_driven_fallback_agrees_with_the_truth_table():
     """Under the fallback alone, on seeded random 3-SAT sets of 8 to 14 atoms
     near the threshold ratio and on criterion 9's random sets: every verdict
     is the truth table's, every model satisfies its set, and every
     refutation's trace verifies as produced and after a render/parse round
     trip. Each learned clause that a refutation needs is built as one round,
-    with one column per resolution step of its derivation and a closing
-    column, and the trace is exactly those rounds."""
-    built = []
-
-    def one_round(ld, start_id=None):
-        rounds = linear_to_etc(ld, start_id)
-        assert len(rounds) == 1
-        assert len(rounds[0].state.columns) == len(ld.side_clauses) + 1
-        built.append(rounds[0])
-        return rounds
-
-    monkeypatch.setattr(engine, "linear_to_etc", one_round)
+    with one column per resolution step of its derivation (a boundary column
+    per reason, on distinct atoms) and a closing column, and the trace is
+    exactly those rounds: each derives a new clause, and each but the last
+    is a premise of a later one. linear_to_etc, fed the chain read off each
+    round (the closing clause as top, the boundary columns latest first,
+    their boundary literals as pivots), rebuilds that round."""
     rng = random.Random(4026)
     problems = [three_sat(rng, n, round(4.26 * n)) for n in range(8, 15) for _ in range(12)]
     problems += [random_instance(rng) for _ in range(120)]
     verdicts = Counter()
     for problem in problems:
-        built.clear()
         outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=30.0))
         assert outcome.verdict != "unknown", outcome.reason
         assert outcome.unsatisfiable == is_unsatisfiable_bruteforce(problem)
@@ -312,8 +308,25 @@ def test_the_conflict_driven_fallback_agrees_with_the_truth_table(monkeypatch):
         if outcome.satisfiable:
             assert verify_model(problem, outcome.model)
             continue
-        assert len(trace.rounds) == len(built) and trace.rounds[-1].csc.is_empty()
-        assert all(a is b for a, b in zip(trace.rounds, built))
+        ids = [record.csc.id for record in trace.rounds]
+        assert ids == sorted(ids) and ids[0] >= problem.next_id()
+        assert trace.rounds[-1].csc.is_empty()
+        used = {cid for record in trace.rounds for cid in record.clause_ids_used}
+        assert set(ids[:-1]) <= used
+        for record in trace.rounds:
+            *sides, closing = record.state.columns
+            assert closing.closing and all(col.boundary_source is not None for col in sides)
+            pivots = [col.boundary_source for col in reversed(sides)]
+            assert len({lit.predicate for lit in pivots}) == len(pivots)
+            assert all(cid in ids[:ids.index(record.csc.id)] or cid < problem.next_id()
+                       for cid in record.clause_ids_used)
+            rebuilt, = linear_to_etc(LinearDeduction(
+                Clause(closing.clause_id, closing.source_literals),
+                tuple(Clause(col.clause_id, col.source_literals) for col in reversed(sides)),
+                tuple(pivots)), record.csc.id)
+            assert rebuilt.state.columns == record.state.columns
+            assert rebuilt.csc.id == record.csc.id
+            assert rebuilt.csc.literals == record.csc.literals
         assert verify_trace(problem, trace)
         assert verify_trace(problem, parse_trace_document(render_trace(trace)))
     assert min(verdicts["satisfiable"], verdicts["unsatisfiable"]) >= 50
@@ -530,17 +543,14 @@ class _Entered(Exception):
     """Raised by the wrapped fallback once it has checked what it was given."""
 
 
-_problem_bodies = st.one_of(*(
-    st.lists(st.lists(literals, min_size=1, max_size=3), min_size=1, max_size=6)
-    for literals in (_propositional_literals, _first_order_literals)))
-
-
 @FEW
-@given(_problem_bodies, st.sampled_from([EngineConfig(max_rounds=0), EngineConfig()]))
+@given(st.lists(st.lists(_first_order_literals, min_size=1, max_size=3), min_size=1, max_size=6),
+       st.sampled_from([EngineConfig(max_rounds=0), EngineConfig()]))
 def test_the_fallback_starts_from_the_admitted_clauses(bodies, config):
-    """prove hands the fallback its working set as it stands: no tautology,
-    no two variants, and seen is exactly their variant keys. This is why the
-    fallback admits every clause it is given without checking."""
+    """On first-order input, prove hands the fallback its working set as it
+    stands: no tautology, no two variants, and seen is exactly their variant
+    keys. This is why the first-order fallback admits every clause it is
+    given without checking."""
     problem = ClauseSet([Clause(i, body) for i, body in enumerate(bodies, start=1)])
 
     def entered(working, seen, *_):
@@ -559,6 +569,58 @@ def test_the_fallback_starts_from_the_admitted_clauses(bodies, config):
     # prove decided without the fallback, which max_rounds=0 allows only
     # when preprocessing leaves nothing to saturate
     assert config.max_rounds or not preprocess(problem).clauses
+
+
+@FEW
+@given(st.lists(st.lists(_propositional_literals, min_size=1, max_size=3), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 8), st.booleans(), _propositional_literals),
+                max_size=6),
+       st.randoms(use_true_random=False))
+# a refutation in which a kept repeat, watched on other literals, would be the
+# reason that the trace cites
+@example([[neg("r"), pos("q"), pos("p")], [neg("q")], [neg("r")], [neg("q")],
+          [pos("r"), pos("q"), pos("p")], [neg("p"), pos("q")], [pos("p"), pos("q"), pos("r")]],
+         [], random.Random(0))
+def test_the_fallback_drops_what_preprocessing_drops_from_propositional_input(
+        bodies, extras, rng):
+    """prove hands propositional input to the conflict-driven fallback as
+    parsed, without preprocess, and the fallback drops exactly the clauses
+    that preprocess drops: a set with tautologies and repeated clauses (in
+    another literal order) mixed in renders the same document as the set
+    that preprocess leaves of it, whose model prove extends to the atoms
+    that only dropped clauses hold, as false. The first clause holds the
+    highest id and survives both, so both number their learned clauses from
+    the same id. The set's tautologies alone answer the all-false model."""
+    assume(not is_tautology(bodies[0]))
+    mixed = list(bodies)
+    for at, repeat, lit in extras:
+        at = 1 + at % len(mixed)
+        if repeat:
+            body = list(rng.choice(mixed[:at]))
+            rng.shuffle(body)
+        else:
+            body = list(rng.choice(mixed)) + [lit, lit.complement()]
+        mixed.insert(at, body)
+    problem = ClauseSet([Clause(len(mixed) - i, body) for i, body in enumerate(mixed)])
+    reduced = preprocess(problem)
+    tautologies = ClauseSet([clause for clause in problem.clauses if is_tautology(clause)])
+
+    def not_preprocessed(clause_set):
+        raise AssertionError("preprocess ran on propositional input")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "preprocess", not_preprocessed)
+        outcome, trace = prove(problem)
+        reference = prove(reduced)
+        # tautologies alone are satisfiable, with every atom false
+        alone, alone_trace = prove(tautologies)
+    assert alone.satisfiable and not alone_trace.rounds
+    assert alone.model == dict.fromkeys(tautologies.predicates(), False)
+    expected = reference[1]
+    if expected.model is not None:
+        expected = replace(expected, model=complete_model(expected.model, problem))
+    assert outcome.verdict == expected.verdict and outcome.model == expected.model
+    assert render_trace(trace) == render_trace(expected)
 
 
 # -- the trace checker ----------------------------------------------------------
