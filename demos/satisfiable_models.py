@@ -1,20 +1,16 @@
-"""Reading a model off a covering construction.
+"""Models of satisfiable sets, certified by the oracle.
 
-When every clause of a propositional set sits in some column and the closing
-clause keeps a leftover literal, the boundary literals plus that leftover
-form a satisfying assignment. The engine reads its propositional models off
-the full trail of its conflict-driven search instead; both kinds of model are
-certified here against the truth-table oracle.
+The engine reads a propositional model off the full trail of its
+conflict-driven search, completes it over every atom of the input and
+checks it with verify_model; each model printed here is certified again
+against the truth-table oracle.
 """
 
 from trisep import (
     clause_set,
-    close,
-    extract_model,
     neg,
     pos,
     prove,
-    start,
     verify_model,
 )
 
@@ -22,19 +18,12 @@ s = clause_set([
     [pos("p1")],
     [neg("p1"), pos("p4")],
 ])
-c1, c2 = s.clauses
-
-# one column per clause; re-closing on clause 2 keeps p4 above the boundary
-state = close(start(c1, pos("p1")), c2)
-model = extract_model(state, s)
-print("clause set:", s)
-print("extracted model:", model)
-print("oracle verify_model:", verify_model(s, model))
-print()
 
 # the engine route: prove reads the model off its search's full trail
 outcome, _ = prove(s)
+print("clause set:", s)
 print("engine verdict:", outcome.verdict, "model:", outcome.model)
+print("oracle verify_model:", verify_model(s, outcome.model))
 print()
 
 # a set with no model: the same machinery refutes it instead

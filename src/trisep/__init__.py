@@ -43,13 +43,11 @@ from .triangle import (
     Triangle,
     close,
     extend,
-    extract_model,
     normalize_stairs,
     prune_redundant_columns,
     start,
 )
 from .fol import (
-    fall_in,
     greedy_pull,
     preprocess,
     redundancy_guard,
@@ -73,7 +71,7 @@ __all__ = [
     "FIRST_ORDER", "Function", "LinearDeduction", "Literal", "Outcome",
     "PROPOSITIONAL", "ProofTrace", "RoundRecord", "Substitution", "Triangle",
     "VerificationResult", "Variable", "apply", "clause_set", "close",
-    "complement", "compose", "extend", "extract_model", "fall_in", "greedy_pull",
+    "complement", "compose", "extend", "greedy_pull",
     "is_standard_contradiction", "is_tautology",
     "is_unsatisfiable_bruteforce", "linear_resolvent", "linear_to_etc",
     "merge_duplicate_literals", "mgu", "neg", "normalize_stairs",

@@ -61,7 +61,6 @@ from .triangle import (
 )
 from .fol import (
     greedy_pull,
-    fall_in,
     preprocess,
     redundancy_guard,
     variant_key,
@@ -820,7 +819,7 @@ def prove(clause_set: ClauseSet, config: Optional[EngineConfig] = None
             state = builder.build()
             if state is None:
                 break
-            state = prune_redundant_columns(fall_in(state))
+            state = prune_redundant_columns(state)
             csc = Clause(next_id, state.csc)
             if csc.is_empty():
                 return _finish(rounds + [RoundRecord(state, csc)], UNSATISFIABLE)

@@ -1,10 +1,10 @@
 """First-order machinery around the shared construction steps: variants,
-preprocessing, unifier search, fall-in and the redundancy guard.
+preprocessing, unifier search and the redundancy guard.
 
 Columns keep their renamed, pre-instantiation literals; the state's single
 global substitution is the composition of every unifier applied during the
 round (see trisep.triangle). greedy_pull searches the unifier that a column
-is placed under; fall_in instantiates a built state further.
+is placed under.
 """
 
 from __future__ import annotations
@@ -132,48 +132,7 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
     return increment
 
 
-# -- in-place substitution strategies -------------------------------------------
-
-
-# fall_in rejects a pull that would instantiate more than this many other columns
-MAX_AFFECTED_COLUMNS = 2
-
-
-def _pulls(state: Triangle):
-    """The states one pull makes from state, in scan order: column, then
-    leftover, then boundary literal. A pull unifies one leftover with a
-    boundary complement and applies the unifier to the whole state; none is
-    made that would instantiate more than MAX_AFFECTED_COLUMNS other
-    columns or that breaks an invariant."""
-    for i in range(len(state.columns)):
-        for lit in state.d_plus(i):
-            if not lit.args:  # a 0-ary leftover unifies under the empty unifier only
-                continue
-            for b in state.boundary:
-                unifier = mgu(lit, b.complement())
-                if unifier is None or unifier.is_empty():
-                    continue
-                affected = sum(
-                    1 for j in range(len(state.columns)) if j != i
-                    and not variable_names(state.instantiated(j)).isdisjoint(unifier.domain))
-                if affected > MAX_AFFECTED_COLUMNS:
-                    continue
-                try:
-                    pulled = Triangle(state.columns, compose(unifier, state.sigma))
-                except ConstructionError:
-                    continue
-                yield pulled
-
-
-def fall_in(state: Triangle) -> Triangle:
-    """Pull leftover literals into the contradiction by further instantiation.
-
-    Greedy to a fixpoint: each step takes the first state that one pull
-    makes (_pulls), until no pull is left; state itself when none is made.
-    """
-    while (pulled := next(_pulls(state), None)) is not None:
-        state = pulled
-    return state
+# -- redundancy guard -------------------------------------------------------------
 
 
 def redundancy_guard(instance: Iterable[Literal], clause_id: int,

@@ -108,6 +108,9 @@ def render_round_table(state) -> str:
         # position 0 (first selected) renders at the bottom
         return band_height + (len(state.boundary) - 1 - position)
 
+    first_complement: Dict[Literal, int] = {}  # a boundary complement's first position
+    for position, blit in enumerate(state.boundary):
+        first_complement.setdefault(blit.complement(), position)
     for out_idx, i in enumerate(render_order):
         for r, lit in enumerate(reversed(state.d_plus(i))):
             grid[band_height - 1 - r][out_idx] = str(lit)
@@ -115,11 +118,8 @@ def render_round_table(state) -> str:
         for lit in state.d_minus(i):
             if own_position is not None and lit == state.boundary[own_position]:
                 grid[boundary_row(own_position)][out_idx] = str(lit)
-                continue
-            for position, blit in enumerate(state.boundary):
-                if lit == blit.complement():
-                    grid[boundary_row(position)][out_idx] = str(lit)
-                    break
+            elif lit in first_complement:
+                grid[boundary_row(first_complement[lit])][out_idx] = str(lit)
 
     headers = [_column_label(state, i) for i in render_order]
     sigma_row = None

@@ -33,8 +33,8 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import ConstructionError
-from .logic import Clause, ClauseSet, Literal, merge_duplicate_literals, variable_names
-from .oracle import Assignment, Column
+from .logic import Clause, Literal, merge_duplicate_literals, variable_names
+from .oracle import Column
 from .unify import EMPTY, Substitution, apply_literal, apply_literals, compose
 
 
@@ -268,37 +268,3 @@ def prune_redundant_columns(state: Triangle) -> Triangle:
                 tuple(dict.fromkeys(l for i in kept for l in state.d_plus(i))),
                 variable_names(chain.from_iterable(lits)))
     return pruned
-
-
-# -- model extraction ---------------------------------------------------------
-
-
-def extract_model(state: Triangle, clause_set: ClauseSet) -> Optional[Assignment]:
-    """Read a satisfying assignment off a closed covering construction.
-
-    Requires: the closing column kept a leftover literal, and every clause of
-    the set sits in some boundary-bearing or closing column (stair columns do
-    not count: the boundary assignment falsifies them). The assignment makes
-    the boundary literals and one closing leftover true, everything else
-    false. Returns None when the preconditions fail.
-    """
-    if not state.closed or not clause_set.is_propositional:
-        return None
-    k = state.closing_index
-    closing_plus = state.d_plus(k)
-    if not closing_plus:
-        return None
-    covered = {col.clause_id for i, col in enumerate(state.columns) if not state.is_stair(i)}
-    if any(clause.id not in covered for clause in clause_set.clauses):
-        return None
-    witness = closing_plus[0]
-    required = {}
-    for lit in state.boundary + (witness,):
-        if required.get(lit.predicate, lit.positive) != lit.positive:
-            # Unreachable: the boundary holds no complementary pair and the
-            # witness's complement would have been pulled into the closing column.
-            raise ConstructionError(f"conflicting truth requirement for {lit.predicate}")
-        required[lit.predicate] = lit.positive
-    assignment: Assignment = {name: False for name in clause_set.predicates()}
-    assignment.update(required)
-    return assignment

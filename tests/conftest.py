@@ -121,6 +121,28 @@ def three_sat(rng, n_vars, n_clauses):
                         for name in rng.sample(names, 3)] for _ in range(n_clauses)])
 
 
+def _random_fo_term(rng, depth=0):
+    if depth == 2 or rng.random() < 0.4:
+        return Variable(rng.choice("XYZ")) if rng.random() < 0.6 else Constant(rng.choice("ab"))
+    return fn(rng.choice("fg"), _random_fo_term(rng, depth + 1))
+
+
+def random_first_order_set(rng):
+    """The random first-order corpus: 3-6 clauses of 1-3 literals over p0/1,
+    p1/1 and p2/2, each literal negated with probability 1/2. A term is a
+    leaf with probability 0.4, and always at depth 2, otherwise f or g of a
+    deeper term; a leaf is X, Y or Z with probability 0.6, otherwise a or b."""
+    lists = []
+    for _ in range(rng.randint(3, 6)):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            name, arity = rng.choice((("p0", 1), ("p1", 1), ("p2", 2)))
+            sign = neg if rng.random() < 0.5 else pos
+            body.append(sign(name, *(_random_fo_term(rng) for _ in range(arity))))
+        lists.append(body)
+    return clause_set(lists)
+
+
 def _placed_signature(state, index):
     col = state.columns[index]
     return (col.clause_id, col.source_literals.index(col.boundary_source),

@@ -39,7 +39,7 @@ from trisep import engine, logic
 from trisep.cli import main as cli_main
 from trisep.errors import ConstructionError
 from trisep.render import RawState, parse_trace_document, render_trace
-from conftest import fn, random_instance, three_sat
+from conftest import fn, random_first_order_set, random_instance, three_sat
 
 FAST = EngineConfig(time_budget=30.0)
 
@@ -640,6 +640,32 @@ def _golden_digest(ex51, ex52, ex53):
 
 def test_golden_traces_are_unchanged(ex51, ex52, ex53):
     assert _golden_digest(ex51, ex52, ex53) == GOLDEN_TRACE_DIGEST
+
+
+# sha256 of the verdict of each of the 200 random first-order sets below, in
+# order, and of the rendered trace of each refutation
+RANDOM_FIRST_ORDER_DIGEST = "7cbaf7f2ce827757af1d87dcdc3f6efa304cf1b1be0bc53970f412ea8e88ea0e"
+
+
+def test_random_first_order_corpus_keeps_its_verdicts_and_traces():
+    """The main loop alone on the random first-order corpus: every
+    refutation verifies after a render/parse round trip, no set is answered
+    satisfiable, and the verdicts and refutation traces are pinned."""
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    refuted = 0
+    for _ in range(200):
+        s = random_first_order_set(rng)
+        outcome, trace = prove(s, EngineConfig(fallback_enabled=False))
+        assert not outcome.satisfiable
+        digest.update(f"{outcome.verdict}\n".encode("utf-8"))
+        if outcome.unsatisfiable:
+            refuted += 1
+            document = render_trace(trace)
+            assert verify_trace(s, parse_trace_document(document))
+            digest.update(document.encode("utf-8"))
+    assert refuted
+    assert digest.hexdigest() == RANDOM_FIRST_ORDER_DIGEST
 
 
 def test_check_accepts_every_document_that_prove_writes_on_the_golden_problems(

@@ -7,10 +7,8 @@ from trisep import (
     Substitution,
     Variable,
     apply,
-    clause_set,
     close,
     extend,
-    fall_in,
     greedy_pull,
     neg,
     pos,
@@ -23,7 +21,7 @@ from trisep import (
 from trisep import logic
 from trisep.engine import _ClauseStore
 from trisep.errors import ConstructionError
-from trisep.fol import MAX_AFFECTED_COLUMNS, variant_key
+from trisep.fol import variant_key
 from trisep.logic import variable_names
 from trisep.oracle import positional_variant
 from conftest import fn, pulled_close, pulled_extend
@@ -245,66 +243,6 @@ def test_scripted_single_round_derivation(ex53):
         {"x11": a1, "x12": fn("f1", a1), "x13": fn("f1", a3)})
     assert state.column_sigma(3) == Substitution({"x41": a3})
     assert shadow_contradiction_check(d_columns(state))
-
-
-# -- fall-in ------------------------------------------------------------------------
-
-
-def test_fall_in_moves_leftover_into_contradiction():
-    a = Constant("a")
-    y = Variable("y")
-    state = start(Clause(1, [pos("P", a)]), pos("P", a))
-    state = extend(state, Clause(2, [pos("Q", Constant("b")), neg("P", y)]),
-                   pos("Q", Constant("b")), sigma=Substitution())
-    assert neg("P", y) in state.d_plus(1)
-    fallen = fall_in(state)
-    assert neg("P", a) in fallen.d_minus(1)
-    assert fallen.d_plus(1) == ()
-
-
-def test_fall_in_fixpoint_without_candidates(ex51):
-    _, _, c3, _, _, c6, _ = ex51.clauses
-    state = start(c6, neg("P5", Variable("x61")))
-    assert fall_in(state) is state
-
-
-def _width_probe(sharing):
-    """P(x, y, z) on the boundary, then `sharing` columns whose explicit
-    sigmas bind their variable to x, then a column that leaves ~P(a, k2, k3)
-    over. Pulling that leftover onto ~P(x, y, z) binds x, y and z, so it
-    instantiates column 1 and every sharing column."""
-    x, y, z, w = (Variable(n) for n in "xyzw")
-    state = start(Clause(1, [pos("P", x, y, z)]), pos("P", x, y, z))
-    for k in range(sharing):
-        u = Variable(f"u{k}")
-        state = extend(state, Clause(2 + k, [pos(f"Q{k}", u), pos(f"R{k}", u)]),
-                       pos(f"Q{k}", u), sigma=Substitution({u.name: x}))
-    leftover = neg("P", Constant("a"), Variable("k2"), Variable("k3"))
-    state = extend(state, Clause(2 + sharing, [pos("W", w), leftover]), pos("W", w),
-                   sigma=Substitution())
-    assert state.d_plus(sharing + 1) == (leftover,)
-    return state
-
-
-def test_fall_in_respects_inverse_substitution_width():
-    # a pull that touches two other columns is kept, one that touches three
-    # is rejected
-    assert MAX_AFFECTED_COLUMNS == 2
-    kept = _width_probe(1)
-    assert fall_in(kept).d_plus(2) == ()
-    rejected = _width_probe(2)
-    assert fall_in(rejected) is rejected
-
-
-def test_fall_in_never_grows_the_leftovers():
-    a = Constant("a")
-    state = start(Clause(1, [pos("P", a)]), pos("P", a))
-    state = extend(state, Clause(2, [pos("Q", a), neg("P", Variable("y")),
-                                     pos("R", Variable("y"))]),
-                   pos("Q", a), sigma=Substitution())
-    before = len(state.leftovers)
-    after = fall_in(state)
-    assert len(after.leftovers) <= before
 
 
 # -- redundancy guard ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from trisep import (
     clause_set,
     close,
     extend,
-    extract_model,
     is_standard_contradiction,
     is_unsatisfiable_bruteforce,
     neg,
@@ -19,7 +18,6 @@ from trisep import (
     prune_redundant_columns,
     should_stop,
     start,
-    verify_model,
 )
 from trisep.engine import _ClauseStore, _RoundBuilder
 from trisep.errors import ConstructionError
@@ -265,48 +263,6 @@ def test_transformations_preserve_satisfiability_status():
                 ClauseSet(list(s.clauses)
                           + [Clause(s.next_id(), changed.csc)]))
             assert base == after
-
-
-# -- model extraction --------------------------------------------------------------
-
-
-def test_extract_model_two_clause_set():
-    s = clause_set([[pos("p1")], [neg("p1"), pos("p4")]])
-    c1, c2 = s.clauses
-    state = close(start(c1, pos("p1")), c2)
-    model = extract_model(state, s)
-    assert model == {"p1": True, "p4": True}
-    assert verify_model(s, model)
-
-
-def test_extract_model_requires_coverage():
-    s = clause_set([[pos("p1")], [neg("p1"), pos("p4")], [pos("z")]])
-    c1, c2, _ = s.clauses
-    state = close(start(c1, pos("p1")), c2)
-    assert extract_model(state, s) is None
-
-
-def test_extract_model_requires_closing_leftover():
-    s = clause_set([[pos("p")], [neg("p")]])
-    state = close(start(s.clauses[0], pos("p")), s.clauses[1])
-    assert extract_model(state, s) is None
-
-
-def test_extract_model_negative_boundary_literals():
-    s = clause_set([[neg("p")], [pos("p"), pos("q")]])
-    state = close(start(s.clauses[0], neg("p")), s.clauses[1])
-    model = extract_model(state, s)
-    assert model == {"p": False, "q": True}
-    assert verify_model(s, model)
-
-
-def test_extract_model_ignores_stair_coverage():
-    state = _stair_state()
-    s_covered = clause_set([[pos("p"), pos("a")], [pos("q"), pos("b")],
-                            [neg("p"), neg("q")], [neg("q"), pos("r")]])
-    # the stair clause {~p,~q} is falsified by the boundary assignment, so the
-    # state cannot witness satisfiability of a set containing it
-    assert extract_model(state, s_covered) is None
 
 
 # -- candidate ranking (the engine's, shared by both logics) ---------------------------
