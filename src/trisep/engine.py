@@ -15,11 +15,12 @@ construction, separates its leftover clause, and feeds it back into the
 working set. An empty separated clause refutes the input. The first round
 that stalls (no closed state, or a separated clause that is a known variant,
 a tautology or subsumed by the working set) ends the loop, and _saturate
-continues from the admitted clauses with a bounded best effort by two-column
-saturation (binary resolution as the k=2 special case, with subsumption),
-whose resolvents are the closings of one-column states, made by the same
-closing generator as the main loop's rounds. Ground first-order input takes
-the same path: its rounds are those in which every unifier is empty.
+continues from the admitted clauses with a bounded best effort: one
+given-clause loop, as in OTTER and E, of binary resolution (the k=2 special
+case of separation) with subsumption, whose resolvents are the closings of
+one-column states, made by the same closing generator as the main loop's
+rounds. Ground first-order input takes the same path: its rounds are those
+in which every unifier is empty.
 
 Both procedures of _saturate poll one deadline and one clause cap, and both
 build the proof chain in one place. A trace is the ordered list of its
@@ -38,7 +39,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
 from .logic import (
@@ -154,8 +155,9 @@ def _closings(state: Triangle, placed: Clause, by_boundary: Optional[list] = Non
 
 class _ClauseStore:
     """A growing clause set in insertion order, indexed by literal: the round
-    builder's working set and the first-order saturation's processed clauses
-    (propositional input never reaches it: _conflict_driven holds its own
+    builder's working set, and the processed clauses of _saturate's
+    first-order loop, which finds forward and backward subsumption through
+    it (propositional input never reaches it: _conflict_driven holds its own
     clauses, integer-coded). Subsumption is syntactic literal-set inclusion.
 
     Each literal maps to the clauses that hold it. Each clause is also
@@ -646,102 +648,41 @@ def _conflict_driven(working: Sequence[Clause], next_id: int, deadline: float):
     return UNSATISFIABLE, _proof_chain(next_id, premises, {}, derived), None, None
 
 
-class _Resolvent(NamedTuple):
-    """A first-order resolvent: its literal set, its closed state and the
-    variant key of its csc."""
-    literal_set: frozenset
-    closed: Triangle
-    key: frozenset
-
-
-class _FirstOrderResolution:
-    """_saturate's processed clauses and resolution rule on first-order
-    input: binary resolution through closings, on Clause objects.
-
-    The processed clauses are a clause store, like the round builder's
-    working set, whose literal index finds forward and backward subsumption.
-    seen is prove's set of variant keys, which every kept resolvent's key
-    joins. A first-order csc depends on the unifier, so each resolvent is
-    built as a round, as in round building: _closings closes one clause's
-    one-column state with the other clause, renamed for a second column;
-    each clause's one-column states, one per literal, and its renaming are
-    built once, as it is processed. A kept resolvent's round is held until the
-    saturation ends, to be returned if it lies on the proof chain. A
-    resolvent holding a term nested deeper than the parsers accept is
-    dropped, so the saturation is then incomplete.
-    """
-
-    def __init__(self, seen: set):
-        self.seen = seen
-        self.processed = _ClauseStore()
-        self.rounds: Dict[int, tuple] = {}  # kept resolvent id -> (closed state, csc)
-        self._openings: Dict[int, tuple] = {}  # clause id -> (one-column states, renaming)
-        self.dropped_deep = False
-
-    def add(self, clause: Clause) -> None:
-        """Process clause: drop the processed clauses it strictly subsumes,
-        and open it."""
-        self.processed.remove_subsumed_by(clause)
-        self.processed.add(clause)
-        first = rename_clause(clause, 1)
-        self._openings[clause.id] = (tuple(start(first, lit) for lit in first.literals),
-                                     rename_clause(clause, 2))
-
-    def resolvents(self, given: Clause):
-        """Two-column resolvents of given, which is already processed, with
-        every processed clause in processing order (given itself last,
-        paired with itself once), each pair both ways, that are neither
-        tautologies, nor variants of a clause in seen, nor too deep, as
-        (_Resolvent, partner id)."""
-        for other in self.processed:
-            pairs = ((given, other),) if other is given else ((given, other), (other, given))
-            for a, b in pairs:
-                second = self._openings[b.id][1]
-                for closed in (c for opened in self._openings[a.id][0]
-                               for c in _closings(opened, second)):
-                    lits = closed.csc
-                    if is_tautology(lits) or (key := variant_key(lits)) in self.seen:
-                        continue
-                    if too_deep(lits):
-                        self.dropped_deep = True
-                    else:
-                        yield _Resolvent(frozenset(lits), closed, key), other.id
-
-    def keep(self, cid: int, resolvent: _Resolvent) -> Clause:
-        """Keep the resolvent as clause cid, its round held in rounds."""
-        _, closed, key = resolvent
-        csc = Clause(cid, closed.csc)
-        self.rounds[cid] = closed, csc
-        self.seen.add(key)
-        return csc
-
-
 def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
               deadline: float, existing_rounds: Sequence[RoundRecord]):
     """The fallback: conflict-driven clause learning (_conflict_driven) on
-    propositional input, which prove hands over as parsed, and exhaustive
-    two-column rounds with subsumption, smallest clauses first, on
+    propositional input, which prove hands over as parsed, and a given-clause
+    loop of binary resolution with subsumption, smallest clauses first, on
     first-order input, after the main loop. The logic is the input's, since
     preprocessing can leave first-order input 0-ary.
 
     On first-order input it continues from the clauses prove admitted:
     working holds no tautology and no two variants, seen holds their variant
-    keys, and existing_rounds are the main loop's rounds, which the
-    fallback's rounds follow. Propositional input comes with neither keys
-    nor rounds; _conflict_driven drops its tautologies and repeated clauses
-    itself. Both procedures poll the deadline and the clause cap through
-    _spent: the propositional one at each conflict, before its clause is
-    learned, with the cap on learned clauses; the first-order one at each
-    selection, with the cap on processed clauses. Both return the rounds that
-    the empty clause depends on, through _proof_chain.
+    keys, which every kept resolvent's key joins, and existing_rounds are the
+    main loop's rounds, which the fallback's rounds follow. Propositional
+    input comes with neither keys nor rounds; _conflict_driven drops its
+    tautologies and repeated clauses itself. Both procedures poll the
+    deadline and the clause cap through _spent: the propositional one at each
+    conflict, before its clause is learned, with the cap on learned clauses;
+    the first-order one at each selection, with the cap on processed clauses.
+    Both return the rounds that the empty clause depends on, through
+    _proof_chain.
 
     The first-order loop selects the clause of least (length, arrival); it
     is dropped if a processed clause subsumes it, and otherwise drops the
     processed clauses it strictly subsumes, joins them and is resolved with
-    them (_FirstOrderResolution). A resolvent that is a tautology, a variant
-    of a clause seen, too deep or subsumed by a processed clause is not
-    kept. The loop ends at the deadline, past the clause cap, at the empty
-    clause or when no clause is left to select.
+    each of them in processing order (itself last, once), each pair both
+    ways. A first-order csc depends on the unifier, so each resolvent is
+    built as a round, as in round building: _closings closes one clause's
+    one-column state with the other clause, renamed for a second column.
+    Each clause's one-column states, one per literal, and its renaming are
+    built once, as it is processed. A resolvent that is a tautology, a
+    variant of a clause seen, too deep or subsumed by a processed clause is
+    not kept; dropping a deep one makes the saturation incomplete. A kept
+    resolvent's round is held as (closed state, csc) until the loop ends,
+    and a RoundRecord is built only for those on the proof chain. The loop
+    ends at the deadline, past the clause cap, at the empty clause or when
+    no clause is left to select.
 
     Returns (verdict, rounds, model, reason): verdict is UNSATISFIABLE with
     the derivation chain, SATISFIABLE with the model of a full trail
@@ -751,30 +692,51 @@ def _saturate(working: Iterable[Clause], seen: set, next_id: int, prop: bool,
     if prop:
         return _conflict_driven(working, next_id, deadline)
     existing = {rec.csc.id: rec for rec in existing_rounds}
-    store = _FirstOrderResolution(seen)
+    premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
+    processed = _ClauseStore()
+    openings: Dict[int, tuple] = {}  # clause id -> (one-column states, second-column renaming)
+    rounds: Dict[int, tuple] = {}  # kept resolvent id -> (closed state, csc)
+    deep = False
     heap = [(len(c), tick, c) for tick, c in enumerate(working)]
     heapq.heapify(heap)
     tick = len(heap)
-    premises = {cid: rec.clause_ids_used for cid, rec in existing.items()}
     while heap:
-        if spent := _spent(deadline, len(store.processed)):
+        if spent := _spent(deadline, len(processed)):
             return UNKNOWN, [], None, spent
         given = heapq.heappop(heap)[2]
-        if store.processed.subsumes(given.literal_set):
+        if processed.subsumes(given.literal_set):
             continue
-        store.add(given)
-        for resolvent, other in store.resolvents(given):
-            if store.processed.subsumes(resolvent.literal_set):
-                continue
-            premises[next_id] = given.id, other
-            csc = store.keep(next_id, resolvent)
-            if csc.is_empty():
-                return UNSATISFIABLE, _proof_chain(
-                    next_id, premises, existing, lambda i: RoundRecord(*store.rounds[i])), None, None
-            heapq.heappush(heap, (len(csc), tick, csc))
-            tick += 1
-            next_id += 1
-    return UNKNOWN, [], None, (DEPTH_BOUND_REACHED if store.dropped_deep else
+        processed.remove_subsumed_by(given)
+        processed.add(given)
+        first = rename_clause(given, 1)
+        openings[given.id] = (tuple(start(first, lit) for lit in first.literals),
+                              rename_clause(given, 2))
+        for a, b in chain.from_iterable(
+                ((given, other),) if other is given else ((given, other), (other, given))
+                for other in processed):
+            second = openings[b.id][1]
+            for opened in openings[a.id][0]:
+                for closed in _closings(opened, second):
+                    lits = closed.csc
+                    if is_tautology(lits) or (key := variant_key(lits)) in seen:
+                        continue
+                    if too_deep(lits):
+                        deep = True
+                        continue
+                    if processed.subsumes(frozenset(lits)):
+                        continue
+                    premises[next_id] = a.id, b.id
+                    csc = Clause(next_id, lits)
+                    rounds[next_id] = closed, csc
+                    seen.add(key)
+                    if csc.is_empty():
+                        return (UNSATISFIABLE, _proof_chain(next_id, premises, existing,
+                                                            lambda i: RoundRecord(*rounds[i])),
+                                None, None)
+                    heapq.heappush(heap, (len(csc), tick, csc))
+                    tick += 1
+                    next_id += 1
+    return UNKNOWN, [], None, (DEPTH_BOUND_REACHED if deep else
                                "first-order saturation completed without the empty clause")
 
 

@@ -69,10 +69,9 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
     calls it on first-order input only: propositional input goes as parsed to
     conflict-driven learning, which drops the same clauses as it codes them. The
     result's mode follows the survivors, which on first-order input may be
-    all 0-ary (or none at all). When nothing is renamed, the result is
-    clause_set itself, or the subset of its clauses that survive, whose
-    symbol tables were checked when clause_set was built; only renamed
-    clauses are checked again."""
+    all 0-ary (or none at all). When nothing is dropped or renamed, the
+    result is clause_set itself; otherwise it is a new ClauseSet of the
+    survivors, whose symbol tables are checked again."""
     kept = []
     seen = set()
     for clause in clause_set.clauses:
@@ -84,9 +83,9 @@ def preprocess(clause_set: ClauseSet) -> ClauseSet:
         seen.add(key)
         kept.append(clause)
     renamed = rename_apart(kept)
-    if any(new is not old for new, old in zip(renamed, kept)):
-        return ClauseSet(renamed)
-    return clause_set if len(kept) == len(clause_set.clauses) else clause_set._subset(kept)
+    if len(kept) == len(clause_set.clauses) and all(new is old for new, old in zip(renamed, kept)):
+        return clause_set
+    return ClauseSet(renamed)
 
 
 # -- unifier search -------------------------------------------------------------

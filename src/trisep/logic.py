@@ -270,20 +270,9 @@ class ClauseSet:
         if len(set(ids)) != len(ids):
             raise ValueError("clause ids must be unique")
         _check_symbol_tables(clauses)
-        self._hold(clauses)
-
-    def _hold(self, clauses: tuple) -> None:
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "mode", PROPOSITIONAL if all(
             not lit.args for c in clauses for lit in c.literals) else FIRST_ORDER)
-
-    def _subset(self, clauses: Iterable[Clause]) -> "ClauseSet":
-        """The set of clauses, which are some of this set's in its order,
-        built without checks: a subset of a checked set has unique ids and
-        consistent symbol tables."""
-        subset = object.__new__(ClauseSet)
-        subset._hold(tuple(clauses))
-        return subset
 
     def __setattr__(self, name, value):
         raise AttributeError("ClauseSet is immutable")

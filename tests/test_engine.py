@@ -270,6 +270,30 @@ def test_the_first_order_fallback_skips_subsumed_clauses(monkeypatch):
     assert verify_trace(problem, parse_trace_document(render_trace(trace)))
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_first_order_fallback_refutation_records_exactly_the_rounds_it_returns(monkeypatch, n):
+    # p(a), ~p(X) | p(f(X)), ~p(f^n(a)) under the fallback alone: its rounds
+    # are held unrecorded until the proof chain is known, so every RoundRecord
+    # built is one the trace holds, n + 1 of them
+    x, target = Variable("X"), Constant("a")
+    for _ in range(n):
+        target = fn("f", target)
+    problem = clause_set([[pos("p", Constant("a"))], [neg("p", x), pos("p", fn("f", x))],
+                          [neg("p", target)]])
+    built = []
+    record = engine.RoundRecord
+
+    def counting(*args):
+        built.append(record(*args))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "RoundRecord", counting)
+    outcome, trace = prove(problem, EngineConfig(max_rounds=0, time_budget=30.0))
+    assert outcome.unsatisfiable
+    assert len(built) == len(trace.rounds) == n + 1
+    assert verify_trace(problem, trace)
+
+
 @pytest.mark.parametrize("steps, config", [
     ([("p", "p")], EngineConfig(time_budget=30.0)),
     ([("p", "p")], EngineConfig(max_rounds=0, time_budget=30.0)),

@@ -69,9 +69,11 @@ def test_preprocess_renames_shared_variables_apart():
     assert not names[0] & names[1]
 
 
-def test_preprocess_checks_symbol_tables_again_only_for_renamed_clauses(monkeypatch):
-    # a subset of a checked set needs no second check, and its mode follows
-    # the survivors; a renamed clause is checked again
+def test_preprocess_checks_symbol_tables_again_only_when_it_drops_or_renames(monkeypatch):
+    # a set that loses a clause is built anew, checked once, from the
+    # surviving clauses themselves, and its mode follows the survivors; so
+    # is a set with a renamed clause; a set that loses and renames nothing is
+    # returned as it is, unchecked
     x = Variable("x")
     dropping = ClauseSet([Clause(1, [pos("P", x), neg("P", x)]), Clause(2, [pos("q")]),
                           Clause(3, [neg("q"), pos("r")]), Clause(4, [pos("r"), neg("q")])])
@@ -88,9 +90,10 @@ def test_preprocess_checks_symbol_tables_again_only_for_renamed_clauses(monkeypa
     assert [c.id for c in cleaned] == [2, 3]
     assert all(c is dropping.by_id(c.id) for c in cleaned)
     assert cleaned.is_propositional and not dropping.is_propositional
-    assert checked == []
+    assert checked == [[2, 3]]
+    assert preprocess(cleaned) is cleaned and checked == [[2, 3]]
     assert [c.id for c in preprocess(renaming)] == [1, 2]
-    assert checked == [[1, 2]]
+    assert checked == [[2, 3], [1, 2]]
 
 
 # -- scripted construction: the one-variable chain (Table 5.1 shape) ---------------
