@@ -18,9 +18,9 @@ a tautology or subsumed by the working set) ends the loop, and _saturate
 continues from the admitted clauses with a bounded best effort: one
 given-clause loop, as in OTTER and E, of binary resolution (the k=2 special
 case of separation) with subsumption, whose resolvents are the closings of
-one-column states, made by the same closing generator as the main loop's
-rounds. Ground first-order input takes the same path: its rounds are those
-in which every unifier is empty.
+one-column states, under the unifiers that the main loop's closings are
+scored under (_unifiers). Ground first-order input takes the same path: its
+rounds are those in which every unifier is empty.
 
 Both procedures of _saturate poll one deadline and one clause cap, and both
 build the proof chain in one place. A trace is the ordered list of its
@@ -38,7 +38,6 @@ import heapq
 import time
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError
@@ -56,6 +55,7 @@ from .triangle import (
     EMPTY_STATE,
     Triangle,
     close,
+    closing_parts,
     extend,
     prune_redundant_columns,
     start,
@@ -112,30 +112,26 @@ def _seeds(state: Triangle, placed: Clause) -> list:
             for target in [b.complement() for b in state.boundary]]
 
 
-def _closings(state: Triangle, placed: Clause, by_boundary: Optional[list] = None):
-    """Closed states for one clause, placed already renamed apart from
-    state's columns: the greedy close plus one per seeded (clause literal,
-    boundary complement) unifier, literal by literal, since the greedy pull
-    order can miss the useful instantiation. by_boundary is _seeds(state,
-    placed), computed when not given. On ground input every seed is empty,
-    so only the greedy close remains. From a one-column state these are the
-    two-column rounds: the binary resolvents. Without a seed, no instance of
+def _unifiers(state: Triangle, placed: Clause, by_boundary: list):
+    """The distinct unifiers under which placed, a clause already renamed
+    apart from state's columns, may close state: the greedy unifier plus one
+    per seeded (clause literal, boundary complement) unifier, literal by
+    literal, since the greedy pull order can miss the useful instantiation.
+    by_boundary is _seeds(state, placed). On ground input every seed is
+    empty, so only the greedy unifier remains. Without a seed, no instance of
     the clause holds a boundary complement: none is tried.
 
-    Each distinct seed is closed once. The greedy pull from the empty seed
+    Each distinct seed is grown once. The greedy pull from the empty seed
     binds first the first seed met boundary by boundary, and then goes on as
     it would from that seed, since a pair that did not unify has no unifying
-    instance: the greedy close is that seed's closing, and is grown from it
-    (from the empty seed when every seed is empty). A seed equal to one
-    tried gives the same closing again, and so does a distinct seed that
-    grows to a unifier grown before. No repeat changes a ranking (min keeps
-    the first of equal keys) or the fallback (it skips a variant it has
-    seen), so none is built."""
-    if by_boundary is None:
-        by_boundary = _seeds(state, placed)
+    instance: the greedy unifier is that seed's, and is grown from it (from
+    the empty seed when every seed is empty). A seed equal to one tried
+    grows the same unifier again, and so may a distinct seed; each unifier
+    is yielded once. No repeat changes a ranking (min keeps the first of
+    equal keys) or the fallback (it skips a variant it has seen)."""
     if all(seed is None for row in by_boundary for seed in row):
         return
-    # the greedy close grows from its first seed; then the distinct other
+    # the greedy unifier grows from its first seed; then the distinct other
     # non-empty seeds, literal by literal
     first = next(filter(None, chain.from_iterable(by_boundary)), EMPTY)
     seeds = dict.fromkeys(filter(None, chain.from_iterable(zip(*by_boundary))))
@@ -144,13 +140,23 @@ def _closings(state: Triangle, placed: Clause, by_boundary: Optional[list] = Non
     for seed in chain((first,), seeds):
         try:
             unifier = greedy_pull(state, placed.literals, None, seed)
-            if unifier in grown:
-                continue
+        except ConstructionError:
+            continue
+        if unifier not in grown:
             grown.add(unifier)
-            closed = close(state, placed, unifier)
+            yield unifier
+
+
+def _closings(state: Triangle, placed: Clause):
+    """Closed states for one clause, placed already renamed apart from
+    state's columns: one per unifier of _unifiers under which the closing is
+    legal, in its order. From a one-column state these are the two-column
+    rounds: the binary resolvents, which the fallback builds."""
+    for unifier in _unifiers(state, placed, _seeds(state, placed)):
+        try:
+            yield close(state, placed, unifier)
         except ConstructionError:  # no legal closed state under this unifier
             continue
-        yield closed
 
 
 class _ClauseStore:
@@ -223,23 +229,19 @@ class _ClauseStore:
         self._unifiable.clear()
 
 
-def should_stop(closed: Triangle, threshold: Optional[int],
-                working: _ClauseStore) -> Tuple[bool, Optional[str]]:
+def should_stop(closed: Triangle, working: _ClauseStore) -> Tuple[bool, Optional[str]]:
     """Whether a closed state is an acceptable stopping point, read from its
-    closing column's leftovers and its separated clause's width.
+    closing column's leftovers.
 
     Reasons, strongest first: the closing column absorbed its whole clause
     (empty_dplus); no clause of working holds a literal that unifies with the
-    complement of some closing leftover (no_complement_partner); the
-    separated clause is wider than threshold, None for no cap (threshold).
+    complement of some closing leftover (no_complement_partner).
     """
     closing_plus = closed.d_plus(closed.closing_index)
     if not closing_plus:
         return True, "empty_dplus"
     if any(working.count_unifiable(lit.complement()) == 0 for lit in closing_plus):
         return True, "no_complement_partner"
-    if threshold is not None and len(closed.csc) > threshold:
-        return True, "threshold"
     return False, None
 
 
@@ -256,31 +258,36 @@ class _RoundBuilder:
     It serves first-order input only (propositional input goes straight to
     _saturate); ground input is the case in which every unifier is empty.
 
+    Candidates are ranked before they are built. When a unit clause extends
+    a state, no other clause is placed. The look-ahead asks only whether some
+    closing leaves nothing over, and only of the clauses that could close
+    that way. A least closing is a key and its unifier, read off the closing
+    column's partition (closing_parts) without building the closed state,
+    and _best_closure builds the one closed state it returns.
+
     Builds share their work through caches that live as long as the builder
     and are keyed by state identity: each placement (state, clause, literal
     position) with its column signature, each least closing (state, clause),
     each state's set of column signatures and each renaming (clause, column).
     A cached placement is the state placed before, so a build that takes a
-    step an earlier build took walks the same states, and the look-ahead fills
-    the least closings that _best_closure then reads. The caches are exact: a
-    closing depends only on its state and clause; the working set only grows;
-    and the one working-set input to a placement is redundancy_guard, whose
-    answer can only turn to reject as the set grows, so a cached instantiated
-    placement is checked against the clauses added since and placed again if
-    one of them rejects it. _closings builds each clause's closings once per
-    distinct seed, and a least closing stops at the least key that any closing
-    of its clause could reach.
+    step an earlier build took walks the same states, and the least closings
+    that the look-ahead computes are the ones _best_closure reads if the
+    candidate wins. The caches are exact: a closing depends only on its state
+    and clause; the working set only grows; and the one working-set input to
+    a placement is redundancy_guard, whose answer can only turn to reject as
+    the set grows, so a cached instantiated placement is checked against the
+    clauses added since and placed again if one of them rejects it. A least
+    closing keys each distinct unifier once, and stops at the least key that
+    any closing of its clause could reach.
 
     Every build starts from the empty state. prove makes one builder for a run
     whose main loop runs (first-order input, max_rounds > 0), and it derives
-    the width threshold (twice the widest input clause) and the column cap
-    from the input before preprocessing. The working set is a clause store, to
-    which prove adds each kept separated clause.
+    the column cap from the input before preprocessing. The working set is a
+    clause store, to which prove adds each kept separated clause.
     """
 
     def __init__(self, inputs: Iterable[Clause], clause_set: ClauseSet, deadline: float):
         self.working = _ClauseStore(inputs)
-        self.threshold = 2 * max(len(c) for c in clause_set.clauses)
         self.max_columns = max(8, 4 * len(clause_set.clauses))
         self.deadline = deadline
         # (state, clause id, position) -> (placement, guarded instance, working size)
@@ -351,9 +358,11 @@ class _RoundBuilder:
         return (result, self._column_signature(result, len(result.columns) - 1)), instance
 
     def _least_closing(self, state: Triangle, clause: Clause) -> Optional[tuple]:
-        """The least of clause's closings of state as (key, closed state), the
-        first of equal keys, or None; the key is (leftover count, -inside
-        count, clause id). Cached per (state, clause).
+        """The least key of clause's closings of state, with its unifier, as
+        (key, unifier), the first of equal keys, or None; the key is
+        (leftover count, -inside count, clause id), read off the closing
+        column's partition (closing_parts) without building the closed
+        state. Cached per (state, clause).
 
         The scan stops at a closing whose key is the least any could reach: a
         literal that unifies with no boundary complement is left over in
@@ -369,22 +378,50 @@ class _RoundBuilder:
         seeded = [any(seed is not None for seed in column) for column in zip(*by_boundary)]
         floor = (0 if all(seeded) else 1, -sum(seeded), clause.id)
         least = None
-        for closed in _closings(state, placed, by_boundary):
-            k = closed.closing_index
-            key = (len(closed.d_plus(k)), -len(closed.d_minus(k)), clause.id)
+        for unifier in _unifiers(state, placed, by_boundary):
+            try:
+                d_minus, d_plus = closing_parts(state, placed, unifier)
+            except ConstructionError:  # no legal closed state under this unifier
+                continue
+            key = (len(d_plus), -len(d_minus), clause.id)
             if least is None or key < least[0]:
-                least = key, closed
+                least = key, unifier
                 if key == floor:
                     break
         self._least[cache_key] = least
         return least
 
     def _best_closure(self, state: Triangle) -> Optional[Triangle]:
-        """state's best closing over the working set: the closed state of
-        least key among the least closings of its clauses, or None."""
-        least = min(filter(None, (self._least_closing(state, clause) for clause in self.working)),
-                    key=itemgetter(0), default=None)
-        return None if least is None else least[1]
+        """state's best closing over the working set, or None: the closing of
+        least key among the least closings of its clauses, the only one
+        closed."""
+        best = None
+        for clause in self.working:
+            least = self._least_closing(state, clause)
+            if least is not None and (best is None or least[0] < best[0][0]):
+                best = least, clause
+        if best is None:
+            return None
+        (_, unifier), clause = best
+        return close(state, self._rename(clause, len(state.columns) + 1), unifier)
+
+    def _separates_empty(self, state: Triangle) -> bool:
+        """The look-ahead of a state without leftovers: whether its best
+        closing separates the empty clause. Closing such a state leaves
+        exactly the closing column's leftovers (an instantiation keeps every
+        complement a complement, so the earlier columns stay leftover-free,
+        and an illegal one raises), so that holds iff some clause has a least
+        closing without leftovers. Only a clause whose every literal has the
+        sign and predicate of some boundary complement can close that way;
+        those are asked in working order, up to the first that does, through
+        the least closings that _best_closure reads."""
+        shapes = {(lit.positive, lit.predicate) for lit in state.boundary_complements}
+        for clause in self.working:
+            if all((lit.positive, lit.predicate) in shapes for lit in clause.literals):
+                least = self._least_closing(state, clause)
+                if least is not None and least[0][0] == 0:
+                    return True
+        return False
 
     def _column_signature(self, state: Triangle, index: int):
         col = state.columns[index]
@@ -394,31 +431,35 @@ class _RoundBuilder:
         return (col.clause_id, boundary_idx, variant_key(state.instantiated(index)))
 
     def _extensions(self, state: Triangle) -> List[Tuple[tuple, Triangle]]:
-        """Every extension of state, in scan order, as (key, the extended
-        state). Key: (unit, look-ahead, new leftover count, clause id, literal
-        position); keys are unique, and the least one ranks best. A key
-        depends on the column's unifier, so each candidate is placed here
-        (_place). A candidate without leftovers is keyed on its best closing,
-        the look-ahead, which build reads if the candidate wins."""
+        """The extensions of state that can rank best, in scan order, as (key,
+        the extended state). Key: (unit, look-ahead, new leftover count,
+        clause id, literal position); keys are unique, and the least one
+        ranks best. The unit clauses are placed first; when one of them
+        extends state, the others are not placed, since unit leads the key.
+        A key depends on the column's unifier, so each candidate is placed
+        here (_place). The look-ahead of a candidate without leftovers is
+        _separates_empty; a candidate with leftovers is not looked ahead
+        from, and its look-ahead field is 1."""
         signatures = self._signatures.get(state)
         if signatures is None:
             signatures = self._signatures[state] = {
                 self._column_signature(state, i) for i in range(len(state.columns))}
         extensions = []
-        for clause in self.working:
-            unit = 0 if len(clause) == 1 else 1
-            for idx in range(len(clause)):
-                placement = self._place(state, clause, idx)
-                if placement is None or placement[1] in signatures:
+        for wanted in (0, 1):  # unit clauses first
+            for clause in self.working:
+                unit = 0 if len(clause) == 1 else 1
+                if unit != wanted:
                     continue
-                candidate = placement[0]
-                new_col = len(candidate.columns) - 1
-                # an extension after which an empty separation is one close
-                # away: its best closing separates the empty clause
-                closed = None if candidate.leftovers else self._best_closure(candidate)
-                look = 0 if closed is not None and not closed.csc else 1
-                extensions.append(((unit, look, len(candidate.d_plus(new_col)), clause.id, idx),
-                                   candidate))
+                for idx in range(len(clause)):
+                    placement = self._place(state, clause, idx)
+                    if placement is None or placement[1] in signatures:
+                        continue
+                    candidate = placement[0]
+                    look = 0 if not candidate.leftovers and self._separates_empty(candidate) else 1
+                    extensions.append(((unit, look, len(candidate.d_plus(-1)), clause.id, idx),
+                                       candidate))
+            if extensions:
+                break
         return extensions
 
     # -- main ---------------------------------------------------------------
@@ -433,7 +474,7 @@ class _RoundBuilder:
         while time.monotonic() < self.deadline:
             if state.columns:
                 best = self._best_closure(state)
-                if best is not None and should_stop(best, self.threshold, self.working)[0]:
+                if best is not None and should_stop(best, self.working)[0]:
                     break
                 if len(state.columns) >= self.max_columns:
                     break

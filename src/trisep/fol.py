@@ -102,23 +102,21 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
     its fields (Triangle.holds_variable), not off its columns. The state's
     boundary comes instantiated, and its substitution binds none of the
     renamed literals' variables, so only the growing unifier is applied
-    here."""
+    here: the boundary complements and the literals are instantiated under
+    the seed once, and then under each new unifier as it is found, which by
+    compose's contract gives the literals that the composed unifier gives
+    applied to the originals."""
     overlap = [name for name in variable_names(literals) if state.holds_variable(name)]
     if overlap:
         raise ConstructionError(f"clause shares variables with the state: {sorted(overlap)}")
     increment = seed
-    pulled = [lit for lit in literals if exclude is None or lit != exclude]
-
-    def instantiate():  # only a new unifier changes increment
-        return ([apply_literal(increment, b).complement() for b in state.boundary],
-                [apply_literal(increment, lit) for lit in pulled])
-
-    targets, insts = instantiate()
+    targets = [apply_literal(seed, b).complement() for b in state.boundary]
+    insts = [apply_literal(seed, lit) for lit in literals if exclude is None or lit != exclude]
     changed = True
     while changed:
         changed = False
-        for i in range(len(state.boundary)):
-            for j in range(len(pulled)):
+        for i in range(len(targets)):
+            for j in range(len(insts)):
                 inst, target = insts[j], targets[i]
                 if inst == target:
                     continue
@@ -126,7 +124,8 @@ def greedy_pull(state: Triangle, literals, exclude: Optional[Literal] = None,
                 if unifier is None:
                     continue
                 increment = compose(unifier, increment)
-                targets, insts = instantiate()
+                targets = [apply_literal(unifier, t) for t in targets]
+                insts = [apply_literal(unifier, lit) for lit in insts]
                 changed = True
     return increment
 

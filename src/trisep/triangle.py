@@ -24,7 +24,10 @@ step is the only engine code that applies a state's substitution: callers
 read the state's boundary and instantiated columns. Finding a unifier is the
 caller's concern (trisep.fol.greedy_pull, which grows it against that
 boundary), and so is when to stop growing a construction
-(trisep.engine.should_stop asks the working set).
+(trisep.engine.should_stop asks the working set). closing_parts derives the
+partition of the column that a close would add, through the same column
+step and without building the closed state, so that a caller can rank
+closings and build only the one it chooses.
 """
 
 from __future__ import annotations
@@ -210,6 +213,33 @@ def close(state: Triangle, last_clause: Clause, sigma: Substitution = EMPTY) -> 
         raise ConstructionError("state is already closed")
     return state._append(Column(last_clause.id, last_clause.literals, None, closing=True),
                          sigma)
+
+
+def closing_parts(state: Triangle, last_clause: Clause, sigma: Substitution = EMPTY) -> tuple:
+    """The (d_minus, d_plus) partition of the closing column that
+    close(state, last_clause, sigma) adds, derived without building the
+    closed state; raises ConstructionError exactly when close does.
+
+    last_clause must share no variable with the state's columns, as
+    greedy_pull requires, so sigma alone instantiates it. Only a unifier
+    that binds a variable of the instantiated columns changes the earlier
+    columns, and then only one check of close's rebuild can fail: a
+    boundary literal that meets the complement of an earlier one (every
+    other literal that complements a boundary literal still does under the
+    unifier). So the boundary is instantiated and checked, and the closing
+    column is derived against its complements."""
+    if state.closed:
+        raise ConstructionError("state is already closed")
+    complements = state.boundary_complements
+    if not state._free.isdisjoint(sigma.domain):
+        complements = set()
+        for blit in state.boundary:
+            blit = apply_literal(sigma, blit)
+            if blit in complements:
+                raise ConstructionError(f"boundary literal {blit} completes a complementary pair")
+            complements.add(blit.complement())
+    column = Column(last_clause.id, last_clause.literals, None, closing=True)
+    return _derive_column(len(state.columns) + 1, column, sigma, complements, False)[2:]
 
 
 # -- deduction-preserving transformations ------------------------------------

@@ -97,10 +97,15 @@ def apply_term(sub: Substitution, term):
 
 
 def apply_literal(sub: Substitution, literal: Literal) -> Literal:
+    """literal under sub; literal itself when sub binds none of its variables."""
     if not literal.args or sub.is_empty():
         return literal
-    return Literal(literal.positive, literal.predicate,
-                   tuple(apply_term(sub, a) for a in literal.args))
+    bound = sub._map.keys()
+    for arg in literal.args:
+        if not bound.isdisjoint(arg.variable_names):
+            return Literal(literal.positive, literal.predicate,
+                           tuple(apply_term(sub, a) for a in literal.args))
+    return literal
 
 
 def apply_literals(sub: Substitution, literals: Iterable[Literal]) -> tuple:

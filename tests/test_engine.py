@@ -370,23 +370,36 @@ def test_a_clause_without_a_unifiable_boundary_complement_tries_no_close(monkeyp
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_a_build_closes_each_state_with_each_clause_once(monkeypatch, reverse):
-    # over a whole run, each state that some build reaches or looks ahead to
-    # is closed with each clause once: the look-ahead's least closings serve
-    # the winner, and a later build that takes the same steps walks the same
-    # states, whose closings are cached; states with equal columns and
-    # substitution count as one (the fallback, which closes one-column
+    # over a whole run, each (state, clause) pair that some build reaches or
+    # looks ahead to is scored at most once: the look-ahead's least closings
+    # serve the winner, and a later build that takes the same steps walks the
+    # same states, whose least closings are cached; states with equal columns
+    # and substitution count as one. close runs only for the best closure
+    # that build reads, once per read (the fallback, which closes one-column
     # states of its own, is off)
-    calls = Counter()
-    real = engine._closings
+    scored, closed, read = Counter(), [], []
+    real_unifiers, real_close = engine._unifiers, engine.close
+    real_best = engine._RoundBuilder._best_closure
 
-    def counting(state, clause, *rest):
-        calls[state.columns, state.sigma, clause.id] += 1
-        return real(state, clause, *rest)
+    def unifiers(state, placed, *rest):
+        scored[state.columns, state.sigma, placed.id] += 1
+        return real_unifiers(state, placed, *rest)
 
-    monkeypatch.setattr(engine, "_closings", counting)
+    def closing(*args):
+        closed.append(real_close(*args))
+        return closed[-1]
+
+    def best_closure(self, state):
+        read.append(real_best(self, state))
+        return read[-1]
+
+    monkeypatch.setattr(engine, "_unifiers", unifiers)
+    monkeypatch.setattr(engine, "close", closing)
+    monkeypatch.setattr(engine._RoundBuilder, "_best_closure", best_closure)
     outcome, trace = prove(_chain(8, reverse), EngineConfig(fallback_enabled=False))
     assert len(trace.rounds) > 1
-    assert calls and max(calls.values()) == 1
+    assert scored and max(scored.values()) == 1
+    assert closed and [id(s) for s in closed] == [id(s) for s in read if s is not None]
 
 
 def _random_first_order_set(rng):
@@ -427,7 +440,7 @@ def test_each_build_of_a_run_equals_a_fresh_builders_build(monkeypatch):
     def checked(self):
         built = real_build(self)
         fresh = engine._RoundBuilder(ClauseSet(list(self.working)), problem, float("inf"))
-        fresh.threshold, fresh.max_columns = self.threshold, self.max_columns
+        fresh.max_columns = self.max_columns
         again = real_build(fresh)
         assert (built is None) == (again is None)
         if built is not None:

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -6,6 +8,7 @@ from trisep import (
     Clause,
     ClauseSet,
     Constant,
+    EngineConfig,
     Variable,
     clause_set,
     close,
@@ -15,14 +18,18 @@ from trisep import (
     neg,
     normalize_stairs,
     pos,
+    prove,
     prune_redundant_columns,
     should_stop,
     start,
 )
+from trisep import engine
 from trisep.engine import _ClauseStore, _RoundBuilder
 from trisep.errors import ConstructionError
-from trisep.triangle import EMPTY_STATE
-from conftest import pulled_close, random_closed_state, random_instance, reference_ranking
+from trisep.triangle import EMPTY_STATE, closing_parts
+from trisep.unify import EMPTY, apply_literal, rename_clause
+from conftest import (pulled_close, pulled_extend, random_closed_state, random_first_order_set,
+                      random_instance, reference_ranking)
 
 
 def d_columns(state):
@@ -122,7 +129,7 @@ def test_boundary_repeats_are_legal_at_this_level(ex61):
 def test_should_stop_empty_leftover(ex41):
     c1, c2, c3, c4 = ex41.clauses
     state = close(extend(extend(start(c1, pos("p1")), c2, pos("p4")), c3, pos("p3")), c4)
-    stop, reason = should_stop(state, None, _ClauseStore(ex41.clauses))
+    stop, reason = should_stop(state, _ClauseStore(ex41.clauses))
     assert stop and reason == "empty_dplus"
 
 
@@ -130,7 +137,7 @@ def test_should_stop_no_complement_partner():
     s = clause_set([[pos("p")], [neg("p"), pos("q")]])
     state = close(start(s.clauses[0], pos("p")), s.clauses[1])
     # leftover q has no clause holding ~q anywhere in the set
-    stop, reason = should_stop(state, None, _ClauseStore(s.clauses))
+    stop, reason = should_stop(state, _ClauseStore(s.clauses))
     assert stop and reason == "no_complement_partner"
 
 
@@ -141,24 +148,72 @@ def test_should_stop_asks_for_a_unifiable_partner_on_first_order_input():
     assert state.csc == (pos("q", a),)
     # ~q(X) unifies with ~q(a), the complement of the closing leftover
     partnered = _ClauseStore([top, step, Clause(3, [neg("q", x)])])
-    assert should_stop(state, None, partnered) == (False, None)
+    assert should_stop(state, partnered) == (False, None)
     # ~q(b) does not, so q(a) has no partner
     unpartnered = _ClauseStore([top, step, Clause(3, [neg("q", b)])])
-    assert should_stop(state, None, unpartnered) == (True, "no_complement_partner")
+    assert should_stop(state, unpartnered) == (True, "no_complement_partner")
 
 
-def test_should_stop_threshold():
-    s = clause_set([
-        [pos("p")],
-        [neg("p"), pos("a"), pos("b"), pos("c")],
-        [neg("a")], [neg("b")], [neg("c")],
-    ])
-    state = close(start(s.clauses[0], pos("p")), s.clauses[1])
-    working = _ClauseStore(s.clauses)
-    stop, reason = should_stop(state, 2, working)
-    assert stop and reason == "threshold"
-    keep_going, _ = should_stop(state, 10, working)
-    assert not keep_going
+# -- closing parts -------------------------------------------------------------------
+
+
+def _random_first_order_state(rng, clauses):
+    """A state of up to four of clauses, each renamed for its column and
+    placed under its greedy unifier with a random boundary literal; a clause
+    that cannot be placed is left out."""
+    state = EMPTY_STATE
+    for _ in range(rng.randint(1, 4)):
+        placed = rename_clause(rng.choice(clauses), len(state.columns) + 1)
+        try:
+            state = pulled_extend(state, placed, rng.choice(placed.literals))
+        except ConstructionError:
+            continue
+    return state
+
+
+def test_closing_parts_agree_with_close():
+    """On random first-order states and clauses, for the empty unifier and
+    every distinct unifier that the closing generator grows (the empty one
+    closes a clause that holds a boundary complement as it is, and is
+    rejected otherwise), closing_parts gives the partition of
+    the closing column of close's closed state, so the two key a closing
+    alike, and raises exactly when close does, also when the unifier
+    re-instantiates the earlier columns and close rebuilds the state. A
+    closed state without leftovers before its closing column separates
+    exactly that column's leftovers."""
+    rng = random.Random(51)
+    covered = Counter()
+    for _ in range(400):
+        clauses = random_first_order_set(rng).clauses
+        state = _random_first_order_state(rng, clauses)
+        for clause in clauses:
+            placed = rename_clause(clause, len(state.columns) + 1)
+            unifiers = engine._unifiers(state, placed, engine._seeds(state, placed))
+            for unifier in dict.fromkeys(chain((EMPTY,), unifiers)):
+                rebuilt = any(state.holds_variable(name) for name in unifier.domain)
+                try:
+                    closed = close(state, placed, unifier)
+                except ConstructionError:
+                    closed = None
+                try:
+                    parts = closing_parts(state, placed, unifier)
+                except ConstructionError:
+                    parts = None
+                assert (parts is None) == (closed is None)
+                boundary = [apply_literal(unifier, b) for b in state.boundary]
+                if any(b.complement() in boundary[:i] for i, b in enumerate(boundary)):
+                    covered["a boundary clash"] += 1
+                    assert closed is None
+                if closed is None:
+                    covered["rejected", rebuilt] += 1
+                    continue
+                covered["closed", rebuilt] += 1
+                k = closed.closing_index
+                assert parts == (closed.d_minus(k), closed.d_plus(k))
+                if not state.leftovers:
+                    covered["without leftovers"] += 1
+                    assert closed.csc == closed.d_plus(k)
+    assert len(covered) == 6 and min(covered.values()) > 0, covered
 
 
 # -- stair columns and transformations --------------------------------------------
@@ -291,6 +346,58 @@ def test_select_candidates_tie_breaks_by_clause_id_then_position():
     # ~a occurs in a clause and ~c in none, yet the literal position alone
     # puts c ahead of a
     assert order.index((1, pos("c"))) < order.index((1, pos("a")))
+
+
+def _reference_least_extension(working, state):
+    """The least extension of state as (key, placed state), computed the way
+    the ranking was before candidates were ranked before they were built, on
+    a fresh builder: every clause's every candidate is placed, and the
+    look-ahead of each one without leftovers reads the closed state that
+    _best_closure builds."""
+    builder = _RoundBuilder(working, ClauseSet(working), float("inf"))
+    taken = {builder._column_signature(state, i) for i in range(len(state.columns))}
+    scored = []
+    for clause in builder.working:
+        for idx in range(len(clause)):
+            placement = builder._place(state, clause, idx)
+            if placement is None or placement[1] in taken:
+                continue
+            candidate = placement[0]
+            closed = None if candidate.leftovers else builder._best_closure(candidate)
+            look = 0 if closed is not None and not closed.csc else 1
+            key = (0 if len(clause) == 1 else 1, look, len(candidate.d_plus(-1)), clause.id, idx)
+            scored.append((key, candidate))
+    return min(scored, key=lambda item: item[0], default=None)
+
+
+def test_first_order_ranking_matches_a_reference_that_builds_every_closing(monkeypatch):
+    """On every state that a build reaches on the random first-order corpus,
+    the least extension that _extensions returns is the reference's. The
+    main loop is the same under the corpus's two configurations (fallback
+    off, and a 0.3 s budget), so its builds see the same working sets; the
+    check runs without the fallback and without a deadline."""
+    real = _RoundBuilder._extensions
+    covered = Counter()
+
+    def checked(self, state):
+        extensions = real(self, state)
+        expected = _reference_least_extension(list(self.working), state)
+        assert (expected is None) == (not extensions)
+        if extensions:
+            key, candidate = min(extensions)
+            assert key == expected[0]
+            assert (candidate.columns, candidate.sigma) == (expected[1].columns,
+                                                            expected[1].sigma)
+            covered["unit" if key[0] == 0 else "non-unit"] += 1
+            covered["look-ahead"] += key[1] == 0
+        return extensions
+
+    monkeypatch.setattr(_RoundBuilder, "_extensions", checked)
+    rng = random.Random(2026)
+    config = EngineConfig(max_rounds=8, fallback_enabled=False, time_budget=float("inf"))
+    for _ in range(200):
+        prove(random_first_order_set(rng), config)
+    assert min(covered[name] for name in ("unit", "non-unit", "look-ahead")) > 0, covered
 
 
 def test_select_candidates_filters_boundary_violations():
